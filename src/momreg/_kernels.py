@@ -1,218 +1,56 @@
-"""Hot per-block kernels with a numba backend and a pure-numpy fallback.
+"""Per-block kernels of the squared loss over n contiguous blocks of m rows.
 
-All kernels take the design matrix restricted to the partitioned rows
-(shape ``(n*m, d)``, C-contiguous float64) plus coefficient vectors, and
-return one value per block.  Within a block, sums are accumulated pairwise:
-the numpy path inherits numpy's pairwise reduction, the numba path uses an
-explicit bottom-up pairwise pass, so the decomposition identity for the
-block increments stays testable at tight relative tolerance.
+Two ways to evaluate block losses live here.  ``block_stats`` reduces the
+partitioned design once to the per-block sufficient statistics
 
-The backend is selected once at import time from the ``MOMREG_BACKEND``
-environment variable (``auto`` | ``numba`` | ``numpy``; default ``auto``).
+    S_j = X_j^T X_j / m        b_j = X_j^T y_j / m
+
+after which ``block_increment`` compares two coefficient vectors in
+O(n d^2), without reading X or y again; the descent-ascent loops run on
+these.  ``block_losses`` is the exact residual path: it reads X and y,
+takes one theta or a (k, d) batch, and is the reference the statistics
+path is tested against.
 """
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - environment without numba
-    njit = None
-    HAS_NUMBA = False
+# Thetas per residual matrix in block_losses: bounds the (chunk, n*m)
+# temporary, and so peak memory, for large batches.
+_CHUNK = 64
 
 
-# ---------------------------------------------------------------------------
-# numpy backend
-# ---------------------------------------------------------------------------
-
-def _block_losses_numpy(X, y, theta, n, m):
-    r = X @ theta - y
-    return np.square(r).reshape(n, m).mean(axis=1)
-
-
-def _block_quad_numpy(X, theta_f, theta_h, n, m):
-    z = X @ (theta_f - theta_h)
-    return np.square(z).reshape(n, m).mean(axis=1)
+def block_stats(X, y, n, m):
+    """Per-block (S, b): S has shape (n, d, d) and b shape (n, d)."""
+    Xb = X.reshape(n, m, -1)
+    Xt = Xb.transpose(0, 2, 1)
+    S = (Xt @ Xb) / m
+    b = (Xt @ y.reshape(n, m, 1))[..., 0] / m
+    return S, b
 
 
-def _block_mult_numpy(X, y, theta_f, theta_h, n, m):
-    z = X @ (theta_f - theta_h)
-    r = X @ theta_h - y
-    return 2.0 * (z * r).reshape(n, m).mean(axis=1)
+def block_increment(S, b, theta_f, theta_h):
+    """Per-block squared-loss difference of theta_f and theta_h from (S, b).
 
-
-def _block_increment_numpy(X, y, theta_f, theta_h, n, m):
-    lf = np.square(X @ theta_f - y).reshape(n, m).mean(axis=1)
-    lh = np.square(X @ theta_h - y).reshape(n, m).mean(axis=1)
-    return lf - lh
-
-
-NUMPY_IMPL = {
-    "block_losses": _block_losses_numpy,
-    "block_quad": _block_quad_numpy,
-    "block_mult": _block_mult_numpy,
-    "block_increment": _block_increment_numpy,
-}
-
-
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _pairwise_reduce(buf, length):
-        # Bottom-up pairwise summation of buf[:length], in place.
-        while length > 1:
-            half = length // 2
-            for i in range(half):
-                buf[i] = buf[2 * i] + buf[2 * i + 1]
-            if length & 1:
-                buf[half] = buf[length - 1]
-                length = half + 1
-            else:
-                length = half
-        return buf[0]
-
-    @njit(cache=True)
-    def _block_losses_numba(X, y, theta, n, m):
-        d = theta.shape[0]
-        out = np.empty(n)
-        buf = np.empty(m)
-        for j in range(n):
-            base = j * m
-            for i in range(m):
-                acc = -y[base + i]
-                for k in range(d):
-                    acc += X[base + i, k] * theta[k]
-                buf[i] = acc * acc
-            out[j] = _pairwise_reduce(buf, m) / m
-        return out
-
-    @njit(cache=True)
-    def _block_quad_numba(X, theta_f, theta_h, n, m):
-        d = theta_f.shape[0]
-        out = np.empty(n)
-        buf = np.empty(m)
-        for j in range(n):
-            base = j * m
-            for i in range(m):
-                acc = 0.0
-                for k in range(d):
-                    acc += X[base + i, k] * (theta_f[k] - theta_h[k])
-                buf[i] = acc * acc
-            out[j] = _pairwise_reduce(buf, m) / m
-        return out
-
-    @njit(cache=True)
-    def _block_mult_numba(X, y, theta_f, theta_h, n, m):
-        d = theta_f.shape[0]
-        out = np.empty(n)
-        buf = np.empty(m)
-        for j in range(n):
-            base = j * m
-            for i in range(m):
-                z = 0.0
-                r = -y[base + i]
-                for k in range(d):
-                    xv = X[base + i, k]
-                    z += xv * (theta_f[k] - theta_h[k])
-                    r += xv * theta_h[k]
-                buf[i] = z * r
-            out[j] = 2.0 * _pairwise_reduce(buf, m) / m
-        return out
-
-    @njit(cache=True)
-    def _block_increment_numba(X, y, theta_f, theta_h, n, m):
-        d = theta_f.shape[0]
-        out = np.empty(n)
-        buf_f = np.empty(m)
-        buf_h = np.empty(m)
-        for j in range(n):
-            base = j * m
-            for i in range(m):
-                rf = -y[base + i]
-                rh = -y[base + i]
-                for k in range(d):
-                    xv = X[base + i, k]
-                    rf += xv * theta_f[k]
-                    rh += xv * theta_h[k]
-                buf_f[i] = rf * rf
-                buf_h[i] = rh * rh
-            out[j] = (_pairwise_reduce(buf_f, m) - _pairwise_reduce(buf_h, m)) / m
-        return out
-
-    NUMBA_IMPL = {
-        "block_losses": _block_losses_numba,
-        "block_quad": _block_quad_numba,
-        "block_mult": _block_mult_numba,
-        "block_increment": _block_increment_numba,
-    }
-else:  # pragma: no cover
-    NUMBA_IMPL = None
-
-
-# ---------------------------------------------------------------------------
-# backend selection
-# ---------------------------------------------------------------------------
-
-def _resolve_backend() -> str:
-    choice = os.environ.get("MOMREG_BACKEND", "auto").strip().lower()
-    if choice not in ("auto", "numba", "numpy"):
-        warnings.warn(
-            f"unknown MOMREG_BACKEND={choice!r}; falling back to 'auto'",
-            stacklevel=2,
-        )
-        choice = "auto"
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba" and not HAS_NUMBA:
-        warnings.warn(
-            "MOMREG_BACKEND=numba but numba is not importable; using numpy",
-            stacklevel=2,
-        )
-        return "numpy"
-    return "numba" if HAS_NUMBA else "numpy"
-
-
-_BACKEND = _resolve_backend()
-_IMPL = NUMBA_IMPL if _BACKEND == "numba" else NUMPY_IMPL
-
-
-def active_backend() -> str:
-    """Name of the kernel backend selected at import ('numba' or 'numpy')."""
-    return _BACKEND
-
-
-def available_backends() -> tuple[str, ...]:
-    return ("numpy", "numba") if HAS_NUMBA else ("numpy",)
-
-
-def block_losses(X, y, theta, n, m):
-    """Per-block mean of (X theta - y)^2 over n contiguous blocks of size m."""
-    return _IMPL["block_losses"](X, y, theta, n, m)
-
-
-def block_quad(X, theta_f, theta_h, n, m):
-    """Per-block mean of (X (theta_f - theta_h))^2."""
-    return _IMPL["block_quad"](X, theta_f, theta_h, n, m)
-
-
-def block_mult(X, y, theta_f, theta_h, n, m):
-    """Per-block mean of 2 (X(theta_f - theta_h)) (X theta_h - y)."""
-    return _IMPL["block_mult"](X, y, theta_f, theta_h, n, m)
-
-
-def block_increment(X, y, theta_f, theta_h, n, m):
-    """Per-block squared-loss difference of theta_f and theta_h.
-
-    Computed directly from the two blockwise mean losses, not from the
-    quadratic/multiplier split.
+    Evaluated as (S_j (f - h)) . (f + h) - 2 b_j . (f - h): the y^T y / m
+    term of each block loss never forms, so nothing cancels against a large
+    response norm, and f == h gives exactly 0.
     """
-    return _IMPL["block_increment"](X, y, theta_f, theta_h, n, m)
+    delta = theta_f - theta_h
+    # One (n*d, d) matrix-vector product is faster than n batched (d, d) ones.
+    s_delta = (S.reshape(-1, delta.shape[0]) @ delta).reshape(b.shape)
+    return s_delta @ (theta_f + theta_h) - 2.0 * (b @ delta)
+
+
+def block_losses(X, y, thetas, n, m):
+    """Per-block mean of (X theta - y)^2: shape (n,) for one theta, (k, n)
+    for a (k, d) batch of thetas."""
+    thetas = np.asarray(thetas, dtype=np.float64)
+    if thetas.ndim == 1:
+        return np.square(X @ thetas - y).reshape(n, m).mean(axis=1)
+    out = np.empty((thetas.shape[0], n))
+    for lo in range(0, thetas.shape[0], _CHUNK):
+        chunk = thetas[lo : lo + _CHUNK]
+        resid = chunk @ X.T - y
+        out[lo : lo + chunk.shape[0]] = np.square(resid).reshape(-1, n, m).mean(axis=2)
+    return out

@@ -7,7 +7,10 @@ For predictors f, h and block j the three statistics are
     multiplier(j)= mean over block of 2 (f - h)(X_i) (h(X_i) - Y_i)
     increment(j) = mean block loss of f - mean block loss of h
 
-and increment = quad + multiplier holds entrywise up to roundoff.
+and increment = quad + multiplier holds entrywise up to roundoff.  All
+three are computed from the residuals over the rows of X, the exact path
+that the verifiers rely on; the solver's faster path through per-block
+statistics lives in ``_kernels``.
 """
 from __future__ import annotations
 
@@ -50,12 +53,16 @@ def _used_arrays(f: LinearPredictor, h: LinearPredictor, data: Dataset, p: Block
     return data.features[: p.total], data.responses[: p.total]
 
 
+def _block_means(v: np.ndarray, p: BlockPartition) -> np.ndarray:
+    return v.reshape(p.n, p.m).mean(axis=1)
+
+
 def quad_component(
     f: LinearPredictor, h: LinearPredictor, data: Dataset, p: BlockPartition
 ) -> BlockVector:
     """Blockwise mean of (f - h)^2 (X_i)."""
     X, _ = _used_arrays(f, h, data, p)
-    return BlockVector(_kernels.block_quad(X, f.theta, h.theta, p.n, p.m))
+    return BlockVector(_block_means(np.square(X @ (f.theta - h.theta)), p))
 
 
 def multiplier_component(
@@ -63,7 +70,8 @@ def multiplier_component(
 ) -> BlockVector:
     """Blockwise mean of 2 (f - h)(X_i) (h(X_i) - Y_i): the noise-interaction term."""
     X, y = _used_arrays(f, h, data, p)
-    return BlockVector(_kernels.block_mult(X, y, f.theta, h.theta, p.n, p.m))
+    z = X @ (f.theta - h.theta)
+    return BlockVector(2.0 * _block_means(z * (X @ h.theta - y), p))
 
 
 def block_increment(
@@ -71,7 +79,8 @@ def block_increment(
 ) -> BlockVector:
     """Blockwise squared-loss difference of f and h, from the losses directly."""
     X, y = _used_arrays(f, h, data, p)
-    return BlockVector(_kernels.block_increment(X, y, f.theta, h.theta, p.n, p.m))
+    lf = _kernels.block_losses(X, y, f.theta, p.n, p.m)
+    return BlockVector(lf - _kernels.block_losses(X, y, h.theta, p.n, p.m))
 
 
 def _as_values(v) -> np.ndarray:

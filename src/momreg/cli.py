@@ -121,6 +121,8 @@ def resolve_config(raw: dict | None, overrides: dict | None = None) -> dict:
     if cfg["trials"] < 1:
         raise ConfigError("trial count must be >= 1")
     n = cfg["partition"]["blocks"]
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise ConfigError(f"partition.blocks must be a positive integer, got {n!r}")
     if n % 2 == 0:
         print(
             f"warning: even block count {n} auto-decremented to {n - 1}",
@@ -635,12 +637,22 @@ _RUNNERS = {
 }
 
 
+def _load_config(path: str) -> dict:
+    """Read a JSON config document; unreadable or malformed files raise ConfigError."""
+    try:
+        with open(path) as fh:
+            raw = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path!r}: {exc.strerror}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"config {path!r} is not valid JSON: {exc}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path!r} must hold a JSON object")
+    return raw
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    raw = None
-    if args.config:
-        with open(args.config) as fh:
-            raw = json.load(fh)
     overrides = {
         "seed": args.seed,
         "blocks": args.blocks,
@@ -651,6 +663,7 @@ def main(argv=None) -> int:
     }
     started = time.time()
     try:
+        raw = _load_config(args.config) if args.config else None
         cfg = resolve_config(raw, overrides)
         cfg["mode"] = args.mode
         report = _RUNNERS[args.mode](cfg)

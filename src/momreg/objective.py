@@ -239,11 +239,10 @@ def median_block_index(b: np.ndarray) -> tuple[int, float]:
     return int(np.flatnonzero(b == med)[0]), float(med)
 
 
-def block_loss_gradient(X, y, theta, j: int, m: int) -> np.ndarray:
-    """Gradient of the mean squared loss restricted to block j."""
-    sl = slice(j * m, (j + 1) * m)
-    Xj = X[sl]
-    return (2.0 / m) * (Xj.T @ (Xj @ theta - y[sl]))
+def block_loss_gradient(S, b, theta, j: int) -> np.ndarray:
+    """Gradient 2 (S_j theta - b_j) of block j's mean squared loss, from the
+    per-block statistics of ``_kernels.block_stats``."""
+    return 2.0 * (S[j] @ theta - b[j])
 
 
 def gram_step_size(X: np.ndarray, m: int) -> float:
@@ -255,10 +254,8 @@ def gram_step_size(X: np.ndarray, m: int) -> float:
 
 
 def _ascend_adversary(
-    X,
-    y,
-    n,
-    m,
+    S,
+    b,
     theta_f,
     g_start,
     lam,
@@ -274,10 +271,10 @@ def _ascend_adversary(
     best_g = g_start.copy()
     explored = [] if collect else None
     for t in range(iterations + 1):
-        b = _kernels.block_increment(X, y, theta_f, g, n, m)
-        if not np.all(np.isfinite(b)):
+        inc = _kernels.block_increment(S, b, theta_f, g)
+        if not np.isfinite(inc).all():
             break
-        j_star, med = median_block_index(b)
+        j_star, med = median_block_index(inc)
         value = med + (lam * (psi_f - psi(reg, g)) if lam else 0.0)
         if value > best_value:
             best_value = value
@@ -287,14 +284,14 @@ def _ascend_adversary(
         if t == iterations:
             break
         s = step / math.sqrt(t + 1.0)
-        g = g - s * block_loss_gradient(X, y, g, j_star, m)
+        g = g - s * block_loss_gradient(S, b, g, j_star)
         if lam:
             g = prox_psi(reg, g, s * lam)
         if l2_cap is not None:
             norm = float(np.linalg.norm(g))
             if norm > l2_cap:
                 g = g * (l2_cap / norm)
-        if not np.all(np.isfinite(g)):
+        if not np.isfinite(g).all():
             break
     return best_value, best_g, explored
 
@@ -328,6 +325,7 @@ def phi_lambda_hat(
     ols = erm_fit(data).theta
     rng = np.random.default_rng(seed)
     scale = float(np.linalg.norm(y - X @ ols)) / math.sqrt(X.shape[0])
+    S, b = _kernels.block_stats(X, y, p.n, p.m)
 
     starts = [theta_f]
     if budget.restarts >= 2:
@@ -340,7 +338,7 @@ def phi_lambda_hat(
     explored_all: list[np.ndarray] = []
     for g0 in starts:
         value, g_best, explored = _ascend_adversary(
-            X, y, p.n, p.m, theta_f, np.asarray(g0, dtype=np.float64),
+            S, b, theta_f, np.asarray(g0, dtype=np.float64),
             lam, reg, psi_f, step, budget.iterations, budget.l2_cap,
             collect_explored,
         )

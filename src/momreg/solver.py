@@ -22,7 +22,6 @@ from .objective import (
     gram_step_size,
     median_block_index,
     prox_psi,
-    psi,
     psi_batch,
 )
 
@@ -30,6 +29,12 @@ _AUDIT_EXTRA_WITNESSES = 3
 _AUDIT_TOURNAMENT_SIZE = 64
 _REFINE_SCALES = (0.05, 0.02, 0.01, 0.005, 0.002)
 _REFINE_EVAL_CAP = 60
+# Moves of a refine sweep audited in one batch: moves after the first
+# improving one are wasted, so the batch stays short.
+_REFINE_BATCH = 8
+# Entries of the (candidates, pool, blocks) array the audit partitions at
+# once: bounds the temporary for large batches and pools.
+_AUDIT_BATCH_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -138,65 +143,81 @@ class _WitnessPoolAudit:
     Pool members share the same blocks, so comparing two nearby candidates
     against the pool cancels the common block noise; extending the pool
     with the best candidates themselves (a round-robin of MOM matches)
-    sharpens the selection further.
+    sharpens the selection further.  The pool is held as its block losses
+    and norms; candidates are audited from theirs.
     """
 
-    def __init__(self, X, y, n, m, pool_thetas, lam, reg):
-        self.X = X
-        self.y = y
-        self.n = n
-        self.m = m
+    def __init__(self, pool_losses, pool_psi, lam):
+        self.pool_losses = pool_losses
+        self.pool_psi = pool_psi
         self.lam = lam
-        self.reg = reg
-        self.pool = [np.asarray(t, dtype=np.float64) for t in pool_thetas]
-        self.pool_losses = np.stack(
-            [_kernels.block_losses(X, y, t, n, m) for t in self.pool]
-        )
-        self.pool_psi = (
-            np.array([psi(reg, t) for t in self.pool]) if lam else None
-        )
-        self.mid = n // 2
+        self.mid = pool_losses.shape[1] // 2
 
-    def extend(self, thetas, losses, psis) -> None:
-        self.pool.extend(np.asarray(t, dtype=np.float64) for t in thetas)
+    def extend(self, losses, psis) -> None:
         self.pool_losses = np.concatenate([self.pool_losses, losses], axis=0)
-        if self.lam:
-            self.pool_psi = np.concatenate([self.pool_psi, psis])
+        self.pool_psi = np.concatenate([self.pool_psi, psis])
 
-    def value_from_losses(self, lf, psi_theta=0.0) -> float:
-        diffs = lf[None, :] - self.pool_losses
-        meds = np.partition(diffs, self.mid, axis=1)[:, self.mid]
-        if self.lam:
-            meds = meds + self.lam * (psi_theta - self.pool_psi)
-        return float(np.max(meds))
+    def value_from_losses(self, losses, psis) -> np.ndarray:
+        """Audited value of each row of a (k, n) block-loss matrix, whose
+        thetas have the norms psis."""
+        pool_size, n = self.pool_losses.shape
+        out = np.empty(losses.shape[0])
+        rows = max(1, _AUDIT_BATCH_ENTRIES // (pool_size * n))
+        for lo in range(0, losses.shape[0], rows):
+            hi = min(lo + rows, losses.shape[0])
+            diffs = losses[lo:hi, None, :] - self.pool_losses
+            diffs.partition(self.mid, axis=2)
+            meds = diffs[:, :, self.mid]
+            if self.lam:
+                meds = meds + self.lam * (psis[lo:hi, None] - self.pool_psi)
+            out[lo:hi] = meds.max(axis=1)
+        return out
 
-    def __call__(self, theta) -> float:
-        lf = _kernels.block_losses(self.X, self.y, theta, self.n, self.m)
-        return self.value_from_losses(
-            lf, psi(self.reg, theta) if self.lam else 0.0
-        )
 
+def _pattern_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap):
+    """Coordinate sweeps on the audited value, one step scale at a time.
 
-def _pattern_refine(audit, theta0, value0, scales, eval_cap):
+    Move 2i of a sweep is theta + scale e_i and move 2i + 1 is
+    theta - scale e_i.  A sweep takes the first move that lowers the value
+    and goes on from the moved point at coordinate i + 1.  The block losses
+    of theta + s e_i are loss_j + 2 s (S_j theta - b_j)_i + s^2 (S_j)_ii,
+    and the sweep's next _REFINE_BATCH moves are audited together.
+    """
     theta = theta0.copy()
+    losses = losses0
     value = value0
     d = theta.shape[0]
+    coords = np.repeat(np.arange(d), 2)
+    signs = np.tile([1.0, -1.0], d)[:, None]
+    curv = np.diagonal(S, axis1=1, axis2=2).T[coords]
+    grad = (S @ theta - b).T[coords]
     for scale in scales:
+        steps = signs * scale
+        quad = steps * steps * curv
         evals = 0
         improved = True
         while improved and evals < eval_cap * d:
             improved = False
-            for i in range(d):
-                for sign in (1.0, -1.0):
-                    cand = theta.copy()
-                    cand[i] += sign * scale
-                    v = audit(cand)
-                    evals += 1
-                    if v < value:
-                        value = v
-                        theta = cand
-                        improved = True
-                        break
+            lo = 0
+            while lo < 2 * d:
+                hi = min(lo + _REFINE_BATCH, 2 * d)
+                cand_losses = losses + 2.0 * steps[lo:hi] * grad[lo:hi] + quad[lo:hi]
+                cands = np.repeat(theta[None, :], hi - lo, axis=0)
+                cands[np.arange(hi - lo), coords[lo:hi]] += steps[lo:hi, 0]
+                values = audit.value_from_losses(cand_losses, psi_batch(reg, cands))
+                better = np.flatnonzero(values < value)
+                if better.size == 0:
+                    evals += hi - lo
+                    lo = hi
+                    continue
+                k = int(better[0])
+                evals += k + 1
+                theta = cands[k]
+                losses = cand_losses[k]
+                value = float(values[k])
+                grad = (S @ theta - b).T[coords]
+                improved = True
+                lo = 2 * (int(coords[lo + k]) + 1)
     return theta, value
 
 
@@ -227,10 +248,12 @@ def mom_minimax_fit(
     d = data.dim
     lam = obj.lam
     reg = obj.regularizer
+    S, b = _kernels.block_stats(X, y, n, m)
 
     ols = erm_fit(data).theta
-    step_f = cfg.step_f if cfg.step_f is not None else gram_step_size(X, m)
-    step_g = cfg.step_g if cfg.step_g is not None else gram_step_size(X, m)
+    auto_step = gram_step_size(X, m)
+    step_f = cfg.step_f if cfg.step_f is not None else auto_step
+    step_g = cfg.step_g if cfg.step_g is not None else auto_step
     rng = np.random.default_rng(cfg.seed)
     # Robust perturbation scale: corrupted responses can make the plain RMS
     # residual astronomically large, so take the smaller of the two medians.
@@ -258,25 +281,25 @@ def mom_minimax_fit(
         move = math.inf
         for t in range(1, cfg.iterations + 1):
             damp = 1.0 if t <= warm else math.sqrt(t - warm)
-            b = _kernels.block_increment(X, y, f, g, n, m)
-            if not np.all(np.isfinite(b)):
+            inc = _kernels.block_increment(S, b, f, g)
+            if not np.isfinite(inc).all():
                 raise DivergenceError(
                     "block increments became non-finite; reduce step_f/step_g"
                 )
-            j_adv, med = median_block_index(b)
+            j_adv, med = median_block_index(inc)
             sg = step_g / damp
-            g_new = g - sg * block_loss_gradient(X, y, g, j_adv, m)
+            g_new = g - sg * block_loss_gradient(S, b, g, j_adv)
             if lam:
                 g_new = prox_psi(reg, g_new, sg * lam)
 
-            b2 = _kernels.block_increment(X, y, f, g_new, n, m)
-            j_lrn, _ = median_block_index(b2)
+            inc = _kernels.block_increment(S, b, f, g_new)
+            j_lrn, _ = median_block_index(inc)
             sf = step_f / damp
-            f_new = f - sf * block_loss_gradient(X, y, f, j_lrn, m)
+            f_new = f - sf * block_loss_gradient(S, b, f, j_lrn)
             if lam:
                 f_new = prox_psi(reg, f_new, sf * lam)
 
-            if not (np.all(np.isfinite(f_new)) and np.all(np.isfinite(g_new))):
+            if not (np.isfinite(f_new).all() and np.isfinite(g_new).all()):
                 raise DivergenceError(
                     "iterate became non-finite; reduce step_f/step_g"
                 )
@@ -297,46 +320,32 @@ def mom_minimax_fit(
     pool = [ols] + finals_f + finals_g
     for _ in range(_AUDIT_EXTRA_WITNESSES):
         pool.append(ols + scale * rng.standard_normal(d) / math.sqrt(d))
-    audit = _WitnessPoolAudit(X, y, n, m, pool, lam, reg)
+    thetas = np.stack(pool + [theta for _, _, theta in candidates])
+    losses = _kernels.block_losses(X, y, thetas, n, m)
+    psis = psi_batch(reg, thetas)
+    audit = _WitnessPoolAudit(losses[: len(pool)], psis[: len(pool)], lam)
+    cand_losses = losses[len(pool) :]
+    cand_psi = psis[len(pool) :]
 
-    cand_thetas = np.stack([theta for _, _, theta in candidates])
-    cand_losses = np.stack(
-        [_kernels.block_losses(X, y, theta, n, m) for theta in cand_thetas]
-    )
-    cand_psi = (
-        np.array([psi(reg, theta) for theta in cand_thetas])
-        if lam
-        else np.zeros(len(candidates))
-    )
-    prelim = np.array(
-        [
-            audit.value_from_losses(cand_losses[i], cand_psi[i])
-            for i in range(len(candidates))
-        ]
-    )
+    prelim = audit.value_from_losses(cand_losses, cand_psi)
     # Round-robin stage: admit the most promising candidates as witnesses,
     # then re-audit; pairwise matches cancel shared block noise.
     top = np.argsort(prelim, kind="stable")[:_AUDIT_TOURNAMENT_SIZE]
-    audit.extend(cand_thetas[top], cand_losses[top], cand_psi[top])
-    best_idx = int(
-        top[
-            np.argmin(
-                [
-                    audit.value_from_losses(cand_losses[i], cand_psi[i])
-                    for i in top
-                ]
-            )
-        ]
-    )
+    audit.extend(cand_losses[top], cand_psi[top])
+    final = audit.value_from_losses(cand_losses[top], cand_psi[top])
+    pick = int(np.argmin(final))
+    best_idx = int(top[pick])
     best_restart, _, best_theta = candidates[best_idx]
-    best_theta = best_theta.copy()
-    best_value = audit.value_from_losses(cand_losses[best_idx], cand_psi[best_idx])
 
     scale = max(1.0, float(np.max(np.abs(best_theta))))
     best_theta, best_value = _pattern_refine(
         audit,
+        reg,
+        S,
+        b,
         best_theta,
-        best_value,
+        cand_losses[best_idx],
+        float(final[pick]),
         tuple(s * scale for s in _REFINE_SCALES),
         _REFINE_EVAL_CAP,
     )
@@ -386,15 +395,6 @@ class OracleFit:
         return LinearPredictor(self.theta_hat)
 
 
-def _grid_block_losses(X, y, thetas, n, m, chunk=4096):
-    out = np.empty((thetas.shape[0], n))
-    for lo in range(0, thetas.shape[0], chunk):
-        hi = min(lo + chunk, thetas.shape[0])
-        resid = X @ thetas[lo:hi].T - y[:, None]
-        out[lo:hi] = np.square(resid).T.reshape(hi - lo, n, m).mean(axis=2)
-    return out
-
-
 def oracle_grid_fit(
     data: Dataset,
     p: BlockPartition,
@@ -420,23 +420,15 @@ def oracle_grid_fit(
     X = data.features[: p.total]
     y = data.responses[: p.total]
     n, m = p.n, p.m
-    mid = n // 2
 
-    losses_f = _grid_block_losses(X, y, pts_f, n, m)
+    losses_f = _kernels.block_losses(X, y, pts_f, n, m)
     same = pts_f.shape == pts_g.shape and np.array_equal(pts_f, pts_g)
-    losses_g = losses_f if same else _grid_block_losses(X, y, pts_g, n, m)
+    losses_g = losses_f if same else _kernels.block_losses(X, y, pts_g, n, m)
 
-    lam = obj.lam
-    psi_f = psi_batch(obj.regularizer, pts_f) if lam else None
-    psi_g = psi_batch(obj.regularizer, pts_g) if lam else None
-
-    objective = np.empty(pts_f.shape[0])
-    for i in range(pts_f.shape[0]):
-        diffs = losses_f[i][None, :] - losses_g
-        meds = np.partition(diffs, mid, axis=1)[:, mid]
-        if lam:
-            meds = meds + lam * (psi_f[i] - psi_g)
-        objective[i] = np.max(meds)
+    psi_f = psi_batch(obj.regularizer, pts_f)
+    psi_g = psi_batch(obj.regularizer, pts_g)
+    # The grid of g's is a witness pool: the audit's value is the objective.
+    objective = _WitnessPoolAudit(losses_g, psi_g, obj.lam).value_from_losses(losses_f, psi_f)
 
     best = int(np.argmin(objective))  # row-major order = lexicographic tie-break
     return OracleFit(theta_hat=pts_f[best].copy(), objective=objective, grid_f=pts_f)

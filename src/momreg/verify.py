@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .blocks import block_increment, median, multiplier_component
 from .datagen import NoiseSpec, generate
 from .errors import ConfigError, DimensionError, HypothesisViolated, ProbeOutOfRegime

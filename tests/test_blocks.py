@@ -15,11 +15,7 @@ from momreg import (
     multiplier_component,
     quad_component,
 )
-from momreg._kernels import HAS_NUMBA, NUMBA_IMPL, NUMPY_IMPL
-
-IMPLS = {"numpy": NUMPY_IMPL}
-if HAS_NUMBA:
-    IMPLS["numba"] = NUMBA_IMPL
+from momreg import _kernels
 
 
 def _loop_reference(X, y, tf, th, n, m):
@@ -37,9 +33,7 @@ def _loop_reference(X, y, tf, th, n, m):
     return quad / m, mult / m, inc / m
 
 
-@pytest.mark.parametrize("impl_name", sorted(IMPLS))
-def test_kernels_match_loop_reference(impl_name):
-    impl = IMPLS[impl_name]
+def test_kernels_match_loop_reference():
     rng = np.random.default_rng(10)
     for _ in range(20):
         d = int(rng.integers(1, 6))
@@ -50,18 +44,80 @@ def test_kernels_match_loop_reference(impl_name):
         tf = rng.standard_normal(d)
         th = rng.standard_normal(d)
         quad, mult, inc = _loop_reference(X, y, tf, th, n, m)
+        data = Dataset(X, y)
+        p = make_partition(n * m, n)
+        f, h = LinearPredictor(tf), LinearPredictor(th)
         np.testing.assert_allclose(
-            impl["block_quad"](X, tf, th, n, m), quad, rtol=1e-10, atol=1e-12
+            quad_component(f, h, data, p).values, quad, rtol=1e-10, atol=1e-12
         )
         np.testing.assert_allclose(
-            impl["block_mult"](X, y, tf, th, n, m), mult, rtol=1e-10, atol=1e-12
+            multiplier_component(f, h, data, p).values, mult, rtol=1e-10, atol=1e-12
         )
         np.testing.assert_allclose(
-            impl["block_increment"](X, y, tf, th, n, m), inc, rtol=1e-9, atol=1e-11
+            block_increment(f, h, data, p).values, inc, rtol=1e-9, atol=1e-11
         )
-        lf = impl["block_losses"](X, y, tf, n, m)
-        lh = impl["block_losses"](X, y, th, n, m)
+        S, b = _kernels.block_stats(X, y, n, m)
+        np.testing.assert_allclose(
+            _kernels.block_increment(S, b, tf, th), inc, rtol=1e-9, atol=1e-11
+        )
+        lf = _kernels.block_losses(X, y, tf, n, m)
+        lh = _kernels.block_losses(X, y, th, n, m)
         np.testing.assert_allclose(lf - lh, inc, rtol=1e-9, atol=1e-11)
+        batch = _kernels.block_losses(X, y, np.stack([tf, th]), n, m)
+        np.testing.assert_allclose(batch, np.stack([lf, lh]), rtol=1e-12, atol=1e-14)
+
+
+def test_batched_block_losses_span_chunks():
+    rng = np.random.default_rng(12)
+    X = rng.standard_normal((35, 3))
+    y = rng.standard_normal(35)
+    thetas = rng.standard_normal((2 * _kernels._CHUNK + 5, 3))
+    batch = _kernels.block_losses(X, y, thetas, 7, 5)
+    rows = np.stack([_kernels.block_losses(X, y, t, 7, 5) for t in thetas])
+    np.testing.assert_allclose(batch, rows, rtol=1e-12, atol=1e-14)
+
+
+@st.composite
+def _stats_instances(draw):
+    """Block data with an increment to compare: noiseless responses, or 1..3
+    rows corrupted at 1e6 in either corruption mode."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    d = draw(st.integers(1, 6))
+    n = 2 * draw(st.integers(0, 5)) + 1
+    m = draw(st.integers(1, 12))
+    mode = draw(st.sampled_from(["noiseless", "huge_response", "adversarial_leverage"]))
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n * m, d))
+    theta_star = rng.standard_normal(d)
+    y = X @ theta_star
+    rows = rng.choice(n * m, size=min(n * m, draw(st.integers(1, 3))), replace=False)
+    if mode == "huge_response":
+        y[rows] = 1e6
+    elif mode == "adversarial_leverage":
+        X[rows] = 0.0
+        X[rows, 0] = 1e6
+        y[rows] = -1e6
+    # f near theta* (where noiseless losses vanish), h anywhere
+    tf = theta_star + draw(st.sampled_from([0.0, 1e-8, 1e-3, 1.0])) * rng.standard_normal(d)
+    th = theta_star + draw(st.sampled_from([0.0, 1e-3, 1.0, 10.0])) * rng.standard_normal(d)
+    return X, y, tf, th, n, m
+
+
+@given(_stats_instances())
+@settings(max_examples=200, deadline=None)
+def test_stats_increment_matches_exact_increment(instance):
+    X, y, tf, th, n, m = instance
+    S, b = _kernels.block_stats(X, y, n, m)
+    lf = _kernels.block_losses(X, y, tf, n, m)
+    lh = _kernels.block_losses(X, y, th, n, m)
+    got = _kernels.block_increment(S, b, tf, th)
+    # Both paths carry roundoff of the order of the squares they touch: the
+    # two losses and, where the residuals cancel (noiseless blocks near
+    # theta*), the block's mean squared response c_j.
+    c = np.square(y).reshape(n, m).mean(axis=1)
+    assert np.all(np.abs(got - (lf - lh)) <= 1e-11 * (lf + lh + c))
+    assert np.array_equal(_kernels.block_increment(S, b, tf, tf), np.zeros(n))
+    assert np.array_equal(_kernels.block_increment(S, b, th, th), np.zeros(n))
 
 
 class TestQuadComponent:

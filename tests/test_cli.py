@@ -166,6 +166,29 @@ class TestMainEntry:
         cfg_path.write_text(json.dumps({"trials": 0}))
         assert main(["simulate", "--config", str(cfg_path)]) == 2
 
+    def test_missing_config_file_exit_code(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        assert main(["simulate", "--config", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read config") and "Traceback" not in err
+
+    def test_invalid_json_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"trials": 2,')
+        assert main(["fit", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: config")
+
+    @pytest.mark.parametrize("blocks", [0, -3])
+    def test_nonpositive_blocks_exit_code(self, tmp_path, capsys, blocks):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(_sim_config(partition={"blocks": blocks})))
+        assert main(["simulate", "--config", str(bad)]) == 2
+        assert "partition.blocks" in capsys.readouterr().err
+        good = tmp_path / "good.json"
+        good.write_text(json.dumps(_sim_config()))
+        assert main(["simulate", "--config", str(good), "--blocks", str(blocks)]) == 2
+        assert "partition.blocks" in capsys.readouterr().err
+
     def test_corrupt_bench_aggregates(self, tmp_path):
         cfg = _sim_config(trials=2)
         cfg["data"]["generate"]["n_samples"] = 600

@@ -3,6 +3,7 @@ import pytest
 
 from momreg import (
     ConfigError,
+    CorruptionSpec,
     Dataset,
     DesignSpec,
     DivergenceError,
@@ -13,6 +14,7 @@ from momreg import (
     ObjectiveConfig,
     Regularizer,
     SolverConfig,
+    corrupt,
     erm_fit,
     excess_risk,
     generate,
@@ -22,6 +24,8 @@ from momreg import (
     mom_minimax_fit,
     oracle_grid_fit,
 )
+from momreg import _kernels, solver
+from momreg.objective import psi_batch
 
 
 class TestErmFit:
@@ -164,6 +168,131 @@ class TestMomMinimaxFit:
             assert len(idx) == count
             assert set(prev_bad_rows) <= set(idx)
             prev_bad_rows = np.asarray(idx, dtype=int)
+
+
+class TestStatisticsPath:
+    """The fit runs on per-block statistics; these tie it to the exact
+    residual path."""
+
+    def test_criterion4_seed0_theta_hat_pinned(self):
+        # Values of the exact residual implementation, on which every
+        # iteration read all rows of X.
+        expected = {
+            "huge_response": [
+                0.9460979358118425, 1.0628472759374035, 1.0504581914341553,
+                1.0455710040419608, 1.011095615574794,
+            ],
+            "adversarial_leverage": [
+                0.8280000049672565, 1.102230269647885, 1.1225912875086823,
+                1.1943821885047474, 1.2451198861076263,
+            ],
+        }
+        design = DesignSpec.identity(5)
+        data = generate(1000, 5, np.ones(5), design, NoiseSpec("gaussian", 1.0), 0)
+        p = make_partition(1000, 51)
+        for mode, theta in expected.items():
+            bad, _ = corrupt(data, CorruptionSpec(count=10, mode=mode, magnitude=1e6), 9999)
+            fit = mom_minimax_fit(bad, p, ObjectiveConfig(), SolverConfig(seed=0))
+            np.testing.assert_allclose(fit.theta_hat, theta, rtol=0.0, atol=1e-12)
+
+    def test_step_size_computed_once_per_fit(self, monkeypatch):
+        calls = []
+        real = solver.gram_step_size
+
+        def counted(X, m):
+            calls.append(m)
+            return real(X, m)
+
+        monkeypatch.setattr(solver, "gram_step_size", counted)
+        data = generate(105, 2, np.ones(2), DesignSpec.identity(2), NoiseSpec("gaussian", 1.0), 1)
+        mom_minimax_fit(data, make_partition(105, 7), ObjectiveConfig(), SolverConfig(iterations=5))
+        assert calls == [15]
+
+    def test_refine_neighbour_losses_match_exact_losses(self):
+        rng = np.random.default_rng(20)
+        n, m, d = 5, 19, 3
+        X = rng.standard_normal((n * m, d))
+        y = X @ rng.standard_normal(d) + rng.standard_normal(n * m)
+        y[:2] = 1e6
+        S, b = _kernels.block_stats(X, y, n, m)
+        theta = rng.standard_normal(d)
+        base = _kernels.block_losses(X, y, theta, n, m)
+        grad = S @ theta - b
+        for i in range(d):
+            for s in (0.05, -0.05, 2.0, -2.0):
+                moved = theta.copy()
+                moved[i] += s
+                closed = base + 2.0 * s * grad[:, i] + s * s * S[:, i, i]
+                exact = _kernels.block_losses(X, y, moved, n, m)
+                np.testing.assert_allclose(closed, exact, rtol=1e-12, atol=1e-12)
+
+    @staticmethod
+    def _audit(rng, X, y, n, m, reg, lam, pool_size):
+        pool = rng.standard_normal((pool_size, X.shape[1]))
+        losses = _kernels.block_losses(X, y, pool, n, m)
+        return solver._WitnessPoolAudit(losses, psi_batch(reg, pool), lam)
+
+    def test_batched_audit_matches_one_candidate_at_a_time(self):
+        rng = np.random.default_rng(21)
+        n, m = 51, 3
+        X = rng.standard_normal((n * m, 2))
+        y = rng.standard_normal(n * m)
+        for reg, lam in ((Regularizer.none(), 0.0), (Regularizer.l1(), 0.3)):
+            # a pool large enough that the audit works in several batches
+            audit = self._audit(rng, X, y, n, m, reg, lam, 300)
+            cands = rng.standard_normal((10, 2))
+            losses = _kernels.block_losses(X, y, cands, n, m)
+            psis = psi_batch(reg, cands)
+            got = audit.value_from_losses(losses, psis)
+            for k in range(10):
+                meds = np.median(losses[k] - audit.pool_losses, axis=1)
+                if lam:
+                    meds = meds + lam * (psis[k] - audit.pool_psi)
+                assert got[k] == np.max(meds)
+
+    def test_refine_matches_a_sweep_over_exact_losses(self):
+        """The batched closed-form sweep visits moves in the order of a
+        sweep that audits each move from its exact residual losses."""
+
+        def sweep(audit, reg, X, y, n, m, theta, value, scales, eval_cap):
+            d = theta.shape[0]
+            for scale in scales:
+                evals = 0
+                improved = True
+                while improved and evals < eval_cap * d:
+                    improved = False
+                    for i in range(d):
+                        for sign in (1.0, -1.0):
+                            cand = theta.copy()
+                            cand[i] += sign * scale
+                            lf = _kernels.block_losses(X, y, cand[None, :], n, m)
+                            v = float(audit.value_from_losses(lf, psi_batch(reg, cand[None, :]))[0])
+                            evals += 1
+                            if v < value:
+                                value, theta, improved = v, cand, True
+                                break
+            return theta, value
+
+        rng = np.random.default_rng(22)
+        n, m, d = 11, 9, 12
+        for reg, lam in ((Regularizer.none(), 0.0), (Regularizer.l1(), 0.05)):
+            for trial in range(3):
+                X = rng.standard_normal((n * m, d))
+                y = X @ rng.standard_normal(d) + rng.standard_normal(n * m)
+                S, b = _kernels.block_stats(X, y, n, m)
+                audit = self._audit(rng, X, y, n, m, reg, lam, 8)
+                theta0 = rng.standard_normal(d)
+                losses0 = _kernels.block_losses(X, y, theta0, n, m)
+                value0 = float(audit.value_from_losses(losses0[None, :], psi_batch(reg, theta0[None, :]))[0])
+                scales = (0.5, 0.1, 0.02)
+                eval_cap = 2 + trial  # small caps stop some sweeps early
+                got = solver._pattern_refine(
+                    audit, reg, S, b, theta0, losses0, value0, scales, eval_cap
+                )
+                want = sweep(audit, reg, X, y, n, m, theta0.copy(), value0, scales, eval_cap)
+                np.testing.assert_allclose(got[0], want[0], rtol=0.0, atol=1e-12)
+                assert got[1] == pytest.approx(want[1], rel=1e-9, abs=1e-12)
+                assert not np.array_equal(got[0], theta0)
 
 
 class TestOracleGridFit:
