@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DimensionError, OddLengthRequired
+from .errors import DimensionError, InvalidInput, OddLengthRequired
 from .model import BlockPartition, Dataset, LinearPredictor, _frozen_array
 
 
@@ -34,7 +34,7 @@ class BlockVector:
         if v.ndim != 1:
             raise DimensionError("block vector must be 1-d")
         if not np.all(np.isfinite(v)):
-            raise ValueError("block statistics must be finite")
+            raise InvalidInput("block statistics must be finite")
         object.__setattr__(self, "values", v)
 
     def __len__(self) -> int:
@@ -106,4 +106,4 @@ def count_blocks_satisfying(v, threshold: float, direction: str = "ge") -> int:
         return int(np.count_nonzero(vals >= threshold))
     if direction == "le":
         return int(np.count_nonzero(vals <= threshold))
-    raise ValueError(f"direction must be 'ge' or 'le', got {direction!r}")
+    raise InvalidInput(f"direction must be 'ge' or 'le', got {direction!r}")

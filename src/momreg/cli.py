@@ -23,7 +23,6 @@ import numpy as np
 from .datagen import CorruptionSpec, NoiseSpec, corrupt, generate
 from .errors import ConfigError, MomregError
 from .model import (
-    Dataset,
     DesignSpec,
     LinearPredictor,
     load_dataset,
@@ -36,7 +35,6 @@ from .objective import (
     Regularizer,
     default_slope_weights,
     lambda_window,
-    phi_lambda_hat,
 )
 from .solver import SolverConfig, erm_fit, mom_minimax_fit
 from .verify import (
@@ -217,6 +215,13 @@ def _corruption_from_config(cfg: dict) -> CorruptionSpec | None:
         magnitude=float(c.get("magnitude", 1e6)),
         indices=tuple(c["indices"]) if c.get("indices") else None,
     )
+
+
+def _require_generated(cfg: dict, mode: str) -> None:
+    """Only fit reads data.csv; the other modes need theta_star and fresh
+    samples, so a CSV there is a configuration error, not silently ignored."""
+    if cfg["data"]["csv"] is not None:
+        raise ConfigError(f"{mode} generates its data; data.csv is read by fit only")
 
 
 def _trial_seed(master: int, trial: int, stream: int) -> np.random.SeedSequence:
@@ -423,6 +428,7 @@ def run_fit(cfg: dict) -> dict:
 
 def run_simulate(cfg: dict) -> dict:
     """Repeat generate -> (corrupt) -> fit -> theorem checks over trials."""
+    _require_generated(cfg, "simulate")
     records = _map_trials(_run_single_trial, cfg)
     mom_excess = [rec["mom"]["excess_risk"] for rec in records]
     ols_excess = [rec["ols"]["excess_risk"] for rec in records]
@@ -441,6 +447,7 @@ def run_simulate(cfg: dict) -> dict:
 
 def run_corrupt_bench(cfg: dict) -> dict:
     """Clean-OLS vs corrupted-OLS vs MOM-on-corrupted excess risks."""
+    _require_generated(cfg, "corrupt-bench")
     records = _map_trials(_run_corrupt_bench_trial, cfg)
     clean = float(np.median([rec["clean_ols_excess"] for rec in records]))
     bad = float(np.median([rec["corrupted_ols_excess"] for rec in records]))
@@ -461,6 +468,7 @@ def run_verify(cfg: dict) -> dict:
     Synthetic mode only (theta_star must be known).  The harness exit code
     is nonzero iff the deterministic lemma sweep reports violations.
     """
+    _require_generated(cfg, "verify")
     gen = cfg["data"]["generate"]
     design = _design_from_config(gen)
     theta_star = _theta_star_from_config(gen)

@@ -29,6 +29,11 @@ class ConfigError(MomregError):
     """Invalid configuration value."""
 
 
+class InvalidInput(MomregError, ValueError):
+    """Invalid argument value, such as a non-finite sample or coefficient,
+    a nonpositive count or an indefinite covariance."""
+
+
 class ParseError(MomregError):
     """Malformed input file; carries the offending 1-based row number."""
 

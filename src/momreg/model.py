@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     DimensionError,
+    InvalidInput,
     OddBlockCountRequired,
     ParseError,
     TooManyBlocks,
@@ -45,9 +46,9 @@ class Dataset:
                 f"{X.shape[0]} feature rows vs {y.shape[0]} responses"
             )
         if X.shape[0] < 1:
-            raise ValueError("need at least one sample")
+            raise InvalidInput("need at least one sample")
         if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
-            raise ValueError("all sample entries must be finite")
+            raise InvalidInput("all sample entries must be finite")
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "responses", y)
 
@@ -71,7 +72,7 @@ class LinearPredictor:
         if t.ndim != 1:
             raise DimensionError("theta must be a 1-d coefficient vector")
         if not np.all(np.isfinite(t)):
-            raise ValueError("coefficients must be finite")
+            raise InvalidInput("coefficients must be finite")
         object.__setattr__(self, "theta", t)
 
     @property
@@ -109,11 +110,11 @@ class BlockPartition:
 
     def __post_init__(self):
         if self.n < 1:
-            raise ValueError("block count must be positive")
+            raise InvalidInput("block count must be positive")
         if self.n % 2 == 0:
             raise OddBlockCountRequired(f"block count n={self.n} must be odd")
         if self.m < 1:
-            raise ValueError("block size must be positive")
+            raise InvalidInput("block size must be positive")
 
     @property
     def total(self) -> int:
@@ -136,9 +137,9 @@ def make_partition(N: int, n: int) -> BlockPartition:
     The trailing N - n*m indices are dropped.  n must be odd and at most N.
     """
     if N < 1:
-        raise ValueError("sample count must be positive")
+        raise InvalidInput("sample count must be positive")
     if n < 1:
-        raise ValueError("block count must be positive")
+        raise InvalidInput("block count must be positive")
     if n % 2 == 0:
         raise OddBlockCountRequired(f"block count n={n} must be odd")
     if n > N:
@@ -163,11 +164,11 @@ class DesignSpec:
             raise DimensionError("covariance must be a square matrix")
         scale = max(float(np.max(np.abs(cov))), 1e-300)
         if float(np.max(np.abs(cov - cov.T))) > 1e-12 * scale:
-            raise ValueError("covariance must be symmetric (1e-12 relative)")
+            raise InvalidInput("covariance must be symmetric (1e-12 relative)")
         if float(np.linalg.eigvalsh(cov)[0]) <= 0.0:
-            raise ValueError("covariance must be positive definite")
+            raise InvalidInput("covariance must be positive definite")
         if self.noise_variance < 0.0:
-            raise ValueError("noise variance must be nonnegative")
+            raise InvalidInput("noise variance must be nonnegative")
         object.__setattr__(self, "covariance", cov)
 
     @classmethod
@@ -236,6 +237,10 @@ def load_dataset(path) -> Dataset:
                 raise ParseError(
                     f"row {lineno}: non-numeric cell in {row!r}", row=lineno
                 ) from exc
+            if not all(math.isfinite(v) for v in vals):
+                raise ParseError(
+                    f"row {lineno}: non-finite cell in {row!r}", row=lineno
+                )
             feats.append(vals[:-1])
             resp.append(vals[-1])
         if not feats:

@@ -131,12 +131,17 @@ def _pava_nonincreasing(z: np.ndarray) -> np.ndarray:
 
 
 def prox_psi(reg: Regularizer, theta: np.ndarray, t: float) -> np.ndarray:
-    """Proximal map of t * psi: soft-thresholding for l1, sorted prox for slope."""
+    """Proximal map of t * psi: soft-thresholding for l1, sorted prox for slope.
+
+    theta is one coefficient vector or a (k, d) matrix mapped row-wise.
+    """
     if reg.kind == "none" or t == 0.0:
         return np.asarray(theta, dtype=np.float64).copy()
     theta = np.asarray(theta, dtype=np.float64)
     if reg.kind == "l1":
         return np.sign(theta) * np.maximum(np.abs(theta) - t, 0.0)
+    if theta.ndim == 2:
+        return np.stack([prox_psi(reg, row, t) for row in theta])
     a = np.abs(theta)
     order = np.argsort(-a, kind="stable")
     x = np.maximum(_pava_nonincreasing(a[order] - t * reg.weights), 0.0)
@@ -232,17 +237,41 @@ class PhiResult:
     explored: tuple[np.ndarray, ...] | None = None
 
 
-def median_block_index(b: np.ndarray) -> tuple[int, float]:
-    """Index of the block attaining the median (lowest index on ties)."""
-    mid = b.shape[0] // 2
-    med = np.partition(b, mid)[mid]
-    return int(np.flatnonzero(b == med)[0]), float(med)
+def median_block_index(inc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise median block of an (R, n) increment matrix: the index of the
+    block attaining each row's median (lowest index on ties) and the median."""
+    mid = inc.shape[1] // 2
+    med = np.partition(inc, mid, axis=1)[:, mid]
+    return (inc == med[:, None]).argmax(axis=1), med
 
 
-def block_loss_gradient(S, b, theta, j: int) -> np.ndarray:
-    """Gradient 2 (S_j theta - b_j) of block j's mean squared loss, from the
-    per-block statistics of ``_kernels.block_stats``."""
-    return 2.0 * (S[j] @ theta - b[j])
+def block_loss_gradient(S, b, thetas, j) -> np.ndarray:
+    """Row k: gradient 2 (S_j thetas_k - b_j) of block j = j[k]'s mean
+    squared loss, from the per-block statistics of ``_kernels.block_stats``."""
+    return 2.0 * ((S[j] @ thetas[:, :, None])[:, :, 0] - b[j])
+
+
+def row_increments(S, b, thetas_f, thetas_h) -> np.ndarray:
+    """(R, n) matrix whose row k is ``_kernels.block_increment`` of row k of
+    thetas_f against row k of thetas_h.
+
+    One kernel call per row: at d=50 two matrix-vector products are faster
+    than one two-column matrix product.
+    """
+    out = np.empty((thetas_h.shape[0], b.shape[0]))
+    for k, (f, h) in enumerate(zip(thetas_f, thetas_h)):
+        out[k] = _kernels.block_increment(S, b, f, h)
+    return out
+
+
+def prox_gradient_step(reg, S, b, thetas, j, step: float, lam: float) -> np.ndarray:
+    """One median-block prox-gradient step, row-wise: row k moves against
+    the gradient of block j[k]'s loss, then through the prox of
+    step * lam * psi.  The learner and the adversary both take it."""
+    out = thetas - step * block_loss_gradient(S, b, thetas, j)
+    if lam:
+        out = prox_psi(reg, out, step * lam)
+    return out
 
 
 def gram_step_size(X: np.ndarray, m: int) -> float:
@@ -257,7 +286,7 @@ def _ascend_adversary(
     S,
     b,
     theta_f,
-    g_start,
+    starts,
     lam,
     reg,
     psi_f,
@@ -266,34 +295,50 @@ def _ascend_adversary(
     l2_cap,
     collect,
 ):
-    g = g_start.copy()
-    best_value = -math.inf
-    best_g = g_start.copy()
-    explored = [] if collect else None
+    """Adversary ascent from every row of starts, all rows in lockstep.
+
+    A row stops at its first non-finite increment vector, as a sequential
+    ascent from that start would; a non-finite iterate stops its row one
+    round later, before it is evaluated.  Returns per start the best
+    value, its g and, when collect is set, the (iterations + 1, d) array of
+    the iterates evaluated plus how many of them there are.
+    """
+    R, d = starts.shape
+    g = starts.copy()
+    best_value = np.full(R, -math.inf)
+    best_g = starts.copy()
+    explored = np.empty((R, iterations + 1, d)) if collect else None
+    counts = np.zeros(R, dtype=np.intp)
+    rows = np.arange(R)
     for t in range(iterations + 1):
-        inc = _kernels.block_increment(S, b, theta_f, g)
-        if not np.isfinite(inc).all():
+        inc = row_increments(S, b, np.broadcast_to(theta_f, (rows.size, d)), g[rows])
+        finite = np.isfinite(inc).all(axis=1)
+        rows, inc = rows[finite], inc[finite]
+        if rows.size == 0:
             break
+        gr = g[rows]
         j_star, med = median_block_index(inc)
-        value = med + (lam * (psi_f - psi(reg, g)) if lam else 0.0)
-        if value > best_value:
-            best_value = value
-            best_g = g.copy()
+        # psi row by row: psi_batch rounds the slope norm differently.
+        value = med + (
+            lam * (psi_f - np.array([psi(reg, row) for row in gr])) if lam else 0.0
+        )
+        better = value > best_value[rows]
+        best_value[rows[better]] = value[better]
+        best_g[rows[better]] = gr[better]
         if collect:
-            explored.append(g.copy())
+            explored[rows, t] = gr
+            counts[rows] = t + 1
         if t == iterations:
             break
         s = step / math.sqrt(t + 1.0)
-        g = g - s * block_loss_gradient(S, b, g, j_star)
-        if lam:
-            g = prox_psi(reg, g, s * lam)
+        gr = prox_gradient_step(reg, S, b, gr, j_star, s, lam)
         if l2_cap is not None:
-            norm = float(np.linalg.norm(g))
-            if norm > l2_cap:
-                g = g * (l2_cap / norm)
-        if not np.isfinite(g).all():
-            break
-    return best_value, best_g, explored
+            for k, row in enumerate(gr):
+                norm = float(np.linalg.norm(row))
+                if norm > l2_cap:
+                    gr[k] = row * (l2_cap / norm)
+        g[rows] = gr
+    return best_value, best_g, (explored, counts)
 
 
 def phi_lambda_hat(
@@ -308,8 +353,11 @@ def phi_lambda_hat(
     """Lower-bound the regularized minimax value at f by adversary ascent.
 
     Ascent restarts begin at f itself, the least-squares fit, and seeded
-    random perturbations of the least-squares fit; every iterate of every
-    restart is evaluated and the best value (with its witness g) returned.
+    random perturbations of the least-squares fit, and run in lockstep
+    through the shared median-block prox-gradient step.  Every iterate of
+    every restart is evaluated and the best value (with its witness g)
+    returned; ties go to the earliest restart.  ``explored`` lists the
+    evaluated iterates restart by restart.
     """
     from .solver import erm_fit  # local import to avoid a cycle
 
@@ -318,6 +366,7 @@ def phi_lambda_hat(
     X = data.features[: p.total]
     y = data.responses[: p.total]
     theta_f = f.theta
+    d = theta_f.shape[0]
     lam = cfg.lam
     reg = cfg.regularizer
     psi_f = psi(reg, theta_f) if lam else 0.0
@@ -327,30 +376,26 @@ def phi_lambda_hat(
     scale = float(np.linalg.norm(y - X @ ols)) / math.sqrt(X.shape[0])
     S, b = _kernels.block_stats(X, y, p.n, p.m)
 
-    starts = [theta_f]
-    if budget.restarts >= 2:
-        starts.append(ols)
-    for _ in range(budget.restarts - 2):
-        starts.append(ols + scale * rng.standard_normal(theta_f.shape[0]))
+    starts = np.empty((budget.restarts, d))
+    starts[0] = theta_f
+    for k in range(1, budget.restarts):
+        starts[k] = ols if k == 1 else ols + scale * rng.standard_normal(d)
 
-    best_value = -math.inf
-    best_g = theta_f
-    explored_all: list[np.ndarray] = []
-    for g0 in starts:
-        value, g_best, explored = _ascend_adversary(
-            S, b, theta_f, np.asarray(g0, dtype=np.float64),
-            lam, reg, psi_f, step, budget.iterations, budget.l2_cap,
-            collect_explored,
-        )
-        if value > best_value:
-            best_value = value
-            best_g = g_best
-        if collect_explored:
-            explored_all.extend(explored)
+    values, gs, (explored, counts) = _ascend_adversary(
+        S, b, theta_f, starts, lam, reg, psi_f, step, budget.iterations,
+        budget.l2_cap, collect_explored,
+    )
+    # The start at f always scores (its increments are exactly 0), so the
+    # best start is finite.
+    k = int(np.argmax(values))
     return PhiResult(
-        value=float(best_value),
-        witness=LinearPredictor(best_g),
-        explored=tuple(explored_all) if collect_explored else None,
+        value=float(values[k]),
+        witness=LinearPredictor(gs[k]),
+        explored=(
+            tuple(g for row, count in zip(explored, counts) for g in row[:count])
+            if collect_explored
+            else None
+        ),
     )
 
 

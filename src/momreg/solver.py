@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -18,11 +17,11 @@ from .errors import ConfigError, DimensionError, DivergenceError, GridCapExceede
 from .model import BlockPartition, Dataset, LinearPredictor
 from .objective import (
     ObjectiveConfig,
-    block_loss_gradient,
     gram_step_size,
     median_block_index,
-    prox_psi,
+    prox_gradient_step,
     psi_batch,
+    row_increments,
 )
 
 _AUDIT_EXTRA_WITNESSES = 3
@@ -32,6 +31,11 @@ _REFINE_EVAL_CAP = 60
 # Moves of a refine sweep audited in one batch: moves after the first
 # improving one are wasted, so the batch stays short.
 _REFINE_BATCH = 8
+# Witnesses a refine batch is screened against before the full audit: those
+# with the largest medians at the current theta.  The screened value is a
+# maximum over fewer witnesses, so a move it does not put below the current
+# value cannot improve on the full pool either.
+_REFINE_SCREEN = 4
 # Entries of the (candidates, pool, blocks) array the audit partitions at
 # once: bounds the temporary for large batches and pools.
 _AUDIT_BATCH_ENTRIES = 1 << 16
@@ -69,20 +73,26 @@ class SolverConfig:
             raise ConfigError("tolerance must be positive")
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    restart: int
-    iteration: int
-    median_block: int
-    med_increment: float
-    step_norm_f: float
-    step_norm_g: float
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """The descent-ascent loop, one (restarts, iterations) array per field;
+    iteration t of restart k sits at [k, t - 1].
+
+    median_block and med_increment are the adversary's median block and
+    the median increment it was chosen at; step_norm_f / step_norm_g are
+    the Euclidean lengths of the learner and adversary steps.
+    """
+
+    median_block: np.ndarray
+    med_increment: np.ndarray
+    step_norm_f: np.ndarray
+    step_norm_g: np.ndarray
 
 
 @dataclass(frozen=True)
 class SolverResult:
     theta_hat: np.ndarray
-    trace: tuple[TraceRecord, ...]
+    trace: Trace
     converged: bool
     best_surrogate: float
 
@@ -173,6 +183,15 @@ class _WitnessPoolAudit:
             out[lo:hi] = meds.max(axis=1)
         return out
 
+    def screen(self, losses, psi) -> "_WitnessPoolAudit":
+        """Sub-audit of the _REFINE_SCREEN witnesses with the largest terms
+        at one theta, given its block losses and norm."""
+        meds = np.partition(losses - self.pool_losses, self.mid, axis=1)[:, self.mid]
+        if self.lam:
+            meds = meds + self.lam * (psi - self.pool_psi)
+        top = np.argpartition(-meds, _REFINE_SCREEN - 1)[:_REFINE_SCREEN]
+        return _WitnessPoolAudit(self.pool_losses[top], self.pool_psi[top], self.lam)
+
 
 def _pattern_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap):
     """Coordinate sweeps on the audited value, one step scale at a time.
@@ -181,7 +200,12 @@ def _pattern_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap)
     theta - scale e_i.  A sweep takes the first move that lowers the value
     and goes on from the moved point at coordinate i + 1.  The block losses
     of theta + s e_i are loss_j + 2 s (S_j theta - b_j)_i + s^2 (S_j)_ii,
-    and the sweep's next _REFINE_BATCH moves are audited together.
+    and the sweep's next _REFINE_BATCH moves are audited together: first
+    against the screen of ``_WitnessPoolAudit.screen`` at the current
+    theta, then, only for the moves the screen puts below the current
+    value, against the full pool.  Both audits take the same witness
+    medians, so the screen rejects only moves the full audit would reject,
+    and the moves taken and ``evals`` are those of the unscreened sweep.
     """
     theta = theta0.copy()
     losses = losses0
@@ -191,6 +215,7 @@ def _pattern_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap)
     signs = np.tile([1.0, -1.0], d)[:, None]
     curv = np.diagonal(S, axis1=1, axis2=2).T[coords]
     grad = (S @ theta - b).T[coords]
+    screen = audit.screen(losses, float(psi_batch(reg, theta[None, :])[0]))
     for scale in scales:
         steps = signs * scale
         quad = steps * steps * curv
@@ -204,7 +229,11 @@ def _pattern_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap)
                 cand_losses = losses + 2.0 * steps[lo:hi] * grad[lo:hi] + quad[lo:hi]
                 cands = np.repeat(theta[None, :], hi - lo, axis=0)
                 cands[np.arange(hi - lo), coords[lo:hi]] += steps[lo:hi, 0]
-                values = audit.value_from_losses(cand_losses, psi_batch(reg, cands))
+                psis = psi_batch(reg, cands)
+                values = np.full(hi - lo, math.inf)
+                live = np.flatnonzero(screen.value_from_losses(cand_losses, psis) < value)
+                if live.size:
+                    values[live] = audit.value_from_losses(cand_losses[live], psis[live])
                 better = np.flatnonzero(values < value)
                 if better.size == 0:
                     evals += hi - lo
@@ -216,6 +245,7 @@ def _pattern_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap)
                 losses = cand_losses[k]
                 value = float(values[k])
                 grad = (S @ theta - b).T[coords]
+                screen = audit.screen(losses, float(psis[k]))
                 improved = True
                 lo = 2 * (int(coords[lo + k]) + 1)
     return theta, value
@@ -224,6 +254,40 @@ def _pattern_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap)
 # ---------------------------------------------------------------------------
 # median-block descent-ascent
 # ---------------------------------------------------------------------------
+
+def _descent_ascent(S, b, starts, reg, lam, step_f, step_g, iterations, warm):
+    """Run every restart (a row of starts) for the given iterations, in
+    lockstep.  Returns the (2, restarts, iterations + 1, d) iterates, f
+    first and g second with the starts at iteration 0, and the adversary's
+    (restarts, iterations) median blocks and median increments.
+    """
+    R, d = starts.shape
+    iterates = np.empty((2, R, iterations + 1, d))
+    iterates[:, :, 0] = starts
+    median_block = np.empty((R, iterations), dtype=np.intp)
+    med_increment = np.empty((R, iterations))
+    f = g = starts
+    for t in range(1, iterations + 1):
+        damp = 1.0 if t <= warm else math.sqrt(t - warm)
+        inc = row_increments(S, b, f, g)
+        if not np.isfinite(inc).all():
+            raise DivergenceError(
+                "block increments became non-finite; reduce step_f/step_g"
+            )
+        j_adv, med = median_block_index(inc)
+        g = prox_gradient_step(reg, S, b, g, j_adv, step_g / damp, lam)
+        j_lrn, _ = median_block_index(row_increments(S, b, f, g))
+        f = prox_gradient_step(reg, S, b, f, j_lrn, step_f / damp, lam)
+        if not (np.isfinite(f).all() and np.isfinite(g).all()):
+            raise DivergenceError(
+                "iterate became non-finite; reduce step_f/step_g"
+            )
+        iterates[0, :, t] = f
+        iterates[1, :, t] = g
+        median_block[:, t - 1] = j_adv
+        med_increment[:, t - 1] = med
+    return iterates, median_block, med_increment
+
 
 def mom_minimax_fit(
     data: Dataset,
@@ -237,8 +301,12 @@ def mom_minimax_fit(
     take an adversary gradient step for g on that block's squared loss,
     re-locate the median block, take a learner step for f, and apply the
     proximal shrinkage of the regularizer to both when lambda > 0.
-    Restarts begin at the least-squares fit plus seeded perturbations
-    scaled by the root-mean-square least-squares residual.
+    Restarts begin at the least-squares fit, at zero, and at seeded
+    perturbations of either, scaled by a median residual.  All restarts
+    advance in lockstep, as the rows of (restarts, d) arrays, through the
+    median-block prox-gradient step the adversary ascent also takes; see
+    ``_descent_ascent``.  Every iterate is then audited against a witness
+    pool, and the audited minimizer is refined by ``_pattern_refine``.
     """
     if p.total > data.n_samples:
         raise DimensionError("partition larger than dataset")
@@ -260,67 +328,37 @@ def mom_minimax_fit(
     resid2 = np.square(y - X @ ols)
     scale = math.sqrt(min(float(np.median(resid2)), float(np.median(np.square(y)))))
     warm = cfg.iterations // 3 if cfg.decay else cfg.iterations
+    R, T = cfg.restarts, cfg.iterations
 
-    candidates: list[tuple[int, int, np.ndarray]] = []
-    trace: list[TraceRecord] = []
-    finals_f: list[np.ndarray] = []
-    finals_g: list[np.ndarray] = []
-    final_moves: list[float] = []
-
-    for k in range(cfg.restarts):
+    starts = np.empty((R, d))
+    for k in range(R):
         if k == 0:
-            f = ols.copy()
+            starts[k] = ols
         elif k == 1:
-            f = np.zeros(d)
+            starts[k] = 0.0
         else:
             base = ols if k % 2 else np.zeros(d)
-            f = base + scale * rng.standard_normal(d) / math.sqrt(d)
-        g = f.copy()
-        candidates.append((k, 0, f.copy()))
-        tail: list[np.ndarray] = []
-        move = math.inf
-        for t in range(1, cfg.iterations + 1):
-            damp = 1.0 if t <= warm else math.sqrt(t - warm)
-            inc = _kernels.block_increment(S, b, f, g)
-            if not np.isfinite(inc).all():
-                raise DivergenceError(
-                    "block increments became non-finite; reduce step_f/step_g"
-                )
-            j_adv, med = median_block_index(inc)
-            sg = step_g / damp
-            g_new = g - sg * block_loss_gradient(S, b, g, j_adv)
-            if lam:
-                g_new = prox_psi(reg, g_new, sg * lam)
+            starts[k] = base + scale * rng.standard_normal(d) / math.sqrt(d)
+    iterates, median_block, med_increment = _descent_ascent(
+        S, b, starts, reg, lam, step_f, step_g, T, warm
+    )
+    step_norms = np.linalg.norm(np.diff(iterates, axis=2), axis=3)
+    trace = Trace(median_block, med_increment, step_norms[0], step_norms[1])
 
-            inc = _kernels.block_increment(S, b, f, g_new)
-            j_lrn, _ = median_block_index(inc)
-            sf = step_f / damp
-            f_new = f - sf * block_loss_gradient(S, b, f, j_lrn)
-            if lam:
-                f_new = prox_psi(reg, f_new, sf * lam)
+    # Candidates, restart by restart: every iterate of f, then the mean of
+    # the second half of the run.
+    F, G = iterates
+    cands = np.empty((R, T + 2, d))
+    cands[:, : T + 1] = F
+    cands[:, T + 1] = F[:, T // 2 + 1 :].mean(axis=1)
+    cands = cands.reshape(-1, d)
 
-            if not (np.isfinite(f_new).all() and np.isfinite(g_new).all()):
-                raise DivergenceError(
-                    "iterate became non-finite; reduce step_f/step_g"
-                )
-            move = float(np.linalg.norm(f_new - f))
-            trace.append(
-                TraceRecord(k, t, j_adv, med, move, float(np.linalg.norm(g_new - g)))
-            )
-            candidates.append((k, t, f_new.copy()))
-            if t > cfg.iterations // 2:
-                tail.append(f_new)
-            f, g = f_new, g_new
-        finals_f.append(f.copy())
-        finals_g.append(g.copy())
-        final_moves.append(move)
-        if tail:
-            candidates.append((k, cfg.iterations + 1, np.mean(tail, axis=0)))
-
-    pool = [ols] + finals_f + finals_g
-    for _ in range(_AUDIT_EXTRA_WITNESSES):
-        pool.append(ols + scale * rng.standard_normal(d) / math.sqrt(d))
-    thetas = np.stack(pool + [theta for _, _, theta in candidates])
+    extra = [
+        ols + scale * rng.standard_normal(d) / math.sqrt(d)
+        for _ in range(_AUDIT_EXTRA_WITNESSES)
+    ]
+    pool = np.vstack([ols, F[:, T], G[:, T], *extra])
+    thetas = np.concatenate([pool, cands])
     losses = _kernels.block_losses(X, y, thetas, n, m)
     psis = psi_batch(reg, thetas)
     audit = _WitnessPoolAudit(losses[: len(pool)], psis[: len(pool)], lam)
@@ -335,7 +373,8 @@ def mom_minimax_fit(
     final = audit.value_from_losses(cand_losses[top], cand_psi[top])
     pick = int(np.argmin(final))
     best_idx = int(top[pick])
-    best_restart, _, best_theta = candidates[best_idx]
+    best_restart = best_idx // (T + 2)
+    best_theta = cands[best_idx]
 
     scale = max(1.0, float(np.max(np.abs(best_theta))))
     best_theta, best_value = _pattern_refine(
@@ -352,8 +391,8 @@ def mom_minimax_fit(
 
     return SolverResult(
         theta_hat=best_theta,
-        trace=tuple(trace),
-        converged=final_moves[best_restart] < cfg.tolerance,
+        trace=trace,
+        converged=bool(trace.step_norm_f[best_restart, -1] < cfg.tolerance),
         best_surrogate=best_value,
     )
 

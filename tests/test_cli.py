@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from momreg import ParseError
+from momreg import InvalidInput, MomregError, ParseError, load_dataset, make_partition
 from momreg.cli import (
     main,
     resolve_config,
@@ -222,3 +222,39 @@ class TestRunVerify:
         assert [row["r"] for row in table] == [1.0, 2.0, 3.0]
         for row in table:
             assert 0.0 <= row["mean_fraction"] <= 1.0
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_csv_cell_exit_code(self, tmp_path, capsys, cell):
+        data = tmp_path / "bad.csv"
+        data.write_text(f"x0,y\n1.0,2.0\n{cell},4.0\n3.0,6.0\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"data": {"csv": str(data)}, "partition": {"blocks": 3}}))
+        assert main(["fit", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: row 3: non-finite cell") and "Traceback" not in err
+        with pytest.raises(ParseError) as excinfo:
+            load_dataset(data)
+        assert excinfo.value.row == 3
+
+    @pytest.mark.parametrize("mode", ["simulate", "corrupt-bench", "verify"])
+    def test_csv_rejected_by_generating_modes(self, tmp_path, capsys, mode):
+        cfg = _sim_config()
+        cfg["data"]["csv"] = str(tmp_path / "missing.csv")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main([mode, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {mode} generates its data") and "data.csv" in err
+
+    def test_invalid_model_value_exit_code(self, tmp_path, capsys):
+        cfg = _sim_config()
+        cfg["data"]["generate"]["covariance"] = [[1.0, 2.0], [2.0, 1.0]]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err.startswith("error: covariance must be positive definite")
+        with pytest.raises(InvalidInput):
+            make_partition(0, 1)
+        assert issubclass(InvalidInput, ValueError) and issubclass(InvalidInput, MomregError)

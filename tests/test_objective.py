@@ -23,6 +23,9 @@ from momreg import (
     prox_psi,
     psi,
 )
+from momreg import _kernels
+from momreg.objective import _ascend_adversary, gram_step_size
+from momreg.solver import erm_fit
 
 
 class TestRegularizer:
@@ -263,3 +266,122 @@ class TestPhiLambdaHat:
         res = phi_lambda_hat(f, data, p, cfg, AdversaryBudget(4, 120), seed=0)
         assert res.value >= coarse - 1e-6
         assert res.value <= fine_max + 1e-6
+
+
+def _ascend_one(S, b, theta_f, g0, lam, reg, psi_f, step, iterations, l2_cap):
+    """One start at a time, one 1-d vector per iterate: the reference the
+    lockstep ascent must reproduce."""
+    g = g0.copy()
+    best_value, best_g, explored = -np.inf, g0.copy(), []
+    for t in range(iterations + 1):
+        inc = _kernels.block_increment(S, b, theta_f, g)
+        if not np.isfinite(inc).all():
+            break
+        med = np.partition(inc, inc.shape[0] // 2)[inc.shape[0] // 2]
+        j = int(np.flatnonzero(inc == med)[0])
+        value = med + (lam * (psi_f - psi(reg, g)) if lam else 0.0)
+        if value > best_value:
+            best_value, best_g = value, g.copy()
+        explored.append(g.copy())
+        if t == iterations:
+            break
+        s = step / np.sqrt(t + 1.0)
+        g = g - s * 2.0 * (S[j] @ g - b[j])
+        if lam:
+            g = prox_psi(reg, g, s * lam)
+        if l2_cap is not None:
+            norm = float(np.linalg.norm(g))
+            if norm > l2_cap:
+                g = g * (l2_cap / norm)
+        if not np.isfinite(g).all():
+            break
+    return best_value, best_g, explored
+
+
+def _phi_reference(f, data, p, cfg, budget, seed):
+    X = data.features[: p.total]
+    y = data.responses[: p.total]
+    lam, reg = cfg.lam, cfg.regularizer
+    psi_f = psi(reg, f.theta) if lam else 0.0
+    step = budget.step if budget.step is not None else gram_step_size(X, p.m)
+    ols = erm_fit(data).theta
+    rng = np.random.default_rng(seed)
+    scale = float(np.linalg.norm(y - X @ ols)) / np.sqrt(X.shape[0])
+    S, b = _kernels.block_stats(X, y, p.n, p.m)
+    starts = [f.theta, ols][: budget.restarts]
+    for _ in range(budget.restarts - 2):
+        starts.append(ols + scale * rng.standard_normal(f.dim))
+    best_value, best_g, explored = -np.inf, f.theta, []
+    for g0 in starts:
+        value, g, seen = _ascend_one(
+            S, b, f.theta, np.asarray(g0), lam, reg, psi_f, step,
+            budget.iterations, budget.l2_cap,
+        )
+        if value > best_value:
+            best_value, best_g = value, g
+        explored.extend(seen)
+    return best_value, best_g, explored
+
+
+class TestLockstepAdversary:
+    """phi_lambda_hat advances its starts together; each start must follow
+    the path a start-by-start ascent takes."""
+
+    @staticmethod
+    def _instance(d, seed):
+        rng = np.random.default_rng(seed)
+        N, n = 189, 9
+        X = rng.standard_normal((N, d))
+        y = X @ rng.standard_normal(d) + rng.standard_normal(N)
+        y[:3] = 1e4  # a few corrupted rows
+        return Dataset(X, y), make_partition(N, n), LinearPredictor(rng.standard_normal(d))
+
+    @pytest.mark.parametrize(
+        "kind,lam,l2_cap",
+        [("none", 0.0, None), ("l1", 0.05, None), ("l1", 0.05, 1.5), ("slope", 0.02, 2.0)],
+    )
+    def test_matches_start_by_start_reference(self, kind, lam, l2_cap):
+        for seed in range(3):
+            d = 4
+            data, p, f = self._instance(d, seed)
+            reg = {"none": Regularizer.none(), "l1": Regularizer.l1()}.get(kind) or Regularizer.slope(d=d)
+            cfg = ObjectiveConfig(lam, reg)
+            budget = AdversaryBudget(restarts=5, iterations=40, l2_cap=l2_cap)
+            got = phi_lambda_hat(f, data, p, cfg, budget, seed=seed, collect_explored=True)
+            value, g, explored = _phi_reference(f, data, p, cfg, budget, seed)
+            assert got.value == value
+            np.testing.assert_array_equal(got.witness.theta, g)
+            assert len(got.explored) == len(explored) == 5 * 41
+            for a, b in zip(got.explored, explored):
+                np.testing.assert_array_equal(a, b)
+
+    def test_non_finite_starts_stop_alone(self):
+        data, p, f = self._instance(3, 7)
+        X, y = data.features[: p.total], data.responses[: p.total]
+        S, b = _kernels.block_stats(X, y, p.n, p.m)
+        step = 50.0 * gram_step_size(X, p.m)  # large enough to blow up some starts
+        starts = np.array([
+            f.theta,
+            [1e200, 0.0, 0.0],  # increments overflow at the start itself
+            [1e140, 1e140, 0.0],  # finite at the start, overflows after steps
+            [0.5, -0.5, 0.25],
+        ])
+        reg = Regularizer.l1()
+        psi_f = psi(reg, f.theta)
+        with np.errstate(over="ignore", invalid="ignore"):
+            values, gs, (explored, counts) = _ascend_adversary(
+                S, b, f.theta, starts, 0.01, reg, psi_f, step, 30, None, True
+            )
+            reference = [
+                _ascend_one(S, b, f.theta, g0, 0.01, reg, psi_f, step, 30, None)
+                for g0 in starts
+            ]
+        stopped = 0
+        for k, (value, g, seen) in enumerate(reference):
+            assert values[k] == value
+            np.testing.assert_array_equal(gs[k], g)
+            assert counts[k] == len(seen)
+            np.testing.assert_array_equal(explored[k, : counts[k]], np.array(seen).reshape(-1, 3))
+            stopped += counts[k] < 31
+        assert counts[1] == 0 and values[1] == -np.inf
+        assert stopped >= 2

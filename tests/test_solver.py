@@ -1,3 +1,6 @@
+import json
+import math
+
 import numpy as np
 import pytest
 
@@ -25,7 +28,7 @@ from momreg import (
     oracle_grid_fit,
 )
 from momreg import _kernels, solver
-from momreg.objective import psi_batch
+from momreg.objective import gram_step_size, prox_psi, psi_batch
 
 
 class TestErmFit:
@@ -99,7 +102,9 @@ class TestMomMinimaxFit:
         a = mom_minimax_fit(data, p, ObjectiveConfig(), SolverConfig(seed=7))
         b = mom_minimax_fit(data, p, ObjectiveConfig(), SolverConfig(seed=7))
         np.testing.assert_array_equal(a.theta_hat, b.theta_hat)
-        assert a.trace == b.trace
+        for field in ("median_block", "med_increment", "step_norm_f", "step_norm_g"):
+            np.testing.assert_array_equal(getattr(a.trace, field), getattr(b.trace, field))
+        assert a.converged == b.converged
         assert a.best_surrogate == b.best_surrogate
 
     def test_trace_shape(self):
@@ -108,8 +113,21 @@ class TestMomMinimaxFit:
         p = make_partition(100, 5)
         cfg = SolverConfig(iterations=40, restarts=3, seed=0)
         res = mom_minimax_fit(data, p, ObjectiveConfig(), cfg)
-        assert len(res.trace) == 40 * 3
-        assert all(0 <= rec.median_block < p.n for rec in res.trace)
+        trace = res.trace
+        for field in ("median_block", "med_increment", "step_norm_f", "step_norm_g"):
+            assert getattr(trace, field).shape == (3, 40)
+        assert trace.median_block.dtype.kind == "i"
+        assert np.all((0 <= trace.median_block) & (trace.median_block < p.n))
+        assert np.all(np.isfinite(trace.med_increment))
+        assert np.all(trace.step_norm_f >= 0.0) and np.all(trace.step_norm_g >= 0.0)
+
+    def test_converged_is_a_python_bool(self):
+        # reports serialize it with json.dumps, which rejects numpy bools
+        design = DesignSpec.identity(2)
+        data = generate(105, 2, np.ones(2), design, NoiseSpec("gaussian", 1.0), 2)
+        res = mom_minimax_fit(data, make_partition(105, 7), ObjectiveConfig(), SolverConfig(iterations=20))
+        assert type(res.converged) is bool
+        json.dumps({"converged": res.converged})
 
     def test_divergence_raises(self):
         design = DesignSpec.identity(2)
@@ -293,6 +311,194 @@ class TestStatisticsPath:
                 np.testing.assert_allclose(got[0], want[0], rtol=0.0, atol=1e-12)
                 assert got[1] == pytest.approx(want[1], rel=1e-9, abs=1e-12)
                 assert not np.array_equal(got[0], theta0)
+
+
+def _unscreened_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap):
+    """The refine with every batch of moves audited against the full pool:
+    the reference the screened refine must reproduce exactly."""
+    theta, losses, value = theta0.copy(), losses0, value0
+    d = theta.shape[0]
+    coords = np.repeat(np.arange(d), 2)
+    signs = np.tile([1.0, -1.0], d)[:, None]
+    curv = np.diagonal(S, axis1=1, axis2=2).T[coords]
+    grad = (S @ theta - b).T[coords]
+    for scale in scales:
+        steps = signs * scale
+        quad = steps * steps * curv
+        evals = 0
+        improved = True
+        while improved and evals < eval_cap * d:
+            improved = False
+            lo = 0
+            while lo < 2 * d:
+                hi = min(lo + solver._REFINE_BATCH, 2 * d)
+                cand_losses = losses + 2.0 * steps[lo:hi] * grad[lo:hi] + quad[lo:hi]
+                cands = np.repeat(theta[None, :], hi - lo, axis=0)
+                cands[np.arange(hi - lo), coords[lo:hi]] += steps[lo:hi, 0]
+                values = audit.value_from_losses(cand_losses, psi_batch(reg, cands))
+                better = np.flatnonzero(values < value)
+                if better.size == 0:
+                    evals += hi - lo
+                    lo = hi
+                    continue
+                k = int(better[0])
+                evals += k + 1
+                theta, losses, value = cands[k], cand_losses[k], float(values[k])
+                grad = (S @ theta - b).T[coords]
+                improved = True
+                lo = 2 * (int(coords[lo + k]) + 1)
+    return theta, value
+
+
+class TestRefineScreen:
+    """The refine screens each batch of moves against a few witnesses before
+    the full audit; the screen may only drop moves the audit rejects."""
+
+    def test_screened_refine_equals_unscreened(self, monkeypatch):
+        rows = []
+        real = solver._WitnessPoolAudit.value_from_losses
+
+        def counted(audit, losses, psis):
+            if audit.pool_losses.shape[0] > solver._REFINE_SCREEN:
+                rows.append(losses.shape[0])  # a full-pool audit
+            return real(audit, losses, psis)
+
+        monkeypatch.setattr(solver._WitnessPoolAudit, "value_from_losses", counted)
+        rng = np.random.default_rng(23)
+        n, m, d = 21, 9, 10
+        screened_rows = full_rows = 0
+        for reg, lam in ((Regularizer.none(), 0.0), (Regularizer.l1(), 0.05)):
+            for _ in range(3):
+                X = rng.standard_normal((n * m, d))
+                y = X @ rng.standard_normal(d) + rng.standard_normal(n * m)
+                y[:4] = 1e3
+                S, b = _kernels.block_stats(X, y, n, m)
+                pool = rng.standard_normal((40, d))
+                audit = solver._WitnessPoolAudit(
+                    _kernels.block_losses(X, y, pool, n, m), psi_batch(reg, pool), lam
+                )
+                theta0 = rng.standard_normal(d)
+                losses0 = _kernels.block_losses(X, y, theta0, n, m)
+                value0 = float(real(audit, losses0[None, :], psi_batch(reg, theta0[None, :]))[0])
+                # the last scale moves the value by far less than 1e-6
+                args = (audit, reg, S, b, theta0, losses0, value0, (0.5, 0.1, 0.02, 1e-9), 4)
+                rows.clear()
+                got = solver._pattern_refine(*args)
+                screened_rows += sum(rows)
+                rows.clear()
+                want = _unscreened_refine(*args)
+                full_rows += sum(rows)
+                assert np.array_equal(got[0], want[0])
+                assert got[1] == want[1]
+                assert not np.array_equal(want[0], theta0)
+        assert screened_rows < full_rows
+
+
+    def test_fit_unchanged_by_the_screen(self, monkeypatch):
+        data = generate(630, 6, np.ones(6), DesignSpec.identity(6), NoiseSpec("gaussian", 1.0), 40)
+        p = make_partition(630, 21)
+        for obj in (ObjectiveConfig(), ObjectiveConfig(0.05, Regularizer.l1())):
+            cfg = SolverConfig(iterations=60, seed=4)
+            screened = mom_minimax_fit(data, p, obj, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_pattern_refine", _unscreened_refine)
+                full = mom_minimax_fit(data, p, obj, cfg)
+            assert np.array_equal(screened.theta_hat, full.theta_hat)
+            assert screened.best_surrogate == full.best_surrogate
+
+
+def _sequential_descent_ascent(S, b, starts, reg, lam, step_f, step_g, iterations, warm):
+    """Restart after restart, one 1-d vector per iterate: the reference the
+    lockstep loop must reproduce."""
+    R, d = starts.shape
+    iterates = np.empty((2, R, iterations + 1, d))
+    median_block = np.empty((R, iterations), dtype=np.intp)
+    med_increment = np.empty((R, iterations))
+
+    def median_block_of(inc):
+        med = np.partition(inc, inc.shape[0] // 2)[inc.shape[0] // 2]
+        return int(np.flatnonzero(inc == med)[0]), med
+
+    for k in range(R):
+        f = starts[k].copy()
+        g = f.copy()
+        iterates[:, k, 0] = f
+        for t in range(1, iterations + 1):
+            damp = 1.0 if t <= warm else math.sqrt(t - warm)
+            inc = _kernels.block_increment(S, b, f, g)
+            if not np.isfinite(inc).all():
+                raise DivergenceError("non-finite increments")
+            j_adv, med = median_block_of(inc)
+            sg = step_g / damp
+            g = g - sg * 2.0 * (S[j_adv] @ g - b[j_adv])
+            if lam:
+                g = prox_psi(reg, g, sg * lam)
+            j_lrn, _ = median_block_of(_kernels.block_increment(S, b, f, g))
+            sf = step_f / damp
+            f = f - sf * 2.0 * (S[j_lrn] @ f - b[j_lrn])
+            if lam:
+                f = prox_psi(reg, f, sf * lam)
+            if not (np.isfinite(f).all() and np.isfinite(g).all()):
+                raise DivergenceError("non-finite iterate")
+            iterates[:, k, t] = f, g
+            median_block[k, t - 1] = j_adv
+            med_increment[k, t - 1] = med
+    return iterates, median_block, med_increment
+
+
+class TestLockstepRestarts:
+    """All restarts advance together; each must follow its sequential path."""
+
+    CASES = [
+        (ObjectiveConfig(), 2),
+        (ObjectiveConfig(), 3),  # restart 2 starts from a seeded perturbation
+        (ObjectiveConfig(0.05, Regularizer.l1()), 2),
+        (ObjectiveConfig(0.05, Regularizer.l1()), 3),
+        (ObjectiveConfig(0.02, Regularizer.slope(d=4)), 3),
+    ]
+
+    @staticmethod
+    def _data(seed):
+        theta_star = np.array([1.0, -0.5, 0.0, 2.0])
+        data = generate(315, 4, theta_star, DesignSpec.identity(4), NoiseSpec("gaussian", 1.0), seed)
+        bad, _ = corrupt(data, CorruptionSpec(count=6, magnitude=1e4), seed + 100)
+        return bad, make_partition(315, 15)
+
+    @pytest.mark.parametrize("obj,restarts", CASES)
+    def test_loop_matches_sequential_restarts(self, obj, restarts):
+        data, p = self._data(30)
+        X, y = data.features[: p.total], data.responses[: p.total]
+        S, b = _kernels.block_stats(X, y, p.n, p.m)
+        rng = np.random.default_rng(5)
+        starts = rng.standard_normal((restarts, 4))
+        step = gram_step_size(X, p.m)
+        args = (S, b, starts, obj.regularizer, obj.lam, step, 0.8 * step, 60, 20)
+        got = solver._descent_ascent(*args)
+        want = _sequential_descent_ascent(*args)
+        np.testing.assert_allclose(got[0], want[0], rtol=0.0, atol=1e-12)
+        np.testing.assert_array_equal(got[1], want[1])
+        np.testing.assert_allclose(got[2], want[2], rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("obj,restarts", CASES)
+    def test_fit_matches_sequential_restarts(self, obj, restarts, monkeypatch):
+        cfg = SolverConfig(iterations=60, restarts=restarts, seed=3)
+        for seed in (31, 32):
+            data, p = self._data(seed)
+            got = mom_minimax_fit(data, p, obj, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(solver, "_descent_ascent", _sequential_descent_ascent)
+                want = mom_minimax_fit(data, p, obj, cfg)
+            np.testing.assert_allclose(got.theta_hat, want.theta_hat, rtol=0.0, atol=1e-12)
+            np.testing.assert_array_equal(got.trace.median_block, want.trace.median_block)
+            assert got.converged == want.converged
+
+    def test_divergence_raises_with_regularizer_and_restarts(self):
+        data, p = self._data(33)
+        obj = ObjectiveConfig(0.05, Regularizer.l1())
+        cfg = SolverConfig(step_f=1e150, step_g=1e150, iterations=30, restarts=3)
+        with pytest.raises(DivergenceError):
+            with np.errstate(over="ignore", invalid="ignore"):
+                mom_minimax_fit(data, p, obj, cfg)
 
 
 class TestOracleGridFit:
