@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import copy
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -107,7 +108,158 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
+# Largest count a config may ask for (samples, dimensions, blocks, trials,
+# iterations, probes, instances): far beyond any run that fits in memory,
+# so a larger value is a typo, not a request.
+_MAX_COUNT = 10**9
+# Worker processes are forked all at once when the pool starts.
+_MAX_WORKERS = 256
+
+
+def _at_least(lo):
+    return (f">= {lo}", lambda v: v >= lo)
+
+
+def _between(lo, hi):
+    return (f"in [{lo}, {hi}]", lambda v: lo <= v <= hi)
+
+
+def _one_of(*choices):
+    return (f"one of {', '.join(choices)}", lambda v: v in choices)
+
+
+_POSITIVE = ("> 0", lambda v: v > 0)
+_COUNT = _between(0, _MAX_COUNT)
+_POSITIVE_COUNT = _between(1, _MAX_COUNT)
+
+# Every config value by dotted key: the types it may take and the range a
+# number (or each number of a list) or a string must lie in.  Nested keys
+# are checked only where their parent is an object, and keys absent from
+# the document (such as optional corruption fields) are not checked.
+_CONFIG_RULES = {
+    "data": (("object",), None),
+    "data.csv": (("string", "null"), None),
+    "data.generate": (("object",), None),
+    "data.generate.n_samples": (("int",), _POSITIVE_COUNT),
+    "data.generate.dim": (("int",), _POSITIVE_COUNT),
+    "data.generate.theta_star": (("object", "numbers"), None),
+    "data.generate.theta_star.sparse": (("object",), None),
+    "data.generate.theta_star.sparse.support": (("int",), _COUNT),
+    "data.generate.theta_star.sparse.value": (("number",), None),
+    "data.generate.covariance": (("string", "null", "matrix"), _one_of("identity")),
+    "data.generate.noise": (("object",), None),
+    "data.generate.noise.kind": (("string",), None),
+    "data.generate.noise.scale": (("number",), _POSITIVE),
+    "data.generate.noise.dof": (("number", "null"), None),
+    "partition": (("object",), None),
+    "partition.blocks": (("int",), _POSITIVE_COUNT),
+    "partition.permute": (("bool",), None),
+    "objective": (("object",), None),
+    "objective.lambda": (("number",), _at_least(0)),
+    "objective.regularizer": (("string",), _one_of("none", "l1", "slope")),
+    "objective.slope_weights": (("numbers", "null"), None),
+    "solver": (("object",), None),
+    "solver.step_f": (("number", "null"), _POSITIVE),
+    "solver.step_g": (("number", "null"), _POSITIVE),
+    "solver.iterations": (("int",), _POSITIVE_COUNT),
+    "solver.restarts": (("int",), _POSITIVE_COUNT),
+    "solver.tolerance": (("number",), _POSITIVE),
+    "solver.decay": (("bool",), None),
+    "conditions": (("object",), None),
+    "conditions.gamma1": (("number",), _POSITIVE),
+    "conditions.gamma2": (("number",), _POSITIVE),
+    "conditions.r": (("number",), _POSITIVE),
+    "conditions.rho": (("number",), _POSITIVE),
+    "conditions.block_fraction": (("number",), _between(0, 1)),
+    "conditions.probes": (("int",), _COUNT),
+    "conditions.far_distance": (("number", "null"), _at_least(0)),
+    "conditions.near_distance": (("number", "null"), _at_least(0)),
+    "corruption": (("object", "null"), None),
+    "corruption.count": (("int",), _COUNT),
+    "corruption.mode": (("string",), None),
+    "corruption.magnitude": (("number",), _POSITIVE),
+    "corruption.indices": (("ints", "null"), None),
+    "verify": (("object",), None),
+    "verify.lemma_instances": (("int",), _COUNT),
+    "verify.delta_budget": (("int",), _COUNT),
+    "verify.r_grid": (("numbers", "null"), _at_least(0)),
+    "verify.negative_control": (("bool",), None),
+    "trials": (("int",), _POSITIVE_COUNT),
+    "seed": (("int",), _at_least(0)),
+    "workers": (("int",), _between(1, _MAX_WORKERS)),
+    "out": (("string", "null"), None),
+    "csv_out": (("string", "null"), None),
+}
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_number(v) -> bool:
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _is_numbers(v) -> bool:
+    return isinstance(v, list) and all(map(_is_number, v))
+
+
+# Type name -> (description, test).
+_TYPES = {
+    "object": ("an object", lambda v: isinstance(v, dict)),
+    "string": ("a string", lambda v: isinstance(v, str)),
+    "null": ("null", lambda v: v is None),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "int": ("an integer", _is_int),
+    "number": ("a finite number", _is_number),
+    "numbers": ("a list of finite numbers", _is_numbers),
+    "ints": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "matrix": (
+        "a list of equal-length lists of finite numbers",
+        lambda v: isinstance(v, list)
+        and all(map(_is_numbers, v))
+        and len({len(row) for row in v}) <= 1,
+    ),
+}
+
+
+def _in_range(value, kinds, allowed) -> bool:
+    if allowed is None or value is None:
+        return True
+    if isinstance(value, list):
+        # each number of a list; a matrix has no range
+        return "numbers" not in kinds or all(map(allowed[1], value))
+    return allowed[1](value)
+
+
+def _check_config(cfg: dict) -> None:
+    """Raise ConfigError for the first value of the wrong type or range."""
+    for key, (kinds, allowed) in _CONFIG_RULES.items():
+        *parents, leaf = key.split(".")
+        node = cfg
+        for part in parents:
+            node = node.get(part)
+            if not isinstance(node, dict):
+                break
+        else:
+            if leaf not in node:
+                continue
+            value = node[leaf]
+            if not any(_TYPES[kind][1](value) for kind in kinds):
+                expected = " or ".join(_TYPES[kind][0] for kind in kinds)
+                raise ConfigError(f"{key} must be {expected}, got {value!r}")
+            if not _in_range(value, kinds, allowed):
+                raise ConfigError(f"{key} must be {allowed[0]}, got {value!r}")
+
+
 def resolve_config(raw: dict | None, overrides: dict | None = None) -> dict:
+    """Merge a config document and CLI overrides over DEFAULT_CONFIG and
+    check every value against _CONFIG_RULES; bad values raise ConfigError."""
     cfg = _deep_merge(DEFAULT_CONFIG, raw or {})
     for key, val in (overrides or {}).items():
         if val is None:
@@ -116,11 +268,8 @@ def resolve_config(raw: dict | None, overrides: dict | None = None) -> dict:
             cfg["partition"]["blocks"] = val
         else:
             cfg[key] = val
-    if cfg["trials"] < 1:
-        raise ConfigError("trial count must be >= 1")
+    _check_config(cfg)
     n = cfg["partition"]["blocks"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        raise ConfigError(f"partition.blocks must be a positive integer, got {n!r}")
     if n % 2 == 0:
         print(
             f"warning: even block count {n} auto-decremented to {n - 1}",
@@ -358,7 +507,7 @@ def _embed_config(cfg: dict) -> dict:
 def _map_trials(worker, cfg: dict) -> list[dict]:
     payloads = [(json.dumps(cfg, sort_keys=True), t) for t in range(cfg["trials"])]
     if cfg["workers"] > 1:
-        with ProcessPoolExecutor(max_workers=cfg["workers"]) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg["workers"], len(payloads))) as pool:
             records = list(pool.map(worker, payloads))
     else:
         records = [worker(pl) for pl in payloads]

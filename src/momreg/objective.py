@@ -77,21 +77,6 @@ def _theta_of(f) -> np.ndarray:
     return np.asarray(f, dtype=np.float64)
 
 
-def psi(reg: Regularizer, f) -> float:
-    """Evaluate the regularization norm on a predictor or coefficient vector."""
-    theta = _theta_of(f)
-    if reg.kind == "none":
-        return 0.0
-    if reg.kind == "l1":
-        return float(np.sum(np.abs(theta)))
-    if theta.shape[0] != reg.weights.shape[0]:
-        raise DimensionError(
-            f"theta has {theta.shape[0]} entries, slope weights {reg.weights.shape[0]}"
-        )
-    a = np.sort(np.abs(theta))[::-1]
-    return float(a @ reg.weights)
-
-
 def psi_batch(reg: Regularizer, thetas: np.ndarray) -> np.ndarray:
     """psi evaluated row-wise on a (k, d) matrix of coefficient vectors."""
     thetas = np.asarray(thetas, dtype=np.float64)
@@ -100,9 +85,16 @@ def psi_batch(reg: Regularizer, thetas: np.ndarray) -> np.ndarray:
     if reg.kind == "l1":
         return np.abs(thetas).sum(axis=1)
     if thetas.shape[1] != reg.weights.shape[0]:
-        raise DimensionError("slope weights do not match coefficient dimension")
-    a = -np.sort(-np.abs(thetas), axis=1)
-    return a @ reg.weights
+        raise DimensionError(
+            f"theta has {thetas.shape[1]} entries, slope weights {reg.weights.shape[0]}"
+        )
+    # vecdot takes one dot product per row, as a single vector's a @ w does.
+    return np.vecdot(np.sort(np.abs(thetas), axis=1)[:, ::-1], reg.weights)
+
+
+def psi(reg: Regularizer, f) -> float:
+    """Evaluate the regularization norm on a predictor or coefficient vector."""
+    return float(psi_batch(reg, _theta_of(f)[None, :])[0])
 
 
 def _pava_nonincreasing(z: np.ndarray) -> np.ndarray:
@@ -282,6 +274,9 @@ def gram_step_size(X: np.ndarray, m: int) -> float:
     return 0.7 / max(lip, 1e-12)
 
 
+# Overflow is expected here and caught: a start that overflows stops at its
+# first non-finite increment vector.
+@np.errstate(over="ignore", invalid="ignore")
 def _ascend_adversary(
     S,
     b,
@@ -318,10 +313,7 @@ def _ascend_adversary(
             break
         gr = g[rows]
         j_star, med = median_block_index(inc)
-        # psi row by row: psi_batch rounds the slope norm differently.
-        value = med + (
-            lam * (psi_f - np.array([psi(reg, row) for row in gr])) if lam else 0.0
-        )
+        value = med + (lam * (psi_f - psi_batch(reg, gr)) if lam else 0.0)
         better = value > best_value[rows]
         best_value[rows[better]] = value[better]
         best_g[rows[better]] = gr[better]

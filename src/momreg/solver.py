@@ -20,6 +20,7 @@ from .objective import (
     gram_step_size,
     median_block_index,
     prox_gradient_step,
+    psi,
     psi_batch,
     row_increments,
 )
@@ -215,7 +216,7 @@ def _pattern_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap)
     signs = np.tile([1.0, -1.0], d)[:, None]
     curv = np.diagonal(S, axis1=1, axis2=2).T[coords]
     grad = (S @ theta - b).T[coords]
-    screen = audit.screen(losses, float(psi_batch(reg, theta[None, :])[0]))
+    screen = audit.screen(losses, psi(reg, theta))
     for scale in scales:
         steps = signs * scale
         quad = steps * steps * curv
@@ -255,6 +256,9 @@ def _pattern_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap)
 # median-block descent-ascent
 # ---------------------------------------------------------------------------
 
+# Overflow is expected here and caught: a non-finite increment or iterate
+# raises DivergenceError.
+@np.errstate(over="ignore", invalid="ignore")
 def _descent_ascent(S, b, starts, reg, lam, step_f, step_g, iterations, warm):
     """Run every restart (a row of starts) for the given iterations, in
     lockstep.  Returns the (2, restarts, iterations + 1, d) iterates, f

@@ -29,9 +29,11 @@ from .model import (
 from .objective import (
     ConditionParams,
     Regularizer,
+    _theta_of,
     default_slope_weights,
     lambda_window,
     psi,
+    psi_batch,
 )
 
 REGIME_FAR = "far"
@@ -40,12 +42,6 @@ REGIME_SCALED = "scaled"
 
 _FLOAT_SLACK = 1e-9
 _SPHERE_RTOL = 1e-6
-
-
-def _theta_of(f) -> np.ndarray:
-    if isinstance(f, LinearPredictor):
-        return f.theta
-    return np.asarray(f, dtype=np.float64)
 
 
 def excess_risk(theta_hat, theta_star, design: DesignSpec) -> float:
@@ -411,8 +407,17 @@ class LemmaCheckReport:
         return sum(self.checked.values())
 
 
-def _slack(*scales: float) -> float:
-    return _FLOAT_SLACK * max(1.0, *(abs(s) for s in scales))
+def _check_blocks(report, idx, conclusion, hypothesis, lhs, rhs) -> None:
+    """Check lhs >= rhs on the blocks where the hypothesis mask holds;
+    count the others as skipped and append violations in block order."""
+    blocks = np.flatnonzero(hypothesis)
+    lhs = lhs[blocks]
+    report.checked[conclusion] += blocks.size
+    report.skipped[conclusion] += hypothesis.size - blocks.size
+    slack = _FLOAT_SLACK * np.maximum(1.0, np.maximum(np.abs(lhs), abs(rhs)))
+    bad = lhs < rhs - slack
+    for j, val in zip(blocks[bad], lhs[bad]):
+        report.violations.append(LemmaViolation(idx, int(j), conclusion, val, rhs))
 
 
 def lemma_reg_check(
@@ -435,6 +440,12 @@ def lemma_reg_check(
                     >= alpha (g1/2) dist^2 (far branch) or >= alpha g2 r^2
                     (near branch): super-linear growth.
 
+    The block increment and multiplier of h against f* come from the exact
+    residual path of ``blocks``, once per distinct probe theta: probes that
+    share h (the scaled probes of one direction, and the near probe with
+    its scaled copies) reuse them.  Each conclusion is checked on all
+    blocks at once, with violations reported in block order.
+
     lam must lie in the admissible window.  Violations beyond float
     roundoff indicate an arithmetic bug, not sampling noise.
     """
@@ -449,32 +460,30 @@ def lemma_reg_check(
         report.checked.setdefault(key, 0)
         report.skipped.setdefault(key, 0)
 
+    stats: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
     for idx, probe in enumerate(probes):
         h = LinearPredictor(probe.theta)
-        delta = h.theta - f_star.theta
         dist = population_l2_distance(h, f_star, design)
+        delta = h.theta - f_star.theta
         psi_h = psi(reg, h.theta)
         psi_delta = psi(reg, delta)
         em = probe.expected_multiplier
-        b_h = block_increment(h, f_star, data, p).values
-        m_h = multiplier_component(h, f_star, data, p).values
+        key = h.theta.tobytes()
+        if key not in stats:
+            stats[key] = (
+                block_increment(h, f_star, data, p).values,
+                multiplier_component(h, f_star, data, p).values,
+            )
+        b_h, m_h = stats[key]
 
         if probe.regime == REGIME_FAR:
             if psi_delta > rho or dist < r:
                 report.skipped["far"] += p.n
                 continue
-            rhs = 0.5 * g1 * dist * dist
-            lhs_reg = lam * (psi_h - psi_star)
-            for j in range(p.n):
-                if b_h[j] >= g1 * dist * dist:
-                    lhs = b_h[j] + lhs_reg
-                    report.checked["far"] += 1
-                    if lhs < rhs - _slack(lhs, rhs):
-                        report.violations.append(
-                            LemmaViolation(idx, j, "far", lhs, rhs)
-                        )
-                else:
-                    report.skipped["far"] += 1
+            _check_blocks(
+                report, idx, "far", b_h >= g1 * dist * dist,
+                b_h + lam * (psi_h - psi_star), 0.5 * g1 * dist * dist,
+            )
 
         elif probe.regime == REGIME_SPHERE_NEAR:
             on_sphere = abs(psi_delta - rho) <= _SPHERE_RTOL * rho
@@ -482,18 +491,10 @@ def lemma_reg_check(
             if not (on_sphere and dist < r and em >= 0.0 and norming_ok):
                 report.skipped["sphere_near"] += p.n
                 continue
-            rhs = 0.5 * g2 * r2
-            lhs_reg = lam * (psi_h - psi_star)
-            for j in range(p.n):
-                if abs(m_h[j] - em) <= g2 * r2:
-                    lhs = b_h[j] + lhs_reg
-                    report.checked["sphere_near"] += 1
-                    if lhs < rhs - _slack(lhs, rhs):
-                        report.violations.append(
-                            LemmaViolation(idx, j, "sphere_near", lhs, rhs)
-                        )
-                else:
-                    report.skipped["sphere_near"] += 1
+            _check_blocks(
+                report, idx, "sphere_near", np.abs(m_h - em) <= g2 * r2,
+                b_h + lam * (psi_h - psi_star), 0.5 * g2 * r2,
+            )
 
         else:  # REGIME_SCALED
             alpha = probe.alpha
@@ -504,35 +505,21 @@ def lemma_reg_check(
             f_scaled = LinearPredictor(f_star.theta + alpha * delta)
             psi_f = psi(reg, f_scaled.theta)
             b_f = block_increment(f_scaled, f_star, data, p).values
-            lhs_reg = lam * (psi_f - psi_star)
+            lhs = b_f + lam * (psi_f - psi_star)
             if dist >= r:
-                rhs = alpha * 0.5 * g1 * dist * dist
-                for j in range(p.n):
-                    if b_h[j] >= g1 * dist * dist:
-                        lhs = b_f[j] + lhs_reg
-                        report.checked["scaled_far"] += 1
-                        if lhs < rhs - _slack(lhs, rhs):
-                            report.violations.append(
-                                LemmaViolation(idx, j, "scaled_far", lhs, rhs)
-                            )
-                    else:
-                        report.skipped["scaled_far"] += 1
+                _check_blocks(
+                    report, idx, "scaled_far", b_h >= g1 * dist * dist,
+                    lhs, alpha * 0.5 * g1 * dist * dist,
+                )
             else:
                 norming_ok = psi_f - psi_star >= (0.8 * alpha - 0.1) * rho
                 if not (em >= 0.0 and norming_ok):
                     report.skipped["scaled_near"] += p.n
                     continue
-                rhs = alpha * g2 * r2
-                for j in range(p.n):
-                    if abs(m_h[j] - em) <= g2 * r2:
-                        lhs = b_f[j] + lhs_reg
-                        report.checked["scaled_near"] += 1
-                        if lhs < rhs - _slack(lhs, rhs):
-                            report.violations.append(
-                                LemmaViolation(idx, j, "scaled_near", lhs, rhs)
-                            )
-                    else:
-                        report.skipped["scaled_near"] += 1
+                _check_blocks(
+                    report, idx, "scaled_near", np.abs(m_h - em) <= g2 * r2,
+                    lhs, alpha * g2 * r2,
+                )
     return report
 
 
@@ -542,27 +529,33 @@ def lemma_reg_check(
 
 def norming_functional(reg: Regularizer, v: np.ndarray, direction=None) -> np.ndarray:
     """A unit-dual-norm functional z with z(v) = psi(v), chosen among the
-    norming functionals of v to maximize z(direction)."""
+    norming functionals of v to maximize z(direction).
+
+    v and direction broadcast against each other over their leading axes;
+    the last axis holds the coordinates, and each vector of the result is
+    the functional of one (v, direction) pair.  One-dimensional v and
+    direction give one functional.
+    """
     v = np.asarray(v, dtype=np.float64)
-    d = v.shape[0]
     if direction is None:
-        direction = np.zeros(d)
-    else:
-        direction = np.asarray(direction, dtype=np.float64)
+        direction = np.zeros_like(v)
+    direction = np.asarray(direction, dtype=np.float64)
     free_sign = np.where(direction != 0.0, np.sign(direction), 1.0)
     signs = np.where(v != 0.0, np.sign(v), free_sign)
     if reg.kind == "l1":
         return signs
     if reg.kind == "slope":
-        if reg.weights.shape[0] != d:
+        if reg.weights.shape[0] != signs.shape[-1]:
             raise DimensionError("slope weights do not match dimension")
         # Contribution of coordinate i if it receives weight w: signs[i] *
         # direction[i] * w; within |v| ties any weight assignment is norming,
         # so order ties by contribution (rearrangement maximizes the sum).
         contrib = signs * direction
-        order = np.lexsort((-contrib, -np.abs(v)))
-        z = np.empty(d)
-        z[order] = reg.weights * signs[order]
+        order = np.lexsort((-contrib, np.broadcast_to(-np.abs(v), signs.shape)), axis=-1)
+        z = np.empty(signs.shape)
+        np.put_along_axis(
+            z, order, reg.weights * np.take_along_axis(signs, order, axis=-1), axis=-1
+        )
         return z
     raise ConfigError("norming functionals exist for l1 and slope only")
 
@@ -647,6 +640,9 @@ def estimate_delta(
     Candidate h live on the psi-sphere of radius rho with L2 distance at
     most r; the sup runs over norming functionals of sampled v in the
     rho/20 ball (always including v = f, and v = 0 when psi(f) <= rho/20).
+    The candidate steps h - f do not depend on the center f, so they are
+    normalised and filtered once; for each center and each v, one
+    broadcast ``norming_functional`` call covers every step.
     """
     if reg.kind not in ("l1", "slope"):
         raise ConfigError("estimate_delta needs an l1 or slope regularizer")
@@ -664,40 +660,36 @@ def estimate_delta(
         if u is not None:
             centers.append(f_star.theta + (rho / 40.0) * rng.uniform(0.0, 1.0) * u)
 
-    directions = _delta_directions(d, budget, rng)
+    directions = np.array(_delta_directions(d, budget, rng))
     v_offsets = []
     for _ in range(n_norming):
         u = _psi_unit(reg, rng.standard_normal(d))
         if u is not None:
             v_offsets.append((rho / 20.0) * rng.uniform(0.0, 1.0) * u)
 
-    cov = design.covariance
-    best = math.inf
-    n_feasible = 0
-    for f in centers:
-        psi_f = psi(reg, f)
-        for u in directions:
-            unit = _psi_unit(reg, u)
-            if unit is None:
-                continue
-            delta = rho * unit
-            if math.sqrt(max(float(delta @ cov @ delta), 0.0)) > r * (1 + 1e-12):
-                continue
-            n_feasible += 1
-            sup = -math.inf
-            vs = [f] + [f + off for off in v_offsets]
-            if psi_f <= rho / 20.0:
-                vs.append(np.zeros(d))
-            for v in vs:
-                z = norming_functional(reg, v, direction=delta)
-                sup = max(sup, float(z @ delta))
-            best = min(best, sup)
-    if n_feasible == 0:
+    steps = rho * (directions / psi_batch(reg, directions)[:, None])
+    # A stack of vector-matrix products, one per step: a single matrix
+    # product rounds differently from delta @ cov.
+    q = np.vecdot(np.matmul(steps[:, None, :], design.covariance)[:, 0], steps)
+    steps = steps[~(np.sqrt(np.maximum(q, 0.0)) > r * (1 + 1e-12))]
+    if steps.shape[0] == 0:
         return DeltaEstimate(
             None, False, len(centers), 0, len(directions), rho, r
         )
+
+    best = math.inf
+    for f in centers:
+        vs = [f] + [f + off for off in v_offsets]
+        if psi(reg, f) <= rho / 20.0:
+            vs.append(np.zeros(d))
+        sup = np.full(steps.shape[0], -math.inf)
+        for v in vs:
+            # vecdot, not einsum: it rounds like z @ delta, row by row.  fmax
+            # lets no NaN (from overflowing inputs) into the sup.
+            np.fmax(sup, np.vecdot(norming_functional(reg, v, steps), steps), out=sup)
+        best = min(best, float(sup.min()))
     return DeltaEstimate(
-        float(best), True, len(centers), n_feasible, len(directions), rho, r
+        best, True, len(centers), len(centers) * steps.shape[0], len(directions), rho, r
     )
 
 

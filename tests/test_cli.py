@@ -1,7 +1,14 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momreg import InvalidInput, MomregError, ParseError, load_dataset, make_partition
 from momreg.cli import (
@@ -258,3 +265,132 @@ class TestInputErrors:
         with pytest.raises(InvalidInput):
             make_partition(0, 1)
         assert issubclass(InvalidInput, ValueError) and issubclass(InvalidInput, MomregError)
+
+
+_D3_CONFIG = {
+    "data": {"generate": {"n_samples": 120, "dim": 3, "theta_star": [1.0, -0.5, 2.0]}},
+    "partition": {"blocks": 7},
+    "solver": {"iterations": 10, "restarts": 1},
+    "conditions": {"probes": 2},
+    "verify": {"lemma_instances": 2, "delta_budget": 4},
+}
+
+
+def _set_path(doc: dict, key: str, value) -> dict:
+    doc = json.loads(json.dumps(doc))
+    *parents, leaf = key.split(".")
+    node = doc
+    for part in parents:
+        node = node.setdefault(part, {})
+        if not isinstance(node, dict):  # an earlier mutation replaced a parent
+            return doc
+    node[leaf] = value
+    return doc
+
+
+class TestConfigValues:
+    # Each of these raised a traceback, or ran and exited 0 having done
+    # something else than asked, before resolve_config checked values.
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("trials", "x"),
+            ("seed", "abc"),
+            ("seed", -1),
+            ("conditions.probes", "a"),
+            ("data.generate.theta_star", "abc"),
+            ("objective.lambda", "x"),
+            ("solver.iterations", "x"),
+            ("verify.r_grid", "abc"),
+            ("conditions.block_fraction", "x"),
+            ("data.generate", None),
+            ("conditions", None),
+            ("data.generate.dim", 0),
+            ("verify.lemma_instances", -2),
+            ("verify.delta_budget", -3),
+            ("data.generate.theta_star", {"sparse": {"support": -1, "value": 1.0}}),
+            ("solver.iterations", 2.5),
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["simulate", "verify"])
+    def test_bad_value_exit_code(self, tmp_path, capsys, mode, key, value):
+        doc = _set_path(_D3_CONFIG, key, value)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main([mode, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {key}") and " must be " in err
+        with pytest.raises(ConfigError):
+            resolve_config(doc)
+
+    def test_bad_flag_value_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_D3_CONFIG))
+        assert main(["verify", "--config", str(cfg_path), "--seed", "-1"]) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be >= 0")
+        assert main(["simulate", "--config", str(cfg_path), "--workers", "0"]) == 2
+        assert capsys.readouterr().err.startswith("error: workers must be in [1, ")
+
+    def test_valid_values_pass(self):
+        cfg = resolve_config(
+            _set_path(
+                _set_path(_D3_CONFIG, "corruption", {"count": 2, "indices": [0, 5]}),
+                "data.generate.covariance",
+                [[2.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+            )
+        )
+        assert cfg["corruption"]["indices"] == [0, 5]
+        for key, value in [
+            ("verify.r_grid", [0.5, 1]),
+            ("solver.step_f", 0.1),
+            ("conditions.far_distance", None),
+            ("data.generate.theta_star", {"sparse": {"support": 3}}),
+        ]:
+            resolve_config(_set_path(_D3_CONFIG, key, value))
+
+
+# Small configs of the three generating modes, and the leaves a fuzz
+# example mutates: every key of the resolved config except mode and the
+# output routing, whose string values would write files.
+_FUZZ_CONFIGS = {
+    "simulate": _set_path(_D3_CONFIG, "objective", {"lambda": 0.05, "regularizer": "l1"}),
+    "corrupt-bench": _set_path(_D3_CONFIG, "corruption", {"count": 2, "magnitude": 1e6}),
+    "verify": _D3_CONFIG,
+}
+_FUZZ_SKIP = {"mode", "out", "csv_out"}
+
+
+def _fuzz_keys(doc, prefix=""):
+    for key, val in doc.items():
+        path = prefix + key
+        if path in _FUZZ_SKIP:
+            continue
+        yield path
+        if isinstance(val, dict):
+            yield from _fuzz_keys(val, path + ".")
+
+
+_FUZZ_VALUES = st.sampled_from(
+    ["x", None, [1], {"k": 1}, True, -1, -2.5, 0, 0.0, 10**12, 1e300, -1e300]
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_config_fuzz_exits_cleanly(data):
+    mode = data.draw(st.sampled_from(sorted(_FUZZ_CONFIGS)))
+    doc = _FUZZ_CONFIGS[mode]
+    keys = sorted(_fuzz_keys(resolve_config(doc)))
+    for key in data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=2)):
+        doc = _set_path(doc, key, data.draw(_FUZZ_VALUES))
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = os.path.join(tmp, "cfg.json")
+        with open(cfg_path, "w") as fh:
+            json.dump(doc, fh)
+        out, err = io.StringIO(), io.StringIO()
+        # huge values overflow on purpose; numpy's warnings about it are noise
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            code = main([mode, "--config", cfg_path])
+    assert code in (0, 1, 2), err.getvalue()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,7 +26,7 @@ from momreg import (
     psi,
 )
 from momreg import _kernels
-from momreg.objective import _ascend_adversary, gram_step_size
+from momreg.objective import _ascend_adversary, gram_step_size, psi_batch
 from momreg.solver import erm_fit
 
 
@@ -67,6 +69,25 @@ class TestPsi:
 
     def test_accepts_predictor(self):
         assert psi(Regularizer.l1(), LinearPredictor([1.0, 1.0])) == 2.0
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 13, 24, 50, 64, 100])
+    def test_batch_rows_match_single_vector_form(self, d):
+        # The single-vector form psi had before it became psi_batch's one-row
+        # case: a sum of |theta|, or the sorted |theta| dotted with w.
+        def reference(reg, theta):
+            if reg.kind == "l1":
+                return float(np.sum(np.abs(theta)))
+            return float(np.sort(np.abs(theta))[::-1] @ reg.weights)
+
+        rng = np.random.default_rng(d)
+        thetas = rng.standard_normal((300, d)) * rng.choice([1.0, 1e-3, 1e6], (300, 1))
+        thetas[rng.uniform(size=(300, d)) < 0.2] = 0.0
+        thetas[::7] = np.round(thetas[::7])  # ties in |theta|
+        thetas[::11, :] = 1e6
+        for reg in (Regularizer.l1(), Regularizer.slope(default_slope_weights(d))):
+            ref = np.array([reference(reg, row) for row in thetas])
+            np.testing.assert_array_equal(psi_batch(reg, thetas), ref)
+            assert [psi(reg, row) for row in thetas] == ref.tolist()
 
     @given(
         arrays(np.float64, 5, elements=st.floats(-100, 100)),
@@ -368,10 +389,13 @@ class TestLockstepAdversary:
         ])
         reg = Regularizer.l1()
         psi_f = psi(reg, f.theta)
-        with np.errstate(over="ignore", invalid="ignore"):
+        # the lockstep ascent expects the overflow; numpy does not warn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             values, gs, (explored, counts) = _ascend_adversary(
                 S, b, f.theta, starts, 0.01, reg, psi_f, step, 30, None, True
             )
+        with np.errstate(over="ignore", invalid="ignore"):
             reference = [
                 _ascend_one(S, b, f.theta, g0, 0.01, reg, psi_f, step, 30, None)
                 for g0 in starts

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -134,7 +135,9 @@ class TestMomMinimaxFit:
         data = generate(100, 2, np.ones(2), design, NoiseSpec("gaussian", 1.0), 7)
         p = make_partition(100, 5)
         cfg = SolverConfig(step_f=1e150, step_g=1e150, iterations=30, seed=0)
-        with pytest.raises(DivergenceError):
+        # the loop expects the overflow and raises; numpy does not warn
+        with pytest.raises(DivergenceError), warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
             mom_minimax_fit(data, p, ObjectiveConfig(), cfg)
 
     def test_matches_grid_oracle_d1(self):

@@ -1,0 +1,414 @@
+"""The array forms of estimate_delta, norming_functional and lemma_reg_check
+against the loop forms they replaced, kept here as references.
+
+The array forms keep the arithmetic of the loops (the same dot products,
+the same order of operations per block), so every comparison is exact.
+"""
+import math
+
+import numpy as np
+import pytest
+
+from momreg import (
+    ConditionParams,
+    DesignSpec,
+    DimensionError,
+    InvalidInput,
+    LemmaProbe,
+    LinearPredictor,
+    NoiseSpec,
+    Regularizer,
+    default_slope_weights,
+    estimate_delta,
+    generate,
+    lemma_reg_check,
+    make_partition,
+    norming_functional,
+    psi,
+)
+from momreg import verify
+from momreg.blocks import BlockVector, block_increment
+from momreg.errors import ConfigError
+from momreg.model import population_l2_distance
+from momreg.objective import lambda_window
+from momreg.verify import (
+    _FLOAT_SLACK,
+    _SPHERE_RTOL,
+    REGIME_FAR,
+    REGIME_SCALED,
+    REGIME_SPHERE_NEAR,
+    DeltaEstimate,
+    LemmaCheckReport,
+    LemmaViolation,
+    _delta_directions,
+    random_lemma_instance,
+)
+
+# ---------------------------------------------------------------------------
+# loop references
+# ---------------------------------------------------------------------------
+
+
+def _psi_ref(reg, theta):
+    theta = np.asarray(theta, dtype=np.float64)
+    if reg.kind == "l1":
+        return float(np.sum(np.abs(theta)))
+    return float(np.sort(np.abs(theta))[::-1] @ reg.weights)
+
+
+def _norming_ref(reg, v, direction):
+    d = v.shape[0]
+    free_sign = np.where(direction != 0.0, np.sign(direction), 1.0)
+    signs = np.where(v != 0.0, np.sign(v), free_sign)
+    if reg.kind == "l1":
+        return signs
+    contrib = signs * direction
+    order = np.lexsort((-contrib, -np.abs(v)))
+    z = np.empty(d)
+    z[order] = reg.weights * signs[order]
+    return z
+
+
+def _psi_unit_ref(reg, u):
+    scale = _psi_ref(reg, u)
+    return None if scale <= 0.0 else u / scale
+
+
+def _estimate_delta_ref(reg, f_star, rho, r, design, budget, seed, n_centers, n_norming):
+    d = design.dim
+    rng = np.random.default_rng(seed)
+    centers = [f_star.theta.copy()]
+    for _ in range(n_centers - 1):
+        u = _psi_unit_ref(reg, rng.standard_normal(d))
+        if u is not None:
+            centers.append(f_star.theta + (rho / 40.0) * rng.uniform(0.0, 1.0) * u)
+    directions = _delta_directions(d, budget, rng)
+    v_offsets = []
+    for _ in range(n_norming):
+        u = _psi_unit_ref(reg, rng.standard_normal(d))
+        if u is not None:
+            v_offsets.append((rho / 20.0) * rng.uniform(0.0, 1.0) * u)
+    cov = design.covariance
+    best = math.inf
+    n_feasible = 0
+    for f in centers:
+        psi_f = _psi_ref(reg, f)
+        for u in directions:
+            unit = _psi_unit_ref(reg, u)
+            if unit is None:
+                continue
+            delta = rho * unit
+            if math.sqrt(max(float(delta @ cov @ delta), 0.0)) > r * (1 + 1e-12):
+                continue
+            n_feasible += 1
+            sup = -math.inf
+            vs = [f] + [f + off for off in v_offsets]
+            if psi_f <= rho / 20.0:
+                vs.append(np.zeros(d))
+            for v in vs:
+                sup = max(sup, float(_norming_ref(reg, v, delta) @ delta))
+            best = min(best, sup)
+    if n_feasible == 0:
+        return DeltaEstimate(None, False, len(centers), 0, len(directions), rho, r)
+    return DeltaEstimate(
+        float(best), True, len(centers), n_feasible, len(directions), rho, r
+    )
+
+
+def _slack(*scales):
+    return _FLOAT_SLACK * max(1.0, *(abs(s) for s in scales))
+
+
+def _lemma_reg_check_ref(probes, f_star, data, p, params, lam, reg, design):
+    g1, g2, r, rho = params.gamma1, params.gamma2, params.r, params.rho
+    r2 = r * r
+    psi_star = _psi_ref(reg, f_star.theta)
+    report = LemmaCheckReport()
+    for key in ("far", "sphere_near", "scaled_far", "scaled_near"):
+        report.checked.setdefault(key, 0)
+        report.skipped.setdefault(key, 0)
+
+    def check(idx, key, hyp, lhs_all, rhs):
+        for j in range(p.n):
+            if hyp[j]:
+                lhs = lhs_all[j]
+                report.checked[key] += 1
+                if lhs < rhs - _slack(lhs, rhs):
+                    report.violations.append(LemmaViolation(idx, j, key, lhs, rhs))
+            else:
+                report.skipped[key] += 1
+
+    for idx, probe in enumerate(probes):
+        h = LinearPredictor(probe.theta)
+        delta = h.theta - f_star.theta
+        dist = population_l2_distance(h, f_star, design)
+        psi_h = _psi_ref(reg, h.theta)
+        psi_delta = _psi_ref(reg, delta)
+        em = probe.expected_multiplier
+        b_h = verify.block_increment(h, f_star, data, p).values
+        m_h = verify.multiplier_component(h, f_star, data, p).values
+        near = [abs(m_h[j] - em) <= g2 * r2 for j in range(p.n)]
+        far = [b_h[j] >= g1 * dist * dist for j in range(p.n)]
+        if probe.regime == REGIME_FAR:
+            if psi_delta > rho or dist < r:
+                report.skipped["far"] += p.n
+                continue
+            lhs_reg = lam * (psi_h - psi_star)
+            check(idx, "far", far, [b + lhs_reg for b in b_h], 0.5 * g1 * dist * dist)
+        elif probe.regime == REGIME_SPHERE_NEAR:
+            on_sphere = abs(psi_delta - rho) <= _SPHERE_RTOL * rho
+            norming_ok = psi_h - psi_star >= 0.7 * rho
+            if not (on_sphere and dist < r and em >= 0.0 and norming_ok):
+                report.skipped["sphere_near"] += p.n
+                continue
+            lhs_reg = lam * (psi_h - psi_star)
+            check(idx, "sphere_near", near, [b + lhs_reg for b in b_h], 0.5 * g2 * r2)
+        else:
+            alpha = probe.alpha
+            if not abs(psi_delta - rho) <= _SPHERE_RTOL * rho:
+                report.skipped["scaled_far"] += p.n
+                continue
+            f_scaled = LinearPredictor(f_star.theta + alpha * delta)
+            psi_f = _psi_ref(reg, f_scaled.theta)
+            b_f = verify.block_increment(f_scaled, f_star, data, p).values
+            lhs_reg = lam * (psi_f - psi_star)
+            lhs = [b + lhs_reg for b in b_f]
+            if dist >= r:
+                check(idx, "scaled_far", far, lhs, alpha * 0.5 * g1 * dist * dist)
+            else:
+                norming_ok = psi_f - psi_star >= (0.8 * alpha - 0.1) * rho
+                if not (em >= 0.0 and norming_ok):
+                    report.skipped["scaled_near"] += p.n
+                    continue
+                check(idx, "scaled_near", near, lhs, alpha * g2 * r2)
+    return report
+
+
+# ---------------------------------------------------------------------------
+# norming functionals and the Delta estimate
+# ---------------------------------------------------------------------------
+
+_DIMS = (1, 3, 6, 12)
+
+
+def _reg(kind, d):
+    return Regularizer.l1() if kind == "l1" else Regularizer.slope(default_slope_weights(d))
+
+
+def _awkward_vectors(rng, k, d):
+    """Rows with zero entries and ties in |v|, from a few levels."""
+    levels = np.array([0.0, 0.5, 1.0, 2.0])
+    v = rng.choice(levels, size=(k, d)) * rng.choice([-1.0, 1.0], size=(k, d))
+    v[: k // 2] += rng.standard_normal((k // 2, d)) * (rng.uniform(size=(k // 2, d)) < 0.3)
+    return v
+
+
+@pytest.mark.parametrize("kind", ["l1", "slope"])
+@pytest.mark.parametrize("d", _DIMS)
+def test_broadcast_norming_functional_matches_rows(kind, d):
+    rng = np.random.default_rng(d)
+    reg = _reg(kind, d)
+    vs = _awkward_vectors(rng, 7, d)
+    dirs = _awkward_vectors(rng, 9, d)
+    ref = np.array([[_norming_ref(reg, v, u) for u in dirs] for v in vs])
+    np.testing.assert_array_equal(norming_functional(reg, vs[:, None, :], dirs), ref)
+    for i, v in enumerate(vs):
+        np.testing.assert_array_equal(norming_functional(reg, v, dirs), ref[i])
+        np.testing.assert_array_equal(norming_functional(reg, v, dirs[2]), ref[i, 2])
+    np.testing.assert_array_equal(
+        norming_functional(reg, vs[0]), _norming_ref(reg, vs[0], np.zeros(d))
+    )
+
+
+def test_norming_functional_rejects_other_norms_and_dimensions():
+    with pytest.raises(ConfigError):
+        norming_functional(Regularizer.none(), np.ones((2, 3)), np.ones(3))
+    with pytest.raises(DimensionError):
+        norming_functional(Regularizer.slope(d=4), np.ones((2, 3)), np.ones(3))
+
+
+def _f_stars(d, reg):
+    """f* = 0 (v = 0 joins the candidates), f* with psi(f*) = rho / 20
+    (exactly for l1: v = 0 still joins for the center f*), a vector with zero
+    entries whose signs come from the direction, and one with ties in |v|."""
+    zeros = np.zeros(d)
+    edge = np.zeros(d)
+    edge[0] = 0.05 / (1.0 if reg.kind == "l1" else reg.weights[0])
+    sparse = np.zeros(d)
+    sparse[0] = 1.5
+    ties = np.where(np.arange(d) % 2 == 0, 0.7, -0.7)
+    return {"zero": zeros, "edge": edge, "sparse": sparse, "ties": ties}
+
+
+@pytest.mark.parametrize("kind", ["l1", "slope"])
+@pytest.mark.parametrize("d", _DIMS)
+@pytest.mark.parametrize("f_kind", ["zero", "edge", "sparse", "ties"])
+def test_estimate_delta_matches_loop(kind, d, f_kind):
+    reg = _reg(kind, d)
+    f_star = LinearPredictor(_f_stars(d, reg)[f_kind])
+    rng = np.random.default_rng(d)
+    A = rng.standard_normal((d, d))
+    for design, r in ((DesignSpec.identity(d), 2.0), (DesignSpec(A @ A.T + np.eye(d)), 1.5)):
+        for seed in range(2):
+            args = (reg, f_star, 1.0, r, design)
+            kw = dict(budget=12, seed=seed, n_centers=4, n_norming=6)
+            got = estimate_delta(*args, **kw)
+            assert got == _estimate_delta_ref(*args, **kw)
+            assert got.n_feasible > 0
+
+
+@pytest.mark.parametrize("kind", ["l1", "slope"])
+def test_estimate_delta_matches_loop_at_default_budget(kind):
+    f_star = LinearPredictor([1.0, -0.5, 2.0])
+    args = (_reg(kind, 3), f_star, 1.0, 2.0, DesignSpec.identity(3))
+    kw = dict(budget=200, seed=11, n_centers=8, n_norming=24)
+    assert estimate_delta(*args, **kw) == _estimate_delta_ref(*args, **kw)
+
+
+def test_estimate_delta_center_on_the_norming_ball_edge():
+    # psi(f*) = rho / 20 exactly: v = 0 is a candidate, so with f* the only
+    # center every step attains z(delta) = psi(delta) = rho.
+    reg = Regularizer.l1()
+    f_star = LinearPredictor(_f_stars(3, reg)["edge"])
+    assert psi(reg, f_star) == 1.0 / 20.0
+    args = (reg, f_star, 1.0, 2.0, DesignSpec.identity(3))
+    kw = dict(budget=12, seed=0, n_centers=1, n_norming=6)
+    got = estimate_delta(*args, **kw)
+    assert got == _estimate_delta_ref(*args, **kw)
+    assert got.value == 1.0
+
+
+def test_estimate_delta_without_feasible_steps_matches_loop():
+    args = (Regularizer.l1(), LinearPredictor([1.0, 0.0]), 1.0, 1e-6, DesignSpec.identity(2))
+    kw = dict(budget=10, seed=0, n_centers=3, n_norming=4)
+    got = estimate_delta(*args, **kw)
+    assert got == _estimate_delta_ref(*args, **kw)
+    assert got.value is None and got.n_centers == 3
+
+
+# ---------------------------------------------------------------------------
+# lemma_reg_check
+# ---------------------------------------------------------------------------
+
+
+def test_check_blocks_slack_boundary():
+    # violation iff lhs < rhs - 1e-9 max(1, |lhs|, |rhs|), in block order
+    rhs = 2.0
+    lhs = rhs - np.array([0.0, 1e-9, 3e-9, 6e-9, 1.0, -1.0, 50.0, 3e-9])
+    hypothesis = np.array([True, True, True, True, True, True, True, False])
+    report = LemmaCheckReport(checked={"far": 0}, skipped={"far": 0})
+    verify._check_blocks(report, 4, "far", hypothesis, lhs, rhs)
+    assert (report.checked, report.skipped) == ({"far": 7}, {"far": 1})
+    assert [(v.probe_index, v.block_index) for v in report.violations] == [
+        (4, 2), (4, 3), (4, 4), (4, 6)
+    ]
+    assert [v.lhs for v in report.violations] == [lhs[2], lhs[3], lhs[4], lhs[6]]
+    # below 1 in magnitude the slack stays 1e-9
+    report = LemmaCheckReport(checked={"far": 0}, skipped={"far": 0})
+    lhs = np.array([0.5 - 0.8e-9, 0.5 - 2e-9])
+    verify._check_blocks(report, 0, "far", np.ones(2, bool), lhs, 0.5)
+    assert [v.block_index for v in report.violations] == [1]
+
+
+def _assert_same_report(got, ref):
+    assert got == ref
+    for v in got.violations:
+        assert type(v.block_index) is int and type(v.lhs) is np.float64
+
+
+def test_lemma_reg_check_matches_loop_on_sweep_instances():
+    rng = np.random.default_rng(8)
+    regimes = set()
+    for _ in range(40):
+        instance = random_lemma_instance(rng, slope_fraction=0.4)
+        got = lemma_reg_check(*instance)
+        _assert_same_report(got, _lemma_reg_check_ref(*instance))
+        regimes.update(k for k, v in got.checked.items() if v)
+    assert regimes == {"far", "sphere_near", "scaled_far", "scaled_near"}
+
+
+# Injected arithmetic faults: the implications hold in exact arithmetic for
+# any data, so only a wrong increment produces violations.  Each fault
+# lowers every block increment of f against h by a function of |f - h|.
+_FAULTS = {
+    "cubic": lambda dist: 0.5 * dist**3,
+    "constant": lambda dist: 10.0 if dist > 0.0 else 0.0,
+}
+
+
+# Slope instances carry no near probes, which the constant fault needs.
+@pytest.mark.parametrize(
+    "fault, slope_fraction", [("cubic", 0.0), ("cubic", 1.0), ("constant", 0.0)]
+)
+def test_lemma_reg_check_matches_loop_on_violations(monkeypatch, slope_fraction, fault):
+    def faulty_increment(f, h, data, p):
+        shift = _FAULTS[fault](float(np.linalg.norm(f.theta - h.theta)))
+        return BlockVector(block_increment(f, h, data, p).values - shift)
+
+    # both the array path and the reference look the increment up in verify
+    monkeypatch.setattr(verify, "block_increment", faulty_increment)
+    rng = np.random.default_rng(3)
+    conclusions = set()
+    for _ in range(6):
+        probes, f_star, data, p, params, lam, reg, design = random_lemma_instance(
+            rng, slope_fraction
+        )
+        # One near or scaled probe again, with a nonzero expected multiplier:
+        # it moves the band the near hypothesis mask tests.
+        probes = probes + [
+            LemmaProbe(pr.theta, pr.regime, pr.alpha, expected_multiplier=0.05)
+            for pr in probes if pr.regime != REGIME_FAR
+        ][:1]
+        instance = (probes, f_star, data, p, params, lam, reg, design)
+        got = lemma_reg_check(*instance)
+        _assert_same_report(got, _lemma_reg_check_ref(*instance))
+        conclusions.update(v.conclusion for v in got.violations)
+    assert conclusions
+
+
+def test_lemma_reg_check_runs_block_checks_for_each_distinct_probe():
+    design = DesignSpec.identity(6)
+    f_star = LinearPredictor(np.r_[1.0, np.zeros(5)])
+    data = generate(90, 6, f_star.theta, design, NoiseSpec("gaussian", 0.1), 0)
+    p = make_partition(90, 9)
+    params = ConditionParams(gamma1=0.6, gamma2=0.05, r=0.5, rho=1.0)
+    lam = sum(lambda_window(params)) / 2
+    good = LemmaProbe(f_star.theta + np.r_[0.0, 1.0, 0, 0, 0, 0], REGIME_FAR)
+    # a repeated theta is fine; a probe of the wrong dimension still raises
+    with pytest.raises(DimensionError):
+        lemma_reg_check(
+            [good, good, LemmaProbe(np.zeros(7), REGIME_FAR)],
+            f_star, data, p, params, lam, Regularizer.l1(), design,
+        )
+    # a probe whose block increments overflow fails the BlockVector check
+    huge = LemmaProbe(f_star.theta + np.r_[0.0, 1e200, 0, 0, 0, 0], REGIME_SCALED, alpha=2.0)
+    with pytest.raises(InvalidInput), np.errstate(over="ignore", invalid="ignore"):
+        lemma_reg_check(
+            [good, huge], f_star, data, p, params, lam, Regularizer.l1(), design,
+        )
+
+
+def test_probe_statistics_once_per_distinct_theta(monkeypatch):
+    calls = {"block_increment": 0, "multiplier_component": 0}
+
+    def counting(name):
+        real = getattr(verify, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(verify, name, counting(name))
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        probes, *rest = random_lemma_instance(rng, slope_fraction=0.5)
+        before = dict(calls)
+        lemma_reg_check(probes, *rest)
+        distinct = len({pr.theta.tobytes() for pr in probes})
+        scaled = sum(pr.regime == REGIME_SCALED for pr in probes)
+        assert calls["multiplier_component"] - before["multiplier_component"] == distinct
+        # one more increment per scaled probe, at f* + alpha (h - f*)
+        assert calls["block_increment"] - before["block_increment"] == distinct + scaled
