@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import copy
 import json
-import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -114,6 +113,9 @@ def _deep_merge(base: dict, override: dict) -> dict:
 _MAX_COUNT = 10**9
 # Worker processes are forked all at once when the pool starts.
 _MAX_WORKERS = 256
+# Largest magnitude of a config number: far beyond any scale a run uses, and
+# small enough that the squares and products a run takes of it stay finite.
+_MAX_MAGNITUDE = 1e100
 
 
 def _at_least(lo):
@@ -172,8 +174,8 @@ _CONFIG_RULES = {
     "conditions.rho": (("number",), _POSITIVE),
     "conditions.block_fraction": (("number",), _between(0, 1)),
     "conditions.probes": (("int",), _COUNT),
-    "conditions.far_distance": (("number", "null"), _at_least(0)),
-    "conditions.near_distance": (("number", "null"), _at_least(0)),
+    "conditions.far_distance": (("number", "null"), _POSITIVE),
+    "conditions.near_distance": (("number", "null"), _POSITIVE),
     "corruption": (("object", "null"), None),
     "corruption.count": (("int",), _COUNT),
     "corruption.mode": (("string",), None),
@@ -199,10 +201,7 @@ def _is_int(v) -> bool:
 def _is_number(v) -> bool:
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an int beyond the float range
-        return False
+    return abs(v) <= _MAX_MAGNITUDE  # False for nan and inf; ints compare exactly
 
 
 def _is_numbers(v) -> bool:
@@ -216,11 +215,11 @@ _TYPES = {
     "null": ("null", lambda v: v is None),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "int": ("an integer", _is_int),
-    "number": ("a finite number", _is_number),
-    "numbers": ("a list of finite numbers", _is_numbers),
+    "number": ("a number of magnitude at most 1e100", _is_number),
+    "numbers": ("a list of numbers of magnitude at most 1e100", _is_numbers),
     "ints": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
     "matrix": (
-        "a list of equal-length lists of finite numbers",
+        "a list of equal-length lists of numbers of magnitude at most 1e100",
         lambda v: isinstance(v, list)
         and all(map(_is_numbers, v))
         and len({len(row) for row in v}) <= 1,
@@ -354,6 +353,13 @@ def _params_from_config(cfg: dict) -> ConditionParams:
     )
 
 
+def _probe_distances(cfg: dict, params: ConditionParams) -> tuple[float, float]:
+    """Distances of the condition-one and condition-two probes: the config's,
+    or r and r / 2 where they are null."""
+    far, near = cfg["conditions"]["far_distance"], cfg["conditions"]["near_distance"]
+    return (params.r if far is None else far, params.r / 2.0 if near is None else near)
+
+
 def _corruption_from_config(cfg: dict) -> CorruptionSpec | None:
     c = cfg["corruption"]
     if c is None or c.get("count", 0) == 0:
@@ -438,8 +444,7 @@ def _run_single_trial(payload: tuple[str, int]) -> dict:
     n_probes = int(cfg["conditions"]["probes"])
     if n_probes > 0:
         rng = np.random.default_rng(_trial_seed(master, trial, 4))
-        far_dist = cfg["conditions"]["far_distance"] or params.r
-        near_dist = cfg["conditions"]["near_distance"] or params.r / 2.0
+        far_dist, near_dist = _probe_distances(cfg, params)
         far = sample_sphere_probes(f_star, design, far_dist, n_probes, rng)
         near = sample_sphere_probes(f_star, design, near_dist, n_probes, rng)
         rep1 = check_condition_one(
@@ -633,8 +638,7 @@ def run_verify(cfg: dict) -> dict:
 
     n_probes = max(int(cfg["conditions"]["probes"]), 1)
     rng = np.random.default_rng(_trial_seed(cfg["seed"], 0, 4))
-    far_dist = cfg["conditions"]["far_distance"] or params.r
-    near_dist = cfg["conditions"]["near_distance"] or params.r / 2.0
+    far_dist, near_dist = _probe_distances(cfg, params)
     rep1 = check_condition_one(
         data, p, f_star,
         sample_sphere_probes(f_star, design, far_dist, n_probes, rng),

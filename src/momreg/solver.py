@@ -184,6 +184,33 @@ class _WitnessPoolAudit:
             out[lo:hi] = meds.max(axis=1)
         return out
 
+    def self_values(self) -> np.ndarray:
+        """Audited value of every pool member against the whole pool, as
+        value_from_losses of the pool's own losses and norms.
+
+        The term of g against f is exactly minus the term of f against g:
+        n is odd and round-to-nearest is odd-symmetric, so the median of
+        the differences and the lam (psi_f - psi_g) term both change sign
+        and nothing else.  So each unordered pair's median is taken once:
+        rows lo..hi are audited against members lo.., under the same
+        temporary budget, and their negated terms fill the columns.
+        """
+        pool_size, n = self.pool_losses.shape
+        out = np.full(pool_size, -np.inf)
+        lo = 0
+        while lo < pool_size:
+            hi = min(pool_size, lo + max(1, _AUDIT_BATCH_ENTRIES // ((pool_size - lo) * n)))
+            diffs = self.pool_losses[lo:hi, None, :] - self.pool_losses[lo:]
+            diffs.partition(self.mid, axis=2)
+            meds = diffs[:, :, self.mid]
+            if self.lam:
+                meds = meds + self.lam * (self.pool_psi[lo:hi, None] - self.pool_psi[lo:])
+            np.maximum(out[lo:hi], meds.max(axis=1), out=out[lo:hi])
+            np.maximum(out[lo:], -meds.min(axis=0), out=out[lo:])
+            lo = hi
+        # A negated zero term is -0.0 where the full audit has +0.0.
+        return out + 0.0
+
     def screen(self, losses, psi) -> "_WitnessPoolAudit":
         """Sub-audit of the _REFINE_SCREEN witnesses with the largest terms
         at one theta, given its block losses and norm."""
@@ -449,7 +476,9 @@ def oracle_grid_fit(
     """Exact minimax argmin over finite grids; ties go to the smallest theta.
 
     The cap bounds |grid_f| * |grid_g| * n, the number of median-increment
-    entries evaluated; the default 1e8 is practical for d <= 2.
+    entries evaluated; the default 1e8 is practical for d <= 2.  When the
+    two grids are equal, each unordered pair's median is taken once
+    (``_WitnessPoolAudit.self_values``), with the same objective.
     """
     pts_f = grid_f.points()
     pts_g = grid_g.points()
@@ -465,13 +494,15 @@ def oracle_grid_fit(
     n, m = p.n, p.m
 
     losses_f = _kernels.block_losses(X, y, pts_f, n, m)
-    same = pts_f.shape == pts_g.shape and np.array_equal(pts_f, pts_g)
-    losses_g = losses_f if same else _kernels.block_losses(X, y, pts_g, n, m)
-
     psi_f = psi_batch(obj.regularizer, pts_f)
-    psi_g = psi_batch(obj.regularizer, pts_g)
     # The grid of g's is a witness pool: the audit's value is the objective.
-    objective = _WitnessPoolAudit(losses_g, psi_g, obj.lam).value_from_losses(losses_f, psi_f)
+    if pts_f.shape == pts_g.shape and np.array_equal(pts_f, pts_g):
+        objective = _WitnessPoolAudit(losses_f, psi_f, obj.lam).self_values()
+    else:
+        audit = _WitnessPoolAudit(
+            _kernels.block_losses(X, y, pts_g, n, m), psi_batch(obj.regularizer, pts_g), obj.lam
+        )
+        objective = audit.value_from_losses(losses_f, psi_f)
 
     best = int(np.argmin(objective))  # row-major order = lexicographic tie-break
     return OracleFit(theta_hat=pts_f[best].copy(), objective=objective, grid_f=pts_f)

@@ -10,21 +10,27 @@ any violation beyond float roundoff indicates an arithmetic bug.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import block_increment, median, multiplier_component
+from .blocks import block_increments, multiplier_components
 from .datagen import NoiseSpec, generate
-from .errors import ConfigError, DimensionError, HypothesisViolated, ProbeOutOfRegime
+from .errors import (
+    ConfigError,
+    DimensionError,
+    HypothesisViolated,
+    InvalidInput,
+    ProbeOutOfRegime,
+)
 from .model import (
     BlockPartition,
     Dataset,
     DesignSpec,
     LinearPredictor,
     make_partition,
-    population_l2_distance,
 )
 from .objective import (
     ConditionParams,
@@ -104,6 +110,35 @@ class ConditionReport:
         }
 
 
+def _probe_geometry(probes, f_star: LinearPredictor, design: DesignSpec):
+    """The (k, d) stack of probe thetas, their offsets from f_star and their
+    exact L2(mu) distances to it.
+
+    The quadratic form is a stack of vector-matrix products and row-wise
+    dot products, so each distance is bitwise ``population_l2_distance``.
+    """
+    d = f_star.dim
+    if d != design.dim:
+        raise DimensionError(f"predictor dim {d} vs design dim {design.dim}")
+    thetas = [np.asarray(probe.theta, dtype=np.float64) for probe in probes]
+    for theta in thetas:
+        if theta.ndim != 1:
+            raise DimensionError("theta must be a 1-d coefficient vector")
+        if theta.shape[0] != d:
+            raise DimensionError(f"predictor dims differ: {theta.shape[0]} vs {d}")
+    thetas = np.array(thetas).reshape(len(thetas), d)
+    if not np.isfinite(thetas).all():
+        raise InvalidInput("coefficients must be finite")
+    deltas = thetas - f_star.theta
+    q = np.vecdot(np.matmul(deltas[:, None, :], design.covariance)[:, 0], deltas)
+    return thetas, deltas, np.sqrt(np.where(q < 0.0, 0.0, q))
+
+
+def _row_medians(stats: np.ndarray) -> np.ndarray:
+    mid = stats.shape[1] // 2
+    return np.partition(stats, mid, axis=1)[:, mid]
+
+
 def check_condition_one(
     data: Dataset,
     p: BlockPartition,
@@ -116,25 +151,23 @@ def check_condition_one(
 ) -> ConditionReport:
     """Far regime: fraction of blocks with increment >= gamma1 * distance^2.
 
-    Every probe must be at L2 distance >= r from f_star.
+    Every probe must be at L2 distance >= r from f_star.  The block
+    increments of all probes come from one stacked residual pass, and the
+    per-probe fractions and medians are taken row-wise.
     """
-    dists, fracs, meds = [], [], []
-    for probe in probes:
-        dist = population_l2_distance(probe, f_star, design)
-        if dist < r * (1.0 - 1e-9):  # roundoff allowance for exact-sphere probes
-            raise ProbeOutOfRegime(f"probe at distance {dist} < r = {r}")
-        b = block_increment(probe, f_star, data, p).values
-        thr = gamma1 * dist * dist
-        dists.append(dist)
-        fracs.append(float(np.count_nonzero(b >= thr)) / p.n)
-        meds.append(median(b))
-    fractions = np.asarray(fracs)
+    thetas, _, dists = _probe_geometry(probes, f_star, design)
+    # roundoff allowance for exact-sphere probes
+    inside = np.flatnonzero(dists < r * (1.0 - 1e-9))
+    if inside.size:
+        raise ProbeOutOfRegime(f"probe at distance {float(dists[inside[0]])} < r = {r}")
+    incs = block_increments(thetas, f_star, data, p)
+    fractions = np.count_nonzero(incs >= (gamma1 * dists * dists)[:, None], axis=1) / p.n
     per_pass = fractions >= fraction_threshold
     return ConditionReport(
         condition="increment_lower",
-        distances=np.asarray(dists),
+        distances=dists,
         fractions=fractions,
-        median_stats=np.asarray(meds),
+        median_stats=_row_medians(incs),
         threshold=fraction_threshold,
         per_probe_pass=per_pass,
         passed=bool(np.all(per_pass)),
@@ -157,32 +190,29 @@ def check_condition_two(
 
     Probes must be at L2 distance < r.  expected_multiplier is the analytic
     population value per probe; it is 0 in well-specified synthetic mode and
-    defaults to 0.
+    defaults to 0.  The multipliers of all probes come from one stacked
+    residual pass, and the per-probe fractions and medians are taken
+    row-wise.
     """
-    probes = list(probes)
+    thetas, _, dists = _probe_geometry(probes, f_star, design)
     if expected_multiplier is None:
-        expected = np.zeros(len(probes))
+        expected = np.zeros(len(dists))
     else:
         expected = np.broadcast_to(
-            np.asarray(expected_multiplier, dtype=np.float64), (len(probes),)
+            np.asarray(expected_multiplier, dtype=np.float64), (len(dists),)
         )
-    band = gamma2 * r * r
-    dists, fracs, meds = [], [], []
-    for probe, em in zip(probes, expected):
-        dist = population_l2_distance(probe, f_star, design)
-        if dist >= r * (1.0 + 1e-9):  # roundoff allowance, mirror of condition one
-            raise ProbeOutOfRegime(f"probe at distance {dist} >= r = {r}")
-        dev = np.abs(multiplier_component(probe, f_star, data, p).values - em)
-        dists.append(dist)
-        fracs.append(float(np.count_nonzero(dev <= band)) / p.n)
-        meds.append(median(dev))
-    fractions = np.asarray(fracs)
+    # roundoff allowance, mirror of condition one
+    outside = np.flatnonzero(dists >= r * (1.0 + 1e-9))
+    if outside.size:
+        raise ProbeOutOfRegime(f"probe at distance {float(dists[outside[0]])} >= r = {r}")
+    dev = np.abs(multiplier_components(thetas, f_star, data, p) - expected[:, None])
+    fractions = np.count_nonzero(dev <= gamma2 * r * r, axis=1) / p.n
     per_pass = fractions >= fraction_threshold
     return ConditionReport(
         condition="multiplier_band",
-        distances=np.asarray(dists),
+        distances=dists,
         fractions=fractions,
-        median_stats=np.asarray(meds),
+        median_stats=_row_medians(dev),
         threshold=fraction_threshold,
         per_probe_pass=per_pass,
         passed=bool(np.all(per_pass)),
@@ -407,17 +437,34 @@ class LemmaCheckReport:
         return sum(self.checked.values())
 
 
+_CONCLUSIONS = ("far", "sphere_near", "scaled_far", "scaled_near")
+
+
 def _check_blocks(report, idx, conclusion, hypothesis, lhs, rhs) -> None:
-    """Check lhs >= rhs on the blocks where the hypothesis mask holds;
-    count the others as skipped and append violations in block order."""
-    blocks = np.flatnonzero(hypothesis)
-    lhs = lhs[blocks]
-    report.checked[conclusion] += blocks.size
-    report.skipped[conclusion] += hypothesis.size - blocks.size
-    slack = _FLOAT_SLACK * np.maximum(1.0, np.maximum(np.abs(lhs), abs(rhs)))
-    bad = lhs < rhs - slack
-    for j, val in zip(blocks[bad], lhs[bad]):
-        report.violations.append(LemmaViolation(idx, int(j), conclusion, val, rhs))
+    """Check lhs >= rhs on the (probe, block) pairs where the hypothesis
+    mask holds; count the others as skipped and append violations in
+    probe-then-block order.
+
+    hypothesis and lhs are (probes, blocks) arrays with one probe index,
+    one conclusion and one rhs per row; one-dimensional arguments and a
+    single conclusion name are one probe.
+    """
+    hypothesis = np.atleast_2d(hypothesis)
+    idx = np.reshape(idx, -1)
+    names = [conclusion] * idx.size if isinstance(conclusion, str) else list(conclusion)
+    for name, count in zip(names, np.count_nonzero(hypothesis, axis=1).tolist()):
+        report.checked[name] += count
+        report.skipped[name] += hypothesis.shape[1] - count
+    rows, blocks = np.nonzero(hypothesis)
+    lhs = np.atleast_2d(lhs)[rows, blocks]
+    rhs = np.reshape(rhs, -1)[rows]
+    slack = _FLOAT_SLACK * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+    for i in np.flatnonzero(lhs < rhs - slack).tolist():
+        report.violations.append(
+            LemmaViolation(
+                int(idx[rows[i]]), int(blocks[i]), names[rows[i]], lhs[i], float(rhs[i])
+            )
+        )
 
 
 def lemma_reg_check(
@@ -440,11 +487,14 @@ def lemma_reg_check(
                     >= alpha (g1/2) dist^2 (far branch) or >= alpha g2 r^2
                     (near branch): super-linear growth.
 
-    The block increment and multiplier of h against f* come from the exact
-    residual path of ``blocks``, once per distinct probe theta: probes that
+    The block increments against f* of the distinct probe thetas and of
+    the scaled thetas f come from one stacked residual pass of ``blocks``
+    (one row per theta, bitwise the one-theta statistic), and the
+    multipliers of the distinct probe thetas from another; probes that
     share h (the scaled probes of one direction, and the near probe with
-    its scaled copies) reuse them.  Each conclusion is checked on all
-    blocks at once, with violations reported in block order.
+    its scaled copies) share their rows.  Distances and psi are taken for
+    all probes at once.  Each conclusion is checked as a (probe, block)
+    mask, with violations reported in probe-then-block order.
 
     lam must lie in the admissible window.  Violations beyond float
     roundoff indicate an arithmetic bug, not sampling noise.
@@ -455,71 +505,70 @@ def lemma_reg_check(
     g1, g2, r, rho = params.gamma1, params.gamma2, params.r, params.rho
     r2 = r * r
     psi_star = psi(reg, f_star.theta)
-    report = LemmaCheckReport()
-    for key in ("far", "sphere_near", "scaled_far", "scaled_near"):
-        report.checked.setdefault(key, 0)
-        report.skipped.setdefault(key, 0)
+    report = LemmaCheckReport(
+        checked=dict.fromkeys(_CONCLUSIONS, 0), skipped=dict.fromkeys(_CONCLUSIONS, 0)
+    )
+    probes = list(probes)
+    if not probes:
+        return report
+    thetas, deltas, dists = _probe_geometry(probes, f_star, design)
+    psi_h = psi_batch(reg, thetas).tolist()
+    psi_delta = psi_batch(reg, deltas).tolist()
+    on_sphere = [abs(pd - rho) <= _SPHERE_RTOL * rho for pd in psi_delta]
 
-    stats: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-    for idx, probe in enumerate(probes):
-        h = LinearPredictor(probe.theta)
-        dist = population_l2_distance(h, f_star, design)
-        delta = h.theta - f_star.theta
-        psi_h = psi(reg, h.theta)
-        psi_delta = psi(reg, delta)
+    # Statistics rows: one per distinct probe theta, then one per scaled
+    # probe on the psi-sphere, at f = f* + alpha (h - f*); scaled probes
+    # off the sphere are skipped without forming f.
+    firsts, row, seen = [], [], {}
+    for i, theta in enumerate(thetas):
+        key = theta.tobytes()
+        if key not in seen:
+            seen[key] = len(firsts)
+            firsts.append(i)
+        row.append(seen[key])
+    at_f = [i for i, probe in enumerate(probes) if probe.regime == REGIME_SCALED and on_sphere[i]]
+    alpha = np.array([probes[i].alpha for i in at_f], dtype=np.float64)
+    f_scaled = f_star.theta + alpha[:, None] * deltas[at_f]
+    if not np.isfinite(f_scaled).all():
+        raise InvalidInput("coefficients must be finite")
+    incs = block_increments(np.concatenate([thetas[firsts], f_scaled]), f_star, data, p)
+    b_h = incs[row]
+    m_h = multiplier_components(thetas[firsts], f_star, data, p)[row]
+    # The left side's increment and norm: at f for those scaled probes, at h
+    # for the others.
+    b_lhs = b_h.copy()
+    b_lhs[at_f] = incs[len(firsts) :]
+    psi_lhs = list(psi_h)
+    for i, psi_f in zip(at_f, psi_batch(reg, f_scaled).tolist()):
+        psi_lhs[i] = psi_f
+
+    # Per probe: its conclusion, whether the hypothesis gates of its regime
+    # hold, whether its block hypothesis is the far or the near mask, and
+    # the right side of its conclusion.
+    cases = []
+    for i, (probe, dist) in enumerate(zip(probes, dists.tolist())):
         em = probe.expected_multiplier
-        key = h.theta.tobytes()
-        if key not in stats:
-            stats[key] = (
-                block_increment(h, f_star, data, p).values,
-                multiplier_component(h, f_star, data, p).values,
-            )
-        b_h, m_h = stats[key]
-
         if probe.regime == REGIME_FAR:
-            if psi_delta > rho or dist < r:
-                report.skipped["far"] += p.n
-                continue
-            _check_blocks(
-                report, idx, "far", b_h >= g1 * dist * dist,
-                b_h + lam * (psi_h - psi_star), 0.5 * g1 * dist * dist,
-            )
-
+            gate = not (psi_delta[i] > rho or dist < r)
+            cases.append(("far", gate, True, 0.5 * g1 * dist * dist))
         elif probe.regime == REGIME_SPHERE_NEAR:
-            on_sphere = abs(psi_delta - rho) <= _SPHERE_RTOL * rho
-            norming_ok = psi_h - psi_star >= 0.7 * rho
-            if not (on_sphere and dist < r and em >= 0.0 and norming_ok):
-                report.skipped["sphere_near"] += p.n
-                continue
-            _check_blocks(
-                report, idx, "sphere_near", np.abs(m_h - em) <= g2 * r2,
-                b_h + lam * (psi_h - psi_star), 0.5 * g2 * r2,
-            )
+            norming_ok = psi_h[i] - psi_star >= 0.7 * rho
+            gate = on_sphere[i] and dist < r and em >= 0.0 and norming_ok
+            cases.append(("sphere_near", gate, False, 0.5 * g2 * r2))
+        elif not on_sphere[i] or dist >= r:
+            cases.append(("scaled_far", on_sphere[i], True, probe.alpha * 0.5 * g1 * dist * dist))
+        else:
+            norming_ok = psi_lhs[i] - psi_star >= (0.8 * probe.alpha - 0.1) * rho
+            cases.append(("scaled_near", em >= 0.0 and norming_ok, False, probe.alpha * g2 * r2))
+    conclusion, gates, far_side, rhs = zip(*cases)
 
-        else:  # REGIME_SCALED
-            alpha = probe.alpha
-            on_sphere = abs(psi_delta - rho) <= _SPHERE_RTOL * rho
-            if not on_sphere:
-                report.skipped["scaled_far"] += p.n
-                continue
-            f_scaled = LinearPredictor(f_star.theta + alpha * delta)
-            psi_f = psi(reg, f_scaled.theta)
-            b_f = block_increment(f_scaled, f_star, data, p).values
-            lhs = b_f + lam * (psi_f - psi_star)
-            if dist >= r:
-                _check_blocks(
-                    report, idx, "scaled_far", b_h >= g1 * dist * dist,
-                    lhs, alpha * 0.5 * g1 * dist * dist,
-                )
-            else:
-                norming_ok = psi_f - psi_star >= (0.8 * alpha - 0.1) * rho
-                if not (em >= 0.0 and norming_ok):
-                    report.skipped["scaled_near"] += p.n
-                    continue
-                _check_blocks(
-                    report, idx, "scaled_near", np.abs(m_h - em) <= g2 * r2,
-                    lhs, alpha * g2 * r2,
-                )
+    lhs = b_lhs + (lam * (np.array(psi_lhs) - psi_star))[:, None]
+    far_mask = b_h >= (g1 * dists * dists)[:, None]
+    expected = np.array([probe.expected_multiplier for probe in probes], dtype=np.float64)
+    near_mask = np.abs(m_h - expected[:, None]) <= g2 * r2
+    hypothesis = np.where(np.array(far_side)[:, None], far_mask, near_mask)
+    hypothesis &= np.array(gates)[:, None]
+    _check_blocks(report, np.arange(len(probes)), conclusion, hypothesis, lhs, np.array(rhs))
     return report
 
 
@@ -704,6 +753,13 @@ def _sparse_f_star(rng, d: int, support: int) -> np.ndarray:
     return theta
 
 
+@functools.cache
+def _identity_design(d: int) -> DesignSpec:
+    # DesignSpec is immutable, so one per dimension (8 to 24) serves every
+    # instance.
+    return DesignSpec.identity(d)
+
+
 def random_lemma_instance(rng, slope_fraction: float = 0.25):
     """One randomized dataset + parameter draw + probe battery.
 
@@ -716,7 +772,7 @@ def random_lemma_instance(rng, slope_fraction: float = 0.25):
     s = int(rng.integers(1, 4))
     f_star_theta = _sparse_f_star(rng, d, s)
     f_star = LinearPredictor(f_star_theta)
-    design = DesignSpec.identity(d)
+    design = _identity_design(d)
 
     use_slope = rng.uniform() < slope_fraction
     reg = Regularizer.slope(default_slope_weights(d)) if use_slope else Regularizer.l1()

@@ -4,18 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momreg import (
+    BlockPartition,
     Dataset,
     DimensionError,
+    InvalidInput,
     LinearPredictor,
     OddLengthRequired,
     block_increment,
+    block_increments,
     count_blocks_satisfying,
     make_partition,
     median,
     multiplier_component,
+    multiplier_components,
     quad_component,
 )
-from momreg import _kernels
+from momreg import _kernels, blocks
 
 
 def _loop_reference(X, y, tf, th, n, m):
@@ -75,6 +79,73 @@ def test_batched_block_losses_span_chunks():
     batch = _kernels.block_losses(X, y, thetas, 7, 5)
     rows = np.stack([_kernels.block_losses(X, y, t, 7, 5) for t in thetas])
     np.testing.assert_allclose(batch, rows, rtol=1e-12, atol=1e-14)
+
+
+def _one_theta_statistics(X, y, tf, th, n, m):
+    """The single-theta residual forms: X @ theta per theta, block means."""
+    inc = (
+        np.square(X @ tf - y).reshape(n, m).mean(axis=1)
+        - np.square(X @ th - y).reshape(n, m).mean(axis=1)
+    )
+    mult = 2.0 * ((X @ (tf - th)) * (X @ th - y)).reshape(n, m).mean(axis=1)
+    return inc, mult
+
+
+# N = 5000 takes 13 thetas per stacked chunk; N = 70000 one.
+@pytest.mark.parametrize("d, n, m, k", [(1, 5, 9, 7), (3, 101, 49, 30), (29, 7, 10000, 3),
+                                        (5, 11, 11, 0)])
+def test_stacked_statistics_are_the_one_theta_rows(d, n, m, k):
+    rng = np.random.default_rng(d)
+    N = n * m + 2  # two trailing rows outside the partition
+    X = rng.standard_normal((N, d)) * rng.choice([1.0, 1e3], size=(N, 1), p=[0.95, 0.05])
+    y = X @ rng.standard_normal(d) + rng.standard_normal(N)
+    y[rng.choice(N, size=3, replace=False)] = 1e6
+    data = Dataset(X, y)
+    p = make_partition(N, n)
+    h = LinearPredictor(rng.standard_normal(d))
+    thetas = np.vstack([rng.standard_normal((k, d)) * 10.0 ** rng.integers(-3, 3, (k, 1)),
+                        h.theta[None, :]])[-k:] if k else np.zeros((0, d))
+    incs = block_increments(thetas, h, data, p)
+    mults = multiplier_components(thetas, h, data, p)
+    assert incs.shape == mults.shape == (k, n)
+    for theta, inc, mult in zip(thetas, incs, mults):
+        ref_inc, ref_mult = _one_theta_statistics(X[: p.total], y[: p.total], theta, h.theta, n, m)
+        np.testing.assert_array_equal(inc, ref_inc)
+        np.testing.assert_array_equal(mult, ref_mult)
+        f = LinearPredictor(theta)
+        np.testing.assert_array_equal(block_increment(f, h, data, p).values, ref_inc)
+        np.testing.assert_array_equal(multiplier_component(f, h, data, p).values, ref_mult)
+    if k:
+        assert np.array_equal(incs[-1], np.zeros(n))  # the last theta is h itself
+        # a non-contiguous stack gives the same rows
+        wide = np.repeat(thetas, 2, axis=1)[:, ::2]
+        np.testing.assert_array_equal(block_increments(wide, h, data, p), incs)
+
+
+def test_stacked_chunks_bound_the_temporaries():
+    for total in (1, 300, 5000, 65536, 65537, 10**6):
+        chunks = list(blocks._chunks(200, make_partition(total, 1)))
+        rows = chunks[0].stop - chunks[0].start
+        assert rows == max(1, blocks._STACK_ENTRIES // total)
+        assert [c.start for c in chunks] == list(range(0, 200, rows))
+
+
+def test_stacked_statistics_reject_bad_stacks():
+    rng = np.random.default_rng(0)
+    data = Dataset(rng.standard_normal((9, 2)), rng.standard_normal(9))
+    p = make_partition(9, 3)
+    h = LinearPredictor([1.0, 2.0])
+    for stats in (block_increments, multiplier_components):
+        with pytest.raises(DimensionError):
+            stats(np.ones(2), h, data, p)
+        with pytest.raises(DimensionError):
+            stats(np.ones((3, 3)), h, data, p)
+        with pytest.raises(DimensionError):
+            stats(np.ones((3, 2)), h, data, BlockPartition(3, 5))
+        with pytest.raises(InvalidInput), np.errstate(over="ignore", invalid="ignore"):
+            stats(np.array([[1.0, 2.0], [np.inf, 0.0]]), h, data, p)
+    with pytest.raises(InvalidInput), np.errstate(over="ignore"):
+        block_increments(np.array([[1e200, 1e200]]), h, data, p)
 
 
 @st.composite

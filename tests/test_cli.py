@@ -323,6 +323,38 @@ class TestConfigValues:
         with pytest.raises(ConfigError):
             resolve_config(doc)
 
+    # Each of these overflowed inside the run (a warning, then exit 0 with a
+    # null Delta or exit 2), or fell back to the default probe distance.
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("conditions.rho", 1e300),
+            ("data.generate.noise.scale", 1e300),
+            ("data.generate.theta_star", [1.0, -1e101, 2.0]),
+            ("conditions.far_distance", 0),
+            ("conditions.near_distance", 0.0),
+        ],
+    )
+    @pytest.mark.parametrize("mode", ["simulate", "verify"])
+    def test_huge_and_zero_values_exit_cleanly(self, tmp_path, capsys, mode, key, value):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_set_path(_D3_CONFIG, key, value)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([mode, "--config", str(cfg_path)]) == 2
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert capsys.readouterr().err.startswith(f"error: {key} must be ")
+
+    def test_null_probe_distances_keep_the_defaults(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        doc = _set_path(_D3_CONFIG, "conditions.far_distance", None)
+        cfg_path.write_text(json.dumps(_set_path(doc, "conditions.near_distance", None)))
+        assert main(["verify", "--config", str(cfg_path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        r = resolve_config(doc)["conditions"]["r"]
+        np.testing.assert_allclose(report["condition_one"]["distances"], r, rtol=1e-12)
+        np.testing.assert_allclose(report["condition_two"]["distances"], r / 2.0, rtol=1e-12)
+
     def test_bad_flag_value_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(_D3_CONFIG))

@@ -556,3 +556,45 @@ class TestOracleGridFit:
         assert fit.objective.shape == (41,)
         best = int(np.argmin(fit.objective))
         np.testing.assert_array_equal(fit.theta_hat, fit.grid_f[best])
+
+    # Clean and corrupted data, lam 0 and lam > 0 with l1 and slope: the
+    # symmetric audit of equal grids is the full audit of the pool against
+    # itself, sign of zero included.  601 points over 15 blocks span many
+    # batches of the audit's temporary budget.
+    @pytest.mark.parametrize("corrupt", [False, True])
+    @pytest.mark.parametrize(
+        "obj",
+        [ObjectiveConfig(), ObjectiveConfig(0.05, Regularizer.l1()),
+         ObjectiveConfig(0.03, Regularizer.slope(d=2))],
+        ids=["none", "l1", "slope"],
+    )
+    def test_equal_grids_take_each_pair_once(self, obj, corrupt):
+        rng = np.random.default_rng(13)
+        for d, grid in ((1, GridSpec(axes=((-3.0, 3.0, 0.01),))),
+                        (2, GridSpec(axes=((-1.0, 1.0, 0.1), (-0.5, 1.5, 0.25))))):
+            if obj.regularizer.kind == "slope" and d == 1:
+                continue
+            X = rng.standard_normal((300, d))
+            y = X @ np.linspace(0.5, -0.5, d) + rng.standard_normal(300)
+            if corrupt:
+                y[rng.choice(300, 3, replace=False)] = 1e6
+            data, p = Dataset(X, y), make_partition(300, 15)
+            pts = grid.points()
+            losses = _kernels.block_losses(X, y, pts, p.n, p.m)
+            psis = psi_batch(obj.regularizer, pts)
+            full = solver._WitnessPoolAudit(losses, psis, obj.lam).value_from_losses(losses, psis)
+            fit = oracle_grid_fit(data, p, obj, grid, grid)
+            np.testing.assert_array_equal(fit.objective, full)
+            np.testing.assert_array_equal(np.signbit(fit.objective), np.signbit(full))
+            np.testing.assert_array_equal(fit.theta_hat, pts[int(np.argmin(full))])
+        # A grid of g's that differs from the grid of f's takes the full audit.
+        other = GridSpec(axes=((-1.0, 1.0, 0.1), (-0.5, 1.5, 0.5)))
+        pts_g = other.points()
+        audit = solver._WitnessPoolAudit(
+            _kernels.block_losses(X, y, pts_g, p.n, p.m), psi_batch(obj.regularizer, pts_g),
+            obj.lam,
+        )
+        np.testing.assert_array_equal(
+            oracle_grid_fit(data, p, obj, grid, other).objective,
+            audit.value_from_losses(losses, psis),
+        )

@@ -1,5 +1,6 @@
-"""The array forms of estimate_delta, norming_functional and lemma_reg_check
-against the loop forms they replaced, kept here as references.
+"""The array forms of estimate_delta, norming_functional, lemma_reg_check
+and the two block-condition checks against the loop forms they replaced,
+kept here as references.
 
 The array forms keep the arithmetic of the loops (the same dot products,
 the same order of operations per block), so every comparison is exact.
@@ -11,6 +12,7 @@ import pytest
 
 from momreg import (
     ConditionParams,
+    Dataset,
     DesignSpec,
     DimensionError,
     InvalidInput,
@@ -19,6 +21,8 @@ from momreg import (
     NoiseSpec,
     Regularizer,
     default_slope_weights,
+    check_condition_one,
+    check_condition_two,
     estimate_delta,
     generate,
     lemma_reg_check,
@@ -26,13 +30,14 @@ from momreg import (
     norming_functional,
     psi,
 )
-from momreg import verify
-from momreg.blocks import BlockVector, block_increment
-from momreg.errors import ConfigError
+from momreg import blocks, verify
+from momreg.blocks import block_increment, block_increments
+from momreg.errors import ConfigError, ProbeOutOfRegime
 from momreg.model import population_l2_distance
 from momreg.objective import lambda_window
 from momreg.verify import (
     _FLOAT_SLACK,
+    ConditionReport,
     _SPHERE_RTOL,
     REGIME_FAR,
     REGIME_SCALED,
@@ -42,6 +47,7 @@ from momreg.verify import (
     LemmaViolation,
     _delta_directions,
     random_lemma_instance,
+    sample_sphere_probes,
 )
 
 # ---------------------------------------------------------------------------
@@ -145,8 +151,8 @@ def _lemma_reg_check_ref(probes, f_star, data, p, params, lam, reg, design):
         psi_h = _psi_ref(reg, h.theta)
         psi_delta = _psi_ref(reg, delta)
         em = probe.expected_multiplier
-        b_h = verify.block_increment(h, f_star, data, p).values
-        m_h = verify.multiplier_component(h, f_star, data, p).values
+        b_h = blocks.block_increment(h, f_star, data, p).values
+        m_h = blocks.multiplier_component(h, f_star, data, p).values
         near = [abs(m_h[j] - em) <= g2 * r2 for j in range(p.n)]
         far = [b_h[j] >= g1 * dist * dist for j in range(p.n)]
         if probe.regime == REGIME_FAR:
@@ -170,7 +176,7 @@ def _lemma_reg_check_ref(probes, f_star, data, p, params, lam, reg, design):
                 continue
             f_scaled = LinearPredictor(f_star.theta + alpha * delta)
             psi_f = _psi_ref(reg, f_scaled.theta)
-            b_f = verify.block_increment(f_scaled, f_star, data, p).values
+            b_f = blocks.block_increment(f_scaled, f_star, data, p).values
             lhs_reg = lam * (psi_f - psi_star)
             lhs = [b + lhs_reg for b in b_f]
             if dist >= r:
@@ -182,6 +188,58 @@ def _lemma_reg_check_ref(probes, f_star, data, p, params, lam, reg, design):
                     continue
                 check(idx, "scaled_near", near, lhs, alpha * g2 * r2)
     return report
+
+
+def _condition_report(condition, dists, fracs, meds, fraction_threshold):
+    fractions = np.asarray(fracs)
+    per_pass = fractions >= fraction_threshold
+    return ConditionReport(
+        condition=condition,
+        distances=np.asarray(dists),
+        fractions=fractions,
+        median_stats=np.asarray(meds),
+        threshold=fraction_threshold,
+        per_probe_pass=per_pass,
+        passed=bool(np.all(per_pass)),
+    )
+
+
+def _check_condition_one_ref(data, p, f_star, probes, gamma1, r, design, fraction_threshold=0.9):
+    dists, fracs, meds = [], [], []
+    for probe in probes:
+        dist = population_l2_distance(probe, f_star, design)
+        if dist < r * (1.0 - 1e-9):
+            raise ProbeOutOfRegime(f"probe at distance {dist} < r = {r}")
+        b = blocks.block_increment(probe, f_star, data, p).values
+        thr = gamma1 * dist * dist
+        dists.append(dist)
+        fracs.append(float(np.count_nonzero(b >= thr)) / p.n)
+        meds.append(blocks.median(b))
+    return _condition_report("increment_lower", dists, fracs, meds, fraction_threshold)
+
+
+def _check_condition_two_ref(
+    data, p, f_star, probes, gamma2, r, design, expected_multiplier=None,
+    fraction_threshold=0.9,
+):
+    probes = list(probes)
+    if expected_multiplier is None:
+        expected = np.zeros(len(probes))
+    else:
+        expected = np.broadcast_to(
+            np.asarray(expected_multiplier, dtype=np.float64), (len(probes),)
+        )
+    band = gamma2 * r * r
+    dists, fracs, meds = [], [], []
+    for probe, em in zip(probes, expected):
+        dist = population_l2_distance(probe, f_star, design)
+        if dist >= r * (1.0 + 1e-9):
+            raise ProbeOutOfRegime(f"probe at distance {dist} >= r = {r}")
+        dev = np.abs(blocks.multiplier_component(probe, f_star, data, p).values - em)
+        dists.append(dist)
+        fracs.append(float(np.count_nonzero(dev <= band)) / p.n)
+        meds.append(blocks.median(dev))
+    return _condition_report("multiplier_band", dists, fracs, meds, fraction_threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -287,6 +345,87 @@ def test_estimate_delta_without_feasible_steps_matches_loop():
 
 
 # ---------------------------------------------------------------------------
+# the two block conditions
+# ---------------------------------------------------------------------------
+
+
+def _assert_same_condition_report(got, ref):
+    assert got.to_dict() == ref.to_dict()
+    for name in ("distances", "fractions", "median_stats", "per_probe_pass"):
+        a, b = getattr(got, name), getattr(ref, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and np.all(a == b)
+
+
+def _condition_instance(d, N, n, seed, corrupt):
+    """Data with a general covariance; with corrupt, a few rows at 1e3 in
+    the design and 1e6 in the response."""
+    rng = np.random.default_rng(seed)
+    A = rng.standard_normal((d, d))
+    design = DesignSpec(A @ A.T + np.eye(d))
+    f_star = LinearPredictor(rng.standard_normal(d))
+    data = generate(N, d, f_star.theta, design, NoiseSpec("gaussian", 0.5), seed)
+    if corrupt:
+        X, y = data.features.copy(), data.responses.copy()
+        rows = rng.choice(N, size=5, replace=False)
+        X[rows[:2]] *= 1e3
+        y[rows[2:]] = 1e6
+        data = Dataset(X, y)
+    return data, make_partition(N, n), f_star, design
+
+
+# N = 5000 puts 13 probes in each stacked chunk, so 40 probes span four.
+@pytest.mark.parametrize(
+    "d, N, n, corrupt", [(1, 45, 5, False), (3, 5000, 101, False), (6, 5000, 51, True),
+                         (24, 303, 11, True)]
+)
+def test_condition_checks_match_loop(d, N, n, corrupt):
+    data, p, f_star, design = _condition_instance(d, N, n, d, corrupt)
+    rng = np.random.default_rng(d + 1)
+    far = sample_sphere_probes(f_star, design, 2.0, 40, rng)
+    near = sample_sphere_probes(f_star, design, 1.0, 40, rng)
+    # a far probe beyond the sphere, and near probes on the sphere's edge
+    # and at f* itself
+    far.append(LinearPredictor(f_star.theta + 3.0 * (far[0].theta - f_star.theta)))
+    near.append(f_star)
+    args = (data, p, f_star)
+    _assert_same_condition_report(
+        check_condition_one(*args, far, 0.5, 2.0, design, 0.8),
+        _check_condition_one_ref(*args, far, 0.5, 2.0, design, 0.8),
+    )
+    for em in (None, 0.1, np.linspace(-0.2, 0.2, len(near))):
+        _assert_same_condition_report(
+            check_condition_two(*args, near, 0.2, 2.0, design, em, 0.7),
+            _check_condition_two_ref(*args, near, 0.2, 2.0, design, em, 0.7),
+        )
+    for check, ref in ((check_condition_one, _check_condition_one_ref),
+                       (check_condition_two, _check_condition_two_ref)):
+        _assert_same_condition_report(
+            check(*args, [], 0.5, 2.0, design), ref(*args, [], 0.5, 2.0, design)
+        )
+
+
+def test_condition_checks_raise_at_the_first_out_of_regime_probe():
+    data, p, f_star, design = _condition_instance(3, 303, 11, 0, False)
+    rng = np.random.default_rng(0)
+    far = sample_sphere_probes(f_star, design, 2.0, 5, rng)
+    near = sample_sphere_probes(f_star, design, 1.0, 5, rng)
+    mixed_far = far[:2] + near[3:5] + far[2:]
+    mixed_near = near[:1] + far[1:] + near
+    args = (data, p, f_star)
+    for check, ref, probes, gamma in (
+        (check_condition_one, _check_condition_one_ref, mixed_far, 0.5),
+        (check_condition_two, _check_condition_two_ref, mixed_near, 0.2),
+    ):
+        with pytest.raises(ProbeOutOfRegime) as ref_err:
+            ref(*args, probes, gamma, 1.5, design)
+        with pytest.raises(ProbeOutOfRegime) as got_err:
+            check(*args, probes, gamma, 1.5, design)
+        assert str(got_err.value) == str(ref_err.value)
+        with pytest.raises(DimensionError):
+            check(*args, probes[:1] + [LinearPredictor(np.zeros(4))], gamma, 1.5, design)
+
+
+# ---------------------------------------------------------------------------
 # lemma_reg_check
 # ---------------------------------------------------------------------------
 
@@ -341,12 +480,20 @@ _FAULTS = {
     "fault, slope_fraction", [("cubic", 0.0), ("cubic", 1.0), ("constant", 0.0)]
 )
 def test_lemma_reg_check_matches_loop_on_violations(monkeypatch, slope_fraction, fault):
-    def faulty_increment(f, h, data, p):
-        shift = _FAULTS[fault](float(np.linalg.norm(f.theta - h.theta)))
-        return BlockVector(block_increment(f, h, data, p).values - shift)
+    def shift(f_theta, h):
+        return _FAULTS[fault](float(np.linalg.norm(f_theta - h.theta)))
 
-    # both the array path and the reference look the increment up in verify
-    monkeypatch.setattr(verify, "block_increment", faulty_increment)
+    def faulty_increment(f, h, data, p):
+        return blocks.BlockVector(block_increment(f, h, data, p).values - shift(f.theta, h))
+
+    def faulty_increments(thetas, h, data, p):
+        shifts = np.array([shift(theta, h) for theta in thetas])
+        return block_increments(thetas, h, data, p) - shifts[:, None]
+
+    # the stacked path looks its increments up in verify, the reference in
+    # blocks; both see the same fault on every row
+    monkeypatch.setattr(verify, "block_increments", faulty_increments)
+    monkeypatch.setattr(blocks, "block_increment", faulty_increment)
     rng = np.random.default_rng(3)
     conclusions = set()
     for _ in range(6):
@@ -389,26 +536,32 @@ def test_lemma_reg_check_runs_block_checks_for_each_distinct_probe():
 
 
 def test_probe_statistics_once_per_distinct_theta(monkeypatch):
-    calls = {"block_increment": 0, "multiplier_component": 0}
+    # one stacked call per instance, with one row per distinct theta
+    rows = {"block_increments": [], "multiplier_components": []}
 
     def counting(name):
         real = getattr(verify, name)
 
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
+        def wrapper(thetas, *args):
+            rows[name].append(len(thetas))
+            return real(thetas, *args)
 
         return wrapper
 
-    for name in calls:
+    for name in rows:
         monkeypatch.setattr(verify, name, counting(name))
     rng = np.random.default_rng(5)
     for _ in range(20):
-        probes, *rest = random_lemma_instance(rng, slope_fraction=0.5)
-        before = dict(calls)
-        lemma_reg_check(probes, *rest)
-        distinct = len({pr.theta.tobytes() for pr in probes})
+        probes, f_star, *rest = random_lemma_instance(rng, slope_fraction=0.5)
         scaled = sum(pr.regime == REGIME_SCALED for pr in probes)
-        assert calls["multiplier_component"] - before["multiplier_component"] == distinct
-        # one more increment per scaled probe, at f* + alpha (h - f*)
-        assert calls["block_increment"] - before["block_increment"] == distinct + scaled
+        # a scaled probe off the psi-sphere is skipped without forming f
+        off = f_star.theta + 0.5 * (probes[-1].theta - f_star.theta)
+        probes = probes + [LemmaProbe(off, REGIME_SCALED, alpha=2.0)]
+        for calls in rows.values():
+            calls.clear()
+        lemma_reg_check(probes, f_star, *rest)
+        distinct = len({pr.theta.tobytes() for pr in probes})
+        assert rows["multiplier_components"] == [distinct]
+        # one more increment row per scaled probe on the sphere, at
+        # f* + alpha (h - f*)
+        assert rows["block_increments"] == [distinct + scaled]
