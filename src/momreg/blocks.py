@@ -27,7 +27,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import DimensionError, InvalidInput, OddLengthRequired
-from .model import BlockPartition, Dataset, LinearPredictor, _frozen_array
+from .model import BlockPartition, Dataset, LinearPredictor, _frozen_array, covered_rows
 
 
 @dataclass(frozen=True)
@@ -57,11 +57,7 @@ def _used_arrays(f_dim: int, h: LinearPredictor, data: Dataset, p: BlockPartitio
         raise DimensionError(f"predictor dims differ: {f_dim} vs {h.dim}")
     if f_dim != data.dim:
         raise DimensionError(f"predictor dim {f_dim} vs data dim {data.dim}")
-    if p.total > data.n_samples:
-        raise DimensionError(
-            f"partition covers {p.total} samples but dataset has {data.n_samples}"
-        )
-    return data.features[: p.total], data.responses[: p.total]
+    return covered_rows(data, p)
 
 
 def _block_means(v: np.ndarray, p: BlockPartition) -> np.ndarray:

@@ -5,6 +5,14 @@ single JSON document; CLI flags override config fields and the fully
 resolved config is embedded in every report, so any Monte Carlo claim in a
 report can be audited and reproduced from the report alone.
 
+Every mode builds its inputs through ``_trial_inputs``: read data.csv (fit
+only) or generate the sample, corrupt it, permute it, and split it into
+``partition.blocks`` blocks, each step seeded from (seed, trial, stream).
+simulate and corrupt-bench run ``_run_single_trial`` on those inputs;
+simulate and verify sample their condition probes in
+``_condition_reports``.  Invalid configs, unreadable files and runs that
+cannot be done (such as more blocks than samples) exit 2 with ``error: ``.
+
 Report files are byte-identical across reruns with the same config and
 seed; wall-clock information lives in a separate "meta" field excluded
 from that comparison.
@@ -21,7 +29,7 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 
 from .datagen import CorruptionSpec, NoiseSpec, corrupt, generate
-from .errors import ConfigError, MomregError
+from .errors import ConfigError, MomregError, ParseError
 from .model import (
     DesignSpec,
     LinearPredictor,
@@ -353,22 +361,15 @@ def _params_from_config(cfg: dict) -> ConditionParams:
     )
 
 
-def _probe_distances(cfg: dict, params: ConditionParams) -> tuple[float, float]:
-    """Distances of the condition-one and condition-two probes: the config's,
-    or r and r / 2 where they are null."""
-    far, near = cfg["conditions"]["far_distance"], cfg["conditions"]["near_distance"]
-    return (params.r if far is None else far, params.r / 2.0 if near is None else near)
-
-
 def _corruption_from_config(cfg: dict) -> CorruptionSpec | None:
     c = cfg["corruption"]
-    if c is None or c.get("count", 0) == 0:
+    if c is None or (c.get("count", 0) == 0 and c.get("indices") is None):
         return None
     return CorruptionSpec(
         count=int(c["count"]),
         mode=c.get("mode", "huge_response"),
         magnitude=float(c.get("magnitude", 1e6)),
-        indices=tuple(c["indices"]) if c.get("indices") else None,
+        indices=None if c.get("indices") is None else tuple(c["indices"]),
     )
 
 
@@ -388,37 +389,78 @@ def _solver_seed(master: int, trial: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# single-trial pipeline (module-level so worker processes can pickle it)
+# trial pipeline (module-level so worker processes can pickle it)
 # ---------------------------------------------------------------------------
+
+def _trial_inputs(cfg: dict, trial: int):
+    """The one path from config to data: read data.csv or generate the sample
+    (seed stream 0), corrupt it (stream 1), permute it (stream 3) and split it
+    into partition.blocks blocks.
+
+    Returns (design, theta_star, clean, data, corrupted_indices, partition):
+    design and theta_star are None for a CSV, clean is the sample before
+    corruption and permutation, and corrupted_indices is None when nothing
+    was corrupted.
+    """
+    master = cfg["seed"]
+    csv_path = cfg["data"]["csv"]
+    design = theta_star = None
+    if csv_path is not None:
+        try:
+            clean = load_dataset(csv_path)
+        except OSError as exc:
+            raise ConfigError(f"cannot read data.csv {csv_path!r}: {exc.strerror}") from exc
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"data.csv {csv_path!r} is not UTF-8 text: {exc}") from exc
+    else:
+        gen = cfg["data"]["generate"]
+        design = _design_from_config(gen)
+        theta_star = _theta_star_from_config(gen)
+        clean = generate(
+            gen["n_samples"], gen["dim"], theta_star, design,
+            _noise_from_config(gen), _trial_seed(master, trial, 0),
+        )
+    data, corrupted_indices = clean, None
+    spec = _corruption_from_config(cfg)
+    if spec is not None:
+        data, corrupted_indices = corrupt(clean, spec, _trial_seed(master, trial, 1))
+    if cfg["partition"]["permute"]:
+        data = permute_dataset(data, _trial_seed(master, trial, 3))
+    p = make_partition(data.n_samples, cfg["partition"]["blocks"])
+    return design, theta_star, clean, data, corrupted_indices, p
+
+
+def _condition_reports(cfg: dict, trial: int, data, p, theta_star, design, count: int):
+    """Sample count far and count near probes (seed stream 4) at the config's
+    distances, or r and r / 2 where they are null, and run both condition
+    checks on them."""
+    params = _params_from_config(cfg)
+    c = cfg["conditions"]
+    f_star = LinearPredictor(theta_star)
+    rng = np.random.default_rng(_trial_seed(cfg["seed"], trial, 4))
+    far_dist = params.r if c["far_distance"] is None else c["far_distance"]
+    near_dist = params.r / 2.0 if c["near_distance"] is None else c["near_distance"]
+    far = sample_sphere_probes(f_star, design, far_dist, count, rng)
+    near = sample_sphere_probes(f_star, design, near_dist, count, rng)
+    return (
+        check_condition_one(
+            data, p, f_star, far, params.gamma1, params.r, design, c["block_fraction"]
+        ),
+        check_condition_two(
+            data, p, f_star, near, params.gamma2, params.r, design,
+            fraction_threshold=c["block_fraction"],
+        ),
+    )
+
 
 def _run_single_trial(payload: tuple[str, int]) -> dict:
     cfg = json.loads(payload[0])
     trial = payload[1]
-    master = cfg["seed"]
-    gen = cfg["data"]["generate"]
-    design = _design_from_config(gen)
-    theta_star = _theta_star_from_config(gen)
-    noise = _noise_from_config(gen)
-
-    data = generate(
-        gen["n_samples"], gen["dim"], theta_star, design, noise,
-        _trial_seed(master, trial, 0),
-    )
-    corrupted_indices = None
-    spec = _corruption_from_config(cfg)
-    clean = data
-    if spec is not None:
-        data, corrupted_indices = corrupt(data, spec, _trial_seed(master, trial, 1))
-    if cfg["partition"]["permute"]:
-        data = permute_dataset(data, _trial_seed(master, trial, 3))
-    p = make_partition(data.n_samples, cfg["partition"]["blocks"])
-
-    obj = _objective_from_config(cfg, gen["dim"])
-    solver_cfg = _solver_from_config(cfg, _solver_seed(master, trial))
+    design, theta_star, clean, data, corrupted_indices, p = _trial_inputs(cfg, trial)
+    obj = _objective_from_config(cfg, data.dim)
+    solver_cfg = _solver_from_config(cfg, _solver_seed(cfg["seed"], trial))
     result = mom_minimax_fit(data, p, obj, solver_cfg)
-    f_star = LinearPredictor(theta_star)
     ols = erm_fit(data)
-    clean_ols = erm_fit(clean) if spec is not None else ols
 
     params = _params_from_config(cfg)
     record: dict = {
@@ -435,31 +477,16 @@ def _run_single_trial(payload: tuple[str, int]) -> dict:
         },
         "corrupted_indices": corrupted_indices,
     }
-    if spec is not None:
+    if corrupted_indices is not None:
         record["clean_ols"] = {
-            "excess_risk": excess_risk(clean_ols.theta, theta_star, design)
+            "excess_risk": excess_risk(erm_fit(clean).theta, theta_star, design)
         }
 
     reports = None
     n_probes = int(cfg["conditions"]["probes"])
     if n_probes > 0:
-        rng = np.random.default_rng(_trial_seed(master, trial, 4))
-        far_dist, near_dist = _probe_distances(cfg, params)
-        far = sample_sphere_probes(f_star, design, far_dist, n_probes, rng)
-        near = sample_sphere_probes(f_star, design, near_dist, n_probes, rng)
-        rep1 = check_condition_one(
-            data, p, f_star, far, params.gamma1, params.r, design,
-            cfg["conditions"]["block_fraction"],
-        )
-        rep2 = check_condition_two(
-            data, p, f_star, near, params.gamma2, params.r, design,
-            fraction_threshold=cfg["conditions"]["block_fraction"],
-        )
-        reports = (rep1, rep2)
-        record["conditions"] = {
-            "one": rep1.to_dict(),
-            "two": rep2.to_dict(),
-        }
+        reports = _condition_reports(cfg, trial, data, p, theta_star, design, n_probes)
+        record["conditions"] = {"one": reports[0].to_dict(), "two": reports[1].to_dict()}
 
     record["theorem1"] = theorem1_check(
         result.theta_hat, theta_star, design, params, reports
@@ -469,35 +496,6 @@ def _run_single_trial(payload: tuple[str, int]) -> dict:
             result.theta_hat, theta_star, design, params, obj.regularizer
         ).to_dict()
     return record
-
-
-def _run_corrupt_bench_trial(payload: tuple[str, int]) -> dict:
-    cfg = json.loads(payload[0])
-    trial = payload[1]
-    master = cfg["seed"]
-    gen = cfg["data"]["generate"]
-    design = _design_from_config(gen)
-    theta_star = _theta_star_from_config(gen)
-    noise = _noise_from_config(gen)
-
-    clean = generate(
-        gen["n_samples"], gen["dim"], theta_star, design, noise,
-        _trial_seed(master, trial, 0),
-    )
-    spec = _corruption_from_config(cfg) or CorruptionSpec(count=10)
-    bad, corrupted_indices = corrupt(clean, spec, _trial_seed(master, trial, 1))
-    p = make_partition(bad.n_samples, cfg["partition"]["blocks"])
-
-    obj = _objective_from_config(cfg, gen["dim"])
-    solver_cfg = _solver_from_config(cfg, _solver_seed(master, trial))
-    mom = mom_minimax_fit(bad, p, obj, solver_cfg)
-    return {
-        "trial": trial,
-        "clean_ols_excess": excess_risk(erm_fit(clean).theta, theta_star, design),
-        "corrupted_ols_excess": excess_risk(erm_fit(bad).theta, theta_star, design),
-        "mom_excess": excess_risk(mom.theta_hat, theta_star, design),
-        "corrupted_indices": corrupted_indices,
-    }
 
 
 _ROUTING_KEYS = ("out", "csv_out", "workers")
@@ -536,30 +534,12 @@ def _quantiles(values) -> dict:
 
 def run_fit(cfg: dict) -> dict:
     """Fit once on a CSV (or a generated dataset) and report both estimators."""
-    csv_path = cfg["data"]["csv"]
-    gen = cfg["data"]["generate"]
-    design = None
-    theta_star = None
-    if csv_path is not None:
-        data = load_dataset(csv_path)
-    else:
-        design = _design_from_config(gen)
-        theta_star = _theta_star_from_config(gen)
-        data = generate(
-            gen["n_samples"], gen["dim"], theta_star, design,
-            _noise_from_config(gen), _trial_seed(cfg["seed"], 0, 0),
-        )
-    if cfg["partition"]["permute"]:
-        data = permute_dataset(data, _trial_seed(cfg["seed"], 0, 3))
-    n = min(cfg["partition"]["blocks"], data.n_samples)
-    if n % 2 == 0:
-        n -= 1
-    p = make_partition(data.n_samples, n)
+    design, theta_star, _, data, corrupted_indices, p = _trial_inputs(cfg, 0)
     obj = _objective_from_config(cfg, data.dim)
     result = mom_minimax_fit(data, p, obj, _solver_from_config(cfg, cfg["seed"]))
     ols = erm_fit(data)
     record = {
-        "source": csv_path or "generated",
+        "source": cfg["data"]["csv"] or "generated",
         "n_samples": data.n_samples,
         "dim": data.dim,
         "blocks": p.n,
@@ -571,6 +551,7 @@ def run_fit(cfg: dict) -> dict:
             "best_surrogate": result.best_surrogate,
         },
         "ols": {"theta_hat": [float(v) for v in ols.theta]},
+        "corrupted_indices": corrupted_indices,
     }
     if theta_star is not None:
         record["mom"]["excess_risk"] = excess_risk(
@@ -600,12 +581,18 @@ def run_simulate(cfg: dict) -> dict:
 
 
 def run_corrupt_bench(cfg: dict) -> dict:
-    """Clean-OLS vs corrupted-OLS vs MOM-on-corrupted excess risks."""
+    """Clean-OLS vs corrupted-OLS vs MOM-on-corrupted excess risks, over the
+    simulate trials; a null corruption runs as 10 rows at 1e6."""
     _require_generated(cfg, "corrupt-bench")
-    records = _map_trials(_run_corrupt_bench_trial, cfg)
-    clean = float(np.median([rec["clean_ols_excess"] for rec in records]))
-    bad = float(np.median([rec["corrupted_ols_excess"] for rec in records]))
-    mom = float(np.median([rec["mom_excess"] for rec in records]))
+    if cfg["corruption"] is None:
+        cfg = {**cfg, "corruption": {"count": 10}}
+    if cfg["corruption"].get("count", 0) < 1:
+        raise ConfigError("corrupt-bench needs corruption.count >= 1")
+    records = _map_trials(_run_single_trial, cfg)
+    clean, bad, mom = (
+        float(np.median([rec[key]["excess_risk"] for rec in records]))
+        for key in ("clean_ols", "ols", "mom")
+    )
     aggregate = {
         "median_clean_ols_excess": clean,
         "median_corrupted_ols_excess": bad,
@@ -623,33 +610,12 @@ def run_verify(cfg: dict) -> dict:
     is nonzero iff the deterministic lemma sweep reports violations.
     """
     _require_generated(cfg, "verify")
-    gen = cfg["data"]["generate"]
-    design = _design_from_config(gen)
-    theta_star = _theta_star_from_config(gen)
+    design, theta_star, _, data, _, p = _trial_inputs(cfg, 0)
     f_star = LinearPredictor(theta_star)
     params = _params_from_config(cfg)
     vcfg = cfg["verify"]
-
-    data = generate(
-        gen["n_samples"], gen["dim"], theta_star, design,
-        _noise_from_config(gen), _trial_seed(cfg["seed"], 0, 0),
-    )
-    p = make_partition(data.n_samples, cfg["partition"]["blocks"])
-
     n_probes = max(int(cfg["conditions"]["probes"]), 1)
-    rng = np.random.default_rng(_trial_seed(cfg["seed"], 0, 4))
-    far_dist, near_dist = _probe_distances(cfg, params)
-    rep1 = check_condition_one(
-        data, p, f_star,
-        sample_sphere_probes(f_star, design, far_dist, n_probes, rng),
-        params.gamma1, params.r, design, cfg["conditions"]["block_fraction"],
-    )
-    rep2 = check_condition_two(
-        data, p, f_star,
-        sample_sphere_probes(f_star, design, near_dist, n_probes, rng),
-        params.gamma2, params.r, design,
-        fraction_threshold=cfg["conditions"]["block_fraction"],
-    )
+    rep1, rep2 = _condition_reports(cfg, 0, data, p, theta_star, design, n_probes)
 
     sweep_table = None
     if vcfg["r_grid"]:
@@ -691,7 +657,7 @@ def run_verify(cfg: dict) -> dict:
             }
         )
 
-    reg = _objective_from_config(cfg, gen["dim"]).regularizer
+    reg = _objective_from_config(cfg, data.dim).regularizer
     if reg.kind == "none":
         reg = Regularizer.l1()
     delta = estimate_delta(
@@ -727,6 +693,13 @@ def run_verify(cfg: dict) -> dict:
 # report output
 # ---------------------------------------------------------------------------
 
+def _open_for_write(path, **kwargs):
+    try:
+        return open(path, "w", **kwargs)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from exc
+
+
 def write_report(path, report: dict, started: float, cfg: dict) -> None:
     full = dict(report)
     full["meta"] = {
@@ -734,7 +707,7 @@ def write_report(path, report: dict, started: float, cfg: dict) -> None:
         "runtime_s": time.time() - started,
         "routing": {k: cfg.get(k) for k in _ROUTING_KEYS},
     }
-    with open(path, "w") as fh:
+    with _open_for_write(path) as fh:
         json.dump(full, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -743,7 +716,7 @@ def write_trials_csv(path, report: dict) -> None:
     """Flat per-trial rows for external plotting."""
     import csv as _csv
 
-    with open(path, "w", newline="") as fh:
+    with _open_for_write(path, newline="") as fh:
         writer = _csv.writer(fh)
         writer.writerow(["trial", "estimator", "excess_risk", "distance", "passed"])
         for rec in report["trials"]:
@@ -828,14 +801,13 @@ def main(argv=None) -> int:
         cfg = resolve_config(raw, overrides)
         cfg["mode"] = args.mode
         report = _RUNNERS[args.mode](cfg)
+        if cfg["out"]:
+            write_report(cfg["out"], report, started, cfg)
+        if cfg["csv_out"]:
+            write_trials_csv(cfg["csv_out"], report)
     except MomregError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    if cfg["out"]:
-        write_report(cfg["out"], report, started, cfg)
-    if cfg["csv_out"]:
-        write_trials_csv(cfg["csv_out"], report)
 
     agg = report.get("aggregate", {})
     print(json.dumps(agg, indent=2, sort_keys=True))

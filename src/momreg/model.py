@@ -147,6 +147,15 @@ def make_partition(N: int, n: int) -> BlockPartition:
     return BlockPartition(n=n, m=N // n)
 
 
+def covered_rows(data: Dataset, p: BlockPartition) -> tuple[np.ndarray, np.ndarray]:
+    """Features and responses of the first p.total samples, the ones p covers."""
+    if p.total > data.n_samples:
+        raise DimensionError(
+            f"partition covers {p.total} samples but dataset has {data.n_samples}"
+        )
+    return data.features[: p.total], data.responses[: p.total]
+
+
 @dataclass(frozen=True)
 class DesignSpec:
     """Population design for synthetic data: covariance of X, noise variance.
@@ -208,8 +217,8 @@ def permute_dataset(data: Dataset, seed) -> Dataset:
 # ---------------------------------------------------------------------------
 
 def load_dataset(path) -> Dataset:
-    """Read a dataset CSV.  Raises ParseError naming the offending row."""
-    with open(path, newline="") as fh:
+    """Read a UTF-8 dataset CSV.  Raises ParseError naming the offending row."""
+    with open(path, newline="", encoding="utf-8") as fh:
         rows = csv.reader(fh)
         header = next(rows, None)
         if header is None:

@@ -17,7 +17,7 @@ import numpy as np
 from . import _kernels
 from .blocks import block_increment, median
 from .errors import ConfigError, DimensionError, EmptyLambdaWindow
-from .model import BlockPartition, Dataset, LinearPredictor, _frozen_array
+from .model import BlockPartition, Dataset, LinearPredictor, _frozen_array, covered_rows
 
 
 # ---------------------------------------------------------------------------
@@ -353,10 +353,7 @@ def phi_lambda_hat(
     """
     from .solver import erm_fit  # local import to avoid a cycle
 
-    if p.total > data.n_samples:
-        raise DimensionError("partition larger than dataset")
-    X = data.features[: p.total]
-    y = data.responses[: p.total]
+    X, y = covered_rows(data, p)
     theta_f = f.theta
     d = theta_f.shape[0]
     lam = cfg.lam

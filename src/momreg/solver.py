@@ -14,7 +14,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConfigError, DimensionError, DivergenceError, GridCapExceeded
-from .model import BlockPartition, Dataset, LinearPredictor
+from .model import BlockPartition, Dataset, LinearPredictor, covered_rows
 from .objective import (
     ObjectiveConfig,
     gram_step_size,
@@ -339,10 +339,7 @@ def mom_minimax_fit(
     ``_descent_ascent``.  Every iterate is then audited against a witness
     pool, and the audited minimizer is refined by ``_pattern_refine``.
     """
-    if p.total > data.n_samples:
-        raise DimensionError("partition larger than dataset")
-    X = data.features[: p.total]
-    y = data.responses[: p.total]
+    X, y = covered_rows(data, p)
     n, m = p.n, p.m
     d = data.dim
     lam = obj.lam
@@ -489,8 +486,7 @@ def oracle_grid_fit(
             f"{pts_f.shape[0]} x {pts_g.shape[0]} grid over {p.n} blocks "
             f"exceeds cap {cap}"
         )
-    X = data.features[: p.total]
-    y = data.responses[: p.total]
+    X, y = covered_rows(data, p)
     n, m = p.n, p.m
 
     losses_f = _kernels.block_losses(X, y, pts_f, n, m)

@@ -70,16 +70,17 @@ def sample_sphere_probes(
     count: int,
     rng,
 ) -> list[LinearPredictor]:
-    """Probes at an exact L2(mu) distance, via design-whitened directions."""
+    """Probes at an exact L2(mu) distance, via design-whitened directions.
+
+    Probe i is bitwise the one solved and normed alone from the i-th of
+    count draws of ``rng.standard_normal(d)``, and rng ends in that state.
+    """
     if distance < 0.0:
         raise ConfigError("distance must be nonnegative")
-    L = design.cholesky
-    probes = []
-    for _ in range(count):
-        v = rng.standard_normal(design.dim)
-        w = np.linalg.solve(L.T, v)
-        probes.append(LinearPredictor(f_star.theta + distance * w / np.linalg.norm(v)))
-    return probes
+    V = rng.standard_normal((count, design.dim))
+    W = np.linalg.solve(design.cholesky.T[None], V[:, :, None])[:, :, 0]
+    thetas = f_star.theta + distance * W / np.sqrt(np.vecdot(V, V))[:, None]
+    return [LinearPredictor(theta) for theta in thetas]
 
 
 # ---------------------------------------------------------------------------

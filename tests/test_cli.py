@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 
 from momreg import InvalidInput, MomregError, ParseError, load_dataset, make_partition
 from momreg.cli import (
+    _RUNNERS,
     main,
     resolve_config,
+    run_corrupt_bench,
     run_fit,
     run_simulate,
     run_verify,
@@ -204,11 +206,47 @@ class TestMainEntry:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / "bench.json"
-        assert main(["corrupt-bench", "--config", str(cfg_path), "--out", str(out)]) == 0
+        flat = tmp_path / "bench.csv"
+        argv = ["corrupt-bench", "--config", str(cfg_path), "--out", str(out)]
+        assert main(argv + ["--csv-out", str(flat)]) == 0
         rep = json.loads(out.read_text())
         agg = rep["aggregate"]
         assert agg["corrupted_vs_clean_ols_ratio"] > 100
         assert agg["median_mom_excess"] < agg["median_corrupted_ols_excess"]
+        rows = [line.split(",")[:2] for line in flat.read_text().splitlines()[1:]]
+        assert rows == [["0", "mom"], ["0", "ols"], ["1", "mom"], ["1", "ols"]]
+
+
+# What each mode computes from its inputs.
+_RESULTS = {
+    "fit": lambda rep: rep["trials"][0]["mom"]["theta_hat"],
+    "simulate": lambda rep: [rec["mom"]["theta_hat"] for rec in rep["trials"]],
+    "corrupt-bench": lambda rep: [rec["mom"]["theta_hat"] for rec in rep["trials"]],
+    "verify": lambda rep: [
+        rep["aggregate"][key]["median_stats"] for key in ("condition_one", "condition_two")
+    ],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_RESULTS))
+def test_every_mode_takes_permute_corruption_and_blocks(tmp_path, capsys, mode):
+    # Every mode builds its inputs in one pipeline, so each one permutes,
+    # corrupts, and refuses more blocks than samples.
+    doc = _set_path(_D3_CONFIG, "corruption", {"count": 3, "magnitude": 1e3})
+
+    def result(doc):
+        return _RESULTS[mode](_RUNNERS[mode](resolve_config(doc)))
+
+    corrupted = result(doc)
+    assert result(_set_path(doc, "partition.permute", True)) != corrupted
+    if mode != "corrupt-bench":  # which corrupts 10 rows when corruption is null
+        assert result(_set_path(doc, "corruption", None)) != corrupted
+    if mode == "fit":
+        assert len(run_fit(resolve_config(doc))["trials"][0]["corrupted_indices"]) == 3
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(doc))
+    assert main([mode, "--config", str(cfg_path), "--blocks", "121"]) == 2
+    assert capsys.readouterr().err == "error: requested n=121 blocks from N=120 samples\n"
 
 
 class TestRunVerify:
@@ -254,6 +292,28 @@ class TestInputErrors:
         assert main([mode, "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {mode} generates its data") and "data.csv" in err
+
+    @pytest.mark.parametrize("kind", ["missing", "directory", "latin-1"])
+    def test_unreadable_data_csv_exit_code(self, tmp_path, capsys, kind):
+        data = tmp_path / "data.csv"
+        if kind == "directory":
+            data.mkdir()
+        elif kind == "latin-1":
+            data.write_bytes("x0,y\n1.0,2.0\n2.0,4.0\n3.0,6.0\n# caf\xe9\n".encode("latin-1"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"data": {"csv": str(data)}, "partition": {"blocks": 3}}))
+        assert main(["fit", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        expected = "error: data.csv" if kind == "latin-1" else "error: cannot read data.csv"
+        assert err.startswith(expected) and "Traceback" not in err
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv-out"])
+    def test_output_into_missing_directory_exit_code(self, tmp_path, capsys, flag):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_D3_CONFIG))
+        target = str(tmp_path / "absent" / "report")
+        assert main(["simulate", "--config", str(cfg_path), flag, target]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {target!r}")
 
     def test_invalid_model_value_exit_code(self, tmp_path, capsys):
         cfg = _sim_config()
@@ -355,6 +415,32 @@ class TestConfigValues:
         np.testing.assert_allclose(report["condition_one"]["distances"], r, rtol=1e-12)
         np.testing.assert_allclose(report["condition_two"]["distances"], r / 2.0, rtol=1e-12)
 
+    # An index list places exactly its rows: [] is not a request for random
+    # rows, and a count of 0 does not drop the list.
+    @pytest.mark.parametrize("count, indices", [(2, []), (0, [1])])
+    @pytest.mark.parametrize("mode", sorted(_RUNNERS))
+    def test_corruption_indices_against_count_exit_code(
+        self, tmp_path, capsys, mode, count, indices
+    ):
+        doc = _set_path(_D3_CONFIG, "corruption", {"count": count, "indices": indices})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main([mode, "--config", str(cfg_path)]) == 2
+        expected = f"explicit index list has {len(indices)} entries, count is {count}"
+        if mode == "corrupt-bench" and count == 0:
+            expected = "corrupt-bench needs corruption.count >= 1"
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
+    def test_corrupt_bench_needs_corrupted_rows(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_set_path(_D3_CONFIG, "corruption", {"count": 0})))
+        assert main(["corrupt-bench", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == "error: corrupt-bench needs corruption.count >= 1\n"
+        # a null corruption runs as 10 rows, and the report says so
+        report = run_corrupt_bench(resolve_config(_D3_CONFIG))
+        assert report["config"]["corruption"] == {"count": 10}
+        assert [len(rec["corrupted_indices"]) for rec in report["trials"]] == [10]
+
     def test_bad_flag_value_exit_code(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(_D3_CONFIG))
@@ -381,10 +467,12 @@ class TestConfigValues:
             resolve_config(_set_path(_D3_CONFIG, key, value))
 
 
-# Small configs of the three generating modes, and the leaves a fuzz
-# example mutates: every key of the resolved config except mode and the
-# output routing, whose string values would write files.
+# Small configs of the four modes (fit on generated data, so that a fuzzed
+# data.csv is read), and the leaves a fuzz example mutates: every key of the
+# resolved config except mode and the output routing, whose string values
+# would write files.
 _FUZZ_CONFIGS = {
+    "fit": _D3_CONFIG,
     "simulate": _set_path(_D3_CONFIG, "objective", {"lambda": 0.05, "regularizer": "l1"}),
     "corrupt-bench": _set_path(_D3_CONFIG, "corruption", {"count": 2, "magnitude": 1e6}),
     "verify": _D3_CONFIG,

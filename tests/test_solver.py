@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from momreg import (
+    BlockPartition,
     ConfigError,
     CorruptionSpec,
     Dataset,
     DesignSpec,
+    DimensionError,
     DivergenceError,
     GridCapExceeded,
     GridSpec,
@@ -18,6 +20,7 @@ from momreg import (
     ObjectiveConfig,
     Regularizer,
     SolverConfig,
+    block_increment,
     corrupt,
     erm_fit,
     excess_risk,
@@ -27,6 +30,7 @@ from momreg import (
     med_increment,
     mom_minimax_fit,
     oracle_grid_fit,
+    phi_lambda_hat,
 )
 from momreg import _kernels, solver
 from momreg.objective import gram_step_size, prox_psi, psi_batch
@@ -532,6 +536,22 @@ class TestOracleGridFit:
         grid = GridSpec(axes=((-1.0, 1.0, 0.001),))
         with pytest.raises(GridCapExceeded):
             oracle_grid_fit(data, p, ObjectiveConfig(), grid, grid, cap=1000)
+
+    def test_partition_larger_than_the_data_raises_dimension_error(self):
+        # Every caller of the partition's rows shares one size check.
+        rng = np.random.default_rng(11)
+        data = Dataset(rng.standard_normal((100, 1)), rng.standard_normal(100))
+        p = BlockPartition(15, 7)  # 105 rows
+        grid = GridSpec(axes=((-1.0, 1.0, 0.5),))
+        f = LinearPredictor([0.0])
+        for call in (
+            lambda: oracle_grid_fit(data, p, ObjectiveConfig(), grid, grid),
+            lambda: mom_minimax_fit(data, p),
+            lambda: phi_lambda_hat(f, data, p, ObjectiveConfig()),
+            lambda: block_increment(f, f, data, p),
+        ):
+            with pytest.raises(DimensionError, match="covers 105 samples but dataset has 100"):
+                call()
 
     def test_lexicographic_tie_break(self):
         # perfectly symmetric data: objective is even in theta, so +t and -t

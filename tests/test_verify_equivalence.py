@@ -1,6 +1,6 @@
-"""The array forms of estimate_delta, norming_functional, lemma_reg_check
-and the two block-condition checks against the loop forms they replaced,
-kept here as references.
+"""The array forms of estimate_delta, norming_functional, lemma_reg_check,
+the two block-condition checks and sample_sphere_probes against the loop
+forms they replaced, kept here as references.
 
 The array forms keep the arithmetic of the loops (the same dot products,
 the same order of operations per block), so every comparison is exact.
@@ -190,6 +190,16 @@ def _lemma_reg_check_ref(probes, f_star, data, p, params, lam, reg, design):
     return report
 
 
+def _sample_sphere_probes_ref(f_star, design, distance, count, rng):
+    L = design.cholesky
+    probes = []
+    for _ in range(count):
+        v = rng.standard_normal(design.dim)
+        w = np.linalg.solve(L.T, v)
+        probes.append(LinearPredictor(f_star.theta + distance * w / np.linalg.norm(v)))
+    return probes
+
+
 def _condition_report(condition, dists, fracs, meds, fraction_threshold):
     fractions = np.asarray(fracs)
     per_pass = fractions >= fraction_threshold
@@ -347,6 +357,24 @@ def test_estimate_delta_without_feasible_steps_matches_loop():
 # ---------------------------------------------------------------------------
 # the two block conditions
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("d", [1, 3, 24, 60])
+@pytest.mark.parametrize("dense", [False, True])
+def test_sphere_probes_match_loop(d, dense):
+    rng = np.random.default_rng(d)
+    A = rng.standard_normal((d, d))
+    design = DesignSpec(A @ A.T + 0.1 * np.eye(d)) if dense else DesignSpec.identity(d)
+    f_star = LinearPredictor(rng.standard_normal(d))
+    for count in (0, 1, 7, 200):
+        got_rng, ref_rng = np.random.default_rng(count), np.random.default_rng(count)
+        got = sample_sphere_probes(f_star, design, 1.7, count, got_rng)
+        ref = _sample_sphere_probes_ref(f_star, design, 1.7, count, ref_rng)
+        assert len(got) == len(ref) == count
+        for a, b in zip(got, ref):
+            assert np.array_equal(a.theta, b.theta)
+        # the generators leave in the same state
+        assert got_rng.random() == ref_rng.random()
 
 
 def _assert_same_condition_report(got, ref):
