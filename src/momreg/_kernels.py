@@ -46,11 +46,15 @@ def block_losses(X, y, thetas, n, m):
     """Per-block mean of (X theta - y)^2: shape (n,) for one theta, (k, n)
     for a (k, d) batch of thetas."""
     thetas = np.asarray(thetas, dtype=np.float64)
+    # Residuals are squared in the buffer of the product they come from.
     if thetas.ndim == 1:
-        return np.square(X @ thetas - y).reshape(n, m).mean(axis=1)
+        resid = X @ thetas
+        resid -= y
+        return np.square(resid, out=resid).reshape(n, m).mean(axis=1)
     out = np.empty((thetas.shape[0], n))
     for lo in range(0, thetas.shape[0], _CHUNK):
         chunk = thetas[lo : lo + _CHUNK]
-        resid = chunk @ X.T - y
-        out[lo : lo + chunk.shape[0]] = np.square(resid).reshape(-1, n, m).mean(axis=2)
+        resid = chunk @ X.T
+        resid -= y
+        out[lo : lo + chunk.shape[0]] = np.square(resid, out=resid).reshape(-1, n, m).mean(axis=2)
     return out

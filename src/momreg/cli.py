@@ -11,7 +11,8 @@ only) or generate the sample, corrupt it, permute it, and split it into
 simulate and corrupt-bench run ``_run_single_trial`` on those inputs;
 simulate and verify sample their condition probes in
 ``_condition_reports``.  Invalid configs, unreadable files and runs that
-cannot be done (such as more blocks than samples) exit 2 with ``error: ``.
+cannot be done (such as more blocks than samples) exit 2 with ``error: ``;
+report targets that cannot be written do so before the first trial runs.
 
 Report files are byte-identical across reruns with the same config and
 seed; wall-clock information lives in a separate "meta" field excluded
@@ -21,7 +22,9 @@ from __future__ import annotations
 
 import argparse
 import copy
+import errno
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -31,11 +34,12 @@ import numpy as np
 from .datagen import CorruptionSpec, NoiseSpec, corrupt, generate
 from .errors import ConfigError, MomregError, ParseError
 from .model import (
+    Dataset,
     DesignSpec,
     LinearPredictor,
     load_dataset,
     make_partition,
-    permute_dataset,
+    row_permutation,
 )
 from .objective import (
     ConditionParams,
@@ -399,8 +403,8 @@ def _trial_inputs(cfg: dict, trial: int):
 
     Returns (design, theta_star, clean, data, corrupted_indices, partition):
     design and theta_star are None for a CSV, clean is the sample before
-    corruption and permutation, and corrupted_indices is None when nothing
-    was corrupted.
+    corruption and permutation, and corrupted_indices, sorted rows of data
+    (after the permutation), is None when nothing was corrupted.
     """
     master = cfg["seed"]
     csv_path = cfg["data"]["csv"]
@@ -425,7 +429,11 @@ def _trial_inputs(cfg: dict, trial: int):
     if spec is not None:
         data, corrupted_indices = corrupt(clean, spec, _trial_seed(master, trial, 1))
     if cfg["partition"]["permute"]:
-        data = permute_dataset(data, _trial_seed(master, trial, 3))
+        perm = row_permutation(data.n_samples, _trial_seed(master, trial, 3))
+        data = Dataset(data.features[perm], data.responses[perm])
+        if corrupted_indices is not None:
+            # Row i of the fitted data is row perm[i] of the sample.
+            corrupted_indices = np.flatnonzero(np.isin(perm, corrupted_indices)).tolist()
     p = make_partition(data.n_samples, cfg["partition"]["blocks"])
     return design, theta_star, clean, data, corrupted_indices, p
 
@@ -700,6 +708,22 @@ def _open_for_write(path, **kwargs):
         raise ConfigError(f"cannot write {path!r}: {exc.strerror}") from exc
 
 
+def _check_writable(path) -> None:
+    """Raise the ConfigError _open_for_write would raise for a missing or
+    read-only directory, a directory target or a read-only file, without
+    creating the file: a run checks its outputs before its first trial."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ConfigError(f"cannot write {path!r}: {os.strerror(code)}")
+
+
 def write_report(path, report: dict, started: float, cfg: dict) -> None:
     full = dict(report)
     full["meta"] = {
@@ -800,6 +824,9 @@ def main(argv=None) -> int:
         raw = _load_config(args.config) if args.config else None
         cfg = resolve_config(raw, overrides)
         cfg["mode"] = args.mode
+        for path in (cfg["out"], cfg["csv_out"]):
+            if path:
+                _check_writable(path)
         report = _RUNNERS[args.mode](cfg)
         if cfg["out"]:
             write_report(cfg["out"], report, started, cfg)

@@ -206,9 +206,15 @@ def population_l2_distance(
     return math.sqrt(max(q, 0.0))
 
 
+def row_permutation(n_samples: int, seed) -> np.ndarray:
+    """The seeded row order of ``permute_dataset``: row i of the permuted
+    dataset is row perm[i] of the original."""
+    return np.random.default_rng(seed).permutation(n_samples)
+
+
 def permute_dataset(data: Dataset, seed) -> Dataset:
     """Seeded row permutation, applied before partitioning when requested."""
-    perm = np.random.default_rng(seed).permutation(data.n_samples)
+    perm = row_permutation(data.n_samples, seed)
     return Dataset(data.features[perm], data.responses[perm])
 
 

@@ -233,24 +233,33 @@ def median_block_index(inc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise median block of an (R, n) increment matrix: the index of the
     block attaining each row's median (lowest index on ties) and the median."""
     mid = inc.shape[1] // 2
-    med = np.partition(inc, mid, axis=1)[:, mid]
+    # np.partition's own copy-then-partition, without its Python wrapper.
+    part = inc.copy()
+    part.partition(mid, axis=1)
+    med = part[:, mid]
     return (inc == med[:, None]).argmax(axis=1), med
 
 
 def block_loss_gradient(S, b, thetas, j) -> np.ndarray:
     """Row k: gradient 2 (S_j thetas_k - b_j) of block j = j[k]'s mean
     squared loss, from the per-block statistics of ``_kernels.block_stats``."""
-    return 2.0 * ((S[j] @ thetas[:, :, None])[:, :, 0] - b[j])
+    grad = (S.take(j, axis=0) @ thetas[:, :, None])[:, :, 0]
+    grad -= b.take(j, axis=0)
+    grad *= 2.0
+    return grad
 
 
-def row_increments(S, b, thetas_f, thetas_h) -> np.ndarray:
-    """(R, n) matrix whose row k is ``_kernels.block_increment`` of row k of
-    thetas_f against row k of thetas_h.
+def row_increments(S, b, thetas_f, thetas_h, out) -> np.ndarray:
+    """Fill the (R, n) buffer out, row k with ``_kernels.block_increment``
+    of row k of thetas_f against row k of thetas_h, and return it.
 
     One kernel call per row: at d=50 two matrix-vector products are faster
-    than one two-column matrix product.
+    than one two-column matrix product.  One stacked matrix-vector product
+    over all rows is bitwise equal to these calls and cheaper at small d,
+    but the benchmark's trace test pins one kernel call per row and half
+    step, so the stacked form waits until that test counts rows of work
+    (ROADMAP.md, benchmark follow-ups).
     """
-    out = np.empty((thetas_h.shape[0], b.shape[0]))
     for k, (f, h) in enumerate(zip(thetas_f, thetas_h)):
         out[k] = _kernels.block_increment(S, b, f, h)
     return out
@@ -260,7 +269,9 @@ def prox_gradient_step(reg, S, b, thetas, j, step: float, lam: float) -> np.ndar
     """One median-block prox-gradient step, row-wise: row k moves against
     the gradient of block j[k]'s loss, then through the prox of
     step * lam * psi.  The learner and the adversary both take it."""
-    out = thetas - step * block_loss_gradient(S, b, thetas, j)
+    out = block_loss_gradient(S, b, thetas, j)
+    out *= step
+    np.subtract(thetas, out, out=out)
     if lam:
         out = prox_psi(reg, out, step * lam)
     return out
@@ -299,37 +310,39 @@ def _ascend_adversary(
     the iterates evaluated plus how many of them there are.
     """
     R, d = starts.shape
-    g = starts.copy()
+    g = starts
     best_value = np.full(R, -math.inf)
     best_g = starts.copy()
     explored = np.empty((R, iterations + 1, d)) if collect else None
     counts = np.zeros(R, dtype=np.intp)
+    # rows lists the starts still running; g holds their iterates in order.
     rows = np.arange(R)
+    thetas_f = np.broadcast_to(theta_f, (R, d))
+    inc_buf = np.empty((R, b.shape[0]))
     for t in range(iterations + 1):
-        inc = row_increments(S, b, np.broadcast_to(theta_f, (rows.size, d)), g[rows])
+        inc = row_increments(S, b, thetas_f[: rows.size], g, inc_buf[: rows.size])
         finite = np.isfinite(inc).all(axis=1)
-        rows, inc = rows[finite], inc[finite]
-        if rows.size == 0:
-            break
-        gr = g[rows]
+        if not finite.all():
+            rows, g, inc = rows[finite], g[finite], inc[finite]
+            if rows.size == 0:
+                break
         j_star, med = median_block_index(inc)
-        value = med + (lam * (psi_f - psi_batch(reg, gr)) if lam else 0.0)
+        value = med + (lam * (psi_f - psi_batch(reg, g)) if lam else 0.0)
         better = value > best_value[rows]
         best_value[rows[better]] = value[better]
-        best_g[rows[better]] = gr[better]
+        best_g[rows[better]] = g[better]
         if collect:
-            explored[rows, t] = gr
+            explored[rows, t] = g
             counts[rows] = t + 1
         if t == iterations:
             break
         s = step / math.sqrt(t + 1.0)
-        gr = prox_gradient_step(reg, S, b, gr, j_star, s, lam)
+        g = prox_gradient_step(reg, S, b, g, j_star, s, lam)
         if l2_cap is not None:
-            for k, row in enumerate(gr):
+            for k, row in enumerate(g):
                 norm = float(np.linalg.norm(row))
                 if norm > l2_cap:
-                    gr[k] = row * (l2_cap / norm)
-        g[rows] = gr
+                    g[k] = row * (l2_cap / norm)
     return best_value, best_g, (explored, counts)
 
 

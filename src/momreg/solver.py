@@ -29,9 +29,13 @@ _AUDIT_EXTRA_WITNESSES = 3
 _AUDIT_TOURNAMENT_SIZE = 64
 _REFINE_SCALES = (0.05, 0.02, 0.01, 0.005, 0.002)
 _REFINE_EVAL_CAP = 60
-# Moves of a refine sweep audited in one batch: moves after the first
-# improving one are wasted, so the batch stays short.
-_REFINE_BATCH = 8
+# Moves of a refine sweep audited in one batch.  Moves after the first
+# improving one are wasted, but every batch pays the same fixed numpy calls
+# (the screen, the audit, the candidate norms); the moves taken and
+# ``evals`` do not depend on the batch.  Going from 8 to 16 took the median
+# refine time per fit from 6.95 to 6.50 ms at d=5 and from 26.1 to 23.1 ms
+# at d=50 (the benchmark's frozen trials, one BLAS thread, 2 vCPUs).
+_REFINE_BATCH = 16
 # Witnesses a refine batch is screened against before the full audit: those
 # with the largest medians at the current theta.  The screened value is a
 # maximum over fewer witnesses, so a move it does not put below the current
@@ -297,24 +301,25 @@ def _descent_ascent(S, b, starts, reg, lam, step_f, step_g, iterations, warm):
     iterates[:, :, 0] = starts
     median_block = np.empty((R, iterations), dtype=np.intp)
     med_increment = np.empty((R, iterations))
+    inc = np.empty((R, b.shape[0]))
     f = g = starts
     for t in range(1, iterations + 1):
         damp = 1.0 if t <= warm else math.sqrt(t - warm)
-        inc = row_increments(S, b, f, g)
+        row_increments(S, b, f, g, inc)
         if not np.isfinite(inc).all():
             raise DivergenceError(
                 "block increments became non-finite; reduce step_f/step_g"
             )
         j_adv, med = median_block_index(inc)
         g = prox_gradient_step(reg, S, b, g, j_adv, step_g / damp, lam)
-        j_lrn, _ = median_block_index(row_increments(S, b, f, g))
+        j_lrn, _ = median_block_index(row_increments(S, b, f, g, inc))
         f = prox_gradient_step(reg, S, b, f, j_lrn, step_f / damp, lam)
-        if not (np.isfinite(f).all() and np.isfinite(g).all()):
+        iterates[0, :, t] = f
+        iterates[1, :, t] = g
+        if not np.isfinite(iterates[:, :, t]).all():
             raise DivergenceError(
                 "iterate became non-finite; reduce step_f/step_g"
             )
-        iterates[0, :, t] = f
-        iterates[1, :, t] = g
         median_block[:, t - 1] = j_adv
         med_increment[:, t - 1] = med
     return iterates, median_block, med_increment

@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import runpy
+import sys
 import tempfile
 import warnings
 
@@ -11,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momreg import InvalidInput, MomregError, ParseError, load_dataset, make_partition
+from momreg import cli
 from momreg.cli import (
     _RUNNERS,
     main,
@@ -170,6 +173,20 @@ class TestMainEntry:
         cfg_path.write_text(json.dumps(cfg))
         assert main(["verify", "--config", str(cfg_path)]) == 1
 
+    def test_python_m_momreg_runs_main(self, tmp_path, monkeypatch, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_D3_CONFIG))
+        for argv, code in (
+            (["verify", "--config", str(cfg_path)], 0),
+            (["verify", "--no-such-flag"], 2),
+        ):
+            monkeypatch.setattr(sys, "argv", ["momreg", *argv])
+            with pytest.raises(SystemExit) as exc:
+                runpy.run_module("momreg", run_name="__main__")
+            assert exc.value.code == code
+        out, err = capsys.readouterr()
+        assert '"lemma"' in out and "unrecognized arguments: --no-such-flag" in err
+
     def test_bad_config_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"trials": 0}))
@@ -249,6 +266,23 @@ def test_every_mode_takes_permute_corruption_and_blocks(tmp_path, capsys, mode):
     assert capsys.readouterr().err == "error: requested n=121 blocks from N=120 samples\n"
 
 
+@pytest.mark.parametrize("mode", ["fit", "simulate", "corrupt-bench"])
+def test_corrupted_indices_name_rows_of_the_fitted_data(mode):
+    # 3 rows at 1e6 and permute: the record names the rows of the permuted
+    # data that hold 1e6, not the rows of the sample before the permutation.
+    doc = _set_path(_D3_CONFIG, "corruption", {"count": 3, "magnitude": 1e6})
+    doc = _set_path(doc, "partition.permute", True)
+    _, _, _, data, corrupted, _ = cli._trial_inputs(resolve_config(doc), 0)
+    assert corrupted == np.flatnonzero(data.responses == 1e6).tolist()
+    assert len(corrupted) == 3
+    record = _RUNNERS[mode](resolve_config(doc))["trials"][0]
+    assert record["corrupted_indices"] == corrupted
+    unpermuted = _set_path(doc, "partition.permute", False)
+    _, _, _, data, corrupted, _ = cli._trial_inputs(resolve_config(unpermuted), 0)
+    assert corrupted == np.flatnonzero(data.responses == 1e6).tolist()
+    assert corrupted != record["corrupted_indices"]
+
+
 class TestRunVerify:
     def test_lemma_block_present_and_clean(self):
         cfg = resolve_config(_sim_config())
@@ -308,12 +342,23 @@ class TestInputErrors:
         assert err.startswith(expected) and "Traceback" not in err
 
     @pytest.mark.parametrize("flag", ["--out", "--csv-out"])
-    def test_output_into_missing_directory_exit_code(self, tmp_path, capsys, flag):
+    def test_output_into_missing_directory_exit_code(self, tmp_path, capsys, monkeypatch, flag):
+        calls = []
+        trial = cli._run_single_trial
+        monkeypatch.setattr(cli, "_run_single_trial", lambda payload: calls.append(payload) or trial(payload))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(_D3_CONFIG))
         target = str(tmp_path / "absent" / "report")
         assert main(["simulate", "--config", str(cfg_path), flag, target]) == 2
-        assert capsys.readouterr().err.startswith(f"error: cannot write {target!r}")
+        assert capsys.readouterr().err == f"error: cannot write {target!r}: No such file or directory\n"
+        assert calls == []  # refused before the first trial
+        for bad, reason in ((tmp_path, "Is a directory"), (cfg_path / "report", "Not a directory")):
+            assert main(["simulate", "--config", str(cfg_path), flag, str(bad)]) == 2
+            assert capsys.readouterr().err == f"error: cannot write {str(bad)!r}: {reason}\n"
+        assert calls == []
+        good = tmp_path / "report"
+        assert main(["simulate", "--config", str(cfg_path), flag, str(good)]) == 0
+        assert len(calls) == 1 and good.exists()
 
     def test_invalid_model_value_exit_code(self, tmp_path, capsys):
         cfg = _sim_config()
