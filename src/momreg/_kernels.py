@@ -16,7 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 # Thetas per residual matrix in block_losses: bounds the (chunk, n*m)
-# temporary, and so peak memory, for large batches.
+# temporary, and so peak memory, for large batches.  It is a row count, not
+# the entry budget of ``blocks.row_slices``, because a matrix product
+# rounds some rows differently with the number of rows it is given: at
+# N=330, d=24 and 700 thetas, chunks of 2 to 700 rows changed 60 to 1,000
+# of the 231,000 residuals of 64-row chunks (one BLAS thread, numpy 2.4),
+# and the fits and the audit depend on these bits.
 _CHUNK = 64
 
 

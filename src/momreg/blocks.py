@@ -1,5 +1,13 @@
 """Per-block statistics: quadratic and multiplier components, increments,
-medians, and majority counting.
+medians, and majority counting, plus the two rules every per-block
+computation in the package shares.
+
+``middle(a)`` is the one median-of-means median: the middle order statistic
+along the odd last axis of ``a``, found by partitioning ``a`` in place (a
+caller that must keep its input passes a copy).  ``row_slices(k,
+row_entries)`` is the one temporary budget: slices of a k-row stack such
+that no slice's temporary, row_entries entries per row, exceeds
+``TEMP_ENTRIES`` (65,536) entries, with at least one row per slice.
 
 For predictors f, h and block j the three statistics are
 
@@ -48,8 +56,25 @@ class BlockVector:
         return self.values.shape[0]
 
 
-# Largest (thetas, samples) temporary of one stacked residual pass.
-_STACK_ENTRIES = 65536
+# Largest temporary, in entries, of one slice of a stacked pass: the
+# residuals of the stacked statistics here and the (candidates, pool,
+# blocks) differences of the solver's witness-pool audit.
+TEMP_ENTRIES = 65536
+
+
+def row_slices(k: int, row_entries: int):
+    """Slices of range(k), in order, of at most max(1, TEMP_ENTRIES //
+    row_entries) rows each."""
+    rows = max(1, TEMP_ENTRIES // row_entries)
+    return (slice(lo, lo + rows) for lo in range(0, k, rows))
+
+
+def middle(a: np.ndarray) -> np.ndarray:
+    """The middle order statistic along the odd last axis of a, which is
+    partitioned in place; shape a.shape[:-1]."""
+    mid = a.shape[-1] // 2
+    a.partition(mid, axis=-1)
+    return a[..., mid]
 
 
 def _used_arrays(f_dim: int, h: LinearPredictor, data: Dataset, p: BlockPartition):
@@ -79,12 +104,6 @@ def _stacked_arrays(thetas, h: LinearPredictor, data: Dataset, p: BlockPartition
     return (thetas, *_used_arrays(thetas.shape[1], h, data, p))
 
 
-def _chunks(k: int, p: BlockPartition):
-    # Row slices of a stack: no (rows, N) temporary exceeds _STACK_ENTRIES.
-    rows = max(1, _STACK_ENTRIES // p.total)
-    return (slice(lo, lo + rows) for lo in range(0, k, rows))
-
-
 def _stacked_products(X, thetas) -> np.ndarray:
     # One matrix-vector product per theta: each row is bitwise X @ theta.
     return np.matmul(X, thetas[:, :, None])[:, :, 0]
@@ -102,7 +121,7 @@ def block_increments(thetas, h: LinearPredictor, data: Dataset, p: BlockPartitio
     thetas, X, y = _stacked_arrays(thetas, h, data, p)
     loss_h = _kernels.block_losses(X, y, h.theta, p.n, p.m)
     out = np.empty((thetas.shape[0], p.n))
-    for rows in _chunks(thetas.shape[0], p):
+    for rows in row_slices(thetas.shape[0], p.total):
         resid = _stacked_products(X, thetas[rows])
         resid -= y
         out[rows] = np.square(resid, out=resid).reshape(-1, p.n, p.m).mean(axis=2) - loss_h
@@ -117,7 +136,7 @@ def multiplier_components(
     thetas, X, y = _stacked_arrays(thetas, h, data, p)
     resid_h = X @ h.theta - y
     out = np.empty((thetas.shape[0], p.n))
-    for rows in _chunks(thetas.shape[0], p):
+    for rows in row_slices(thetas.shape[0], p.total):
         z = _stacked_products(X, thetas[rows] - h.theta)
         z *= resid_h
         out[rows] = 2.0 * z.reshape(-1, p.n, p.m).mean(axis=2)
@@ -147,11 +166,9 @@ def _as_values(v) -> np.ndarray:
 def median(v) -> float:
     """The unique middle order statistic of an odd-length vector."""
     vals = _as_values(v)
-    size = vals.shape[0]
-    if size % 2 == 0:
-        raise OddLengthRequired(f"median needs odd length, got {size}")
-    mid = size // 2
-    return float(np.partition(vals, mid)[mid])
+    if vals.shape[0] % 2 == 0:
+        raise OddLengthRequired(f"median needs odd length, got {vals.shape[0]}")
+    return float(middle(vals.copy()))
 
 
 def count_blocks_satisfying(v, threshold: float, direction: str = "ge") -> int:

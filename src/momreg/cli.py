@@ -9,7 +9,8 @@ Every mode builds its inputs through ``_trial_inputs``: read data.csv (fit
 only) or generate the sample, corrupt it, permute it, and split it into
 ``partition.blocks`` blocks, each step seeded from (seed, trial, stream).
 simulate and corrupt-bench run ``_run_single_trial`` on those inputs;
-simulate and verify sample their condition probes in
+``_run_single_trial`` and fit build their "mom" and "ols" records in
+``_fit_records``; simulate and verify sample their condition probes in
 ``_condition_reports``.  Invalid configs, unreadable files and runs that
 cannot be done (such as more blocks than samples) exit 2 with ``error: ``;
 report targets that cannot be written do so before the first trial runs.
@@ -461,30 +462,39 @@ def _condition_reports(cfg: dict, trial: int, data, p, theta_star, design, count
     )
 
 
+def _fit_records(cfg: dict, seed: int, data, p, theta_star, design):
+    """Fit the MOM estimator, with solver seed ``seed``, and least squares
+    on data.
+
+    Returns the objective, the MOM result and the report's "mom" and "ols"
+    records; the records carry excess risks when theta_star is known.
+    """
+    obj = _objective_from_config(cfg, data.dim)
+    result = mom_minimax_fit(data, p, obj, _solver_from_config(cfg, seed))
+    ols = erm_fit(data)
+    records = {
+        "mom": {
+            "theta_hat": result.theta_hat.tolist(),
+            "converged": result.converged,
+            "best_surrogate": result.best_surrogate,
+        },
+        "ols": {"theta_hat": ols.theta.tolist()},
+    }
+    if theta_star is not None:
+        records["mom"]["excess_risk"] = excess_risk(result.theta_hat, theta_star, design)
+        records["ols"]["excess_risk"] = excess_risk(ols.theta, theta_star, design)
+    return obj, result, records
+
+
 def _run_single_trial(payload: tuple[str, int]) -> dict:
     cfg = json.loads(payload[0])
     trial = payload[1]
     design, theta_star, clean, data, corrupted_indices, p = _trial_inputs(cfg, trial)
-    obj = _objective_from_config(cfg, data.dim)
-    solver_cfg = _solver_from_config(cfg, _solver_seed(cfg["seed"], trial))
-    result = mom_minimax_fit(data, p, obj, solver_cfg)
-    ols = erm_fit(data)
-
+    obj, result, fits = _fit_records(
+        cfg, _solver_seed(cfg["seed"], trial), data, p, theta_star, design
+    )
     params = _params_from_config(cfg)
-    record: dict = {
-        "trial": trial,
-        "mom": {
-            "theta_hat": [float(v) for v in result.theta_hat],
-            "excess_risk": excess_risk(result.theta_hat, theta_star, design),
-            "converged": result.converged,
-            "best_surrogate": result.best_surrogate,
-        },
-        "ols": {
-            "theta_hat": [float(v) for v in ols.theta],
-            "excess_risk": excess_risk(ols.theta, theta_star, design),
-        },
-        "corrupted_indices": corrupted_indices,
-    }
+    record: dict = {"trial": trial, **fits, "corrupted_indices": corrupted_indices}
     if corrupted_indices is not None:
         record["clean_ols"] = {
             "excess_risk": excess_risk(erm_fit(clean).theta, theta_star, design)
@@ -543,9 +553,7 @@ def _quantiles(values) -> dict:
 def run_fit(cfg: dict) -> dict:
     """Fit once on a CSV (or a generated dataset) and report both estimators."""
     design, theta_star, _, data, corrupted_indices, p = _trial_inputs(cfg, 0)
-    obj = _objective_from_config(cfg, data.dim)
-    result = mom_minimax_fit(data, p, obj, _solver_from_config(cfg, cfg["seed"]))
-    ols = erm_fit(data)
+    _, _, fits = _fit_records(cfg, cfg["seed"], data, p, theta_star, design)
     record = {
         "source": cfg["data"]["csv"] or "generated",
         "n_samples": data.n_samples,
@@ -553,19 +561,9 @@ def run_fit(cfg: dict) -> dict:
         "blocks": p.n,
         "block_size": p.m,
         "dropped_samples": data.n_samples - p.total,
-        "mom": {
-            "theta_hat": [float(v) for v in result.theta_hat],
-            "converged": result.converged,
-            "best_surrogate": result.best_surrogate,
-        },
-        "ols": {"theta_hat": [float(v) for v in ols.theta]},
+        **fits,
         "corrupted_indices": corrupted_indices,
     }
-    if theta_star is not None:
-        record["mom"]["excess_risk"] = excess_risk(
-            result.theta_hat, theta_star, design
-        )
-        record["ols"]["excess_risk"] = excess_risk(ols.theta, theta_star, design)
     return {"config": _embed_config(cfg), "trials": [record], "aggregate": {}}
 
 

@@ -61,6 +61,16 @@ class CorruptionSpec:
             object.__setattr__(self, "indices", idx)
 
 
+def draw_design_noise(N: int, design: DesignSpec, noise: NoiseSpec, seed):
+    """N design rows X_i ~ N(0, Sigma) and N noise draws eps_i, seeded: the
+    rows first, then the noise."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((N, design.dim)) @ design.cholesky.T
+    if noise.kind == "gaussian":
+        return X, noise.scale * rng.standard_normal(N)
+    return X, noise.scale * rng.standard_t(noise.dof, N)
+
+
 def generate(
     N: int,
     d: int,
@@ -77,12 +87,7 @@ def generate(
         raise ConfigError(f"design dim {design.dim} does not match d={d}")
     if N < 1:
         raise ConfigError("N must be positive")
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((N, d)) @ design.cholesky.T
-    if noise.kind == "gaussian":
-        eps = noise.scale * rng.standard_normal(N)
-    else:
-        eps = noise.scale * rng.standard_t(noise.dof, N)
+    X, eps = draw_design_noise(N, design, noise, seed)
     return Dataset(X, X @ theta_star + eps)
 
 

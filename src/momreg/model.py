@@ -206,6 +206,17 @@ def population_l2_distance(
     return math.sqrt(max(q, 0.0))
 
 
+def population_sq_norms(deltas: np.ndarray, design: DesignSpec) -> np.ndarray:
+    """Squared L2(mu) norms delta' Sigma delta of the rows of a (k, d) stack.
+
+    A stack of vector-matrix products and row-wise dot products, so each
+    entry is bitwise the one-vector ``delta @ Sigma @ delta`` of
+    ``population_l2_distance``; one (k, d) matrix product rounds
+    differently.
+    """
+    return np.vecdot(np.matmul(deltas[:, None, :], design.covariance)[:, 0], deltas)
+
+
 def row_permutation(n_samples: int, seed) -> np.ndarray:
     """The seeded row order of ``permute_dataset``: row i of the permuted
     dataset is row perm[i] of the original."""

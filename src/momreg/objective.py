@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _kernels
-from .blocks import block_increment, median
+from .blocks import block_increment, median, middle
 from .errors import ConfigError, DimensionError, EmptyLambdaWindow
 from .model import BlockPartition, Dataset, LinearPredictor, _frozen_array, covered_rows
 
@@ -77,6 +77,14 @@ def _theta_of(f) -> np.ndarray:
     return np.asarray(f, dtype=np.float64)
 
 
+def slope_weights_for(reg: Regularizer, d: int) -> np.ndarray:
+    """The slope weights of reg for coefficient vectors of d entries; any
+    other number of weights raises DimensionError."""
+    if reg.weights.shape[0] != d:
+        raise DimensionError(f"theta has {d} entries, slope weights {reg.weights.shape[0]}")
+    return reg.weights
+
+
 def psi_batch(reg: Regularizer, thetas: np.ndarray) -> np.ndarray:
     """psi evaluated row-wise on a (k, d) matrix of coefficient vectors."""
     thetas = np.asarray(thetas, dtype=np.float64)
@@ -84,12 +92,9 @@ def psi_batch(reg: Regularizer, thetas: np.ndarray) -> np.ndarray:
         return np.zeros(thetas.shape[0])
     if reg.kind == "l1":
         return np.abs(thetas).sum(axis=1)
-    if thetas.shape[1] != reg.weights.shape[0]:
-        raise DimensionError(
-            f"theta has {thetas.shape[1]} entries, slope weights {reg.weights.shape[0]}"
-        )
+    weights = slope_weights_for(reg, thetas.shape[1])
     # vecdot takes one dot product per row, as a single vector's a @ w does.
-    return np.vecdot(np.sort(np.abs(thetas), axis=1)[:, ::-1], reg.weights)
+    return np.vecdot(np.sort(np.abs(thetas), axis=1)[:, ::-1], weights)
 
 
 def psi(reg: Regularizer, f) -> float:
@@ -132,11 +137,12 @@ def prox_psi(reg: Regularizer, theta: np.ndarray, t: float) -> np.ndarray:
     theta = np.asarray(theta, dtype=np.float64)
     if reg.kind == "l1":
         return np.sign(theta) * np.maximum(np.abs(theta) - t, 0.0)
+    weights = slope_weights_for(reg, theta.shape[-1])
     if theta.ndim == 2:
         return np.stack([prox_psi(reg, row, t) for row in theta])
     a = np.abs(theta)
     order = np.argsort(-a, kind="stable")
-    x = np.maximum(_pava_nonincreasing(a[order] - t * reg.weights), 0.0)
+    x = np.maximum(_pava_nonincreasing(a[order] - t * weights), 0.0)
     mag = np.empty_like(a)
     mag[order] = x
     return np.sign(theta) * mag
@@ -232,11 +238,7 @@ class PhiResult:
 def median_block_index(inc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise median block of an (R, n) increment matrix: the index of the
     block attaining each row's median (lowest index on ties) and the median."""
-    mid = inc.shape[1] // 2
-    # np.partition's own copy-then-partition, without its Python wrapper.
-    part = inc.copy()
-    part.partition(mid, axis=1)
-    med = part[:, mid]
+    med = middle(inc.copy())
     return (inc == med[:, None]).argmax(axis=1), med
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .blocks import middle, row_slices
 from .errors import ConfigError, DimensionError, DivergenceError, GridCapExceeded
 from .model import BlockPartition, Dataset, LinearPredictor, covered_rows
 from .objective import (
@@ -41,9 +42,6 @@ _REFINE_BATCH = 16
 # maximum over fewer witnesses, so a move it does not put below the current
 # value cannot improve on the full pool either.
 _REFINE_SCREEN = 4
-# Entries of the (candidates, pool, blocks) array the audit partitions at
-# once: bounds the temporary for large batches and pools.
-_AUDIT_BATCH_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -109,18 +107,20 @@ class SolverResult:
 def erm_fit(data: Dataset) -> LinearPredictor:
     """Least-squares baseline via the normal equations.
 
-    Singular Gram matrices get a ridge jitter of 1e-10 instead of failing.
+    A singular Gram matrix, or a solve that comes out non-finite, gets a
+    ridge jitter of 1e-10 instead; a ridge solve that is still non-finite
+    raises InvalidInput.
     """
     X = data.features
     gram = X.T @ X
     rhs = X.T @ data.responses
     try:
         theta = np.linalg.solve(gram, rhs)
+        if np.isfinite(theta).all():
+            return LinearPredictor(theta)
     except np.linalg.LinAlgError:
-        theta = np.linalg.solve(gram + 1e-10 * np.eye(gram.shape[0]), rhs)
-    if not np.all(np.isfinite(theta)):
-        theta = np.linalg.solve(gram + 1e-10 * np.eye(gram.shape[0]), rhs)
-    return LinearPredictor(theta)
+        pass
+    return LinearPredictor(np.linalg.solve(gram + 1e-10 * np.eye(gram.shape[0]), rhs))
 
 
 def lasso_fit(
@@ -166,26 +166,26 @@ class _WitnessPoolAudit:
         self.pool_losses = pool_losses
         self.pool_psi = pool_psi
         self.lam = lam
-        self.mid = pool_losses.shape[1] // 2
 
     def extend(self, losses, psis) -> None:
         self.pool_losses = np.concatenate([self.pool_losses, losses], axis=0)
         self.pool_psi = np.concatenate([self.pool_psi, psis])
 
+    def terms(self, losses, psis, lo: int = 0) -> np.ndarray:
+        """Audit terms of the thetas with block losses losses (..., n) and
+        norms psis (...) against pool members lo..: the median block
+        increment plus lam (psi - psi_g), shape (..., pool - lo)."""
+        meds = middle(losses[..., None, :] - self.pool_losses[lo:])
+        if self.lam:
+            meds = meds + self.lam * (np.asarray(psis)[..., None] - self.pool_psi[lo:])
+        return meds
+
     def value_from_losses(self, losses, psis) -> np.ndarray:
         """Audited value of each row of a (k, n) block-loss matrix, whose
         thetas have the norms psis."""
-        pool_size, n = self.pool_losses.shape
         out = np.empty(losses.shape[0])
-        rows = max(1, _AUDIT_BATCH_ENTRIES // (pool_size * n))
-        for lo in range(0, losses.shape[0], rows):
-            hi = min(lo + rows, losses.shape[0])
-            diffs = losses[lo:hi, None, :] - self.pool_losses
-            diffs.partition(self.mid, axis=2)
-            meds = diffs[:, :, self.mid]
-            if self.lam:
-                meds = meds + self.lam * (psis[lo:hi, None] - self.pool_psi)
-            out[lo:hi] = meds.max(axis=1)
+        for rows in row_slices(losses.shape[0], self.pool_losses.size):
+            out[rows] = self.terms(losses[rows], psis[rows]).max(axis=1)
         return out
 
     def self_values(self) -> np.ndarray:
@@ -195,32 +195,23 @@ class _WitnessPoolAudit:
         The term of g against f is exactly minus the term of f against g:
         n is odd and round-to-nearest is odd-symmetric, so the median of
         the differences and the lam (psi_f - psi_g) term both change sign
-        and nothing else.  So each unordered pair's median is taken once:
-        rows lo..hi are audited against members lo.., under the same
-        temporary budget, and their negated terms fill the columns.
+        and nothing else.  So each unordered pair's term is taken once:
+        the rows of a slice are audited against members from the slice's
+        first row on, and their negated terms fill the columns.
         """
-        pool_size, n = self.pool_losses.shape
+        pool_size = self.pool_losses.shape[0]
         out = np.full(pool_size, -np.inf)
-        lo = 0
-        while lo < pool_size:
-            hi = min(pool_size, lo + max(1, _AUDIT_BATCH_ENTRIES // ((pool_size - lo) * n)))
-            diffs = self.pool_losses[lo:hi, None, :] - self.pool_losses[lo:]
-            diffs.partition(self.mid, axis=2)
-            meds = diffs[:, :, self.mid]
-            if self.lam:
-                meds = meds + self.lam * (self.pool_psi[lo:hi, None] - self.pool_psi[lo:])
-            np.maximum(out[lo:hi], meds.max(axis=1), out=out[lo:hi])
-            np.maximum(out[lo:], -meds.min(axis=0), out=out[lo:])
-            lo = hi
+        for rows in row_slices(pool_size, self.pool_losses.size):
+            meds = self.terms(self.pool_losses[rows], self.pool_psi[rows], rows.start)
+            np.maximum(out[rows], meds.max(axis=1), out=out[rows])
+            np.maximum(out[rows.start :], -meds.min(axis=0), out=out[rows.start :])
         # A negated zero term is -0.0 where the full audit has +0.0.
         return out + 0.0
 
     def screen(self, losses, psi) -> "_WitnessPoolAudit":
         """Sub-audit of the _REFINE_SCREEN witnesses with the largest terms
         at one theta, given its block losses and norm."""
-        meds = np.partition(losses - self.pool_losses, self.mid, axis=1)[:, self.mid]
-        if self.lam:
-            meds = meds + self.lam * (psi - self.pool_psi)
+        meds = self.terms(losses, psi)
         top = np.argpartition(-meds, _REFINE_SCREEN - 1)[:_REFINE_SCREEN]
         return _WitnessPoolAudit(self.pool_losses[top], self.pool_psi[top], self.lam)
 

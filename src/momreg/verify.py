@@ -10,14 +10,15 @@ any violation beyond float roundoff indicates an arithmetic bug.
 """
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import block_increments, multiplier_components
-from .datagen import NoiseSpec, generate
+from .blocks import block_increments, middle, multiplier_components
+from .datagen import NoiseSpec, draw_design_noise, generate
 from .errors import (
     ConfigError,
     DimensionError,
@@ -31,6 +32,7 @@ from .model import (
     DesignSpec,
     LinearPredictor,
     make_partition,
+    population_sq_norms,
 )
 from .objective import (
     ConditionParams,
@@ -40,6 +42,7 @@ from .objective import (
     lambda_window,
     psi,
     psi_batch,
+    slope_weights_for,
 )
 
 REGIME_FAR = "far"
@@ -83,12 +86,24 @@ def sample_sphere_probes(
     return [LinearPredictor(theta) for theta in thetas]
 
 
+class _Record:
+    """A report record: a dataclass whose to_dict maps each field, in field
+    order, to its value, with arrays as lists."""
+
+    def to_dict(self) -> dict:
+        out = {}
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            out[f.name] = value.tolist() if isinstance(value, np.ndarray) else value
+        return out
+
+
 # ---------------------------------------------------------------------------
 # framed block conditions
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(_Record):
     """Per-probe block fractions for one of the two framed conditions."""
 
     condition: str
@@ -99,24 +114,12 @@ class ConditionReport:
     per_probe_pass: np.ndarray
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "condition": self.condition,
-            "distances": [float(v) for v in self.distances],
-            "fractions": [float(v) for v in self.fractions],
-            "median_stats": [float(v) for v in self.median_stats],
-            "threshold": self.threshold,
-            "per_probe_pass": [bool(v) for v in self.per_probe_pass],
-            "passed": self.passed,
-        }
-
 
 def _probe_geometry(probes, f_star: LinearPredictor, design: DesignSpec):
     """The (k, d) stack of probe thetas, their offsets from f_star and their
     exact L2(mu) distances to it.
 
-    The quadratic form is a stack of vector-matrix products and row-wise
-    dot products, so each distance is bitwise ``population_l2_distance``.
+    Each distance is bitwise ``population_l2_distance``.
     """
     d = f_star.dim
     if d != design.dim:
@@ -131,13 +134,24 @@ def _probe_geometry(probes, f_star: LinearPredictor, design: DesignSpec):
     if not np.isfinite(thetas).all():
         raise InvalidInput("coefficients must be finite")
     deltas = thetas - f_star.theta
-    q = np.vecdot(np.matmul(deltas[:, None, :], design.covariance)[:, 0], deltas)
+    q = population_sq_norms(deltas, design)
     return thetas, deltas, np.sqrt(np.where(q < 0.0, 0.0, q))
 
 
-def _row_medians(stats: np.ndarray) -> np.ndarray:
-    mid = stats.shape[1] // 2
-    return np.partition(stats, mid, axis=1)[:, mid]
+def _condition_report(condition, dists, stats, hits, fraction_threshold) -> ConditionReport:
+    """The report of one condition from the (probes, blocks) statistics and
+    the mask of blocks that satisfy it; partitions stats in place."""
+    fractions = np.count_nonzero(hits, axis=1) / stats.shape[1]
+    per_pass = fractions >= fraction_threshold
+    return ConditionReport(
+        condition=condition,
+        distances=dists,
+        fractions=fractions,
+        median_stats=middle(stats),
+        threshold=fraction_threshold,
+        per_probe_pass=per_pass,
+        passed=bool(np.all(per_pass)),
+    )
 
 
 def check_condition_one(
@@ -162,16 +176,9 @@ def check_condition_one(
     if inside.size:
         raise ProbeOutOfRegime(f"probe at distance {float(dists[inside[0]])} < r = {r}")
     incs = block_increments(thetas, f_star, data, p)
-    fractions = np.count_nonzero(incs >= (gamma1 * dists * dists)[:, None], axis=1) / p.n
-    per_pass = fractions >= fraction_threshold
-    return ConditionReport(
-        condition="increment_lower",
-        distances=dists,
-        fractions=fractions,
-        median_stats=_row_medians(incs),
-        threshold=fraction_threshold,
-        per_probe_pass=per_pass,
-        passed=bool(np.all(per_pass)),
+    return _condition_report(
+        "increment_lower", dists, incs, incs >= (gamma1 * dists * dists)[:, None],
+        fraction_threshold,
     )
 
 
@@ -207,16 +214,8 @@ def check_condition_two(
     if outside.size:
         raise ProbeOutOfRegime(f"probe at distance {float(dists[outside[0]])} >= r = {r}")
     dev = np.abs(multiplier_components(thetas, f_star, data, p) - expected[:, None])
-    fractions = np.count_nonzero(dev <= gamma2 * r * r, axis=1) / p.n
-    per_pass = fractions >= fraction_threshold
-    return ConditionReport(
-        condition="multiplier_band",
-        distances=dists,
-        fractions=fractions,
-        median_stats=_row_medians(dev),
-        threshold=fraction_threshold,
-        per_probe_pass=per_pass,
-        passed=bool(np.all(per_pass)),
+    return _condition_report(
+        "multiplier_band", dists, dev, dev <= gamma2 * r * r, fraction_threshold
     )
 
 
@@ -225,7 +224,7 @@ def check_condition_two(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class Theorem1Diagnostic:
+class Theorem1Diagnostic(_Record):
     distance: float
     distance_ok: bool
     excess: float
@@ -233,17 +232,6 @@ class Theorem1Diagnostic:
     excess_ok: bool
     passed: bool
     conditions_passed: bool | None
-
-    def to_dict(self) -> dict:
-        return {
-            "distance": self.distance,
-            "distance_ok": self.distance_ok,
-            "excess": self.excess,
-            "excess_bound": self.excess_bound,
-            "excess_ok": self.excess_ok,
-            "passed": self.passed,
-            "conditions_passed": self.conditions_passed,
-        }
 
 
 def theorem1_check(
@@ -282,7 +270,7 @@ def theorem1_check(
 
 
 @dataclass(frozen=True)
-class Theorem2Diagnostic:
+class Theorem2Diagnostic(_Record):
     psi_error: float
     psi_bound: float
     psi_ok: bool
@@ -293,20 +281,6 @@ class Theorem2Diagnostic:
     excess_bound: float
     excess_ok: bool
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "psi_error": self.psi_error,
-            "psi_bound": self.psi_bound,
-            "psi_ok": self.psi_ok,
-            "distance": self.distance,
-            "distance_bound": self.distance_bound,
-            "distance_ok": self.distance_ok,
-            "excess": self.excess,
-            "excess_bound": self.excess_bound,
-            "excess_ok": self.excess_ok,
-            "passed": self.passed,
-        }
 
 
 def theorem2_check(
@@ -373,12 +347,7 @@ def estimate_expected_multiplier(
     """
     th = _theta_of(probe)
     ts = _theta_of(f_star)
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((n_samples, design.dim)) @ design.cholesky.T
-    if noise.kind == "gaussian":
-        eps = noise.scale * rng.standard_normal(n_samples)
-    else:
-        eps = noise.scale * rng.standard_t(noise.dof, n_samples)
+    X, eps = draw_design_noise(n_samples, design, noise, seed)
     # E[2 (h - f*)(X) (f*(X) - Y)] with Y = f*(X) + eps
     return float(np.mean(-2.0 * (X @ (th - ts)) * eps))
 
@@ -446,24 +415,20 @@ def _check_blocks(report, idx, conclusion, hypothesis, lhs, rhs) -> None:
     mask holds; count the others as skipped and append violations in
     probe-then-block order.
 
-    hypothesis and lhs are (probes, blocks) arrays with one probe index,
-    one conclusion and one rhs per row; one-dimensional arguments and a
-    single conclusion name are one probe.
+    hypothesis and lhs are (probes, blocks) arrays with one probe index in
+    idx, one conclusion name and one rhs per row.
     """
-    hypothesis = np.atleast_2d(hypothesis)
-    idx = np.reshape(idx, -1)
-    names = [conclusion] * idx.size if isinstance(conclusion, str) else list(conclusion)
-    for name, count in zip(names, np.count_nonzero(hypothesis, axis=1).tolist()):
+    for name, count in zip(conclusion, np.count_nonzero(hypothesis, axis=1).tolist()):
         report.checked[name] += count
         report.skipped[name] += hypothesis.shape[1] - count
     rows, blocks = np.nonzero(hypothesis)
-    lhs = np.atleast_2d(lhs)[rows, blocks]
-    rhs = np.reshape(rhs, -1)[rows]
+    lhs = lhs[rows, blocks]
+    rhs = rhs[rows]
     slack = _FLOAT_SLACK * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     for i in np.flatnonzero(lhs < rhs - slack).tolist():
         report.violations.append(
             LemmaViolation(
-                int(idx[rows[i]]), int(blocks[i]), names[rows[i]], lhs[i], float(rhs[i])
+                int(idx[rows[i]]), int(blocks[i]), conclusion[rows[i]], lhs[i], float(rhs[i])
             )
         )
 
@@ -595,8 +560,7 @@ def norming_functional(reg: Regularizer, v: np.ndarray, direction=None) -> np.nd
     if reg.kind == "l1":
         return signs
     if reg.kind == "slope":
-        if reg.weights.shape[0] != signs.shape[-1]:
-            raise DimensionError("slope weights do not match dimension")
+        weights = slope_weights_for(reg, signs.shape[-1])
         # Contribution of coordinate i if it receives weight w: signs[i] *
         # direction[i] * w; within |v| ties any weight assignment is norming,
         # so order ties by contribution (rearrangement maximizes the sum).
@@ -604,7 +568,7 @@ def norming_functional(reg: Regularizer, v: np.ndarray, direction=None) -> np.nd
         order = np.lexsort((-contrib, np.broadcast_to(-np.abs(v), signs.shape)), axis=-1)
         z = np.empty(signs.shape)
         np.put_along_axis(
-            z, order, reg.weights * np.take_along_axis(signs, order, axis=-1), axis=-1
+            z, order, weights * np.take_along_axis(signs, order, axis=-1), axis=-1
         )
         return z
     raise ConfigError("norming functionals exist for l1 and slope only")
@@ -616,13 +580,14 @@ def dual_norm(reg: Regularizer, z: np.ndarray) -> float:
     if reg.kind == "l1":
         return float(np.max(np.abs(z)))
     if reg.kind == "slope":
+        weights = slope_weights_for(reg, z.shape[-1])
         a = np.sort(np.abs(z))[::-1]
-        return float(np.max(np.cumsum(a) / np.cumsum(reg.weights)))
+        return float(np.max(np.cumsum(a) / np.cumsum(weights)))
     raise ConfigError("dual norm defined for l1 and slope only")
 
 
 @dataclass(frozen=True)
-class DeltaEstimate:
+class DeltaEstimate(_Record):
     """Sampled estimate of the norming-functional separation quantity.
 
     value is the minimum over sampled (f, h) pairs of the best z(h - f)
@@ -637,17 +602,6 @@ class DeltaEstimate:
     n_candidates: int
     rho: float
     r: float
-
-    def to_dict(self) -> dict:
-        return {
-            "value": self.value,
-            "feasible": self.feasible,
-            "n_centers": self.n_centers,
-            "n_feasible": self.n_feasible,
-            "n_candidates": self.n_candidates,
-            "rho": self.rho,
-            "r": self.r,
-        }
 
 
 def _psi_unit(reg: Regularizer, u: np.ndarray) -> np.ndarray | None:
@@ -718,9 +672,7 @@ def estimate_delta(
             v_offsets.append((rho / 20.0) * rng.uniform(0.0, 1.0) * u)
 
     steps = rho * (directions / psi_batch(reg, directions)[:, None])
-    # A stack of vector-matrix products, one per step: a single matrix
-    # product rounds differently from delta @ cov.
-    q = np.vecdot(np.matmul(steps[:, None, :], design.covariance)[:, 0], steps)
+    q = population_sq_norms(steps, design)
     steps = steps[~(np.sqrt(np.maximum(q, 0.0)) > r * (1 + 1e-12))]
     if steps.shape[0] == 0:
         return DeltaEstimate(

@@ -124,9 +124,9 @@ def test_stacked_statistics_are_the_one_theta_rows(d, n, m, k):
 
 def test_stacked_chunks_bound_the_temporaries():
     for total in (1, 300, 5000, 65536, 65537, 10**6):
-        chunks = list(blocks._chunks(200, make_partition(total, 1)))
+        chunks = list(blocks.row_slices(200, total))
         rows = chunks[0].stop - chunks[0].start
-        assert rows == max(1, blocks._STACK_ENTRIES // total)
+        assert rows == max(1, blocks.TEMP_ENTRIES // total)
         assert [c.start for c in chunks] == list(range(0, 200, rows))
 
 

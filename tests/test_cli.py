@@ -12,7 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from momreg import InvalidInput, MomregError, ParseError, load_dataset, make_partition
+from momreg import (
+    InvalidInput,
+    MomregError,
+    ParseError,
+    default_slope_weights,
+    load_dataset,
+    make_partition,
+)
 from momreg import cli
 from momreg.cli import (
     _RUNNERS,
@@ -130,6 +137,69 @@ class TestRunSimulate:
         a = run_simulate(resolve_config(_sim_config(trials=2)))
         b = run_simulate(resolve_config(_sim_config(trials=3)))
         assert a["trials"] == b["trials"][:2]
+
+
+_THEOREM2_KEYS = {
+    "psi_error", "psi_bound", "psi_ok", "distance", "distance_bound", "distance_ok",
+    "excess", "excess_bound", "excess_ok", "passed",
+}
+
+
+class TestRegularizedSimulate:
+    @pytest.mark.parametrize("kind, weights", [("l1", None), ("slope", None), ("slope", [1.5, 1.0])])
+    def test_theorem2_records_and_confidence(self, kind, weights):
+        objective = {"lambda": 0.05, "regularizer": kind, "slope_weights": weights}
+        rep = run_simulate(resolve_config(_sim_config(objective=objective)))
+        for rec in rep["trials"]:
+            assert set(rec["theorem2"]) == _THEOREM2_KEYS
+            assert rec["theorem2"]["passed"] == (
+                rec["theorem2"]["psi_ok"]
+                and rec["theorem2"]["distance_ok"]
+                and rec["theorem2"]["excess_ok"]
+            )
+        confidence = rep["aggregate"]["confidence_theorem2"]
+        assert 0.0 <= confidence <= 1.0
+        assert confidence == np.mean([rec["theorem2"]["passed"] for rec in rep["trials"]])
+
+    def test_slope_defaults_to_the_default_weights(self):
+        objective = {"lambda": 0.05, "regularizer": "slope"}
+        default = run_simulate(resolve_config(_sim_config(objective=objective)))
+        objective["slope_weights"] = default_slope_weights(2).tolist()
+        explicit = run_simulate(resolve_config(_sim_config(objective=objective)))
+        assert default["trials"] == explicit["trials"]
+
+    @pytest.mark.parametrize("mode", ["fit", "simulate"])
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_wrong_number_of_slope_weights_exit_code(self, tmp_path, capsys, mode, count):
+        cfg = dict(_D3_CONFIG, objective={
+            "lambda": 0.05, "regularizer": "slope", "slope_weights": [2.0] * count
+        })
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main([mode, "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: theta has 3 entries, slope weights {count}\n"
+
+
+class TestSparseThetaStar:
+    def test_default_theta_star_is_the_sparse_spec(self):
+        gen = {"n_samples": 60, "dim": 7}
+        cfg = resolve_config({"data": {"generate": gen}, "partition": {"blocks": 5}})
+        _, theta_star, clean, *_ = cli._trial_inputs(cfg, 0)
+        np.testing.assert_array_equal(theta_star, [1.0] * 5 + [0.0] * 2)
+        assert clean.dim == 7
+
+    def test_explicit_sparse_spec(self):
+        gen = {"n_samples": 60, "dim": 4, "theta_star": {"sparse": {"support": 2, "value": -0.5}}}
+        cfg = resolve_config({"data": {"generate": gen}, "partition": {"blocks": 5}})
+        np.testing.assert_array_equal(cli._trial_inputs(cfg, 0)[1], [-0.5, -0.5, 0.0, 0.0])
+
+    @pytest.mark.parametrize("mode", ["fit", "simulate", "verify", "corrupt-bench"])
+    def test_support_above_dim_exit_code(self, tmp_path, capsys, mode):
+        cfg = {"data": {"generate": {"n_samples": 60, "dim": 3}}, "partition": {"blocks": 5}}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        assert main([mode, "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == "error: sparse support exceeds dimension\n"
 
 
 class TestMainEntry:

@@ -11,15 +11,18 @@ from momreg import (
     ConditionParams,
     ConfigError,
     Dataset,
+    DimensionError,
     EmptyLambdaWindow,
     LinearPredictor,
     ObjectiveConfig,
     Regularizer,
     block_increment,
     default_slope_weights,
+    dual_norm,
     lambda_window,
     make_partition,
     med_increment,
+    norming_functional,
     phi_hat,
     phi_lambda_hat,
     prox_psi,
@@ -102,6 +105,25 @@ class TestPsi:
             np.testing.assert_allclose(
                 psi(reg, scale * u), abs(scale) * pu, rtol=1e-10, atol=1e-10
             )
+
+
+@pytest.mark.parametrize("count", [1, 2, 4])
+def test_wrong_number_of_slope_weights_raises(count):
+    # One length check guards every slope computation, so a wrong count
+    # never broadcasts (one weight) or reaches numpy as a shape error.
+    reg = Regularizer.slope(np.linspace(2.0, 1.0, count))
+    theta = np.array([1.0, -2.0, 0.5])
+    message = f"theta has 3 entries, slope weights {count}"
+    for call in (
+        lambda: psi(reg, theta),
+        lambda: psi_batch(reg, theta[None]),
+        lambda: prox_psi(reg, theta, 0.1),
+        lambda: prox_psi(reg, np.stack([theta, theta]), 0.1),
+        lambda: norming_functional(reg, theta, theta),
+        lambda: dual_norm(reg, theta),
+    ):
+        with pytest.raises(DimensionError, match=message):
+            call()
 
 
 class TestProxPsi:

@@ -15,6 +15,7 @@ from momreg import (
     DivergenceError,
     GridCapExceeded,
     GridSpec,
+    InvalidInput,
     LinearPredictor,
     NoiseSpec,
     ObjectiveConfig,
@@ -58,6 +59,27 @@ class TestErmFit:
         X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
         fit = erm_fit(Dataset(X, np.array([1.0, 2.0, 3.0])))
         assert np.all(np.isfinite(fit.theta))
+
+    def test_duplicated_column_gives_the_ridge_solution(self):
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((20, 2))
+        X = np.hstack([X, X[:, :1]])
+        y = rng.standard_normal(20)
+        gram = X.T @ X
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(gram, X.T @ y)
+        fit = erm_fit(Dataset(X, y))
+        ridge = np.linalg.solve(gram + 1e-10 * np.eye(3), X.T @ y)
+        np.testing.assert_array_equal(fit.theta, ridge)
+        assert np.isfinite(fit.theta).all()
+
+    def test_overflowing_gram_raises_invalid_input(self):
+        # X^T X and X^T y overflow to inf: both the plain and the ridge
+        # solve come out NaN, which no predictor may hold.
+        data = Dataset(np.array([[1e200], [1.0]]), np.array([1e200, 1.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(InvalidInput, match="coefficients must be finite"):
+                erm_fit(data)
 
 
 class TestLassoFit:

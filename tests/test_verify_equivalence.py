@@ -464,7 +464,9 @@ def test_check_blocks_slack_boundary():
     lhs = rhs - np.array([0.0, 1e-9, 3e-9, 6e-9, 1.0, -1.0, 50.0, 3e-9])
     hypothesis = np.array([True, True, True, True, True, True, True, False])
     report = LemmaCheckReport(checked={"far": 0}, skipped={"far": 0})
-    verify._check_blocks(report, 4, "far", hypothesis, lhs, rhs)
+    verify._check_blocks(
+        report, np.array([4]), ["far"], hypothesis[None], lhs[None], np.array([rhs])
+    )
     assert (report.checked, report.skipped) == ({"far": 7}, {"far": 1})
     assert [(v.probe_index, v.block_index) for v in report.violations] == [
         (4, 2), (4, 3), (4, 4), (4, 6)
@@ -473,7 +475,9 @@ def test_check_blocks_slack_boundary():
     # below 1 in magnitude the slack stays 1e-9
     report = LemmaCheckReport(checked={"far": 0}, skipped={"far": 0})
     lhs = np.array([0.5 - 0.8e-9, 0.5 - 2e-9])
-    verify._check_blocks(report, 0, "far", np.ones(2, bool), lhs, 0.5)
+    verify._check_blocks(
+        report, np.array([0]), ["far"], np.ones((1, 2), bool), lhs[None], np.array([0.5])
+    )
     assert [v.block_index for v in report.violations] == [1]
 
 
