@@ -47,6 +47,12 @@ def block_increment(S, b, theta_f, theta_h):
     return s_delta @ (theta_f + theta_h) - 2.0 * (b @ delta)
 
 
+def block_means(v, n, m):
+    """Means of the n consecutive blocks of m entries along the last axis of
+    v, bitwise ``ndarray.mean`` without its Python wrapper (see ``blocks``)."""
+    return np.add.reduce(v.reshape(*v.shape[:-1], n, m), axis=-1) / m
+
+
 def block_losses(X, y, thetas, n, m):
     """Per-block mean of (X theta - y)^2: shape (n,) for one theta, (k, n)
     for a (k, d) batch of thetas."""
@@ -55,11 +61,11 @@ def block_losses(X, y, thetas, n, m):
     if thetas.ndim == 1:
         resid = X @ thetas
         resid -= y
-        return np.square(resid, out=resid).reshape(n, m).mean(axis=1)
+        return block_means(np.square(resid, out=resid), n, m)
     out = np.empty((thetas.shape[0], n))
     for lo in range(0, thetas.shape[0], _CHUNK):
         chunk = thetas[lo : lo + _CHUNK]
         resid = chunk @ X.T
         resid -= y
-        out[lo : lo + chunk.shape[0]] = np.square(resid, out=resid).reshape(-1, n, m).mean(axis=2)
+        out[lo : lo + chunk.shape[0]] = block_means(np.square(resid, out=resid), n, m)
     return out

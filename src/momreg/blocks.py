@@ -8,6 +8,9 @@ caller that must keep its input passes a copy).  ``row_slices(k,
 row_entries)`` is the one temporary budget: slices of a k-row stack such
 that no slice's temporary, row_entries entries per row, exceeds
 ``TEMP_ENTRIES`` (65,536) entries, with at least one row per slice.
+``block_means(v, n, m)``, from ``_kernels``, is the one block mean: it
+calls ``np.add.reduce`` and divides by m, which is what ``ndarray.mean``
+computes, so it gives that method's bits without its Python-level wrapper.
 
 For predictors f, h and block j the three statistics are
 
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
+from ._kernels import block_means
 from .errors import DimensionError, InvalidInput, OddLengthRequired
 from .model import BlockPartition, Dataset, LinearPredictor, _frozen_array, covered_rows
 
@@ -85,16 +88,12 @@ def _used_arrays(f_dim: int, h: LinearPredictor, data: Dataset, p: BlockPartitio
     return covered_rows(data, p)
 
 
-def _block_means(v: np.ndarray, p: BlockPartition) -> np.ndarray:
-    return v.reshape(p.n, p.m).mean(axis=1)
-
-
 def quad_component(
     f: LinearPredictor, h: LinearPredictor, data: Dataset, p: BlockPartition
 ) -> BlockVector:
     """Blockwise mean of (f - h)^2 (X_i)."""
     X, _ = _used_arrays(f.dim, h, data, p)
-    return BlockVector(_block_means(np.square(X @ (f.theta - h.theta)), p))
+    return BlockVector(block_means(np.square(X @ (f.theta - h.theta)), p.n, p.m))
 
 
 def _stacked_arrays(thetas, h: LinearPredictor, data: Dataset, p: BlockPartition):
@@ -119,13 +118,14 @@ def block_increments(thetas, h: LinearPredictor, data: Dataset, p: BlockPartitio
     """Blockwise squared-loss difference of each row of a (k, d) stack of
     thetas and h, from the losses directly: shape (k, n)."""
     thetas, X, y = _stacked_arrays(thetas, h, data, p)
-    loss_h = _kernels.block_losses(X, y, h.theta, p.n, p.m)
-    out = np.empty((thetas.shape[0], p.n))
-    for rows in row_slices(thetas.shape[0], p.total):
-        resid = _stacked_products(X, thetas[rows])
+    # h's losses come from its own row of the same pass.
+    stack = np.concatenate([thetas, h.theta[None]])
+    losses = np.empty((stack.shape[0], p.n))
+    for rows in row_slices(stack.shape[0], p.total):
+        resid = _stacked_products(X, stack[rows])
         resid -= y
-        out[rows] = np.square(resid, out=resid).reshape(-1, p.n, p.m).mean(axis=2) - loss_h
-    return _finite(out)
+        losses[rows] = block_means(np.square(resid, out=resid), p.n, p.m)
+    return _finite(losses[:-1] - losses[-1])
 
 
 def multiplier_components(
@@ -139,7 +139,7 @@ def multiplier_components(
     for rows in row_slices(thetas.shape[0], p.total):
         z = _stacked_products(X, thetas[rows] - h.theta)
         z *= resid_h
-        out[rows] = 2.0 * z.reshape(-1, p.n, p.m).mean(axis=2)
+        out[rows] = 2.0 * block_means(z, p.n, p.m)
     return _finite(out)
 
 

@@ -35,6 +35,7 @@ import numpy as np
 from .datagen import CorruptionSpec, NoiseSpec, corrupt, generate
 from .errors import ConfigError, MomregError, ParseError
 from .model import (
+    MAX_MAGNITUDE,
     Dataset,
     DesignSpec,
     LinearPredictor,
@@ -126,9 +127,6 @@ def _deep_merge(base: dict, override: dict) -> dict:
 _MAX_COUNT = 10**9
 # Worker processes are forked all at once when the pool starts.
 _MAX_WORKERS = 256
-# Largest magnitude of a config number: far beyond any scale a run uses, and
-# small enough that the squares and products a run takes of it stay finite.
-_MAX_MAGNITUDE = 1e100
 
 
 def _at_least(lo):
@@ -214,7 +212,7 @@ def _is_int(v) -> bool:
 def _is_number(v) -> bool:
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         return False
-    return abs(v) <= _MAX_MAGNITUDE  # False for nan and inf; ints compare exactly
+    return abs(v) <= MAX_MAGNITUDE  # False for nan and inf; ints compare exactly
 
 
 def _is_numbers(v) -> bool:
@@ -328,12 +326,18 @@ def _objective_from_config(cfg: dict, dim: int) -> ObjectiveConfig:
     obj = cfg["objective"]
     kind = obj["regularizer"]
     lam = float(obj["lambda"])
+    weights = obj.get("slope_weights")
+    if kind == "none" and lam != 0.0:
+        raise ConfigError(f"objective.lambda must be 0 with regularizer none, got {lam!r}")
+    if kind != "slope" and weights is not None:
+        raise ConfigError(
+            f"objective.slope_weights must be null with regularizer {kind}, got {weights!r}"
+        )
     if kind == "none":
         return ObjectiveConfig()
     if kind == "l1":
         return ObjectiveConfig(lam, Regularizer.l1())
     if kind == "slope":
-        weights = obj.get("slope_weights")
         w = (
             np.asarray(weights, dtype=np.float64)
             if weights is not None
@@ -617,6 +621,7 @@ def run_verify(cfg: dict) -> dict:
     """
     _require_generated(cfg, "verify")
     design, theta_star, _, data, _, p = _trial_inputs(cfg, 0)
+    reg = _objective_from_config(cfg, data.dim).regularizer
     f_star = LinearPredictor(theta_star)
     params = _params_from_config(cfg)
     vcfg = cfg["verify"]
@@ -642,6 +647,7 @@ def run_verify(cfg: dict) -> dict:
     lemma = lemma_sweep(int(vcfg["lemma_instances"]), seed=cfg["seed"])
     violations = [
         {
+            "instance": v.instance,
             "probe": v.probe_index,
             "block": v.block_index,
             "conclusion": v.conclusion,
@@ -655,6 +661,7 @@ def run_verify(cfg: dict) -> dict:
         # violation path and the nonzero exit are exercised end to end.
         violations.append(
             {
+                "instance": -1,
                 "probe": -1,
                 "block": -1,
                 "conclusion": "negative_control",
@@ -663,7 +670,6 @@ def run_verify(cfg: dict) -> dict:
             }
         )
 
-    reg = _objective_from_config(cfg, data.dim).regularizer
     if reg.kind == "none":
         reg = Regularizer.l1()
     delta = estimate_delta(

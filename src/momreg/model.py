@@ -21,6 +21,11 @@ from .errors import (
 )
 
 
+# Largest magnitude of a config number or a dataset cell: far beyond any scale
+# a run uses, and small enough that the squares and products of it stay finite.
+MAX_MAGNITUDE = 1e100
+
+
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     arr = np.array(values, dtype=dtype, order="C", copy=True)
     arr.flags.writeable = False
@@ -47,7 +52,7 @@ class Dataset:
             )
         if X.shape[0] < 1:
             raise InvalidInput("need at least one sample")
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
+        if not (np.isfinite(X).all() and np.isfinite(y).all()):
             raise InvalidInput("all sample entries must be finite")
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "responses", y)
@@ -71,7 +76,7 @@ class LinearPredictor:
         t = _frozen_array(self.theta)
         if t.ndim != 1:
             raise DimensionError("theta must be a 1-d coefficient vector")
-        if not np.all(np.isfinite(t)):
+        if not np.isfinite(t).all():
             raise InvalidInput("coefficients must be finite")
         object.__setattr__(self, "theta", t)
 
@@ -263,10 +268,11 @@ def load_dataset(path) -> Dataset:
                 raise ParseError(
                     f"row {lineno}: non-numeric cell in {row!r}", row=lineno
                 ) from exc
-            if not all(math.isfinite(v) for v in vals):
-                raise ParseError(
-                    f"row {lineno}: non-finite cell in {row!r}", row=lineno
-                )
+            if not all(abs(v) <= MAX_MAGNITUDE for v in vals):  # False for nan and inf
+                what = "non-finite cell"
+                if all(map(math.isfinite, vals)):
+                    what = f"cell of magnitude above {MAX_MAGNITUDE:g}"
+                raise ParseError(f"row {lineno}: {what} in {row!r}", row=lineno)
             feats.append(vals[:-1])
             resp.append(vals[-1])
         if not feats:

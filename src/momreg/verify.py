@@ -378,11 +378,15 @@ class LemmaProbe:
 
 @dataclass(frozen=True)
 class LemmaViolation:
+    """A failed conclusion at one (probe, block) pair of one instance of
+    ``lemma_sweep``; probes and instances are numbered from 0."""
+
     probe_index: int
     block_index: int
     conclusion: str
     lhs: float
     rhs: float
+    instance: int = 0
 
     @property
     def margin(self) -> float:
@@ -418,10 +422,13 @@ def _check_blocks(report, idx, conclusion, hypothesis, lhs, rhs) -> None:
     hypothesis and lhs are (probes, blocks) arrays with one probe index in
     idx, one conclusion name and one rhs per row.
     """
-    for name, count in zip(conclusion, np.count_nonzero(hypothesis, axis=1).tolist()):
+    for name, count in zip(conclusion, hypothesis.sum(axis=1).tolist()):
         report.checked[name] += count
         report.skipped[name] += hypothesis.shape[1] - count
-    rows, blocks = np.nonzero(hypothesis)
+    # lhs < rhs - slack implies lhs < rhs, so pairs with lhs >= rhs pass.
+    rows, blocks = np.nonzero(hypothesis & (lhs < rhs[:, None]))
+    if not rows.size:
+        return
     lhs = lhs[rows, blocks]
     rhs = rhs[rows]
     slack = _FLOAT_SLACK * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
@@ -470,71 +477,70 @@ def lemma_reg_check(
         raise ConfigError(f"lambda {lam} outside window [{lo}, {hi}]")
     g1, g2, r, rho = params.gamma1, params.gamma2, params.r, params.rho
     r2 = r * r
-    psi_star = psi(reg, f_star.theta)
     report = LemmaCheckReport(
         checked=dict.fromkeys(_CONCLUSIONS, 0), skipped=dict.fromkeys(_CONCLUSIONS, 0)
     )
     probes = list(probes)
+    k = len(probes)
+    thetas, deltas, dists = _probe_geometry(probes, f_star, design)
+    # One psi call for f*, the probes and their offsets, bitwise row by row.
+    norms = psi_batch(reg, np.concatenate([f_star.theta[None], thetas, deltas])).tolist()
+    psi_star, psi_h, psi_delta = norms[0], norms[1 : k + 1], norms[k + 1 :]
     if not probes:
         return report
-    thetas, deltas, dists = _probe_geometry(probes, f_star, design)
-    psi_h = psi_batch(reg, thetas).tolist()
-    psi_delta = psi_batch(reg, deltas).tolist()
     on_sphere = [abs(pd - rho) <= _SPHERE_RTOL * rho for pd in psi_delta]
 
     # Statistics rows: one per distinct probe theta, then one per scaled
     # probe on the psi-sphere, at f = f* + alpha (h - f*); scaled probes
     # off the sphere are skipped without forming f.
-    firsts, row, seen = [], [], {}
-    for i, theta in enumerate(thetas):
-        key = theta.tobytes()
-        if key not in seen:
-            seen[key] = len(firsts)
-            firsts.append(i)
-        row.append(seen[key])
+    seen = {}
+    row = [seen.setdefault(theta.tobytes(), len(seen)) for theta in thetas]
+    firsts = [row.index(j) for j in range(len(seen))]
     at_f = [i for i, probe in enumerate(probes) if probe.regime == REGIME_SCALED and on_sphere[i]]
     alpha = np.array([probes[i].alpha for i in at_f], dtype=np.float64)
     f_scaled = f_star.theta + alpha[:, None] * deltas[at_f]
     if not np.isfinite(f_scaled).all():
         raise InvalidInput("coefficients must be finite")
-    incs = block_increments(np.concatenate([thetas[firsts], f_scaled]), f_star, data, p)
+    distinct = thetas[firsts]
+    incs = block_increments(np.concatenate([distinct, f_scaled]), f_star, data, p)
     b_h = incs[row]
-    m_h = multiplier_components(thetas[firsts], f_star, data, p)[row]
+    m_h = multiplier_components(distinct, f_star, data, p)[row]
     # The left side's increment and norm: at f for those scaled probes, at h
     # for the others.
-    b_lhs = b_h.copy()
-    b_lhs[at_f] = incs[len(firsts) :]
-    psi_lhs = list(psi_h)
-    for i, psi_f in zip(at_f, psi_batch(reg, f_scaled).tolist()):
-        psi_lhs[i] = psi_f
+    lhs_row, psi_lhs = list(row), list(psi_h)
+    for j, (i, psi_f) in enumerate(zip(at_f, psi_batch(reg, f_scaled).tolist())):
+        lhs_row[i], psi_lhs[i] = len(firsts) + j, psi_f
 
     # Per probe: its conclusion, whether the hypothesis gates of its regime
-    # hold, whether its block hypothesis is the far or the near mask, and
-    # the right side of its conclusion.
-    cases = []
+    # hold, whether its block hypothesis is the far or the near one, and the
+    # right side of its conclusion.  A block meets the far hypothesis when
+    # b_h >= far_lo, the near one when |m_h - em| <= near_hi; nan, for the
+    # side not taken or a failed gate, is met by no block.
+    conclusion, terms = [], []
     for i, (probe, dist) in enumerate(zip(probes, dists.tolist())):
         em = probe.expected_multiplier
         if probe.regime == REGIME_FAR:
             gate = not (psi_delta[i] > rho or dist < r)
-            cases.append(("far", gate, True, 0.5 * g1 * dist * dist))
+            case = ("far", gate, True, 0.5 * g1 * dist * dist)
         elif probe.regime == REGIME_SPHERE_NEAR:
             norming_ok = psi_h[i] - psi_star >= 0.7 * rho
             gate = on_sphere[i] and dist < r and em >= 0.0 and norming_ok
-            cases.append(("sphere_near", gate, False, 0.5 * g2 * r2))
+            case = ("sphere_near", gate, False, 0.5 * g2 * r2)
         elif not on_sphere[i] or dist >= r:
-            cases.append(("scaled_far", on_sphere[i], True, probe.alpha * 0.5 * g1 * dist * dist))
+            case = ("scaled_far", on_sphere[i], True, probe.alpha * 0.5 * g1 * dist * dist)
         else:
             norming_ok = psi_lhs[i] - psi_star >= (0.8 * probe.alpha - 0.1) * rho
-            cases.append(("scaled_near", em >= 0.0 and norming_ok, False, probe.alpha * g2 * r2))
-    conclusion, gates, far_side, rhs = zip(*cases)
+            case = ("scaled_near", em >= 0.0 and norming_ok, False, probe.alpha * g2 * r2)
+        name, gate, far, rhs = case
+        conclusion.append(name)
+        far_lo = g1 * dist * dist if gate and far else math.nan
+        near_hi = g2 * r2 if gate and not far else math.nan
+        terms.append((lam * (psi_lhs[i] - psi_star), far_lo, near_hi, em, rhs))
+    lam_terms, far_lo, near_hi, expected, rhs = np.array(terms).T
 
-    lhs = b_lhs + (lam * (np.array(psi_lhs) - psi_star))[:, None]
-    far_mask = b_h >= (g1 * dists * dists)[:, None]
-    expected = np.array([probe.expected_multiplier for probe in probes], dtype=np.float64)
-    near_mask = np.abs(m_h - expected[:, None]) <= g2 * r2
-    hypothesis = np.where(np.array(far_side)[:, None], far_mask, near_mask)
-    hypothesis &= np.array(gates)[:, None]
-    _check_blocks(report, np.arange(len(probes)), conclusion, hypothesis, lhs, np.array(rhs))
+    lhs = incs[lhs_row] + lam_terms[:, None]
+    hypothesis = (b_h >= far_lo[:, None]) | (np.abs(m_h - expected[:, None]) <= near_hi[:, None])
+    _check_blocks(report, range(k), conclusion, hypothesis, lhs, rhs)
     return report
 
 
@@ -699,18 +705,35 @@ def estimate_delta(
 # randomized lemma sweep (hypothesis-satisfying instance generator)
 # ---------------------------------------------------------------------------
 
+# Populations of the draws with replacement of random_lemma_instance.
+_SIGNS = np.array([-1.0, 1.0])
+_BLOCK_COUNTS = np.array([5, 7, 9, 11])
+_L1 = Regularizer.l1()
+
+
+def _pick(rng, a: np.ndarray, size=None):
+    """``rng.choice(a, size)`` with replacement from the 1-d array a, draw for
+    draw, without choice's Python argument handling."""
+    return a[rng.integers(0, a.shape[0], size=size)]
+
+
 def _sparse_f_star(rng, d: int, support: int) -> np.ndarray:
     theta = np.zeros(d)
     idx = rng.choice(d, size=support, replace=False)
-    theta[idx] = rng.uniform(0.5, 2.0, size=support) * rng.choice([-1.0, 1.0], support)
+    theta[idx] = rng.uniform(0.5, 2.0, size=support) * _pick(rng, _SIGNS, support)
     return theta
 
 
+# DesignSpec and Regularizer are immutable, so one per dimension (8 to 24)
+# serves every instance.
 @functools.cache
 def _identity_design(d: int) -> DesignSpec:
-    # DesignSpec is immutable, so one per dimension (8 to 24) serves every
-    # instance.
     return DesignSpec.identity(d)
+
+
+@functools.cache
+def _slope_regularizer(d: int) -> Regularizer:
+    return Regularizer.slope(default_slope_weights(d))
 
 
 def random_lemma_instance(rng, slope_fraction: float = 0.25):
@@ -720,6 +743,11 @@ def random_lemma_instance(rng, slope_fraction: float = 0.25):
     sit on one coordinate (psi-sphere touching the far regime), near probes
     spread over coordinates off the support of f_star with positive signs,
     and scaled probes take alpha in {2, 4, 8} over both branches.
+
+    The order of the draws from rng is part of the ``momreg verify`` report
+    contract.  Draws with replacement go through ``_pick``, which makes
+    ``Generator.choice``'s draws; the probe norms are exact (w1 of a signed
+    one-hot vector, k of a 0/1 vector with k ones), so psi is not called.
     """
     d = int(rng.integers(8, 25))
     s = int(rng.integers(1, 4))
@@ -728,7 +756,7 @@ def random_lemma_instance(rng, slope_fraction: float = 0.25):
     design = _identity_design(d)
 
     use_slope = rng.uniform() < slope_fraction
-    reg = Regularizer.slope(default_slope_weights(d)) if use_slope else Regularizer.l1()
+    reg = _slope_regularizer(d) if use_slope else _L1
     w1 = float(reg.weights[0]) if use_slope else 1.0
 
     gamma1 = float(rng.uniform(0.4, 0.9))
@@ -739,22 +767,26 @@ def random_lemma_instance(rng, slope_fraction: float = 0.25):
     lo, hi = lambda_window(params)
     lam = hi if rng.uniform() < 0.1 else float(rng.uniform(lo, hi))
 
-    n = int(rng.choice([5, 7, 9, 11]))
+    n = int(_pick(rng, _BLOCK_COUNTS))
     m = int(rng.integers(8, 31))
     noise = NoiseSpec("gaussian", scale=float(rng.uniform(0.01, 0.3)) * r)
     data = generate(n * m, d, f_star_theta, design, noise, rng.integers(2**63))
     partition = make_partition(n * m, n)
 
-    free = np.flatnonzero(f_star_theta == 0.0)
+    free = (f_star_theta == 0.0).nonzero()[0]
     probes: list[LemmaProbe] = []
 
-    # far probes: 1-sparse on the psi-sphere, L2 distance rho / w1 >= r
+    # A probe is f* + rho u / psi(u), set in place: f* is 0 on the support of
+    # u, and adding the zeros elsewhere would change no bit.
+    def one_hot_probe():
+        # 1-sparse on the psi-sphere, L2 distance rho / w1 >= r
+        h = f_star_theta.copy()
+        k = int(_pick(rng, free))
+        h[k] = rho * _pick(rng, _SIGNS) / w1
+        return h
+
     for _ in range(2):
-        k = int(rng.choice(free))
-        e = np.zeros(d)
-        e[k] = rng.choice([-1.0, 1.0])
-        delta = rho * e / psi(reg, e)
-        probes.append(LemmaProbe(f_star_theta + delta, REGIME_FAR))
+        probes.append(LemmaProbe(one_hot_probe(), REGIME_FAR))
 
     # near probes (l1 only): positive mass spread off-support so the norm
     # gap psi(h) - psi(f*) equals rho exactly
@@ -762,38 +794,27 @@ def random_lemma_instance(rng, slope_fraction: float = 0.25):
         k_needed = max(int(math.ceil((rho / r) ** 2 * 1.3)) + 1, 2)
         k_spread = min(len(free), k_needed)
         if k_spread >= 2 and rho / math.sqrt(k_spread) < r:
-            support = rng.choice(free, size=k_spread, replace=False)
-            u = np.zeros(d)
-            u[support] = 1.0
-            delta = rho * u / psi(reg, u)
-            probes.append(LemmaProbe(f_star_theta + delta, REGIME_SPHERE_NEAR))
-            for alpha in (2.0, 4.0, 8.0):
-                probes.append(
-                    LemmaProbe(f_star_theta + delta, REGIME_SCALED, alpha=alpha)
-                )
+            h = f_star_theta.copy()
+            h[rng.choice(free, size=k_spread, replace=False)] = rho / float(k_spread)
+            probes.append(LemmaProbe(h, REGIME_SPHERE_NEAR))
+            probes.extend(LemmaProbe(h, REGIME_SCALED, alpha=a) for a in (2.0, 4.0, 8.0))
 
     # scaled far branch
-    k = int(rng.choice(free))
-    e = np.zeros(d)
-    e[k] = rng.choice([-1.0, 1.0])
-    delta = rho * e / psi(reg, e)
-    for alpha in (2.0, 4.0, 8.0):
-        probes.append(LemmaProbe(f_star_theta + delta, REGIME_SCALED, alpha=alpha))
+    h = one_hot_probe()
+    probes.extend(LemmaProbe(h, REGIME_SCALED, alpha=a) for a in (2.0, 4.0, 8.0))
 
     return probes, f_star, data, partition, params, lam, reg, design
 
 
 def lemma_sweep(count: int, seed: int = 0, slope_fraction: float = 0.25) -> LemmaCheckReport:
     """Run lemma_reg_check over `count` randomized hypothesis-satisfying
-    instances and aggregate the violation report."""
+    instances, numbered from 0, and aggregate the violation report.  The
+    draw order of ``random_lemma_instance`` (through ``_pick``, not
+    ``Generator.choice``) is part of the ``momreg verify`` report contract."""
     rng = np.random.default_rng(seed)
     total = LemmaCheckReport()
-    for _ in range(count):
-        probes, f_star, data, partition, params, lam, reg, design = (
-            random_lemma_instance(rng, slope_fraction)
-        )
-        report = lemma_reg_check(
-            probes, f_star, data, partition, params, lam, reg, design
-        )
+    for i in range(count):
+        report = lemma_reg_check(*random_lemma_instance(rng, slope_fraction))
+        report.violations = [dataclasses.replace(v, instance=i) for v in report.violations]
         total.merge(report)
     return total

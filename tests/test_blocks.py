@@ -37,6 +37,18 @@ def _loop_reference(X, y, tf, th, n, m):
     return quad / m, mult / m, inc / m
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (5, 3), (3, 9, 10), (2, 51, 19), (4, 3, 300)])
+def test_block_means_is_bitwise_ndarray_mean(shape):
+    rng = np.random.default_rng(len(shape))
+    # magnitudes over ten decades, so the order of the additions shows
+    v = rng.standard_normal(shape) * 10.0 ** rng.integers(-5, 6, size=shape)
+    n, m = shape[-2:]
+    got = _kernels.block_means(v.reshape(*shape[:-2], n * m), n, m)
+    ref = v.mean(axis=-1)
+    assert got.shape == ref.shape and got.tobytes() == ref.tobytes()
+    assert blocks.block_means is _kernels.block_means
+
+
 def test_kernels_match_loop_reference():
     rng = np.random.default_rng(10)
     for _ in range(20):

@@ -17,10 +17,12 @@ from momreg import (
     MomregError,
     ParseError,
     default_slope_weights,
+    lemma_sweep,
     load_dataset,
     make_partition,
 )
-from momreg import cli
+from momreg import cli, verify
+from momreg.blocks import block_increments
 from momreg.cli import (
     _RUNNERS,
     main,
@@ -179,6 +181,46 @@ class TestRegularizedSimulate:
         assert main([mode, "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err == f"error: theta has 3 entries, slope weights {count}\n"
 
+    @pytest.mark.parametrize("mode", ["simulate", "fit", "verify"])
+    @pytest.mark.parametrize(
+        "objective, message",
+        [
+            (
+                {"regularizer": "none", "lambda": 0.5, "slope_weights": [3.0, 1.0]},
+                "objective.lambda must be 0 with regularizer none, got 0.5",
+            ),
+            (
+                {"regularizer": "none", "lambda": 0.5},
+                "objective.lambda must be 0 with regularizer none, got 0.5",
+            ),
+            (
+                {"regularizer": "none", "slope_weights": [3.0, 1.0, 1.0]},
+                "objective.slope_weights must be null with regularizer none, got [3.0, 1.0, 1.0]",
+            ),
+            (
+                {"regularizer": "l1", "lambda": 0.05, "slope_weights": [3.0, 1.0, 1.0]},
+                "objective.slope_weights must be null with regularizer l1, got [3.0, 1.0, 1.0]",
+            ),
+        ],
+    )
+    def test_ignored_objective_values_exit_code(
+        self, tmp_path, capsys, monkeypatch, mode, objective, message
+    ):
+        # verify rejects them before its lemma sweep
+        monkeypatch.setattr(cli, "lemma_sweep", lambda *a, **kw: pytest.fail("sweep ran"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_set_path(_D3_CONFIG, "objective", objective)))
+        assert main([mode, "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("mode", ["simulate", "fit", "verify"])
+    def test_default_objective_values_run(self, tmp_path, mode):
+        objective = {"regularizer": "none", "lambda": 0.0, "slope_weights": None}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_set_path(_D3_CONFIG, "objective", objective)))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([mode, "--config", str(cfg_path)]) == 0
+
 
 class TestSparseThetaStar:
     def test_default_theta_star_is_the_sparse_spec(self):
@@ -242,6 +284,28 @@ class TestMainEntry:
         cfg["verify"]["negative_control"] = True
         cfg_path.write_text(json.dumps(cfg))
         assert main(["verify", "--config", str(cfg_path)]) == 1
+
+    def test_verify_violation_records_name_their_instance(self, monkeypatch):
+        # a constant fault in every block increment makes lemma violations
+        def faulty_increments(thetas, h, data, p):
+            return block_increments(thetas, h, data, p) - 10.0
+
+        monkeypatch.setattr(verify, "block_increments", faulty_increments)
+        cfg = resolve_config(_set_path(_D3_CONFIG, "verify", {
+            "lemma_instances": 3, "delta_budget": 4, "negative_control": True
+        }))
+        records = run_verify(cfg)["aggregate"]["lemma"]["violations"]
+        sweep = lemma_sweep(3, seed=cfg["seed"])
+        assert records[:-1] == [
+            {"instance": v.instance, "probe": v.probe_index, "block": v.block_index,
+             "conclusion": v.conclusion, "lhs": v.lhs, "rhs": v.rhs}
+            for v in sweep.violations
+        ]
+        assert {rec["instance"] for rec in records[:-1]} == {0, 1, 2}
+        assert records[-1] == {
+            "instance": -1, "probe": -1, "block": -1, "conclusion": "negative_control",
+            "lhs": -1.0, "rhs": 1.0,
+        }
 
     def test_python_m_momreg_runs_main(self, tmp_path, monkeypatch, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -386,6 +450,20 @@ class TestInputErrors:
         with pytest.raises(ParseError) as excinfo:
             load_dataset(data)
         assert excinfo.value.row == 3
+
+    def test_csv_cell_whose_square_overflows_exit_code(self, tmp_path, capsys):
+        # finite, but above the magnitude config numbers are held to: its
+        # square overflows inside the fit
+        data = tmp_path / "big.csv"
+        data.write_text("x0,y\n1e200,1e200\n1.0,2.0\n2.0,4.0\n3.0,6.0\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"data": {"csv": str(data)}, "partition": {"blocks": 3}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(["fit", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: row 2: cell of magnitude above 1e+100 in ['1e200', '1e200']\n"
+        )
 
     @pytest.mark.parametrize("mode", ["simulate", "corrupt-bench", "verify"])
     def test_csv_rejected_by_generating_modes(self, tmp_path, capsys, mode):

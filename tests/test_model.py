@@ -16,6 +16,7 @@ from momreg import (
     predict,
     save_dataset,
 )
+from momreg.model import MAX_MAGNITUDE
 
 
 class TestDataset:
@@ -178,6 +179,23 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError) as excinfo:
             load_dataset(path)
         assert excinfo.value.row == 2
+
+    @pytest.mark.parametrize("cell", ["1e200", "-1e101", "1.0000000000000002e100"])
+    def test_cell_above_max_magnitude_names_row(self, tmp_path, cell):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"x0,y\n1.0,2.0\n1.0,{cell}\n")
+        with pytest.raises(ParseError) as excinfo:
+            load_dataset(path)
+        assert excinfo.value.row == 3
+        assert str(excinfo.value) == (
+            f"row 3: cell of magnitude above 1e+100 in ['1.0', '{cell}']"
+        )
+
+    def test_cells_at_max_magnitude_load(self, tmp_path):
+        path = tmp_path / "edge.csv"
+        path.write_text("x0,y\n1e100,-1e100\n")
+        data = load_dataset(path)
+        assert data.features[0, 0] == MAX_MAGNITUDE and data.responses[0] == -MAX_MAGNITUDE
 
 
 def test_permute_dataset_is_seeded_row_permutation():

@@ -1,10 +1,12 @@
 """The array forms of estimate_delta, norming_functional, lemma_reg_check,
 the two block-condition checks and sample_sphere_probes against the loop
-forms they replaced, kept here as references.
+forms they replaced, kept here as references, and random_lemma_instance
+against the Generator.choice form it replaced.
 
 The array forms keep the arithmetic of the loops (the same dot products,
 the same order of operations per block), so every comparison is exact.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -26,6 +28,7 @@ from momreg import (
     estimate_delta,
     generate,
     lemma_reg_check,
+    lemma_sweep,
     make_partition,
     norming_functional,
     psi,
@@ -597,3 +600,152 @@ def test_probe_statistics_once_per_distinct_theta(monkeypatch):
         # one more increment row per scaled probe on the sphere, at
         # f* + alpha (h - f*)
         assert rows["block_increments"] == [distinct + scaled]
+
+
+def test_probe_statistics_reject_probes_of_the_wrong_shape():
+    f_star = LinearPredictor(np.zeros(3))
+    design = DesignSpec.identity(3)
+    cases = [
+        ([np.zeros(3), np.zeros(4)], "predictor dims differ: 4 vs 3"),
+        ([np.zeros(4), np.zeros(4)], "predictor dims differ: 4 vs 3"),
+        ([np.zeros(3), np.zeros((1, 3))], "theta must be a 1-d coefficient vector"),
+        ([np.zeros((1, 3)), np.zeros((1, 3))], "theta must be a 1-d coefficient vector"),
+    ]
+    for thetas, message in cases:
+        probes = [LemmaProbe(theta, REGIME_FAR) for theta in thetas]
+        with pytest.raises(DimensionError) as excinfo:
+            verify._probe_geometry(probes, f_star, design)
+        assert str(excinfo.value) == message
+    thetas, deltas, dists = verify._probe_geometry([], f_star, design)
+    assert thetas.shape == deltas.shape == (0, 3) and dists.shape == (0,)
+    with pytest.raises(InvalidInput):
+        verify._probe_geometry([LemmaProbe([0.0, np.nan, 0.0], REGIME_FAR)], f_star, design)
+
+
+# ---------------------------------------------------------------------------
+# the randomized lemma sweep
+# ---------------------------------------------------------------------------
+
+
+def _sparse_f_star_ref(rng, d, support):
+    theta = np.zeros(d)
+    idx = rng.choice(d, size=support, replace=False)
+    theta[idx] = rng.uniform(0.5, 2.0, size=support) * rng.choice([-1.0, 1.0], support)
+    return theta
+
+
+def _random_lemma_instance_ref(rng, slope_fraction):
+    """random_lemma_instance with Generator.choice for every draw and psi
+    for every probe norm."""
+    d = int(rng.integers(8, 25))
+    s = int(rng.integers(1, 4))
+    f_star_theta = _sparse_f_star_ref(rng, d, s)
+    f_star = LinearPredictor(f_star_theta)
+    design = DesignSpec.identity(d)
+    use_slope = rng.uniform() < slope_fraction
+    reg = Regularizer.slope(default_slope_weights(d)) if use_slope else Regularizer.l1()
+    w1 = float(reg.weights[0]) if use_slope else 1.0
+    gamma1 = float(rng.uniform(0.4, 0.9))
+    gamma2 = float(rng.uniform(0.2, 1.0)) * gamma1 / 6.0
+    r = float(rng.uniform(0.3, 1.0))
+    rho = float(rng.uniform(1.05, 3.0)) * r * w1
+    params = ConditionParams(gamma1=gamma1, gamma2=gamma2, r=r, rho=rho)
+    lo, hi = lambda_window(params)
+    lam = hi if rng.uniform() < 0.1 else float(rng.uniform(lo, hi))
+    n = int(rng.choice([5, 7, 9, 11]))
+    m = int(rng.integers(8, 31))
+    noise = NoiseSpec("gaussian", scale=float(rng.uniform(0.01, 0.3)) * r)
+    data = generate(n * m, d, f_star_theta, design, noise, rng.integers(2**63))
+    partition = make_partition(n * m, n)
+    free = np.flatnonzero(f_star_theta == 0.0)
+    probes = []
+    for _ in range(2):
+        k = int(rng.choice(free))
+        e = np.zeros(d)
+        e[k] = rng.choice([-1.0, 1.0])
+        delta = rho * e / psi(reg, e)
+        probes.append(LemmaProbe(f_star_theta + delta, REGIME_FAR))
+    if not use_slope:
+        k_needed = max(int(math.ceil((rho / r) ** 2 * 1.3)) + 1, 2)
+        k_spread = min(len(free), k_needed)
+        if k_spread >= 2 and rho / math.sqrt(k_spread) < r:
+            support = rng.choice(free, size=k_spread, replace=False)
+            u = np.zeros(d)
+            u[support] = 1.0
+            delta = rho * u / psi(reg, u)
+            probes.append(LemmaProbe(f_star_theta + delta, REGIME_SPHERE_NEAR))
+            for alpha in (2.0, 4.0, 8.0):
+                probes.append(LemmaProbe(f_star_theta + delta, REGIME_SCALED, alpha=alpha))
+    k = int(rng.choice(free))
+    e = np.zeros(d)
+    e[k] = rng.choice([-1.0, 1.0])
+    delta = rho * e / psi(reg, e)
+    for alpha in (2.0, 4.0, 8.0):
+        probes.append(LemmaProbe(f_star_theta + delta, REGIME_SCALED, alpha=alpha))
+    return probes, f_star, data, partition, params, lam, reg, design
+
+
+def _bits(a):
+    return (a.dtype, a.shape, a.tobytes())
+
+
+def _instance_key(instance):
+    probes, f_star, data, p, params, lam, reg, design = instance
+    return (
+        [(_bits(pr.theta), pr.regime, pr.alpha, pr.expected_multiplier) for pr in probes],
+        _bits(f_star.theta),
+        _bits(data.features),
+        _bits(data.responses),
+        p,
+        params,
+        (type(lam), lam),
+        reg.kind,
+        None if reg.weights is None else _bits(reg.weights),
+        _bits(design.covariance),
+    )
+
+
+@pytest.mark.parametrize("slope_fraction", [0.0, 0.25, 1.0])
+def test_random_lemma_instance_matches_choice_form(slope_fraction):
+    regimes = set()
+    for seed in range(4):
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(25):
+            got = random_lemma_instance(got_rng, slope_fraction)
+            assert _instance_key(got) == _instance_key(
+                _random_lemma_instance_ref(ref_rng, slope_fraction)
+            )
+            regimes.update(pr.regime for pr in got[0])
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+    assert REGIME_SPHERE_NEAR in regimes or slope_fraction == 1.0
+
+
+def test_lemma_sweep_counts_pin_the_draw_order():
+    # The counts of momreg verify's sweep for one seed; any change to the
+    # order of random_lemma_instance's draws moves them.
+    report = lemma_sweep(200, seed=8)
+    assert report.checked == {
+        "far": 2594, "sphere_near": 924, "scaled_far": 3846, "scaled_near": 2772
+    }
+    assert report.skipped == {
+        "far": 570, "sphere_near": 306, "scaled_far": 900, "scaled_near": 918
+    }
+    assert report.violations == []
+
+
+def test_lemma_sweep_numbers_the_instances_of_violations(monkeypatch):
+    # the constant fault of test_lemma_reg_check_matches_loop_on_violations
+    def faulty_increments(thetas, h, data, p):
+        return block_increments(thetas, h, data, p) - 10.0
+
+    monkeypatch.setattr(verify, "block_increments", faulty_increments)
+    report = lemma_sweep(3, seed=3, slope_fraction=0.0)
+    rng = np.random.default_rng(3)
+    expected = []
+    for i in range(3):
+        violations = lemma_reg_check(*random_lemma_instance(rng, 0.0)).violations
+        assert violations and {v.instance for v in violations} == {0}
+        expected.extend(dataclasses.replace(v, instance=i) for v in violations)
+    assert report.violations == expected
+    # positional construction leaves the instance at 0
+    assert LemmaViolation(1, 2, "far", 0.0, 1.0).instance == 0
