@@ -8,8 +8,8 @@ partitioned design once to the per-block sufficient statistics
 after which ``block_increment`` compares two coefficient vectors in
 O(n d^2), without reading X or y again; the descent-ascent loops run on
 these.  ``block_losses`` is the exact residual path: it reads X and y,
-takes one theta or a (k, d) batch, and is the reference the statistics
-path is tested against.
+takes a (k, d) batch of thetas, and is the reference the statistics path
+is tested against.
 """
 from __future__ import annotations
 
@@ -54,18 +54,14 @@ def block_means(v, n, m):
 
 
 def block_losses(X, y, thetas, n, m):
-    """Per-block mean of (X theta - y)^2: shape (n,) for one theta, (k, n)
-    for a (k, d) batch of thetas."""
+    """Per-block mean of (X theta - y)^2 for each row of a (k, d) batch of
+    thetas: shape (k, n)."""
     thetas = np.asarray(thetas, dtype=np.float64)
-    # Residuals are squared in the buffer of the product they come from.
-    if thetas.ndim == 1:
-        resid = X @ thetas
-        resid -= y
-        return block_means(np.square(resid, out=resid), n, m)
     out = np.empty((thetas.shape[0], n))
     for lo in range(0, thetas.shape[0], _CHUNK):
         chunk = thetas[lo : lo + _CHUNK]
         resid = chunk @ X.T
         resid -= y
+        # Residuals are squared in the buffer of the product they come from.
         out[lo : lo + chunk.shape[0]] = block_means(np.square(resid, out=resid), n, m)
     return out

@@ -1,16 +1,20 @@
 """Per-block statistics: quadratic and multiplier components, increments,
-medians, and majority counting, plus the two rules every per-block
-computation in the package shares.
+medians, and majority counting, plus the median and the temporary budget
+that the package's per-block computations share.
 
 ``middle(a)`` is the one median-of-means median: the middle order statistic
 along the odd last axis of ``a``, found by partitioning ``a`` in place (a
 caller that must keep its input passes a copy).  ``row_slices(k,
-row_entries)`` is the one temporary budget: slices of a k-row stack such
-that no slice's temporary, row_entries entries per row, exceeds
-``TEMP_ENTRIES`` (65,536) entries, with at least one row per slice.
-``block_means(v, n, m)``, from ``_kernels``, is the one block mean: it
-calls ``np.add.reduce`` and divides by m, which is what ``ndarray.mean``
-computes, so it gives that method's bits without its Python-level wrapper.
+row_entries)`` is the temporary budget of the stacked statistics here and
+of the solver's audit: slices of a k-row stack such that no slice's
+temporary, row_entries entries per row, exceeds ``TEMP_ENTRIES`` (65,536)
+entries, with at least one row per slice.  ``_kernels.block_losses`` keeps
+its own 64-row ``_CHUNK`` instead, because a matrix product rounds some
+rows differently with the number of rows it is given, and the fits depend
+on those bits.  ``block_means(v, n, m)``, from ``_kernels``, is the one
+block mean: it calls ``np.add.reduce`` and divides by m, which is what
+``ndarray.mean`` computes, so it gives that method's bits without its
+Python-level wrapper.
 
 For predictors f, h and block j the three statistics are
 

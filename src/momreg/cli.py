@@ -5,6 +5,12 @@ single JSON document; CLI flags override config fields and the fully
 resolved config is embedded in every report, so any Monte Carlo claim in a
 report can be audited and reproduced from the report alone.
 
+One table, ``_CONFIG``, declares every config key once: its default, its
+types and its range.  A document is merged over those defaults object by
+object (a ``corruption`` object over the ``corruption.*`` defaults, so a
+report embeds every corruption field a run used), an unknown key exits 2
+naming its dotted path, and every merged value is checked against its row.
+
 Every mode builds its inputs through ``_trial_inputs``: read data.csv (fit
 only) or generate the sample, corrupt it, permute it, and split it into
 ``partition.blocks`` blocks, each step seeded from (seed, trial, stream).
@@ -32,7 +38,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .datagen import CorruptionSpec, NoiseSpec, corrupt, generate
+from .datagen import CORRUPTION_MODES, CorruptionSpec, NoiseSpec, corrupt, generate
 from .errors import ConfigError, MomregError, ParseError
 from .model import (
     MAX_MAGNITUDE,
@@ -62,68 +68,9 @@ from .verify import (
     theorem2_check,
 )
 
-DEFAULT_CONFIG: dict = {
-    "mode": "simulate",
-    "data": {
-        "csv": None,
-        "generate": {
-            "n_samples": 1000,
-            "dim": 5,
-            "theta_star": {"sparse": {"support": 5, "value": 1.0}},
-            "covariance": "identity",
-            "noise": {"kind": "gaussian", "scale": 1.0, "dof": None},
-        },
-    },
-    "partition": {"blocks": 51, "permute": False},
-    "objective": {"lambda": 0.0, "regularizer": "none", "slope_weights": None},
-    "solver": {
-        "step_f": None,
-        "step_g": None,
-        "iterations": 300,
-        "restarts": 2,
-        "tolerance": 1e-6,
-        "decay": True,
-    },
-    "conditions": {
-        "gamma1": 0.5,
-        "gamma2": 0.2,
-        "r": 2.0,
-        "rho": 1.0,
-        "block_fraction": 0.9,
-        "probes": 0,
-        "far_distance": None,
-        "near_distance": None,
-    },
-    "corruption": None,
-    "verify": {
-        "lemma_instances": 200,
-        "delta_budget": 200,
-        "r_grid": None,
-        "negative_control": False,
-    },
-    "trials": 1,
-    "seed": 0,
-    "workers": 1,
-    "out": None,
-    "csv_out": None,
-}
-
-
-def _deep_merge(base: dict, override: dict) -> dict:
-    out = copy.deepcopy(base)
-    for key, val in override.items():
-        if key not in out:
-            raise ConfigError(f"unknown config key {key!r}")
-        if isinstance(out[key], dict) and isinstance(val, dict):
-            out[key] = _deep_merge(out[key], val)
-        else:
-            out[key] = copy.deepcopy(val)
-    return out
-
-
-# Largest count a config may ask for (samples, dimensions, blocks, trials,
-# iterations, probes, instances): far beyond any run that fits in memory,
-# so a larger value is a typo, not a request.
+# Largest count or row index a config may ask for (samples, dimensions,
+# blocks, trials, iterations, probes, instances, corrupted rows): far beyond
+# any run that fits in memory, so a larger value is a typo, not a request.
 _MAX_COUNT = 10**9
 # Worker processes are forked all at once when the pool starts.
 _MAX_WORKERS = 256
@@ -144,65 +91,95 @@ def _one_of(*choices):
 _POSITIVE = ("> 0", lambda v: v > 0)
 _COUNT = _between(0, _MAX_COUNT)
 _POSITIVE_COUNT = _between(1, _MAX_COUNT)
+_OBJECT = {}  # the default of an object: built from the rows under it
 
-# Every config value by dotted key: the types it may take and the range a
-# number (or each number of a list) or a string must lie in.  Nested keys
-# are checked only where their parent is an object, and keys absent from
-# the document (such as optional corruption fields) are not checked.
-_CONFIG_RULES = {
-    "data": (("object",), None),
-    "data.csv": (("string", "null"), None),
-    "data.generate": (("object",), None),
-    "data.generate.n_samples": (("int",), _POSITIVE_COUNT),
-    "data.generate.dim": (("int",), _POSITIVE_COUNT),
-    "data.generate.theta_star": (("object", "numbers"), None),
-    "data.generate.theta_star.sparse": (("object",), None),
-    "data.generate.theta_star.sparse.support": (("int",), _COUNT),
-    "data.generate.theta_star.sparse.value": (("number",), None),
-    "data.generate.covariance": (("string", "null", "matrix"), _one_of("identity")),
-    "data.generate.noise": (("object",), None),
-    "data.generate.noise.kind": (("string",), None),
-    "data.generate.noise.scale": (("number",), _POSITIVE),
-    "data.generate.noise.dof": (("number", "null"), None),
-    "partition": (("object",), None),
-    "partition.blocks": (("int",), _POSITIVE_COUNT),
-    "partition.permute": (("bool",), None),
-    "objective": (("object",), None),
-    "objective.lambda": (("number",), _at_least(0)),
-    "objective.regularizer": (("string",), _one_of("none", "l1", "slope")),
-    "objective.slope_weights": (("numbers", "null"), None),
-    "solver": (("object",), None),
-    "solver.step_f": (("number", "null"), _POSITIVE),
-    "solver.step_g": (("number", "null"), _POSITIVE),
-    "solver.iterations": (("int",), _POSITIVE_COUNT),
-    "solver.restarts": (("int",), _POSITIVE_COUNT),
-    "solver.tolerance": (("number",), _POSITIVE),
-    "solver.decay": (("bool",), None),
-    "conditions": (("object",), None),
-    "conditions.gamma1": (("number",), _POSITIVE),
-    "conditions.gamma2": (("number",), _POSITIVE),
-    "conditions.r": (("number",), _POSITIVE),
-    "conditions.rho": (("number",), _POSITIVE),
-    "conditions.block_fraction": (("number",), _between(0, 1)),
-    "conditions.probes": (("int",), _COUNT),
-    "conditions.far_distance": (("number", "null"), _POSITIVE),
-    "conditions.near_distance": (("number", "null"), _POSITIVE),
-    "corruption": (("object", "null"), None),
-    "corruption.count": (("int",), _COUNT),
-    "corruption.mode": (("string",), None),
-    "corruption.magnitude": (("number",), _POSITIVE),
-    "corruption.indices": (("ints", "null"), None),
-    "verify": (("object",), None),
-    "verify.lemma_instances": (("int",), _COUNT),
-    "verify.delta_budget": (("int",), _COUNT),
-    "verify.r_grid": (("numbers", "null"), _at_least(0)),
-    "verify.negative_control": (("bool",), None),
-    "trials": (("int",), _POSITIVE_COUNT),
-    "seed": (("int",), _at_least(0)),
-    "workers": (("int",), _between(1, _MAX_WORKERS)),
-    "out": (("string", "null"), None),
-    "csv_out": (("string", "null"), None),
+# Every config key by dotted path: its default, the types it may take and
+# the range a number (or each entry of a list) or a string must lie in.
+# A parent comes before the keys under it.  An object given in a config
+# document is merged over the defaults of the keys under it; so is a
+# corruption object, although corruption itself defaults to null.
+_CONFIG = {
+    "mode": ("simulate", ("string",), None),  # set by the subcommand
+    "data": (_OBJECT, ("object",), None),
+    "data.csv": (None, ("string", "null"), None),
+    "data.generate": (_OBJECT, ("object",), None),
+    "data.generate.n_samples": (1000, ("int",), _POSITIVE_COUNT),
+    "data.generate.dim": (5, ("int",), _POSITIVE_COUNT),
+    "data.generate.theta_star": (_OBJECT, ("object", "numbers"), None),
+    "data.generate.theta_star.sparse": (_OBJECT, ("object",), None),
+    "data.generate.theta_star.sparse.support": (5, ("int",), _COUNT),
+    "data.generate.theta_star.sparse.value": (1.0, ("number",), None),
+    "data.generate.covariance": ("identity", ("string", "null", "matrix"), _one_of("identity")),
+    "data.generate.noise": (_OBJECT, ("object",), None),
+    "data.generate.noise.kind": ("gaussian", ("string",), None),
+    "data.generate.noise.scale": (1.0, ("number",), _POSITIVE),
+    "data.generate.noise.dof": (None, ("number", "null"), None),
+    "partition": (_OBJECT, ("object",), None),
+    "partition.blocks": (51, ("int",), _POSITIVE_COUNT),
+    "partition.permute": (False, ("bool",), None),
+    "objective": (_OBJECT, ("object",), None),
+    "objective.lambda": (0.0, ("number",), _at_least(0)),
+    "objective.regularizer": ("none", ("string",), _one_of("none", "l1", "slope")),
+    "objective.slope_weights": (None, ("numbers", "null"), None),
+    "solver": (_OBJECT, ("object",), None),
+    "solver.step_f": (None, ("number", "null"), _POSITIVE),
+    "solver.step_g": (None, ("number", "null"), _POSITIVE),
+    "solver.iterations": (300, ("int",), _POSITIVE_COUNT),
+    "solver.restarts": (2, ("int",), _POSITIVE_COUNT),
+    "solver.tolerance": (1e-6, ("number",), _POSITIVE),
+    "solver.decay": (True, ("bool",), None),
+    "conditions": (_OBJECT, ("object",), None),
+    "conditions.gamma1": (0.5, ("number",), _POSITIVE),
+    "conditions.gamma2": (0.2, ("number",), _POSITIVE),
+    "conditions.r": (2.0, ("number",), _POSITIVE),
+    "conditions.rho": (1.0, ("number",), _POSITIVE),
+    "conditions.block_fraction": (0.9, ("number",), _between(0, 1)),
+    "conditions.probes": (0, ("int",), _COUNT),
+    "conditions.far_distance": (None, ("number", "null"), _POSITIVE),
+    "conditions.near_distance": (None, ("number", "null"), _POSITIVE),
+    "corruption": (None, ("object", "null"), None),
+    "corruption.count": (0, ("int",), _COUNT),
+    "corruption.mode": ("huge_response", ("string",), _one_of(*CORRUPTION_MODES)),
+    "corruption.magnitude": (1e6, ("number",), _POSITIVE),
+    "corruption.indices": (None, ("ints", "null"), _COUNT),
+    "verify": (_OBJECT, ("object",), None),
+    "verify.lemma_instances": (200, ("int",), _COUNT),
+    "verify.delta_budget": (200, ("int",), _COUNT),
+    "verify.r_grid": (None, ("numbers", "null"), _at_least(0)),
+    "verify.negative_control": (False, ("bool",), None),
+    "trials": (1, ("int",), _POSITIVE_COUNT),
+    "seed": (0, ("int",), _at_least(0)),
+    "workers": (1, ("int",), _between(1, _MAX_WORKERS)),
+    "out": (None, ("string", "null"), None),
+    "csv_out": (None, ("string", "null"), None),
 }
+
+
+def _defaults(path: str) -> dict:
+    """The default object at a dotted path ("" for the whole config)."""
+    out = {}
+    for key, (default, _, _) in _CONFIG.items():
+        parent, _, leaf = key.rpartition(".")
+        if parent == path:
+            out[leaf] = _defaults(key) if default is _OBJECT else default
+    return out
+
+
+DEFAULT_CONFIG = _defaults("")
+
+
+def _merge(path: str, doc: dict) -> dict:
+    """doc merged over the defaults of the object at a dotted path."""
+    out = _defaults(path)
+    for leaf, val in doc.items():
+        key = f"{path}.{leaf}" if path else leaf
+        if leaf not in out:
+            raise ConfigError(f"unknown config key {key!r}")
+        if isinstance(val, dict) and "object" in _CONFIG[key][1]:
+            out[leaf] = _merge(key, val)
+        else:
+            out[leaf] = copy.deepcopy(val)
+    return out
 
 
 def _is_int(v) -> bool:
@@ -242,23 +219,22 @@ def _in_range(value, kinds, allowed) -> bool:
     if allowed is None or value is None:
         return True
     if isinstance(value, list):
-        # each number of a list; a matrix has no range
-        return "numbers" not in kinds or all(map(allowed[1], value))
+        # each entry of a list; a matrix has no range
+        return "matrix" in kinds or all(map(allowed[1], value))
     return allowed[1](value)
 
 
 def _check_config(cfg: dict) -> None:
-    """Raise ConfigError for the first value of the wrong type or range."""
-    for key, (kinds, allowed) in _CONFIG_RULES.items():
+    """Raise ConfigError for the first value of the wrong type or range;
+    keys are checked only where their parent is an object."""
+    for key, (_, kinds, allowed) in _CONFIG.items():
         *parents, leaf = key.split(".")
         node = cfg
         for part in parents:
-            node = node.get(part)
+            node = node[part]
             if not isinstance(node, dict):
                 break
         else:
-            if leaf not in node:
-                continue
             value = node[leaf]
             if not any(_TYPES[kind][1](value) for kind in kinds):
                 expected = " or ".join(_TYPES[kind][0] for kind in kinds)
@@ -269,13 +245,14 @@ def _check_config(cfg: dict) -> None:
 
 def resolve_config(raw: dict | None, overrides: dict | None = None) -> dict:
     """Merge a config document and CLI overrides over DEFAULT_CONFIG and
-    check every value against _CONFIG_RULES; bad values raise ConfigError."""
-    cfg = _deep_merge(DEFAULT_CONFIG, raw or {})
+    check every value against _CONFIG; bad values raise ConfigError."""
+    cfg = _merge("", raw or {})
     for key, val in (overrides or {}).items():
         if val is None:
             continue
         if key == "blocks":
-            cfg["partition"]["blocks"] = val
+            if isinstance(cfg["partition"], dict):  # else _check_config rejects it
+                cfg["partition"]["blocks"] = val
         else:
             cfg[key] = val
     _check_config(cfg)
@@ -319,14 +296,14 @@ def _theta_star_from_config(gen: dict) -> np.ndarray:
 
 def _noise_from_config(gen: dict) -> NoiseSpec:
     nz = gen["noise"]
-    return NoiseSpec(kind=nz["kind"], scale=nz["scale"], dof=nz.get("dof"))
+    return NoiseSpec(kind=nz["kind"], scale=nz["scale"], dof=nz["dof"])
 
 
 def _objective_from_config(cfg: dict, dim: int) -> ObjectiveConfig:
     obj = cfg["objective"]
     kind = obj["regularizer"]
     lam = float(obj["lambda"])
-    weights = obj.get("slope_weights")
+    weights = obj["slope_weights"]
     if kind == "none" and lam != 0.0:
         raise ConfigError(f"objective.lambda must be 0 with regularizer none, got {lam!r}")
     if kind != "slope" and weights is not None:
@@ -372,13 +349,13 @@ def _params_from_config(cfg: dict) -> ConditionParams:
 
 def _corruption_from_config(cfg: dict) -> CorruptionSpec | None:
     c = cfg["corruption"]
-    if c is None or (c.get("count", 0) == 0 and c.get("indices") is None):
+    if c is None or (c["count"] == 0 and c["indices"] is None):
         return None
     return CorruptionSpec(
-        count=int(c["count"]),
-        mode=c.get("mode", "huge_response"),
-        magnitude=float(c.get("magnitude", 1e6)),
-        indices=None if c.get("indices") is None else tuple(c["indices"]),
+        count=c["count"],
+        mode=c["mode"],
+        magnitude=float(c["magnitude"]),
+        indices=None if c["indices"] is None else tuple(c["indices"]),
     )
 
 
@@ -592,11 +569,12 @@ def run_simulate(cfg: dict) -> dict:
 
 def run_corrupt_bench(cfg: dict) -> dict:
     """Clean-OLS vs corrupted-OLS vs MOM-on-corrupted excess risks, over the
-    simulate trials; a null corruption runs as 10 rows at 1e6."""
+    simulate trials.  A null corruption runs as the corruption defaults with
+    count 10 (10 rows at 1e6), and the report embeds that full object."""
     _require_generated(cfg, "corrupt-bench")
     if cfg["corruption"] is None:
-        cfg = {**cfg, "corruption": {"count": 10}}
-    if cfg["corruption"].get("count", 0) < 1:
+        cfg = {**cfg, "corruption": {**_defaults("corruption"), "count": 10}}
+    if cfg["corruption"]["count"] < 1:
         raise ConfigError("corrupt-bench needs corruption.count >= 1")
     records = _map_trials(_run_single_trial, cfg)
     clean, bad, mom = (

@@ -130,11 +130,6 @@ class BlockPartition:
     def ranges(self) -> tuple[tuple[int, int], ...]:
         return tuple((j * self.m, (j + 1) * self.m) for j in range(self.n))
 
-    def block_slice(self, j: int) -> slice:
-        if not 0 <= j < self.n:
-            raise IndexError(f"block index {j} out of range [0, {self.n})")
-        return slice(j * self.m, (j + 1) * self.m)
-
 
 def make_partition(N: int, n: int) -> BlockPartition:
     """Split {0..N-1} into n contiguous blocks of size m = floor(N/n).

@@ -208,22 +208,16 @@ def med_increment(
 
 @dataclass(frozen=True)
 class AdversaryBudget:
-    """Ascent budget: restart count, iterations per restart, optional step."""
+    """Ascent budget: restart count and iterations per restart."""
 
     restarts: int = 4
     iterations: int = 120
-    step: float | None = None
-    l2_cap: float | None = None
 
     def __post_init__(self):
         if self.restarts < 1:
             raise ConfigError("restarts must be positive")
         if self.iterations < 0:
             raise ConfigError("iterations must be nonnegative")
-        if self.step is not None and self.step <= 0.0:
-            raise ConfigError("step must be positive")
-        if self.l2_cap is not None and self.l2_cap <= 0.0:
-            raise ConfigError("l2 cap must be positive")
 
 
 @dataclass(frozen=True)
@@ -300,7 +294,6 @@ def _ascend_adversary(
     psi_f,
     step,
     iterations,
-    l2_cap,
     collect,
 ):
     """Adversary ascent from every row of starts, all rows in lockstep.
@@ -340,11 +333,6 @@ def _ascend_adversary(
             break
         s = step / math.sqrt(t + 1.0)
         g = prox_gradient_step(reg, S, b, g, j_star, s, lam)
-        if l2_cap is not None:
-            for k, row in enumerate(g):
-                norm = float(np.linalg.norm(row))
-                if norm > l2_cap:
-                    g[k] = row * (l2_cap / norm)
     return best_value, best_g, (explored, counts)
 
 
@@ -374,7 +362,7 @@ def phi_lambda_hat(
     lam = cfg.lam
     reg = cfg.regularizer
     psi_f = psi(reg, theta_f) if lam else 0.0
-    step = budget.step if budget.step is not None else gram_step_size(X, p.m)
+    step = gram_step_size(X, p.m)
     ols = erm_fit(data).theta
     rng = np.random.default_rng(seed)
     scale = float(np.linalg.norm(y - X @ ols)) / math.sqrt(X.shape[0])
@@ -386,8 +374,7 @@ def phi_lambda_hat(
         starts[k] = ols if k == 1 else ols + scale * rng.standard_normal(d)
 
     values, gs, (explored, counts) = _ascend_adversary(
-        S, b, theta_f, starts, lam, reg, psi_f, step, budget.iterations,
-        budget.l2_cap, collect_explored,
+        S, b, theta_f, starts, lam, reg, psi_f, step, budget.iterations, collect_explored
     )
     # The start at f always scores (its increments are exactly 0), so the
     # best start is finite.

@@ -388,10 +388,6 @@ class LemmaViolation:
     rhs: float
     instance: int = 0
 
-    @property
-    def margin(self) -> float:
-        return self.lhs - self.rhs
-
 
 @dataclass
 class LemmaCheckReport:

@@ -76,8 +76,8 @@ def test_kernels_match_loop_reference():
         np.testing.assert_allclose(
             _kernels.block_increment(S, b, tf, th), inc, rtol=1e-9, atol=1e-11
         )
-        lf = _kernels.block_losses(X, y, tf, n, m)
-        lh = _kernels.block_losses(X, y, th, n, m)
+        lf = _kernels.block_losses(X, y, tf[None], n, m)[0]
+        lh = _kernels.block_losses(X, y, th[None], n, m)[0]
         np.testing.assert_allclose(lf - lh, inc, rtol=1e-9, atol=1e-11)
         batch = _kernels.block_losses(X, y, np.stack([tf, th]), n, m)
         np.testing.assert_allclose(batch, np.stack([lf, lh]), rtol=1e-12, atol=1e-14)
@@ -89,7 +89,7 @@ def test_batched_block_losses_span_chunks():
     y = rng.standard_normal(35)
     thetas = rng.standard_normal((2 * _kernels._CHUNK + 5, 3))
     batch = _kernels.block_losses(X, y, thetas, 7, 5)
-    rows = np.stack([_kernels.block_losses(X, y, t, 7, 5) for t in thetas])
+    rows = np.concatenate([_kernels.block_losses(X, y, t[None], 7, 5) for t in thetas])
     np.testing.assert_allclose(batch, rows, rtol=1e-12, atol=1e-14)
 
 
@@ -191,8 +191,8 @@ def _stats_instances(draw):
 def test_stats_increment_matches_exact_increment(instance):
     X, y, tf, th, n, m = instance
     S, b = _kernels.block_stats(X, y, n, m)
-    lf = _kernels.block_losses(X, y, tf, n, m)
-    lh = _kernels.block_losses(X, y, th, n, m)
+    lf = _kernels.block_losses(X, y, tf[None], n, m)[0]
+    lh = _kernels.block_losses(X, y, th[None], n, m)[0]
     got = _kernels.block_increment(S, b, tf, th)
     # Both paths carry roundoff of the order of the squares they touch: the
     # two losses and, where the residuals cancel (noiseless blocks near

@@ -58,8 +58,14 @@ def _sim_config(**extra):
 
 class TestResolveConfig:
     def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            resolve_config({"bogus": 1})
+        for doc, key in [
+            ({"bogus": 1}, "bogus"),
+            ({"data.csv": None}, "data.csv"),
+            ({"solver": {"step": 0.1}}, "solver.step"),
+            ({"corruption": {"count": 3, "mgnitude": 5}}, "corruption.mgnitude"),
+        ]:
+            with pytest.raises(ConfigError, match=f"^unknown config key '{key}'$"):
+                resolve_config(doc)
 
     def test_flag_overrides(self):
         cfg = resolve_config(_sim_config(), {"seed": 99, "blocks": 7, "trials": 5})
@@ -563,6 +569,8 @@ class TestConfigValues:
             ("verify.delta_budget", -3),
             ("data.generate.theta_star", {"sparse": {"support": -1, "value": 1.0}}),
             ("solver.iterations", 2.5),
+            ("corruption.indices", [10**30]),
+            ("corruption.indices", [-1]),
         ],
     )
     @pytest.mark.parametrize("mode", ["simulate", "verify"])
@@ -624,14 +632,52 @@ class TestConfigValues:
             expected = "corrupt-bench needs corruption.count >= 1"
         assert capsys.readouterr().err == f"error: {expected}\n"
 
+    # A corruption object is merged over the corruption defaults and checked
+    # like any other object.  Before that, the first of these ran at
+    # magnitude 1e6, the second raised KeyError and the third ran clean.
+    @pytest.mark.parametrize(
+        "corruption, message",
+        [
+            ({"count": 3, "mgnitude": 5}, "unknown config key 'corruption.mgnitude'"),
+            ({"indices": [1, 2]}, "explicit index list has 2 entries, count is 0"),
+            (
+                {"count": 0, "mode": "bogus"},
+                "corruption.mode must be one of huge_response, sign_flip, "
+                "adversarial_leverage, got 'bogus'",
+            ),
+        ],
+        ids=["misspelt_key", "indices_without_count", "unknown_mode"],
+    )
+    @pytest.mark.parametrize("mode", sorted(_RUNNERS))
+    def test_corruption_object_exit_code(self, tmp_path, capsys, mode, corruption, message):
+        doc = _set_path(_D3_CONFIG, "corruption", corruption)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        assert main([mode, "--config", str(cfg_path)]) == 2
+        if mode == "corrupt-bench" and "count is 0" in message:
+            message = "corrupt-bench needs corruption.count >= 1"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        with pytest.raises(ConfigError):
+            cli._trial_inputs(resolve_config(doc), 0)
+
+    def test_partial_corruption_gets_the_defaults(self):
+        cfg = resolve_config(_set_path(_D3_CONFIG, "corruption", {"count": 3}))
+        assert cfg["corruption"] == {
+            "count": 3, "indices": None, "magnitude": 1000000.0, "mode": "huge_response"
+        }
+        assert resolve_config(_D3_CONFIG)["corruption"] is None
+
     def test_corrupt_bench_needs_corrupted_rows(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(_set_path(_D3_CONFIG, "corruption", {"count": 0})))
         assert main(["corrupt-bench", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err == "error: corrupt-bench needs corruption.count >= 1\n"
-        # a null corruption runs as 10 rows, and the report says so
+        # a null corruption runs as 10 rows, and the report embeds every
+        # corruption field the run used
         report = run_corrupt_bench(resolve_config(_D3_CONFIG))
-        assert report["config"]["corruption"] == {"count": 10}
+        assert report["config"]["corruption"] == {
+            "count": 10, "indices": None, "magnitude": 1000000.0, "mode": "huge_response"
+        }
         assert [len(rec["corrupted_indices"]) for rec in report["trials"]] == [10]
 
     def test_bad_flag_value_exit_code(self, tmp_path, capsys):
@@ -641,6 +687,10 @@ class TestConfigValues:
         assert capsys.readouterr().err.startswith("error: seed must be >= 0")
         assert main(["simulate", "--config", str(cfg_path), "--workers", "0"]) == 2
         assert capsys.readouterr().err.startswith("error: workers must be in [1, ")
+        # --blocks on a partition that is not an object raised a TypeError
+        cfg_path.write_text(json.dumps(_set_path(_D3_CONFIG, "partition", 5)))
+        assert main(["simulate", "--config", str(cfg_path), "--blocks", "3"]) == 2
+        assert capsys.readouterr().err == "error: partition must be an object, got 5\n"
 
     def test_valid_values_pass(self):
         cfg = resolve_config(
@@ -661,15 +711,19 @@ class TestConfigValues:
 
 
 # Small configs of the four modes (fit on generated data, so that a fuzzed
-# data.csv is read), and the leaves a fuzz example mutates: every key of the
-# resolved config except mode and the output routing, whose string values
-# would write files.
-_FUZZ_CONFIGS = {
-    "fit": _D3_CONFIG,
-    "simulate": _set_path(_D3_CONFIG, "objective", {"lambda": 0.05, "regularizer": "l1"}),
-    "corrupt-bench": _set_path(_D3_CONFIG, "corruption", {"count": 2, "magnitude": 1e6}),
-    "verify": _D3_CONFIG,
-}
+# data.csv is read; fit once more with explicit corruption rows), and the
+# leaves a fuzz example mutates: every key of the resolved config except
+# mode and the output routing, whose string values would write files.
+_FUZZ_CONFIGS = [
+    ("fit", _D3_CONFIG),
+    (
+        "fit",
+        _set_path(_D3_CONFIG, "corruption", {"count": 2, "mode": "sign_flip", "indices": [0, 5]}),
+    ),
+    ("simulate", _set_path(_D3_CONFIG, "objective", {"lambda": 0.05, "regularizer": "l1"})),
+    ("corrupt-bench", _set_path(_D3_CONFIG, "corruption", {"count": 2, "magnitude": 1e6})),
+    ("verify", _D3_CONFIG),
+]
 _FUZZ_SKIP = {"mode", "out", "csv_out"}
 
 
@@ -691,8 +745,7 @@ _FUZZ_VALUES = st.sampled_from(
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_config_fuzz_exits_cleanly(data):
-    mode = data.draw(st.sampled_from(sorted(_FUZZ_CONFIGS)))
-    doc = _FUZZ_CONFIGS[mode]
+    mode, doc = data.draw(st.sampled_from(_FUZZ_CONFIGS))
     keys = sorted(_fuzz_keys(resolve_config(doc)))
     for key in data.draw(st.lists(st.sampled_from(keys), min_size=1, max_size=2)):
         doc = _set_path(doc, key, data.draw(_FUZZ_VALUES))

@@ -263,14 +263,14 @@ class TestStatisticsPath:
         y[:2] = 1e6
         S, b = _kernels.block_stats(X, y, n, m)
         theta = rng.standard_normal(d)
-        base = _kernels.block_losses(X, y, theta, n, m)
+        base = _kernels.block_losses(X, y, theta[None], n, m)[0]
         grad = S @ theta - b
         for i in range(d):
             for s in (0.05, -0.05, 2.0, -2.0):
                 moved = theta.copy()
                 moved[i] += s
                 closed = base + 2.0 * s * grad[:, i] + s * s * S[:, i, i]
-                exact = _kernels.block_losses(X, y, moved, n, m)
+                exact = _kernels.block_losses(X, y, moved[None], n, m)[0]
                 np.testing.assert_allclose(closed, exact, rtol=1e-12, atol=1e-12)
 
     @staticmethod
@@ -329,7 +329,7 @@ class TestStatisticsPath:
                 S, b = _kernels.block_stats(X, y, n, m)
                 audit = self._audit(rng, X, y, n, m, reg, lam, 8)
                 theta0 = rng.standard_normal(d)
-                losses0 = _kernels.block_losses(X, y, theta0, n, m)
+                losses0 = _kernels.block_losses(X, y, theta0[None], n, m)[0]
                 value0 = float(audit.value_from_losses(losses0[None, :], psi_batch(reg, theta0[None, :]))[0])
                 scales = (0.5, 0.1, 0.02)
                 eval_cap = 2 + trial  # small caps stop some sweeps early
@@ -407,7 +407,7 @@ class TestRefineScreen:
                     _kernels.block_losses(X, y, pool, n, m), psi_batch(reg, pool), lam
                 )
                 theta0 = rng.standard_normal(d)
-                losses0 = _kernels.block_losses(X, y, theta0, n, m)
+                losses0 = _kernels.block_losses(X, y, theta0[None], n, m)[0]
                 value0 = float(real(audit, losses0[None, :], psi_batch(reg, theta0[None, :]))[0])
                 # the last scale moves the value by far less than 1e-6
                 args = (audit, reg, S, b, theta0, losses0, value0, (0.5, 0.1, 0.02, 1e-9), 4)
