@@ -139,8 +139,8 @@ _CONFIG = {
     "conditions.near_distance": (None, ("number", "null"), _POSITIVE),
     "corruption": (None, ("object", "null"), None),
     "corruption.count": (0, ("int",), _COUNT),
-    "corruption.mode": ("huge_response", ("string",), _one_of(*CORRUPTION_MODES)),
-    "corruption.magnitude": (1e6, ("number",), _POSITIVE),
+    "corruption.mode": (CorruptionSpec.mode, ("string",), _one_of(*CORRUPTION_MODES)),
+    "corruption.magnitude": (CorruptionSpec.magnitude, ("number",), _POSITIVE),
     "corruption.indices": (None, ("ints", "null"), _COUNT),
     "verify": (_OBJECT, ("object",), None),
     "verify.lemma_instances": (200, ("int",), _COUNT),

@@ -42,6 +42,7 @@ _REFINE_BATCH = 16
 # maximum over fewer witnesses, so a move it does not put below the current
 # value cannot improve on the full pool either.
 _REFINE_SCREEN = 4
+_GRID_CLUSTER = 16  # pool members per cluster of _WitnessPoolAudit.grid_values
 
 
 @dataclass(frozen=True)
@@ -159,7 +160,8 @@ class _WitnessPoolAudit:
     against the pool cancels the common block noise; extending the pool
     with the best candidates themselves (a round-robin of MOM matches)
     sharpens the selection further.  The pool is held as its block losses
-    and norms; candidates are audited from theirs.
+    and norms; candidates are audited from theirs, against every member by
+    value_from_losses, or by branch and bound over a grid by grid_values.
     """
 
     def __init__(self, pool_losses, pool_psi, lam):
@@ -171,13 +173,13 @@ class _WitnessPoolAudit:
         self.pool_losses = np.concatenate([self.pool_losses, losses], axis=0)
         self.pool_psi = np.concatenate([self.pool_psi, psis])
 
-    def terms(self, losses, psis, lo: int = 0) -> np.ndarray:
+    def terms(self, losses, psis) -> np.ndarray:
         """Audit terms of the thetas with block losses losses (..., n) and
-        norms psis (...) against pool members lo..: the median block
-        increment plus lam (psi - psi_g), shape (..., pool - lo)."""
-        meds = middle(losses[..., None, :] - self.pool_losses[lo:])
+        norms psis (...) against the pool, or against a pool per theta: the
+        median block increment plus lam (psi - psi_g), shape (..., pool)."""
+        meds = middle(losses[..., None, :] - self.pool_losses)
         if self.lam:
-            meds = meds + self.lam * (np.asarray(psis)[..., None] - self.pool_psi[lo:])
+            meds = meds + self.lam * (np.asarray(psis)[..., None] - self.pool_psi)
         return meds
 
     def value_from_losses(self, losses, psis) -> np.ndarray:
@@ -188,25 +190,41 @@ class _WitnessPoolAudit:
             out[rows] = self.terms(losses[rows], psis[rows]).max(axis=1)
         return out
 
-    def self_values(self) -> np.ndarray:
-        """Audited value of every pool member against the whole pool, as
-        value_from_losses of the pool's own losses and norms.
+    def grid_values(self, losses, psis) -> np.ndarray:
+        """value_from_losses, bit for bit, by branch and bound.
 
-        The term of g against f is exactly minus the term of f against g:
-        n is odd and round-to-nearest is odd-symmetric, so the median of
-        the differences and the lam (psi_f - psi_g) term both change sign
-        and nothing else.  So each unordered pair's term is taken once:
-        the rows of a slice are audited against members from the slice's
-        first row on, and their negated terms fill the columns.
-        """
-        pool_size = self.pool_losses.shape[0]
-        out = np.full(pool_size, -np.inf)
-        for rows in row_slices(pool_size, self.pool_losses.size):
-            meds = self.terms(self.pool_losses[rows], self.pool_psi[rows], rows.start)
-            np.maximum(out[rows], meds.max(axis=1), out=out[rows])
-            np.maximum(out[rows.start :], -meds.min(axis=0), out=out[rows.start :])
-        # A negated zero term is -0.0 where the full audit has +0.0.
-        return out + 0.0
+        The pool is cut into clusters of _GRID_CLUSTER consecutive members,
+        the last padded with its last member.  A cluster's envelope, its
+        blockwise least loss and least norm, has a term at least each
+        member's, as every step of a term is monotone in floating point.
+        Each candidate is audited against its cluster of largest bound, then
+        against every cluster whose bound is not below its best term so
+        far; a NaN term (inf - inf) has a NaN or +inf bound, never below."""
+        start = np.arange(0, self.pool_psi.size, _GRID_CLUSTER)[:, None]
+        members = np.minimum(start + np.arange(_GRID_CLUSTER), self.pool_psi.size - 1)
+
+        def cluster_max(rows, clusters):
+            out = np.empty(rows.shape[0])
+            for part in row_slices(rows.shape[0], _GRID_CLUSTER * losses.shape[1]):
+                idx = members[clusters[part]]
+                sub = _WitnessPoolAudit(self.pool_losses[idx], self.pool_psi[idx], self.lam)
+                out[part] = sub.terms(losses[rows[part]], psis[rows[part]]).max(axis=1)
+            return out
+
+        least = self.pool_losses[members].min(axis=1), self.pool_psi[members].min(axis=1)
+        envelope = _WitnessPoolAudit(*least, self.lam)
+        bounds = np.concatenate([
+            envelope.terms(losses[rows], psis[rows])
+            for rows in row_slices(losses.shape[0], envelope.pool_losses.size)
+        ])
+        cands = np.arange(losses.shape[0])
+        first = np.argmax(bounds, axis=1)
+        best = cluster_max(cands, first)
+        live = ~(bounds < best[:, None])
+        live[cands, first] = False
+        rows, clusters = np.nonzero(live)
+        np.maximum.at(best, rows, cluster_max(rows, clusters))
+        return best
 
     def screen(self, losses, psi) -> "_WitnessPoolAudit":
         """Sub-audit of the _REFINE_SCREEN witnesses with the largest terms
@@ -468,10 +486,10 @@ def oracle_grid_fit(
 ) -> OracleFit:
     """Exact minimax argmin over finite grids; ties go to the smallest theta.
 
-    The cap bounds |grid_f| * |grid_g| * n, the number of median-increment
-    entries evaluated; the default 1e8 is practical for d <= 2.  When the
-    two grids are equal, each unordered pair's median is taken once
-    (``_WitnessPoolAudit.self_values``), with the same objective.
+    The cap bounds |grid_f| * |grid_g| * n, an upper bound on the
+    median-increment entries evaluated; the default 1e8 is practical for
+    d <= 2.  ``_WitnessPoolAudit.grid_values`` skips the g's that cannot
+    raise an entry, with the objective bits of the full table.
     """
     pts_f = grid_f.points()
     pts_g = grid_g.points()
@@ -488,13 +506,10 @@ def oracle_grid_fit(
     losses_f = _kernels.block_losses(X, y, pts_f, n, m)
     psi_f = psi_batch(obj.regularizer, pts_f)
     # The grid of g's is a witness pool: the audit's value is the objective.
-    if pts_f.shape == pts_g.shape and np.array_equal(pts_f, pts_g):
-        objective = _WitnessPoolAudit(losses_f, psi_f, obj.lam).self_values()
-    else:
-        audit = _WitnessPoolAudit(
-            _kernels.block_losses(X, y, pts_g, n, m), psi_batch(obj.regularizer, pts_g), obj.lam
-        )
-        objective = audit.value_from_losses(losses_f, psi_f)
+    same = np.array_equal(pts_f, pts_g)
+    losses_g = losses_f if same else _kernels.block_losses(X, y, pts_g, n, m)
+    psi_g = psi_f if same else psi_batch(obj.regularizer, pts_g)
+    objective = _WitnessPoolAudit(losses_g, psi_g, obj.lam).grid_values(losses_f, psi_f)
 
     best = int(np.argmin(objective))  # row-major order = lexicographic tie-break
     return OracleFit(theta_hat=pts_f[best].copy(), objective=objective, grid_f=pts_f)

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momreg import (
+    CorruptionSpec,
     InvalidInput,
     MomregError,
     ParseError,
@@ -666,6 +667,12 @@ class TestConfigValues:
             "count": 3, "indices": None, "magnitude": 1000000.0, "mode": "huge_response"
         }
         assert resolve_config(_D3_CONFIG)["corruption"] is None
+
+    def test_corruption_defaults_are_the_library_defaults(self):
+        # A corruption object that gives only a count runs as CorruptionSpec's
+        # own field defaults, so the CLI and the library cannot drift apart.
+        cfg = resolve_config(_set_path(_D3_CONFIG, "corruption", {"count": 3}))
+        assert cli._corruption_from_config(cfg) == CorruptionSpec(3)
 
     def test_corrupt_bench_needs_corrupted_rows(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

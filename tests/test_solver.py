@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momreg import (
     BlockPartition,
@@ -600,9 +602,9 @@ class TestOracleGridFit:
         np.testing.assert_array_equal(fit.theta_hat, fit.grid_f[best])
 
     # Clean and corrupted data, lam 0 and lam > 0 with l1 and slope: the
-    # symmetric audit of equal grids is the full audit of the pool against
-    # itself, sign of zero included.  601 points over 15 blocks span many
-    # batches of the audit's temporary budget.
+    # branch-and-bound audit of equal grids is the full audit of the pool
+    # against itself, sign of zero included.  601 points over 15 blocks span
+    # many batches of the audit's temporary budget.
     @pytest.mark.parametrize("corrupt", [False, True])
     @pytest.mark.parametrize(
         "obj",
@@ -629,7 +631,8 @@ class TestOracleGridFit:
             np.testing.assert_array_equal(fit.objective, full)
             np.testing.assert_array_equal(np.signbit(fit.objective), np.signbit(full))
             np.testing.assert_array_equal(fit.theta_hat, pts[int(np.argmin(full))])
-        # A grid of g's that differs from the grid of f's takes the full audit.
+        # A grid of g's that differs from the grid of f's has the full audit's
+        # objective too.
         other = GridSpec(axes=((-1.0, 1.0, 0.1), (-0.5, 1.5, 0.5)))
         pts_g = other.points()
         audit = solver._WitnessPoolAudit(
@@ -640,3 +643,76 @@ class TestOracleGridFit:
             oracle_grid_fit(data, p, obj, grid, other).objective,
             audit.value_from_losses(losses, psis),
         )
+
+    def test_grid_pruning_is_live(self, monkeypatch):
+        # The frozen criterion-3 instance at seed 1000.  Exact member terms
+        # are those against a gathered (pairs, cluster, n) pool, not the
+        # (clusters, n) envelope.  Losing the first step, the cluster of
+        # largest bound, would leave every cluster live: the same bits from
+        # all |G|^2 terms.
+        rng = np.random.default_rng(1000)
+        X = rng.standard_normal((300, 1))
+        y = X @ np.array([rng.uniform(-1.5, 1.5)]) + rng.standard_normal(300)
+        grid = GridSpec(axes=((-3.0, 3.0, 0.01),))
+        exact = []
+        real = solver._WitnessPoolAudit.terms
+
+        def counted(self, losses, psis):
+            out = real(self, losses, psis)
+            if self.pool_losses.ndim == 3:
+                exact.append(out.size)
+            return out
+
+        monkeypatch.setattr(solver._WitnessPoolAudit, "terms", counted)
+        fit = oracle_grid_fit(Dataset(X, y), make_partition(300, 15), ObjectiveConfig(), grid, grid)
+        assert 0 < sum(exact) < 0.1 * fit.grid_f.shape[0] ** 2
+
+
+@st.composite
+def _grid_audits(draw):
+    """A pool holding the block losses of a 1-d grid of thetas, in grid order
+    or shuffled, with inf entries or rows and ties, and candidates that are
+    the pool itself, some of its rows or fresh thetas."""
+    size = draw(st.one_of(st.sampled_from([1, 15, 16, 17, 32, 33]), st.integers(1, 70)))
+    n = draw(st.sampled_from(range(1, 16, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    centers = rng.standard_normal(n)
+    thetas = np.linspace(-2.0, 2.0, size)
+    cand_kind = draw(st.sampled_from(["pool", "rows", "fresh"]))
+    if cand_kind == "fresh":
+        cands = rng.uniform(-3.0, 3.0, draw(st.integers(1, 20)))
+    elif cand_kind == "rows":
+        cands = thetas[rng.integers(0, size, draw(st.integers(1, 20)))]
+    else:
+        cands = thetas
+    losses, cand_losses = (np.square(t[:, None] - centers) for t in (thetas, cands))
+    if draw(st.booleans()):  # coarse losses: many tied terms
+        losses, cand_losses = np.round(losses, 1), np.round(cand_losses, 1)
+    inf_frac = draw(st.sampled_from([0.0, 0.1, 0.6]))
+    losses[rng.random(losses.shape) < inf_frac] = np.inf
+    cand_losses[rng.random(cand_losses.shape) < inf_frac] = np.inf
+    if draw(st.booleans()):  # thetas past a cut overflow in every block
+        cut = draw(st.floats(-2.0, 2.0))
+        losses[thetas > cut] = np.inf
+        cand_losses[cands > cut] = np.inf
+    lam = draw(st.sampled_from([0.0, 0.05, 2.0]))
+    pool_psi, cand_psi = np.abs(thetas), np.abs(cands)
+    if draw(st.booleans()):
+        order = rng.permutation(size)
+        losses, pool_psi = losses[order], pool_psi[order]
+    return solver._WitnessPoolAudit(losses, pool_psi, lam), cand_losses, cand_psi
+
+
+# Bit for bit, NaN positions (inf - inf) included, whatever the pool order,
+# size (below, at and across the 16-member cluster) and block count.
+@settings(max_examples=300, deadline=None)
+@given(_grid_audits())
+def test_grid_values_equal_the_full_audit(case):
+    audit, losses, psis = case
+    with np.errstate(invalid="ignore"):
+        got = audit.grid_values(losses, psis)
+        want = audit.value_from_losses(losses, psis)
+    nan = np.isnan(want)
+    np.testing.assert_array_equal(np.isnan(got), nan)
+    assert np.array_equal(got, want, equal_nan=True)
+    np.testing.assert_array_equal(np.signbit(got[~nan]), np.signbit(want[~nan]))
