@@ -10,6 +10,11 @@ types and its range.  A document is merged over those defaults object by
 object (a ``corruption`` object over the ``corruption.*`` defaults, so a
 report embeds every corruption field a run used), an unknown key exits 2
 naming its dotted path, and every merged value is checked against its row.
+The ``solver``, ``data.generate.noise`` and ``corruption`` objects are the
+keyword arguments of ``SolverConfig``, ``NoiseSpec`` and ``CorruptionSpec``,
+whose field defaults their rows read, and are handed to them as they are.
+One more table, ``_FLAGS``, declares each CLI flag that overrides a config
+key once, for the parser and for the overrides alike.
 
 Every mode builds its inputs through ``_trial_inputs``: read data.csv (fit
 only) or generate the sample, corrupt it, permute it, and split it into
@@ -49,15 +54,10 @@ from .model import (
     make_partition,
     row_permutation,
 )
-from .objective import (
-    ConditionParams,
-    ObjectiveConfig,
-    Regularizer,
-    default_slope_weights,
-    lambda_window,
-)
+from .objective import ConditionParams, ObjectiveConfig, Regularizer, lambda_window
 from .solver import SolverConfig, erm_fit, mom_minimax_fit
 from .verify import (
+    LemmaViolation,
     check_condition_one,
     check_condition_two,
     estimate_delta,
@@ -111,9 +111,9 @@ _CONFIG = {
     "data.generate.theta_star.sparse.value": (1.0, ("number",), None),
     "data.generate.covariance": ("identity", ("string", "null", "matrix"), _one_of("identity")),
     "data.generate.noise": (_OBJECT, ("object",), None),
-    "data.generate.noise.kind": ("gaussian", ("string",), None),
-    "data.generate.noise.scale": (1.0, ("number",), _POSITIVE),
-    "data.generate.noise.dof": (None, ("number", "null"), None),
+    "data.generate.noise.kind": (NoiseSpec.kind, ("string",), None),
+    "data.generate.noise.scale": (NoiseSpec.scale, ("number",), _POSITIVE),
+    "data.generate.noise.dof": (NoiseSpec.dof, ("number", "null"), None),
     "partition": (_OBJECT, ("object",), None),
     "partition.blocks": (51, ("int",), _POSITIVE_COUNT),
     "partition.permute": (False, ("bool",), None),
@@ -122,17 +122,17 @@ _CONFIG = {
     "objective.regularizer": ("none", ("string",), _one_of("none", "l1", "slope")),
     "objective.slope_weights": (None, ("numbers", "null"), None),
     "solver": (_OBJECT, ("object",), None),
-    "solver.step_f": (None, ("number", "null"), _POSITIVE),
-    "solver.step_g": (None, ("number", "null"), _POSITIVE),
-    "solver.iterations": (300, ("int",), _POSITIVE_COUNT),
-    "solver.restarts": (2, ("int",), _POSITIVE_COUNT),
-    "solver.tolerance": (1e-6, ("number",), _POSITIVE),
-    "solver.decay": (True, ("bool",), None),
+    "solver.step_f": (SolverConfig.step_f, ("number", "null"), _POSITIVE),
+    "solver.step_g": (SolverConfig.step_g, ("number", "null"), _POSITIVE),
+    "solver.iterations": (SolverConfig.iterations, ("int",), _POSITIVE_COUNT),
+    "solver.restarts": (SolverConfig.restarts, ("int",), _POSITIVE_COUNT),
+    "solver.tolerance": (SolverConfig.tolerance, ("number",), _POSITIVE),
+    "solver.decay": (SolverConfig.decay, ("bool",), None),
     "conditions": (_OBJECT, ("object",), None),
     "conditions.gamma1": (0.5, ("number",), _POSITIVE),
     "conditions.gamma2": (0.2, ("number",), _POSITIVE),
     "conditions.r": (2.0, ("number",), _POSITIVE),
-    "conditions.rho": (1.0, ("number",), _POSITIVE),
+    "conditions.rho": (ConditionParams.rho, ("number",), _POSITIVE),
     "conditions.block_fraction": (0.9, ("number",), _between(0, 1)),
     "conditions.probes": (0, ("int",), _COUNT),
     "conditions.far_distance": (None, ("number", "null"), _POSITIVE),
@@ -141,7 +141,7 @@ _CONFIG = {
     "corruption.count": (0, ("int",), _COUNT),
     "corruption.mode": (CorruptionSpec.mode, ("string",), _one_of(*CORRUPTION_MODES)),
     "corruption.magnitude": (CorruptionSpec.magnitude, ("number",), _POSITIVE),
-    "corruption.indices": (None, ("ints", "null"), _COUNT),
+    "corruption.indices": (CorruptionSpec.indices, ("ints", "null"), _COUNT),
     "verify": (_OBJECT, ("object",), None),
     "verify.lemma_instances": (200, ("int",), _COUNT),
     "verify.delta_budget": (200, ("int",), _COUNT),
@@ -153,6 +153,10 @@ _CONFIG = {
     "out": (None, ("string", "null"), None),
     "csv_out": (None, ("string", "null"), None),
 }
+
+# The CLI flags, each overriding the config key of its name (blocks:
+# partition.blocks), and the type argparse reads it as.
+_FLAGS = {"seed": int, "blocks": int, "trials": int, "workers": int, "out": str, "csv_out": str}
 
 
 def _defaults(path: str) -> dict:
@@ -294,11 +298,6 @@ def _theta_star_from_config(gen: dict) -> np.ndarray:
     return theta
 
 
-def _noise_from_config(gen: dict) -> NoiseSpec:
-    nz = gen["noise"]
-    return NoiseSpec(kind=nz["kind"], scale=nz["scale"], dof=nz["dof"])
-
-
 def _objective_from_config(cfg: dict, dim: int) -> ObjectiveConfig:
     obj = cfg["objective"]
     kind = obj["regularizer"]
@@ -315,26 +314,8 @@ def _objective_from_config(cfg: dict, dim: int) -> ObjectiveConfig:
     if kind == "l1":
         return ObjectiveConfig(lam, Regularizer.l1())
     if kind == "slope":
-        w = (
-            np.asarray(weights, dtype=np.float64)
-            if weights is not None
-            else default_slope_weights(dim)
-        )
-        return ObjectiveConfig(lam, Regularizer.slope(w))
+        return ObjectiveConfig(lam, Regularizer.slope(weights, d=dim))
     raise ConfigError(f"unknown regularizer {kind!r}")
-
-
-def _solver_from_config(cfg: dict, seed: int) -> SolverConfig:
-    s = cfg["solver"]
-    return SolverConfig(
-        step_f=s["step_f"],
-        step_g=s["step_g"],
-        iterations=int(s["iterations"]),
-        restarts=int(s["restarts"]),
-        tolerance=float(s["tolerance"]),
-        seed=seed,
-        decay=bool(s["decay"]),
-    )
 
 
 def _params_from_config(cfg: dict) -> ConditionParams:
@@ -344,18 +325,6 @@ def _params_from_config(cfg: dict) -> ConditionParams:
         gamma2=float(c["gamma2"]),
         r=float(c["r"]),
         rho=float(c["rho"]),
-    )
-
-
-def _corruption_from_config(cfg: dict) -> CorruptionSpec | None:
-    c = cfg["corruption"]
-    if c is None or (c["count"] == 0 and c["indices"] is None):
-        return None
-    return CorruptionSpec(
-        count=c["count"],
-        mode=c["mode"],
-        magnitude=float(c["magnitude"]),
-        indices=None if c["indices"] is None else tuple(c["indices"]),
     )
 
 
@@ -404,12 +373,14 @@ def _trial_inputs(cfg: dict, trial: int):
         theta_star = _theta_star_from_config(gen)
         clean = generate(
             gen["n_samples"], gen["dim"], theta_star, design,
-            _noise_from_config(gen), _trial_seed(master, trial, 0),
+            NoiseSpec(**gen["noise"]), _trial_seed(master, trial, 0),
         )
     data, corrupted_indices = clean, None
-    spec = _corruption_from_config(cfg)
-    if spec is not None:
-        data, corrupted_indices = corrupt(clean, spec, _trial_seed(master, trial, 1))
+    c = cfg["corruption"]
+    if c is not None and (c["count"] > 0 or c["indices"] is not None):
+        data, corrupted_indices = corrupt(
+            clean, CorruptionSpec(**c), _trial_seed(master, trial, 1)
+        )
     if cfg["partition"]["permute"]:
         perm = row_permutation(data.n_samples, _trial_seed(master, trial, 3))
         data = Dataset(data.features[perm], data.responses[perm])
@@ -451,7 +422,7 @@ def _fit_records(cfg: dict, seed: int, data, p, theta_star, design):
     records; the records carry excess risks when theta_star is known.
     """
     obj = _objective_from_config(cfg, data.dim)
-    result = mom_minimax_fit(data, p, obj, _solver_from_config(cfg, seed))
+    result = mom_minimax_fit(data, p, obj, SolverConfig(**cfg["solver"], seed=seed))
     ols = erm_fit(data)
     records = {
         "mom": {
@@ -623,29 +594,11 @@ def run_verify(cfg: dict) -> dict:
             )
 
     lemma = lemma_sweep(int(vcfg["lemma_instances"]), seed=cfg["seed"])
-    violations = [
-        {
-            "instance": v.instance,
-            "probe": v.probe_index,
-            "block": v.block_index,
-            "conclusion": v.conclusion,
-            "lhs": v.lhs,
-            "rhs": v.rhs,
-        }
-        for v in lemma.violations
-    ]
     if vcfg["negative_control"]:
         # Harness self-test hook: fabricate a sign-flipped conclusion so the
         # violation path and the nonzero exit are exercised end to end.
-        violations.append(
-            {
-                "instance": -1,
-                "probe": -1,
-                "block": -1,
-                "conclusion": "negative_control",
-                "lhs": -1.0,
-                "rhs": 1.0,
-            }
+        lemma.violations.append(
+            LemmaViolation(-1, -1, "negative_control", -1.0, 1.0, instance=-1)
         )
 
     if reg.kind == "none":
@@ -655,7 +608,7 @@ def run_verify(cfg: dict) -> dict:
         budget=int(vcfg["delta_budget"]), seed=cfg["seed"],
     )
 
-    report = {
+    return {
         "config": _embed_config(cfg),
         "trials": [],
         "aggregate": {
@@ -666,7 +619,17 @@ def run_verify(cfg: dict) -> dict:
                 "instances": int(vcfg["lemma_instances"]),
                 "checked": dict(sorted(lemma.checked.items())),
                 "skipped": dict(sorted(lemma.skipped.items())),
-                "violations": violations,
+                "violations": [
+                    {
+                        "instance": v.instance,
+                        "probe": v.probe_index,
+                        "block": v.block_index,
+                        "conclusion": v.conclusion,
+                        "lhs": v.lhs,
+                        "rhs": v.rhs,
+                    }
+                    for v in lemma.violations
+                ],
             },
             "delta_estimate": delta.to_dict(),
             "lambda_window": (
@@ -676,7 +639,6 @@ def run_verify(cfg: dict) -> dict:
             ),
         },
     }
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -760,12 +722,8 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--config", type=str, default=None, help="JSON config path")
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--blocks", type=int, default=None)
-        sp.add_argument("--trials", type=int, default=None)
-        sp.add_argument("--workers", type=int, default=None)
-        sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--csv-out", type=str, default=None, dest="csv_out")
+        for key, kind in _FLAGS.items():
+            sp.add_argument("--" + key.replace("_", "-"), type=kind, default=None, dest=key)
     return parser
 
 
@@ -793,14 +751,7 @@ def _load_config(path: str) -> dict:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    overrides = {
-        "seed": args.seed,
-        "blocks": args.blocks,
-        "trials": args.trials,
-        "workers": args.workers,
-        "out": args.out,
-        "csv_out": args.csv_out,
-    }
+    overrides = {key: getattr(args, key) for key in _FLAGS}
     started = time.time()
     try:
         raw = _load_config(args.config) if args.config else None

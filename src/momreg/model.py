@@ -201,8 +201,7 @@ def population_l2_distance(
         raise DimensionError(f"predictor dims differ: {f.dim} vs {h.dim}")
     if f.dim != design.dim:
         raise DimensionError(f"predictor dim {f.dim} vs design dim {design.dim}")
-    delta = f.theta - h.theta
-    q = float(delta @ design.covariance @ delta)
+    q = float(population_sq_norms((f.theta - h.theta)[None], design)[0])
     return math.sqrt(max(q, 0.0))
 
 

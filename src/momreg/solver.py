@@ -18,9 +18,11 @@ from .errors import ConfigError, DimensionError, DivergenceError, GridCapExceede
 from .model import BlockPartition, Dataset, LinearPredictor, covered_rows
 from .objective import (
     ObjectiveConfig,
+    Regularizer,
     gram_step_size,
     median_block_index,
     prox_gradient_step,
+    prox_psi,
     psi,
     psi_batch,
     row_increments,
@@ -43,6 +45,7 @@ _REFINE_BATCH = 16
 # value cannot improve on the full pool either.
 _REFINE_SCREEN = 4
 _GRID_CLUSTER = 16  # pool members per cluster of _WitnessPoolAudit.grid_values
+_L1 = Regularizer.l1()  # lasso_fit's soft-thresholding is its prox
 
 
 @dataclass(frozen=True)
@@ -138,9 +141,7 @@ def lasso_fit(
     theta = np.zeros(X.shape[1])
     for _ in range(iterations):
         grad = 2.0 * (gram @ theta - rhs)
-        theta_new = np.sign(theta - step * grad) * np.maximum(
-            np.abs(theta - step * grad) - step * lam, 0.0
-        )
+        theta_new = prox_psi(_L1, theta - step * grad, step * lam)
         if float(np.max(np.abs(theta_new - theta))) < tol:
             theta = theta_new
             break

@@ -38,7 +38,6 @@ from .objective import (
     ConditionParams,
     Regularizer,
     _theta_of,
-    default_slope_weights,
     lambda_window,
     psi,
     psi_batch,
@@ -72,18 +71,18 @@ def sample_sphere_probes(
     distance: float,
     count: int,
     rng,
-) -> list[LinearPredictor]:
-    """Probes at an exact L2(mu) distance, via design-whitened directions.
+) -> np.ndarray:
+    """The (count, d) stack of probe thetas at an exact L2(mu) distance from
+    f_star, via design-whitened directions.
 
-    Probe i is bitwise the one solved and normed alone from the i-th of
+    Row i is bitwise the probe solved and normed alone from the i-th of
     count draws of ``rng.standard_normal(d)``, and rng ends in that state.
     """
     if distance < 0.0:
         raise ConfigError("distance must be nonnegative")
     V = rng.standard_normal((count, design.dim))
     W = np.linalg.solve(design.cholesky.T[None], V[:, :, None])[:, :, 0]
-    thetas = f_star.theta + distance * W / np.sqrt(np.vecdot(V, V))[:, None]
-    return [LinearPredictor(theta) for theta in thetas]
+    return f_star.theta + distance * W / np.sqrt(np.vecdot(V, V))[:, None]
 
 
 class _Record:
@@ -116,15 +115,15 @@ class ConditionReport(_Record):
 
 
 def _probe_geometry(probes, f_star: LinearPredictor, design: DesignSpec):
-    """The (k, d) stack of probe thetas, their offsets from f_star and their
-    exact L2(mu) distances to it.
+    """The (k, d) stack of the probe thetas, their offsets from f_star and
+    their exact L2(mu) distances to it.
 
     Each distance is bitwise ``population_l2_distance``.
     """
     d = f_star.dim
     if d != design.dim:
         raise DimensionError(f"predictor dim {d} vs design dim {design.dim}")
-    thetas = [np.asarray(probe.theta, dtype=np.float64) for probe in probes]
+    thetas = [np.asarray(theta, dtype=np.float64) for theta in probes]
     for theta in thetas:
         if theta.ndim != 1:
             raise DimensionError("theta must be a 1-d coefficient vector")
@@ -166,9 +165,9 @@ def check_condition_one(
 ) -> ConditionReport:
     """Far regime: fraction of blocks with increment >= gamma1 * distance^2.
 
-    Every probe must be at L2 distance >= r from f_star.  The block
-    increments of all probes come from one stacked residual pass, and the
-    per-probe fractions and medians are taken row-wise.
+    Each row of probes, a (k, d) stack of thetas, must lie at L2 distance
+    >= r from f_star.  The block increments of all probes come from one
+    stacked residual pass, and the per-probe fractions and medians are row-wise.
     """
     thetas, _, dists = _probe_geometry(probes, f_star, design)
     # roundoff allowance for exact-sphere probes
@@ -196,11 +195,11 @@ def check_condition_two(
     """Near regime: fraction of blocks with |multiplier - E multiplier|
     <= gamma2 * r^2.
 
-    Probes must be at L2 distance < r.  expected_multiplier is the analytic
-    population value per probe; it is 0 in well-specified synthetic mode and
-    defaults to 0.  The multipliers of all probes come from one stacked
-    residual pass, and the per-probe fractions and medians are taken
-    row-wise.
+    Each row of probes, a (k, d) stack of thetas, must lie at L2 distance
+    < r.  expected_multiplier is the analytic population value per probe; it
+    is 0 in well-specified synthetic mode and defaults to 0.  The multipliers
+    of all probes come from one stacked residual pass, and the per-probe
+    fractions and medians are taken row-wise.
     """
     thetas, _, dists = _probe_geometry(probes, f_star, design)
     if expected_multiplier is None:
@@ -295,8 +294,8 @@ def theorem2_check(
 ) -> Theorem2Diagnostic:
     """Regularized chain: Psi error <= c1 rho, distance <= c2 r, excess <= c3 r^2.
 
-    The slack constants are configuration; the source material leaves them
-    unquantified.  Assumes theta_hat was fit with lambda inside the window.
+    No config key sets the slack constants c1-c3; the source material leaves
+    them unquantified.  Assumes theta_hat was fit with lambda inside the window.
     """
     th = _theta_of(theta_hat)
     ts = _theta_of(theta_star)
@@ -389,11 +388,17 @@ class LemmaViolation:
     instance: int = 0
 
 
+_CONCLUSIONS = ("far", "sphere_near", "scaled_far", "scaled_near")
+
+
 @dataclass
 class LemmaCheckReport:
+    """Violations and, per conclusion (each of _CONCLUSIONS from 0), the
+    (probe, block) pairs checked and skipped."""
+
     violations: list[LemmaViolation] = field(default_factory=list)
-    checked: dict[str, int] = field(default_factory=dict)
-    skipped: dict[str, int] = field(default_factory=dict)
+    checked: dict[str, int] = field(default_factory=lambda: dict.fromkeys(_CONCLUSIONS, 0))
+    skipped: dict[str, int] = field(default_factory=lambda: dict.fromkeys(_CONCLUSIONS, 0))
 
     def merge(self, other: "LemmaCheckReport") -> None:
         self.violations.extend(other.violations)
@@ -405,9 +410,6 @@ class LemmaCheckReport:
     @property
     def total_checked(self) -> int:
         return sum(self.checked.values())
-
-
-_CONCLUSIONS = ("far", "sphere_near", "scaled_far", "scaled_near")
 
 
 def _check_blocks(report, idx, conclusion, hypothesis, lhs, rhs) -> None:
@@ -473,12 +475,10 @@ def lemma_reg_check(
         raise ConfigError(f"lambda {lam} outside window [{lo}, {hi}]")
     g1, g2, r, rho = params.gamma1, params.gamma2, params.r, params.rho
     r2 = r * r
-    report = LemmaCheckReport(
-        checked=dict.fromkeys(_CONCLUSIONS, 0), skipped=dict.fromkeys(_CONCLUSIONS, 0)
-    )
+    report = LemmaCheckReport()
     probes = list(probes)
     k = len(probes)
-    thetas, deltas, dists = _probe_geometry(probes, f_star, design)
+    thetas, deltas, dists = _probe_geometry([probe.theta for probe in probes], f_star, design)
     # One psi call for f*, the probes and their offsets, bitwise row by row.
     norms = psi_batch(reg, np.concatenate([f_star.theta[None], thetas, deltas])).tolist()
     psi_star, psi_h, psi_delta = norms[0], norms[1 : k + 1], norms[k + 1 :]
@@ -729,7 +729,7 @@ def _identity_design(d: int) -> DesignSpec:
 
 @functools.cache
 def _slope_regularizer(d: int) -> Regularizer:
-    return Regularizer.slope(default_slope_weights(d))
+    return Regularizer.slope(d=d)
 
 
 def random_lemma_instance(rng, slope_fraction: float = 0.25):

@@ -1,4 +1,6 @@
+import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -16,7 +18,9 @@ from momreg import (
     CorruptionSpec,
     InvalidInput,
     MomregError,
+    NoiseSpec,
     ParseError,
+    SolverConfig,
     default_slope_weights,
     lemma_sweep,
     load_dataset,
@@ -424,7 +428,26 @@ def test_corrupted_indices_name_rows_of_the_fitted_data(mode):
     assert corrupted != record["corrupted_indices"]
 
 
+def test_each_mode_offers_the_config_and_the_flags():
+    parser = cli.build_parser()
+    (modes,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(modes) == set(_RUNNERS)
+    for sub in modes.values():
+        options = set(sub._option_string_actions) - {"-h", "--help"}
+        assert options == {"--config"} | {"--" + key.replace("_", "-") for key in cli._FLAGS}
+        assert {a.dest for a in sub._actions} == {"help", "config", *cli._FLAGS}
+
+
 class TestRunVerify:
+    def test_no_lemma_instances_report_the_four_conclusions(self):
+        # lemma_instances: 0 keeps the report's shape: each conclusion at 0
+        cfg = resolve_config(_set_path(_D3_CONFIG, "verify.lemma_instances", 0))
+        lemma = run_verify(cfg)["aggregate"]["lemma"]
+        zeros = dict.fromkeys(["far", "scaled_far", "scaled_near", "sphere_near"], 0)
+        assert lemma == {"instances": 0, "checked": zeros, "skipped": zeros, "violations": []}
+        some = run_verify(resolve_config(_D3_CONFIG))["aggregate"]["lemma"]
+        assert list(some["checked"]) == list(some["skipped"]) == list(zeros)
+
     def test_lemma_block_present_and_clean(self):
         cfg = resolve_config(_sim_config())
         cfg["verify"]["lemma_instances"] = 20
@@ -668,11 +691,24 @@ class TestConfigValues:
         }
         assert resolve_config(_D3_CONFIG)["corruption"] is None
 
-    def test_corruption_defaults_are_the_library_defaults(self):
-        # A corruption object that gives only a count runs as CorruptionSpec's
-        # own field defaults, so the CLI and the library cannot drift apart.
+    @pytest.mark.parametrize(
+        "section, kind",
+        [("solver", SolverConfig), ("data.generate.noise", NoiseSpec),
+         ("corruption", CorruptionSpec)],
+    )
+    def test_sections_are_the_library_defaults(self, section, kind):
+        # Each section is handed to its type as keyword arguments (the solver
+        # seed comes from the trial): it holds exactly the type's fields, at
+        # their defaults, so a renamed field fails here and not mid-run, and
+        # the CLI and the library cannot drift apart.
+        fields = {f.name: f.default for f in dataclasses.fields(kind) if f.name != "seed"}
+        defaults = cli._defaults(section)
+        assert defaults.keys() == fields.keys()
+        for name, default in fields.items():
+            if default is not dataclasses.MISSING:
+                assert type(defaults[name]) is type(default) and defaults[name] == default
         cfg = resolve_config(_set_path(_D3_CONFIG, "corruption", {"count": 3}))
-        assert cli._corruption_from_config(cfg) == CorruptionSpec(3)
+        assert CorruptionSpec(**cfg["corruption"]) == CorruptionSpec(3)
 
     def test_corrupt_bench_needs_corrupted_rows(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -75,8 +75,10 @@ class TestSampleSphereProbes:
         f_star = LinearPredictor(rng.standard_normal(4))
         from momreg import population_l2_distance
 
-        for probe in sample_sphere_probes(f_star, design, 1.7, 20, rng):
-            d = population_l2_distance(probe, f_star, design)
+        probes = sample_sphere_probes(f_star, design, 1.7, 20, rng)
+        assert probes.shape == (20, 4)
+        for theta in probes:
+            d = population_l2_distance(LinearPredictor(theta), f_star, design)
             np.testing.assert_allclose(d, 1.7, rtol=1e-10)
 
 
@@ -99,7 +101,7 @@ class TestConditionOne:
     def test_probe_at_f_star_rejected(self):
         data, p, f_star, design = _conditions_instance()
         with pytest.raises(ProbeOutOfRegime):
-            check_condition_one(data, p, f_star, [f_star], 0.5, 0.5, design)
+            check_condition_one(data, p, f_star, [f_star.theta], 0.5, 0.5, design)
 
     def test_monte_carlo_regime(self):
         # sweep-frozen desk-scale regime: comfortable fractions
@@ -113,7 +115,7 @@ class TestConditionOne:
 class TestConditionTwo:
     def test_probe_equal_f_star_all_blocks(self):
         data, p, f_star, design = _conditions_instance()
-        rep = check_condition_two(data, p, f_star, [f_star], 0.2, 1.0, design)
+        rep = check_condition_two(data, p, f_star, [f_star.theta], 0.2, 1.0, design)
         np.testing.assert_array_equal(rep.fractions, [1.0])
 
     def test_far_probe_rejected(self):

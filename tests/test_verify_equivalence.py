@@ -219,7 +219,7 @@ def _condition_report(condition, dists, fracs, meds, fraction_threshold):
 
 def _check_condition_one_ref(data, p, f_star, probes, gamma1, r, design, fraction_threshold=0.9):
     dists, fracs, meds = [], [], []
-    for probe in probes:
+    for probe in map(LinearPredictor, probes):
         dist = population_l2_distance(probe, f_star, design)
         if dist < r * (1.0 - 1e-9):
             raise ProbeOutOfRegime(f"probe at distance {dist} < r = {r}")
@@ -244,7 +244,7 @@ def _check_condition_two_ref(
         )
     band = gamma2 * r * r
     dists, fracs, meds = [], [], []
-    for probe, em in zip(probes, expected):
+    for probe, em in zip(map(LinearPredictor, probes), expected):
         dist = population_l2_distance(probe, f_star, design)
         if dist >= r * (1.0 + 1e-9):
             raise ProbeOutOfRegime(f"probe at distance {dist} >= r = {r}")
@@ -373,9 +373,9 @@ def test_sphere_probes_match_loop(d, dense):
         got_rng, ref_rng = np.random.default_rng(count), np.random.default_rng(count)
         got = sample_sphere_probes(f_star, design, 1.7, count, got_rng)
         ref = _sample_sphere_probes_ref(f_star, design, 1.7, count, ref_rng)
-        assert len(got) == len(ref) == count
+        assert got.shape == (count, d) and len(ref) == count
         for a, b in zip(got, ref):
-            assert np.array_equal(a.theta, b.theta)
+            assert a.tobytes() == b.theta.tobytes()
         # the generators leave in the same state
         assert got_rng.random() == ref_rng.random()
 
@@ -416,8 +416,8 @@ def test_condition_checks_match_loop(d, N, n, corrupt):
     near = sample_sphere_probes(f_star, design, 1.0, 40, rng)
     # a far probe beyond the sphere, and near probes on the sphere's edge
     # and at f* itself
-    far.append(LinearPredictor(f_star.theta + 3.0 * (far[0].theta - f_star.theta)))
-    near.append(f_star)
+    far = np.vstack([far, f_star.theta + 3.0 * (far[0] - f_star.theta)])
+    near = np.vstack([near, f_star.theta])
     args = (data, p, f_star)
     _assert_same_condition_report(
         check_condition_one(*args, far, 0.5, 2.0, design, 0.8),
@@ -440,8 +440,8 @@ def test_condition_checks_raise_at_the_first_out_of_regime_probe():
     rng = np.random.default_rng(0)
     far = sample_sphere_probes(f_star, design, 2.0, 5, rng)
     near = sample_sphere_probes(f_star, design, 1.0, 5, rng)
-    mixed_far = far[:2] + near[3:5] + far[2:]
-    mixed_near = near[:1] + far[1:] + near
+    mixed_far = np.concatenate([far[:2], near[3:5], far[2:]])
+    mixed_near = np.concatenate([near[:1], far[1:], near])
     args = (data, p, f_star)
     for check, ref, probes, gamma in (
         (check_condition_one, _check_condition_one_ref, mixed_far, 0.5),
@@ -453,7 +453,7 @@ def test_condition_checks_raise_at_the_first_out_of_regime_probe():
             check(*args, probes, gamma, 1.5, design)
         assert str(got_err.value) == str(ref_err.value)
         with pytest.raises(DimensionError):
-            check(*args, probes[:1] + [LinearPredictor(np.zeros(4))], gamma, 1.5, design)
+            check(*args, [probes[0], np.zeros(4)], gamma, 1.5, design)
 
 
 # ---------------------------------------------------------------------------
@@ -608,18 +608,20 @@ def test_probe_statistics_reject_probes_of_the_wrong_shape():
     cases = [
         ([np.zeros(3), np.zeros(4)], "predictor dims differ: 4 vs 3"),
         ([np.zeros(4), np.zeros(4)], "predictor dims differ: 4 vs 3"),
+        (np.zeros((2, 4)), "predictor dims differ: 4 vs 3"),
         ([np.zeros(3), np.zeros((1, 3))], "theta must be a 1-d coefficient vector"),
         ([np.zeros((1, 3)), np.zeros((1, 3))], "theta must be a 1-d coefficient vector"),
+        (np.zeros((2, 1, 3)), "theta must be a 1-d coefficient vector"),
     ]
     for thetas, message in cases:
-        probes = [LemmaProbe(theta, REGIME_FAR) for theta in thetas]
         with pytest.raises(DimensionError) as excinfo:
-            verify._probe_geometry(probes, f_star, design)
+            verify._probe_geometry(thetas, f_star, design)
         assert str(excinfo.value) == message
-    thetas, deltas, dists = verify._probe_geometry([], f_star, design)
-    assert thetas.shape == deltas.shape == (0, 3) and dists.shape == (0,)
+    for empty in ([], np.zeros((0, 3))):
+        thetas, deltas, dists = verify._probe_geometry(empty, f_star, design)
+        assert thetas.shape == deltas.shape == (0, 3) and dists.shape == (0,)
     with pytest.raises(InvalidInput):
-        verify._probe_geometry([LemmaProbe([0.0, np.nan, 0.0], REGIME_FAR)], f_star, design)
+        verify._probe_geometry([[0.0, np.nan, 0.0]], f_star, design)
 
 
 # ---------------------------------------------------------------------------
