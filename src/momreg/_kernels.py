@@ -6,10 +6,14 @@ partitioned design once to the per-block sufficient statistics
     S_j = X_j^T X_j / m        b_j = X_j^T y_j / m
 
 after which ``block_increment`` compares two coefficient vectors in
-O(n d^2), without reading X or y again; the descent-ascent loops run on
-these.  ``block_losses`` is the exact residual path: it reads X and y,
-takes a (k, d) batch of thetas, and is the reference the statistics path
-is tested against.
+O(n d^2), without reading X or y again, and ``block_increments`` does so
+for a stack of pairs in one call, each row bitwise the single-pair kernel.
+The adversary ascent of ``objective.phi_lambda_hat`` takes the stacked
+call once per iteration; the descent-ascent loop of the fit goes row by
+row through ``block_increment`` (``objective.row_increments`` says why).
+``block_losses`` is the exact residual path: it reads X and y, takes a
+(k, d) batch of thetas, and is the reference the statistics path is
+tested against.
 """
 from __future__ import annotations
 
@@ -45,6 +49,22 @@ def block_increment(S, b, theta_f, theta_h):
     # One (n*d, d) matrix-vector product is faster than n batched (d, d) ones.
     s_delta = (S.reshape(-1, delta.shape[0]) @ delta).reshape(b.shape)
     return s_delta @ (theta_f + theta_h) - 2.0 * (b @ delta)
+
+
+def block_increments(S, b, theta_f, thetas_h):
+    """Row k: ``block_increment(S, b, f_k, thetas_h[k])``, bitwise, for an
+    (R, d) stack thetas_h and theta_f one vector or an (R, d) stack; shape
+    (R, n).
+
+    Each product is the single-pair kernel's matrix-vector product, stacked
+    over the rows by matmul, so every row rounds as that kernel's does.
+    """
+    delta = theta_f - thetas_h
+    R, d = delta.shape
+    s_delta = np.matmul(S.reshape(-1, d), delta[:, :, None]).reshape(R, *b.shape)
+    inc = np.matmul(s_delta, (theta_f + thetas_h)[:, :, None])
+    inc -= 2.0 * np.matmul(b, delta[:, :, None])
+    return inc[:, :, 0]
 
 
 def block_means(v, n, m):

@@ -768,6 +768,11 @@ def main(argv=None) -> int:
     except MomregError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        # numpy's message names the size and shape of the failed allocation.
+        reason = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{reason}", file=sys.stderr)
+        return 2
 
     agg = report.get("aggregate", {})
     print(json.dumps(agg, indent=2, sort_keys=True))

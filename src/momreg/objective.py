@@ -249,12 +249,13 @@ def row_increments(S, b, thetas_f, thetas_h, out) -> np.ndarray:
     """Fill the (R, n) buffer out, row k with ``_kernels.block_increment``
     of row k of thetas_f against row k of thetas_h, and return it.
 
-    One kernel call per row: at d=50 two matrix-vector products are faster
-    than one two-column matrix product.  One stacked matrix-vector product
-    over all rows is bitwise equal to these calls and cheaper at small d,
-    but the benchmark's trace test pins one kernel call per row and half
-    step, so the stacked form waits until that test counts rows of work
-    (ROADMAP.md, benchmark follow-ups).
+    The descent-ascent loop takes this per-row path, although
+    ``_kernels.block_increments`` gives the same bits in one call: the
+    benchmark's trace test pins one kernel call per row and half step, and
+    one row through the stacked call is slower (16.0 against 11.1 us at
+    d=5, 40.0 against 36.5 us at d=50; n=51, best of 7 x 2000 calls, one
+    BLAS thread on a 2-vCPU VM).  The adversary ascent, with all its
+    starts in one stack, takes the stacked kernel.
     """
     for k, (f, h) in enumerate(zip(thetas_f, thetas_h)):
         out[k] = _kernels.block_increment(S, b, f, h)
@@ -298,11 +299,14 @@ def _ascend_adversary(
 ):
     """Adversary ascent from every row of starts, all rows in lockstep.
 
-    A row stops at its first non-finite increment vector, as a sequential
-    ascent from that start would; a non-finite iterate stops its row one
-    round later, before it is evaluated.  Returns per start the best
-    value, its g and, when collect is set, the (iterations + 1, d) array of
-    the iterates evaluated plus how many of them there are.
+    Each iteration takes the increments of every running start from one
+    ``_kernels.block_increments`` call, row k bitwise the per-row
+    ``block_increment`` of that start.  A row stops at its first non-finite
+    increment vector, as a sequential ascent from that start would; a
+    non-finite iterate stops its row one round later, before it is
+    evaluated.  Returns per start the best value, its g and, when collect
+    is set, the (iterations + 1, d) array of the iterates evaluated plus
+    how many of them there are.
     """
     R, d = starts.shape
     g = starts
@@ -312,10 +316,8 @@ def _ascend_adversary(
     counts = np.zeros(R, dtype=np.intp)
     # rows lists the starts still running; g holds their iterates in order.
     rows = np.arange(R)
-    thetas_f = np.broadcast_to(theta_f, (R, d))
-    inc_buf = np.empty((R, b.shape[0]))
     for t in range(iterations + 1):
-        inc = row_increments(S, b, thetas_f[: rows.size], g, inc_buf[: rows.size])
+        inc = _kernels.block_increments(S, b, theta_f, g)
         finite = np.isfinite(inc).all(axis=1)
         if not finite.all():
             rows, g, inc = rows[finite], g[finite], inc[finite]

@@ -4,10 +4,13 @@ import dataclasses
 import io
 import json
 import os
+import re
 import runpy
+import subprocess
 import sys
 import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -336,6 +339,31 @@ class TestMainEntry:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"trials": 0}))
         assert main(["simulate", "--config", str(cfg_path)]) == 2
+
+    def test_out_of_memory_exits_2_naming_the_allocation(self, tmp_path):
+        # One child process, its address space limited to about 1.5 GB, so a
+        # fit with 1e9 restarts fails on its first large array and no other
+        # process on the machine is affected.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_set_path(_D3_CONFIG, "solver.restarts", 1_000_000_000)))
+        limit = 1500 << 20
+        child = (
+            "import resource, sys\n"
+            f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+            "from momreg.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(cli.__file__).parents[1])
+        pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=pythonpath)
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "fit", "--config", str(cfg_path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        # one line naming the size of the allocation that failed
+        assert re.fullmatch(r"error: out of memory: Unable to allocate [^\n]+\n", proc.stderr), proc.stderr
 
     def test_missing_config_file_exit_code(self, tmp_path, capsys):
         missing = tmp_path / "absent.json"

@@ -4,13 +4,18 @@ residual block losses and the helpers they share.
 
 The trimmed forms reuse one increment buffer, check finiteness once per
 iteration, drop rows only when one has stopped and form residuals in
-place.  They make the same kernel calls with the same operands in the same
-order, so every comparison is exact.
+place.  The descent-ascent loop makes the same per-row kernel calls as its
+reference, with the same operands in the same order.  The adversary ascent
+takes all its running starts' increments from one stacked
+``_kernels.block_increments`` call, whose rows are bitwise the per-row
+kernel's, so every comparison is exact.
 """
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momreg import (
     CorruptionSpec,
@@ -120,17 +125,21 @@ def _block_losses_ref(X, y, thetas, n, m):
     return out
 
 
-_OBJECTIVES = {
-    "none": ObjectiveConfig(),
-    "l1": ObjectiveConfig(0.05, Regularizer.l1()),
-    "slope": ObjectiveConfig(0.02, Regularizer.slope(d=4)),
-}
+_KINDS = ("l1", "none", "slope")
 
 
-def _statistics(seed, N=315, n=15, d=4):
-    theta_star = np.array([1.0, -0.5, 0.0, 2.0])[:d]
+def _objective(kind, d=4):
+    return {
+        "none": ObjectiveConfig(),
+        "l1": ObjectiveConfig(0.05, Regularizer.l1()),
+        "slope": ObjectiveConfig(0.02, Regularizer.slope(d=d)),
+    }[kind]
+
+
+def _statistics(seed, N=315, n=15, d=4, count=6, magnitude=1e4):
+    theta_star = np.resize([1.0, -0.5, 0.0, 2.0], d)
     data = generate(N, d, theta_star, DesignSpec.identity(d), NoiseSpec("gaussian", 1.0), seed)
-    bad, _ = corrupt(data, CorruptionSpec(count=6, magnitude=1e4), seed + 100)
+    bad, _ = corrupt(data, CorruptionSpec(count=count, magnitude=magnitude), seed + 100)
     p = make_partition(N, n)
     X, y = bad.features[: p.total], bad.responses[: p.total]
     S, b = _kernels.block_stats(X, y, p.n, p.m)
@@ -145,9 +154,9 @@ def _assert_same(got, want):
 
 
 @pytest.mark.parametrize("restarts", [1, 2, 3])
-@pytest.mark.parametrize("kind", sorted(_OBJECTIVES))
+@pytest.mark.parametrize("kind", _KINDS)
 def test_descent_ascent_matches_reference(kind, restarts):
-    obj = _OBJECTIVES[kind]
+    obj = _objective(kind)
     for seed in (30, 31):
         X, y, S, b, p = _statistics(seed)
         starts = np.random.default_rng(seed).standard_normal((restarts, 4))
@@ -167,9 +176,9 @@ def test_descent_ascent_matches_reference(kind, restarts):
         (1.0, 1e307, "iterate became non-finite; reduce step_f/step_g"),
     ],
 )
-@pytest.mark.parametrize("kind", sorted(_OBJECTIVES))
+@pytest.mark.parametrize("kind", _KINDS)
 def test_descent_ascent_diverges_with_the_reference_message(kind, start, step, message):
-    obj = _OBJECTIVES[kind]
+    obj = _objective(kind)
     X, y, S, b, p = _statistics(32)
     starts = np.full((2, 4), start)
     starts[1, 0] = -start
@@ -191,16 +200,47 @@ def _starts(theta_f, d):
     ])
 
 
-@pytest.mark.parametrize("collect", [True, False])
-@pytest.mark.parametrize("kind", ["none", "l1", "slope"])
-def test_ascend_adversary_matches_reference(kind, collect):
-    obj = _OBJECTIVES[kind]
-    X, y, S, b, p = _statistics(33)
-    theta_f = np.array([0.9, -0.4, 0.1, 1.8])
+@st.composite
+def _increment_stacks(draw):
+    """Block statistics and an (R, d) stack of h against one f or a stack of
+    them, at scales 1e-3 to 1e5; some rows carry a 1e140 or 1e200 entry,
+    whose increments overflow at once or only in the products."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 60))
+    n = 2 * draw(st.integers(0, 50)) + 1
+    R = draw(st.integers(1, 8))
+    m = draw(st.integers(1, 4))
+    X = rng.standard_normal((n * m, d)) * 10.0 ** draw(st.integers(-3, 5))
+    y = rng.standard_normal(n * m) * 10.0 ** draw(st.integers(-3, 5))
+    S, b = _kernels.block_stats(X, y, n, m)
+    scales = 10.0 ** rng.integers(-3, 6, (R, 1))
+    thetas_h = rng.standard_normal((R, d)) * scales
+    shape = draw(st.sampled_from([(d,), (R, d)]))
+    theta_f = rng.standard_normal(shape) * (scales if len(shape) == 2 else scales[0])
+    for k in draw(st.lists(st.integers(0, R - 1), max_size=3)):
+        thetas_h[k, rng.integers(d)] = draw(st.sampled_from([1e140, -1e140, 1e200]))
+    return S, b, theta_f, thetas_h
+
+
+@given(_increment_stacks())
+@settings(max_examples=200, deadline=None)
+def test_block_increments_rows_are_the_per_row_kernel(instance):
+    S, b, theta_f, thetas_h = instance
+    thetas_f = np.broadcast_to(theta_f, thetas_h.shape)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = _kernels.block_increments(S, b, theta_f, thetas_h)
+        want = _row_increments_ref(S, b, thetas_f, thetas_h)
+    assert got.shape == want.shape
+    # NaN counts as equal to NaN, so the non-finite patterns match too.
+    np.testing.assert_array_equal(got, want)
+
+
+def _assert_ascent_matches_reference(kind, S, b, theta_f, starts, step, iterations, collect):
+    """Run the ascent and its reference on the same inputs, assert every
+    output equal, and return the explored counts."""
+    obj = _objective(kind, theta_f.shape[0])
     psi_f = psi(obj.regularizer, theta_f) if obj.lam else 0.0
-    step = 50.0 * gram_step_size(X, p.m)  # large enough to blow up some starts
-    starts = _starts(theta_f, 4)
-    args = (S, b, theta_f, starts, obj.lam, obj.regularizer, psi_f, step, 30, collect)
+    args = (S, b, theta_f, starts, obj.lam, obj.regularizer, psi_f, step, iterations, collect)
     values, gs, (explored, counts) = objective._ascend_adversary(*args)
     ref_values, ref_gs, (ref_explored, ref_counts) = _ascend_adversary_ref(*args)
     np.testing.assert_array_equal(values, ref_values)
@@ -209,9 +249,42 @@ def test_ascend_adversary_matches_reference(kind, collect):
     if collect:
         for k, count in enumerate(counts):
             np.testing.assert_array_equal(explored[k, :count], ref_explored[k, :count])
-        assert counts[0] == 31 and counts[2] == 0 and 0 < counts[3] < 31
     else:
         assert explored is None and ref_explored is None
+    return counts
+
+
+@pytest.mark.parametrize("collect", [True, False])
+@pytest.mark.parametrize("kind", _KINDS)
+def test_ascend_adversary_matches_reference(kind, collect):
+    X, y, S, b, p = _statistics(33)
+    theta_f = np.array([0.9, -0.4, 0.1, 1.8])
+    step = 50.0 * gram_step_size(X, p.m)  # large enough to blow up some starts
+    counts = _assert_ascent_matches_reference(
+        kind, S, b, theta_f, _starts(theta_f, 4), step, 30, collect
+    )
+    if collect:
+        assert counts[0] == 31 and counts[2] == 0 and 0 < counts[3] < 31
+
+
+@pytest.mark.parametrize("collect", [True, False])
+@pytest.mark.parametrize("kind", _KINDS)
+@pytest.mark.parametrize("d, N, n, count", [(1, 300, 15, 3), (50, 1020, 51, 10)])
+def test_ascend_adversary_matches_reference_in_certificate_regime(d, N, n, count, kind, collect):
+    # The phi_hat certificate of an oracle instance (d=1, N=300, n=15, 3 rows
+    # at 1e6), and the same at d=50: starts at f, the least-squares fit and
+    # two perturbations of it, 120 iterations at the Gram step.
+    X, y, S, b, p = _statistics(36 + d, N, n, d, count, 1e6)
+    rng = np.random.default_rng(d)
+    ols = np.linalg.lstsq(X, y, rcond=None)[0]
+    scale = np.linalg.norm(y - X @ ols) / math.sqrt(N)
+    theta_f = np.resize([1.0, -0.5, 0.0, 2.0], d) + 0.05 * rng.standard_normal(d)
+    starts = np.array([theta_f, ols, *(ols + scale * rng.standard_normal((2, d)))])
+    counts = _assert_ascent_matches_reference(
+        kind, S, b, theta_f, starts, gram_step_size(X, p.m), 120, collect
+    )
+    if collect:
+        assert np.all(counts == 121)
 
 
 def test_ascend_adversary_stops_when_every_start_overflows():
@@ -253,7 +326,7 @@ def test_median_block_index_and_step_match_reference():
     _assert_same(objective.median_block_index(inc), _median_block_index_ref(inc))
     thetas = rng.standard_normal((6, 4))
     j = rng.integers(0, p.n, 6)
-    for obj in _OBJECTIVES.values():
+    for obj in map(_objective, _KINDS):
         np.testing.assert_array_equal(
             objective.prox_gradient_step(obj.regularizer, S, b, thetas, j, 0.03, obj.lam),
             _prox_gradient_step_ref(obj.regularizer, S, b, thetas, j, 0.03, obj.lam),
