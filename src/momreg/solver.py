@@ -44,7 +44,14 @@ _REFINE_BATCH = 16
 # maximum over fewer witnesses, so a move it does not put below the current
 # value cannot improve on the full pool either.
 _REFINE_SCREEN = 4
-_GRID_CLUSTER = 16  # pool members per cluster of _WitnessPoolAudit.grid_values
+# _WitnessPoolAudit.grid_values cuts the pool, in order, into leaves of
+# _GRID_CLUSTER consecutive members and the leaves into groups of _GRID_GROUP
+# consecutive leaves, the last leaf and group padded with their last member
+# or leaf.  An envelope, the blockwise least loss and least norm of a leaf's
+# members or of a group's leaf envelopes, has a term at least each of
+# theirs, as every step of a term is monotone in floating point.
+_GRID_CLUSTER = 16
+_GRID_GROUP = 4
 _L1 = Regularizer.l1()  # lasso_fit's soft-thresholding is its prox
 
 
@@ -162,7 +169,7 @@ class _WitnessPoolAudit:
     with the best candidates themselves (a round-robin of MOM matches)
     sharpens the selection further.  The pool is held as its block losses
     and norms; candidates are audited from theirs, against every member by
-    value_from_losses, or by branch and bound over a grid by grid_values.
+    value_from_losses, or by two-level branch and bound by grid_values.
     """
 
     def __init__(self, pool_losses, pool_psi, lam):
@@ -191,40 +198,59 @@ class _WitnessPoolAudit:
             out[rows] = self.terms(losses[rows], psis[rows]).max(axis=1)
         return out
 
+    def envelope(self, width):
+        """Index (clusters, width) of consecutive members; their envelopes."""
+        size = self.pool_psi.size
+        index = np.minimum(np.arange(0, size, width)[:, None] + np.arange(width), size - 1)
+        least = self.pool_losses[index].min(axis=1), self.pool_psi[index].min(axis=1)
+        return index, _WitnessPoolAudit(*least, self.lam)
+
     def grid_values(self, losses, psis) -> np.ndarray:
-        """value_from_losses, bit for bit, by branch and bound.
+        """value_from_losses, bit for bit, by a two-level branch and bound:
+        each candidate's terms against every group envelope, the leaf
+        envelopes of its group of largest bound, the members of its leaf of
+        largest bound, then those of every other leaf whose bound is not
+        below its best term, in that group or in a group whose bound is not
+        below it.  A NaN term (inf - inf) has a NaN or +inf bound, never below."""
+        _, leaf = self.envelope(_GRID_CLUSTER)
+        groups, group = leaf.envelope(_GRID_GROUP)
 
-        The pool is cut into clusters of _GRID_CLUSTER consecutive members,
-        the last padded with its last member.  A cluster's envelope, its
-        blockwise least loss and least norm, has a term at least each
-        member's, as every step of a term is monotone in floating point.
-        Each candidate is audited against its cluster of largest bound, then
-        against every cluster whose bound is not below its best term so
-        far; a NaN term (inf - inf) has a NaN or +inf bound, never below."""
-        start = np.arange(0, self.pool_psi.size, _GRID_CLUSTER)[:, None]
-        members = np.minimum(start + np.arange(_GRID_CLUSTER), self.pool_psi.size - 1)
-
-        def cluster_max(rows, clusters):
-            out = np.empty(rows.shape[0])
-            for part in row_slices(rows.shape[0], _GRID_CLUSTER * losses.shape[1]):
-                idx = members[clusters[part]]
-                sub = _WitnessPoolAudit(self.pool_losses[idx], self.pool_psi[idx], self.lam)
-                out[part] = sub.terms(losses[rows[part]], psis[rows[part]]).max(axis=1)
+        def leaf_terms(rows, at):
+            out = np.empty((rows.size, _GRID_GROUP))
+            for part in row_slices(rows.size, _GRID_GROUP * losses.shape[1]):
+                sel = groups[at[part]]
+                sub = _WitnessPoolAudit(leaf.pool_losses[sel], leaf.pool_psi[sel], self.lam)
+                out[part] = sub.terms(losses[rows[part]], psis[rows[part]])
             return out
 
-        least = self.pool_losses[members].min(axis=1), self.pool_psi[members].min(axis=1)
-        envelope = _WitnessPoolAudit(*least, self.lam)
-        bounds = np.concatenate([
-            envelope.terms(losses[rows], psis[rows])
-            for rows in row_slices(losses.shape[0], envelope.pool_losses.size)
-        ])
+        def leaf_max(rows, leaves):
+            out = np.empty(rows.size)
+            for k in np.unique(leaves):
+                at = np.flatnonzero(leaves == k)
+                span = slice(k * _GRID_CLUSTER, (k + 1) * _GRID_CLUSTER)
+                sub = _WitnessPoolAudit(self.pool_losses[span], self.pool_psi[span], self.lam)
+                for part in row_slices(at.size, _GRID_CLUSTER * losses.shape[1]):
+                    own = rows[at[part]]
+                    out[at[part]] = sub.terms(losses[own], psis[own]).max(axis=1)
+            return out
+
         cands = np.arange(losses.shape[0])
-        first = np.argmax(bounds, axis=1)
-        best = cluster_max(cands, first)
-        live = ~(bounds < best[:, None])
-        live[cands, first] = False
-        rows, clusters = np.nonzero(live)
-        np.maximum.at(best, rows, cluster_max(rows, clusters))
+        group_bounds = np.concatenate([
+            group.terms(losses[rows], psis[rows])
+            for rows in row_slices(cands.size, group.pool_losses.size)
+        ])
+        first_group = np.argmax(group_bounds, axis=1)
+        near = leaf_terms(cands, first_group)
+        first = groups[first_group, np.argmax(near, axis=1)]
+        best = leaf_max(cands, first)
+        live = ~(group_bounds < best[:, None])
+        live[cands, first_group] = False
+        far, far_groups = np.nonzero(live)
+        rows, at = np.concatenate([cands, far]), np.concatenate([first_group, far_groups])
+        leaf_bounds = np.concatenate([near, leaf_terms(far, far_groups)])
+        live = ~(leaf_bounds < best[rows, None]) & (groups[at] != first[rows, None])
+        pairs, cols = np.nonzero(live)
+        np.maximum.at(best, rows[pairs], leaf_max(rows[pairs], groups[at[pairs], cols]))
         return best
 
     def screen(self, losses, psi) -> "_WitnessPoolAudit":
@@ -489,8 +515,9 @@ def oracle_grid_fit(
 
     The cap bounds |grid_f| * |grid_g| * n, an upper bound on the
     median-increment entries evaluated; the default 1e8 is practical for
-    d <= 2.  ``_WitnessPoolAudit.grid_values`` skips the g's that cannot
-    raise an entry, with the objective bits of the full table.
+    d <= 2.  ``_WitnessPoolAudit.grid_values`` bounds groups of 64 and
+    leaves of 16 consecutive g's by their envelopes and skips those that
+    cannot raise an entry, with the objective bits of the full table.
     """
     pts_f = grid_f.points()
     pts_g = grid_g.points()

@@ -614,8 +614,11 @@ class TestOracleGridFit:
     )
     def test_equal_grids_take_each_pair_once(self, obj, corrupt):
         rng = np.random.default_rng(13)
+        # The coarse last axis of the third grid puts far-apart thetas in one
+        # leaf: loose envelopes, many groups live after the first leaf.
         for d, grid in ((1, GridSpec(axes=((-3.0, 3.0, 0.01),))),
-                        (2, GridSpec(axes=((-1.0, 1.0, 0.1), (-0.5, 1.5, 0.25))))):
+                        (2, GridSpec(axes=((-1.0, 1.0, 0.1), (-0.5, 1.5, 0.25)))),
+                        (2, GridSpec(axes=((-2.5, 2.5, 0.05), (-1.0, 1.0, 0.5))))):
             if obj.regularizer.kind == "slope" and d == 1:
                 continue
             X = rng.standard_normal((300, d))
@@ -645,27 +648,35 @@ class TestOracleGridFit:
         )
 
     def test_grid_pruning_is_live(self, monkeypatch):
-        # The frozen criterion-3 instance at seed 1000.  Exact member terms
-        # are those against a gathered (pairs, cluster, n) pool, not the
-        # (clusters, n) envelope.  Losing the first step, the cluster of
-        # largest bound, would leave every cluster live: the same bits from
-        # all |G|^2 terms.
+        # The frozen criterion-3 instance at seed 1000.  Member terms are
+        # those against a slice of the pool, envelope terms those against a
+        # group or leaf envelope.  Losing the first leaf, the largest bound,
+        # would leave every leaf live, and a one-level bound table takes
+        # ceil(|G| / 16) envelope terms per candidate: the same bits either
+        # way.
         rng = np.random.default_rng(1000)
         X = rng.standard_normal((300, 1))
         y = X @ np.array([rng.uniform(-1.5, 1.5)]) + rng.standard_normal(300)
         grid = GridSpec(axes=((-3.0, 3.0, 0.01),))
-        exact = []
-        real = solver._WitnessPoolAudit.terms
+        pool, member, envelope = [], [], []
+        real_grid_values = solver._WitnessPoolAudit.grid_values
+        real_terms = solver._WitnessPoolAudit.terms
+
+        def grid_values(self, losses, psis):
+            pool.append(self.pool_losses)
+            return real_grid_values(self, losses, psis)
 
         def counted(self, losses, psis):
-            out = real(self, losses, psis)
-            if self.pool_losses.ndim == 3:
-                exact.append(out.size)
+            out = real_terms(self, losses, psis)
+            (member if np.shares_memory(self.pool_losses, pool[0]) else envelope).append(out.size)
             return out
 
+        monkeypatch.setattr(solver._WitnessPoolAudit, "grid_values", grid_values)
         monkeypatch.setattr(solver._WitnessPoolAudit, "terms", counted)
         fit = oracle_grid_fit(Dataset(X, y), make_partition(300, 15), ObjectiveConfig(), grid, grid)
-        assert 0 < sum(exact) < 0.1 * fit.grid_f.shape[0] ** 2
+        k = fit.grid_f.shape[0]
+        assert k <= sum(member) <= 20 * k
+        assert 0 < sum(envelope) < -(-k // 16) * k
 
 
 @st.composite
@@ -673,7 +684,10 @@ def _grid_audits(draw):
     """A pool holding the block losses of a 1-d grid of thetas, in grid order
     or shuffled, with inf entries or rows and ties, and candidates that are
     the pool itself, some of its rows or fresh thetas."""
-    size = draw(st.one_of(st.sampled_from([1, 15, 16, 17, 32, 33]), st.integers(1, 70)))
+    size = draw(st.one_of(
+        st.sampled_from([1, 15, 16, 17, 32, 33, 63, 64, 65, 128, 129, 192, 193, 200, 257]),
+        st.integers(1, 300),
+    ))
     n = draw(st.sampled_from(range(1, 16, 2)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     centers = rng.standard_normal(n)
@@ -704,7 +718,8 @@ def _grid_audits(draw):
 
 
 # Bit for bit, NaN positions (inf - inf) included, whatever the pool order,
-# size (below, at and across the 16-member cluster) and block count.
+# size (below, at and across a 16-member leaf and a 64-member group, with
+# up to five groups) and block count.
 @settings(max_examples=300, deadline=None)
 @given(_grid_audits())
 def test_grid_values_equal_the_full_audit(case):
