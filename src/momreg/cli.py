@@ -288,13 +288,17 @@ def _theta_star_from_config(gen: dict) -> np.ndarray:
         sparse = spec["sparse"]
         support = int(sparse["support"])
         if support > d:
-            raise ConfigError("sparse support exceeds dimension")
+            raise ConfigError(
+                f"data.generate.theta_star.sparse.support {support} exceeds data.generate.dim {d}"
+            )
         theta = np.zeros(d)
         theta[:support] = float(sparse["value"])
         return theta
     theta = np.asarray(spec, dtype=np.float64)
     if theta.shape != (d,):
-        raise ConfigError(f"theta_star must have {d} entries")
+        raise ConfigError(
+            f"data.generate.theta_star has {theta.size} entries, data.generate.dim is {d}"
+        )
     return theta
 
 

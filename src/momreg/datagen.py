@@ -1,13 +1,12 @@
 """Synthetic data: Gaussian designs, heavy-tailed noise, malicious corruption."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError
-from .model import Dataset, DesignSpec, save_dataset
+from .model import Dataset, DesignSpec
 
 CORRUPTION_MODES = ("huge_response", "sign_flip", "adversarial_leverage")
 
@@ -61,16 +60,6 @@ class CorruptionSpec:
             object.__setattr__(self, "indices", idx)
 
 
-def draw_design_noise(N: int, design: DesignSpec, noise: NoiseSpec, seed):
-    """N design rows X_i ~ N(0, Sigma) and N noise draws eps_i, seeded: the
-    rows first, then the noise."""
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((N, design.dim)) @ design.cholesky.T
-    if noise.kind == "gaussian":
-        return X, noise.scale * rng.standard_normal(N)
-    return X, noise.scale * rng.standard_t(noise.dof, N)
-
-
 def generate(
     N: int,
     d: int,
@@ -79,7 +68,8 @@ def generate(
     noise: NoiseSpec,
     seed,
 ) -> Dataset:
-    """Draw X_i ~ N(0, Sigma) and Y_i = <theta*, X_i> + eps_i, seeded."""
+    """Draw X_i ~ N(0, Sigma) and Y_i = <theta*, X_i> + eps_i, seeded: the
+    rows first, then the noise."""
     theta_star = np.asarray(theta_star, dtype=np.float64)
     if theta_star.shape != (d,):
         raise ConfigError(f"theta_star must have shape ({d},)")
@@ -87,7 +77,12 @@ def generate(
         raise ConfigError(f"design dim {design.dim} does not match d={d}")
     if N < 1:
         raise ConfigError("N must be positive")
-    X, eps = draw_design_noise(N, design, noise, seed)
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((N, d)) @ design.cholesky.T
+    if noise.kind == "gaussian":
+        eps = noise.scale * rng.standard_normal(N)
+    else:
+        eps = noise.scale * rng.standard_t(noise.dof, N)
     return Dataset(X, X @ theta_star + eps)
 
 
@@ -123,13 +118,3 @@ def corrupt(data: Dataset, spec: CorruptionSpec, seed) -> tuple[Dataset, list[in
         y[idx] = -spec.magnitude
     return Dataset(X, y), [int(i) for i in np.sort(idx)]
 
-
-def emit_dataset(csv_path, data: Dataset, config: dict, corrupted_indices=None) -> None:
-    """Write the CSV plus a sidecar JSON with the generating config."""
-    save_dataset(csv_path, data)
-    sidecar = {
-        "config": config,
-        "corrupted_indices": list(corrupted_indices or []),
-    }
-    with open(str(csv_path) + ".json", "w") as fh:
-        json.dump(sidecar, fh, indent=2, sort_keys=True)

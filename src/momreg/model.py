@@ -84,23 +84,6 @@ class LinearPredictor:
     def dim(self) -> int:
         return self.theta.shape[0]
 
-    def predict(self, x):
-        return predict(self, x)
-
-
-def predict(f: LinearPredictor, x):
-    """Evaluate f on one point (d,) -> float or a batch (k, d) -> (k,)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        if x.shape[0] != f.dim:
-            raise DimensionError(f"point has {x.shape[0]} entries, theta has {f.dim}")
-        return float(x @ f.theta)
-    if x.ndim == 2:
-        if x.shape[1] != f.dim:
-            raise DimensionError(f"points have {x.shape[1]} columns, theta has {f.dim}")
-        return x @ f.theta
-    raise DimensionError("x must be 1-d or 2-d")
-
 
 @dataclass(frozen=True)
 class BlockPartition:
@@ -125,10 +108,6 @@ class BlockPartition:
     def total(self) -> int:
         """Number of samples covered by the partition (n * m)."""
         return self.n * self.m
-
-    @cached_property
-    def ranges(self) -> tuple[tuple[int, int], ...]:
-        return tuple((j * self.m, (j + 1) * self.m) for j in range(self.n))
 
 
 def make_partition(N: int, n: int) -> BlockPartition:
@@ -158,14 +137,13 @@ def covered_rows(data: Dataset, p: BlockPartition) -> tuple[np.ndarray, np.ndarr
 
 @dataclass(frozen=True)
 class DesignSpec:
-    """Population design for synthetic data: covariance of X, noise variance.
+    """Population design for synthetic data: the covariance of X.
 
     Gives exact L2(mu) geometry: distances between linear predictors are
     computed from the covariance, not estimated from samples.
     """
 
     covariance: np.ndarray
-    noise_variance: float = 0.0
 
     def __post_init__(self):
         cov = _frozen_array(self.covariance)
@@ -176,13 +154,11 @@ class DesignSpec:
             raise InvalidInput("covariance must be symmetric (1e-12 relative)")
         if float(np.linalg.eigvalsh(cov)[0]) <= 0.0:
             raise InvalidInput("covariance must be positive definite")
-        if self.noise_variance < 0.0:
-            raise InvalidInput("noise variance must be nonnegative")
         object.__setattr__(self, "covariance", cov)
 
     @classmethod
-    def identity(cls, d: int, noise_variance: float = 0.0) -> "DesignSpec":
-        return cls(np.eye(d), noise_variance)
+    def identity(cls, d: int) -> "DesignSpec":
+        return cls(np.eye(d))
 
     @property
     def dim(self) -> int:
@@ -217,15 +193,10 @@ def population_sq_norms(deltas: np.ndarray, design: DesignSpec) -> np.ndarray:
 
 
 def row_permutation(n_samples: int, seed) -> np.ndarray:
-    """The seeded row order of ``permute_dataset``: row i of the permuted
-    dataset is row perm[i] of the original."""
+    """The seeded row order applied before partitioning when
+    ``partition.permute`` is set: row i of the permuted dataset is row
+    perm[i] of the original."""
     return np.random.default_rng(seed).permutation(n_samples)
-
-
-def permute_dataset(data: Dataset, seed) -> Dataset:
-    """Seeded row permutation, applied before partitioning when requested."""
-    perm = row_permutation(data.n_samples, seed)
-    return Dataset(data.features[perm], data.responses[perm])
 
 
 # ---------------------------------------------------------------------------

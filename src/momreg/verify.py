@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blocks import block_increments, middle, multiplier_components
-from .datagen import NoiseSpec, draw_design_noise, generate
+from .datagen import NoiseSpec, generate
 from .errors import (
     ConfigError,
     DimensionError,
@@ -123,13 +123,12 @@ def _probe_geometry(probes, f_star: LinearPredictor, design: DesignSpec):
     d = f_star.dim
     if d != design.dim:
         raise DimensionError(f"predictor dim {d} vs design dim {design.dim}")
-    thetas = [np.asarray(theta, dtype=np.float64) for theta in probes]
-    for theta in thetas:
-        if theta.ndim != 1:
-            raise DimensionError("theta must be a 1-d coefficient vector")
-        if theta.shape[0] != d:
-            raise DimensionError(f"predictor dims differ: {theta.shape[0]} vs {d}")
-    thetas = np.array(thetas).reshape(len(thetas), d)
+    try:
+        thetas = np.array(probes, dtype=np.float64) if len(probes) else np.empty((0, d))
+    except ValueError as exc:  # a ragged sequence
+        raise DimensionError(f"probes must be a (k, {d}) stack of thetas") from exc
+    if thetas.ndim != 2 or thetas.shape[1] != d:
+        raise DimensionError(f"probes must be a (k, {d}) stack of thetas, got {thetas.shape}")
     if not np.isfinite(thetas).all():
         raise InvalidInput("coefficients must be finite")
     deltas = thetas - f_star.theta
@@ -189,30 +188,21 @@ def check_condition_two(
     gamma2: float,
     r: float,
     design: DesignSpec,
-    expected_multiplier=None,
     fraction_threshold: float = 0.9,
 ) -> ConditionReport:
-    """Near regime: fraction of blocks with |multiplier - E multiplier|
-    <= gamma2 * r^2.
+    """Near regime: fraction of blocks with |multiplier| <= gamma2 * r^2,
+    the expected multiplier being 0 in the well-specified model.
 
     Each row of probes, a (k, d) stack of thetas, must lie at L2 distance
-    < r.  expected_multiplier is the analytic population value per probe; it
-    is 0 in well-specified synthetic mode and defaults to 0.  The multipliers
-    of all probes come from one stacked residual pass, and the per-probe
-    fractions and medians are taken row-wise.
+    < r.  The multipliers of all probes come from one stacked residual
+    pass, and the per-probe fractions and medians are taken row-wise.
     """
     thetas, _, dists = _probe_geometry(probes, f_star, design)
-    if expected_multiplier is None:
-        expected = np.zeros(len(dists))
-    else:
-        expected = np.broadcast_to(
-            np.asarray(expected_multiplier, dtype=np.float64), (len(dists),)
-        )
     # roundoff allowance, mirror of condition one
     outside = np.flatnonzero(dists >= r * (1.0 + 1e-9))
     if outside.size:
         raise ProbeOutOfRegime(f"probe at distance {float(dists[outside[0]])} >= r = {r}")
-    dev = np.abs(multiplier_components(thetas, f_star, data, p) - expected[:, None])
+    dev = np.abs(multiplier_components(thetas, f_star, data, p))
     return _condition_report(
         "multiplier_band", dists, dev, dev <= gamma2 * r * r, fraction_threshold
     )
@@ -328,27 +318,6 @@ def support_recovery_error(theta_hat, theta_star, atol: float = 0.1) -> int:
     th = _theta_of(theta_hat)
     ts = _theta_of(theta_star)
     return int(np.count_nonzero((np.abs(th) > atol) != (ts != 0.0)))
-
-
-def estimate_expected_multiplier(
-    probe,
-    f_star,
-    design: DesignSpec,
-    noise: NoiseSpec,
-    n_samples: int = 10**6,
-    seed: int = 0,
-) -> float:
-    """Held-out Monte Carlo estimate of the population multiplier mean.
-
-    In the well-specified synthetic model this is exactly 0 and the checks
-    use the analytic value; this estimator exists for misspecified
-    experiments, where its output should be flagged as estimated.
-    """
-    th = _theta_of(probe)
-    ts = _theta_of(f_star)
-    X, eps = draw_design_noise(n_samples, design, noise, seed)
-    # E[2 (h - f*)(X) (f*(X) - Y)] with Y = f*(X) + eps
-    return float(np.mean(-2.0 * (X @ (th - ts)) * eps))
 
 
 # ---------------------------------------------------------------------------
@@ -574,18 +543,6 @@ def norming_functional(reg: Regularizer, v: np.ndarray, direction=None) -> np.nd
         )
         return z
     raise ConfigError("norming functionals exist for l1 and slope only")
-
-
-def dual_norm(reg: Regularizer, z: np.ndarray) -> float:
-    """Dual norm: sup of z(x) over the unit psi-ball."""
-    z = np.asarray(z, dtype=np.float64)
-    if reg.kind == "l1":
-        return float(np.max(np.abs(z)))
-    if reg.kind == "slope":
-        weights = slope_weights_for(reg, z.shape[-1])
-        a = np.sort(np.abs(z))[::-1]
-        return float(np.max(np.cumsum(a) / np.cumsum(weights)))
-    raise ConfigError("dual norm defined for l1 and slope only")
 
 
 @dataclass(frozen=True)

@@ -255,7 +255,16 @@ class TestSparseThetaStar:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(cfg))
         assert main([mode, "--config", str(cfg_path)]) == 2
-        assert capsys.readouterr().err == "error: sparse support exceeds dimension\n"
+        assert capsys.readouterr().err == (
+            "error: data.generate.theta_star.sparse.support 5 exceeds data.generate.dim 3\n"
+        )
+
+    def test_theta_star_of_the_wrong_length_names_its_keys(self):
+        gen = {"n_samples": 60, "dim": 3, "theta_star": [1.0, 2.0]}
+        cfg = resolve_config({"data": {"generate": gen}, "partition": {"blocks": 5}})
+        message = "^data.generate.theta_star has 2 entries, data.generate.dim is 3$"
+        with pytest.raises(ConfigError, match=message):
+            cli._trial_inputs(cfg, 0)
 
 
 class TestMainEntry:
@@ -454,6 +463,16 @@ def test_corrupted_indices_name_rows_of_the_fitted_data(mode):
     _, _, _, data, corrupted, _ = cli._trial_inputs(resolve_config(unpermuted), 0)
     assert corrupted == np.flatnonzero(data.responses == 1e6).tolist()
     assert corrupted != record["corrupted_indices"]
+
+
+def test_permute_reorders_whole_samples():
+    # the same (x, y) rows as the sample, in another order
+    cfg = resolve_config(_set_path(_D3_CONFIG, "partition.permute", True))
+    _, _, clean, data, _, _ = cli._trial_inputs(cfg, 0)
+    rows = np.column_stack([clean.features, clean.responses])
+    permuted = np.column_stack([data.features, data.responses])
+    assert not np.array_equal(rows, permuted)
+    np.testing.assert_array_equal(np.unique(rows, axis=0), np.unique(permuted, axis=0))
 
 
 def test_each_mode_offers_the_config_and_the_flags():

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -9,10 +7,8 @@ from momreg import (
     DesignSpec,
     NoiseSpec,
     corrupt,
-    emit_dataset,
     erm_fit,
     generate,
-    load_dataset,
     make_partition,
 )
 
@@ -140,21 +136,7 @@ class TestCorrupt:
                 data, CorruptionSpec(count=count, mode="huge_response"), count
             )
             touched_blocks = {
-                j
-                for j in range(p.n)
-                for lo, hi in [p.ranges[j]]
-                if any(lo <= i < hi for i in idx)
+                j for j in range(p.n) if any(j * p.m <= i < (j + 1) * p.m for i in idx)
             }
             assert len(touched_blocks) <= count
 
-
-def test_emit_dataset_round_trip(tmp_path):
-    design = DesignSpec.identity(2)
-    data = generate(20, 2, np.ones(2), design, NoiseSpec("gaussian", 1.0), 5)
-    path = tmp_path / "out.csv"
-    emit_dataset(path, data, {"seed": 5, "n": 20}, corrupted_indices=[3, 7])
-    back = load_dataset(path)
-    np.testing.assert_array_equal(back.features, data.features)
-    sidecar = json.loads((tmp_path / "out.csv.json").read_text())
-    assert sidecar["corrupted_indices"] == [3, 7]
-    assert sidecar["config"]["seed"] == 5

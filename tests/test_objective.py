@@ -18,7 +18,6 @@ from momreg import (
     Regularizer,
     block_increment,
     default_slope_weights,
-    dual_norm,
     lambda_window,
     make_partition,
     med_increment,
@@ -120,7 +119,6 @@ def test_wrong_number_of_slope_weights_raises(count):
         lambda: prox_psi(reg, theta, 0.1),
         lambda: prox_psi(reg, np.stack([theta, theta]), 0.1),
         lambda: norming_functional(reg, theta, theta),
-        lambda: dual_norm(reg, theta),
     ):
         with pytest.raises(DimensionError, match=message):
             call()
