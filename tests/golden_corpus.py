@@ -4,8 +4,9 @@ Each case runs one ``momreg`` mode in process, through ``cli.main``, on a
 small d=3 config, and records its exit code, its stderr, its trials CSV and
 its report without the wall-clock ``meta`` field.  One more entry records
 the theta_hat of a fixed subset of the frozen acceptance trials (criteria
-3, 4 and 10) with the sha256 of their bytes.  ``tests/test_golden.py``
-compares a fresh run against ``tests/golden/``.
+3, 4 and 10) with the sha256 of their bytes, and another the adversary
+ascents of a few ``phi_hat``/``phi_lambda_hat`` certificates.
+``tests/test_golden.py`` compares a fresh run against ``tests/golden/``.
 
 Regenerate the corpus with::
 
@@ -34,6 +35,7 @@ from momreg import (
     Dataset,
     DesignSpec,
     GridSpec,
+    LinearPredictor,
     NoiseSpec,
     ObjectiveConfig,
     Regularizer,
@@ -44,13 +46,16 @@ from momreg import (
     make_partition,
     mom_minimax_fit,
     oracle_grid_fit,
+    phi_hat,
+    phi_lambda_hat,
     save_dataset,
 )
-from momreg import cli
+from momreg import cli, objective
 
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 ENVIRONMENT_FILE = "environment.json"
 FROZEN_FILE = "frozen_theta_hat.json"
+CERTIFICATE_FILE = "certificates.json"
 CSV_FILE = "fit_data.csv"
 
 
@@ -186,6 +191,17 @@ def run_case(case: Case, workdir: Path) -> str:
     })
 
 
+_CRITERION3_GRID = GridSpec(axes=((-3.0, 3.0, 0.01),))
+
+
+def _criterion3_instance(seed: int):
+    """The frozen criterion-3 instance of a seed: d=1, N=300, n=15."""
+    rng = np.random.default_rng(1000 + seed)
+    X = rng.standard_normal((300, 1))
+    theta_star = np.array([rng.uniform(-1.5, 1.5)])
+    return Dataset(X, X @ theta_star + rng.standard_normal(300)), make_partition(300, 15)
+
+
 def frozen_theta_hats() -> dict:
     """theta_hat of a fixed subset of the frozen acceptance trials, built
     as ``tests/test_acceptance.py`` builds them: criterion 3 (seeds 0-2, the
@@ -193,16 +209,13 @@ def frozen_theta_hats() -> dict:
     0, clean and corrupted)."""
     out = {"criterion_03": [], "criterion_04": [], "criterion_10": []}
     for seed in range(3):
-        rng = np.random.default_rng(1000 + seed)
-        X = rng.standard_normal((300, 1))
-        theta_star = np.array([rng.uniform(-1.5, 1.5)])
-        data = Dataset(X, X @ theta_star + rng.standard_normal(300))
-        p = make_partition(300, 15)
-        grid = GridSpec(axes=((-3.0, 3.0, 0.01),))
+        data, p = _criterion3_instance(seed)
         out["criterion_03"].append(
             mom_minimax_fit(data, p, ObjectiveConfig(), SolverConfig(seed=seed)).theta_hat
         )
-        out["criterion_03"].append(oracle_grid_fit(data, p, ObjectiveConfig(), grid, grid).theta_hat)
+        out["criterion_03"].append(
+            oracle_grid_fit(data, p, ObjectiveConfig(), _CRITERION3_GRID, _CRITERION3_GRID).theta_hat
+        )
 
     huge = CorruptionSpec(count=10, mode="huge_response", magnitude=1e6)
     p = make_partition(1000, 51)
@@ -222,12 +235,74 @@ def frozen_theta_hats() -> dict:
     for sample in (data, bad):
         out["criterion_10"].append(mom_minimax_fit(sample, p, obj, SolverConfig(seed=0)).theta_hat)
 
-    digest = hashlib.sha256()
-    for key in sorted(out):
-        for theta in out[key]:
-            digest.update(np.ascontiguousarray(theta, dtype=np.float64).tobytes())
+    digest = _sha256(theta for key in sorted(out) for theta in out[key])
     record = {key: [theta.tolist() for theta in thetas] for key, thetas in out.items()}
-    return {**record, "sha256": digest.hexdigest()}
+    return {**record, "sha256": digest}
+
+
+def _sha256(arrays) -> str:
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.ascontiguousarray(a, dtype=np.float64).tobytes())
+    return digest.hexdigest()
+
+
+def _certificate(run) -> dict:
+    """The record of one certificate: its value and witness, and per start
+    of its adversary ascent the best value, its g and the number of
+    iterates evaluated, plus the sha256 of the explored iterates' bytes.
+
+    The ascent's per-start outputs are read by wrapping
+    ``objective._ascend_adversary`` for the run.  JSON keeps every float's
+    bits, the sign of a zero included.
+    """
+    ascents = []
+    ascend = objective._ascend_adversary
+
+    def recorded(*args):
+        ascents.append(ascend(*args))
+        return ascents[-1]
+
+    objective._ascend_adversary = recorded
+    try:
+        cert = run()
+    finally:
+        objective._ascend_adversary = ascend
+    (values, gs, (_, counts)), = ascents
+    return {
+        "value": cert.value,
+        "witness": cert.witness.theta.tolist(),
+        "start_values": values.tolist(),
+        "start_witnesses": gs.tolist(),
+        "counts": counts.tolist(),
+        "explored_sha256": _sha256(cert.explored),
+    }
+
+
+def certificates() -> dict:
+    """Adversary-ascent certificates with ``collect_explored`` set: the
+    ``phi_hat`` of the grid argmin of the frozen criterion-3 instances of
+    seeds 0-2 (data seeds 1000-1002), clean and with 3 rows at 1e6, and one
+    l1 ``phi_lambda_hat`` at d=3 with 5 rows at 1e6."""
+    out = {"criterion_03": []}
+    huge3 = CorruptionSpec(count=3, mode="huge_response", magnitude=1e6)
+    for seed in range(3):
+        clean, p = _criterion3_instance(seed)
+        for data in (clean, corrupt(clean, huge3, seed + 9999)[0]):
+            obj = ObjectiveConfig()
+            f = oracle_grid_fit(data, p, obj, _CRITERION3_GRID, _CRITERION3_GRID).predictor
+            out["criterion_03"].append(
+                _certificate(lambda: phi_hat(f, data, p, seed=seed, collect_explored=True))
+            )
+
+    data = generate(400, 3, [1.5, 0.0, 0.0], DesignSpec.identity(3), NoiseSpec(), 5)
+    bad, _ = corrupt(data, CorruptionSpec(count=5), 6)
+    f = LinearPredictor(np.array([1.2, 0.1, -0.05]))
+    obj = ObjectiveConfig(0.17, Regularizer.l1())
+    out["l1_d3"] = _certificate(
+        lambda: phi_lambda_hat(f, bad, make_partition(400, 21), obj, seed=7, collect_explored=True)
+    )
+    return out
 
 
 def write_csv_input() -> None:
@@ -245,8 +320,12 @@ def regenerate() -> None:
         for case in CASES:
             (GOLDEN_DIR / f"{case.name}.json").write_text(run_case(case, Path(tmp)))
     (GOLDEN_DIR / FROZEN_FILE).write_text(_dump(frozen_theta_hats()))
+    (GOLDEN_DIR / CERTIFICATE_FILE).write_text(_dump(certificates()))
 
 
 if __name__ == "__main__":
     regenerate()
-    print(f"wrote {len(CASES)} cases and {FROZEN_FILE} to {GOLDEN_DIR}", file=sys.stderr)
+    print(
+        f"wrote {len(CASES)} cases, {FROZEN_FILE} and {CERTIFICATE_FILE} to {GOLDEN_DIR}",
+        file=sys.stderr,
+    )

@@ -1,10 +1,11 @@
 """The golden report corpus in tests/golden/, made by tests/golden_corpus.py.
 
 Under the numpy, BLAS and machine architecture the corpus records, every
-case and the frozen theta_hat entry must match it byte for byte.  Under any
-other, another BLAS may round differently: numbers are then compared at
-relative tolerance RTOL and absolute tolerance ATOL, and everything else
-(keys, lengths, strings, booleans, exit codes, stderr) exactly.
+case, the frozen theta_hat entry and the certificate entry must match it
+byte for byte.  Under any other, another BLAS may round differently:
+numbers are then compared at relative tolerance RTOL and absolute tolerance
+ATOL, sha256 digests of bytes not at all, and everything else (keys,
+lengths, strings, booleans, exit codes, stderr) exactly.
 """
 import json
 import math
@@ -82,9 +83,26 @@ def test_frozen_theta_hat_matches_corpus():
         _assert_close(got, want)
 
 
+def _without_digests(entry):
+    if isinstance(entry, dict):
+        return {k: _without_digests(v) for k, v in entry.items() if not k.endswith("sha256")}
+    if isinstance(entry, list):
+        return [_without_digests(v) for v in entry]
+    return entry
+
+
+def test_certificates_match_corpus():
+    want = (corpus.GOLDEN_DIR / corpus.CERTIFICATE_FILE).read_text()
+    got = corpus.certificates()
+    if EXACT:
+        assert corpus._dump(got) == want
+    else:
+        _assert_close(_without_digests(got), _without_digests(json.loads(want)))
+
+
 def test_every_corpus_file_has_a_case():
     names = {f"{case.name}.json" for case in corpus.CASES}
-    names |= {corpus.ENVIRONMENT_FILE, corpus.FROZEN_FILE, corpus.CSV_FILE}
+    names |= {corpus.ENVIRONMENT_FILE, corpus.FROZEN_FILE, corpus.CERTIFICATE_FILE, corpus.CSV_FILE}
     assert {path.name for path in corpus.GOLDEN_DIR.iterdir()} == names
 
 
