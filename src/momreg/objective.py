@@ -304,38 +304,56 @@ def _ascend_adversary(
     ``block_increment`` of that start.  A row stops at its first non-finite
     increment vector, as a sequential ascent from that start would; a
     non-finite iterate stops its row one round later, before it is
-    evaluated.  Returns per start the best value, its g and, when collect
-    is set, the (iterations + 1, d) array of the iterates evaluated plus
-    how many of them there are.
+    evaluated.
+
+    The loop only records: each iteration's values go into an
+    (iterations + 1, R) table, -inf where a start no longer runs, and each
+    next iterate into the (R, iterations + 1, d) array of iterates, whose
+    column 0 holds the starts.  After the loop one argmax per start picks
+    its best iterate: the first maximum, the one a running best replaced
+    only by a strictly larger value would keep.  A NaN value counts as
+    -inf, so it never wins, and a start with no value above -inf keeps its
+    own start at -inf.  Returns per start the best value and its g, and,
+    when collect is set, the iterates with how many of each start's were
+    evaluated; otherwise None and zero counts.
     """
     R, d = starts.shape
+    values = np.full((iterations + 1, R), -math.inf)
+    explored = np.empty((R, iterations + 1, d))
+    explored[:, 0] = starts
+    evaluated = np.full(R, iterations + 1, dtype=np.intp)
+    # rows selects the starts still running, a plain slice while every one
+    # is; g holds their iterates in order.
+    rows = slice(None)
     g = starts
-    best_value = np.full(R, -math.inf)
-    best_g = starts.copy()
-    explored = np.empty((R, iterations + 1, d)) if collect else None
-    counts = np.zeros(R, dtype=np.intp)
-    # rows lists the starts still running; g holds their iterates in order.
-    rows = np.arange(R)
     for t in range(iterations + 1):
         inc = _kernels.block_increments(S, b, theta_f, g)
-        finite = np.isfinite(inc).all(axis=1)
-        if not finite.all():
-            rows, g, inc = rows[finite], g[finite], inc[finite]
-            if rows.size == 0:
-                break
+        # A finite sum means finite entries; only an infinite or NaN sum
+        # (or one that overflows) needs the per-row test.
+        if not math.isfinite(inc.sum()):
+            finite = np.isfinite(inc).all(axis=1)
+            if not finite.all():
+                running = np.arange(R)[rows]
+                evaluated[running[~finite]] = t
+                rows, g, inc = running[finite], g[finite], inc[finite]
+                if rows.size == 0:
+                    break
         j_star, med = median_block_index(inc)
-        value = med + (lam * (psi_f - psi_batch(reg, g)) if lam else 0.0)
-        better = value > best_value[rows]
-        best_value[rows[better]] = value[better]
-        best_g[rows[better]] = g[better]
-        if collect:
-            explored[rows, t] = g
-            counts[rows] = t + 1
+        values[t, rows] = med + lam * (psi_f - psi_batch(reg, g)) if lam else med
         if t == iterations:
             break
         s = step / math.sqrt(t + 1.0)
         g = prox_gradient_step(reg, S, b, g, j_star, s, lam)
-    return best_value, best_g, (explored, counts)
+        explored[rows, t + 1] = g
+    np.fmax(values, -math.inf, out=values)
+    best = values.argmax(axis=0)
+    best_value = values[best, np.arange(R)]
+    if not lam:
+        best_value += 0.0  # the value med + 0.0: a -0.0 median reads +0.0
+    best_g = explored[np.arange(R), best]
+    if not collect:
+        return best_value, best_g, (None, np.zeros(R, dtype=np.intp))
+    return best_value, best_g, (explored, evaluated)
 
 
 def phi_lambda_hat(

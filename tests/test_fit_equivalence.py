@@ -11,6 +11,7 @@ takes all its running starts' increments from one stacked
 kernel's, so every comparison is exact.
 """
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -235,23 +236,32 @@ def test_block_increments_rows_are_the_per_row_kernel(instance):
     np.testing.assert_array_equal(got, want)
 
 
-def _assert_ascent_matches_reference(kind, S, b, theta_f, starts, step, iterations, collect):
+def _assert_same_bytes(got, want):
+    # assert_array_equal holds -0.0 and +0.0 equal; the bytes tell them apart.
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _assert_ascent_matches_reference(
+    kind, S, b, theta_f, starts, step, iterations, collect, psi_f=None
+):
     """Run the ascent and its reference on the same inputs, assert every
-    output equal, and return the explored counts."""
+    output the same bytes, and return the outputs."""
     obj = _objective(kind, theta_f.shape[0])
-    psi_f = psi(obj.regularizer, theta_f) if obj.lam else 0.0
+    if psi_f is None:
+        psi_f = psi(obj.regularizer, theta_f) if obj.lam else 0.0
     args = (S, b, theta_f, starts, obj.lam, obj.regularizer, psi_f, step, iterations, collect)
     values, gs, (explored, counts) = objective._ascend_adversary(*args)
     ref_values, ref_gs, (ref_explored, ref_counts) = _ascend_adversary_ref(*args)
-    np.testing.assert_array_equal(values, ref_values)
-    np.testing.assert_array_equal(gs, ref_gs)
-    np.testing.assert_array_equal(counts, ref_counts)
+    _assert_same_bytes(values, ref_values)
+    _assert_same_bytes(gs, ref_gs)
+    _assert_same_bytes(counts, ref_counts)
     if collect:
         for k, count in enumerate(counts):
-            np.testing.assert_array_equal(explored[k, :count], ref_explored[k, :count])
+            _assert_same_bytes(explored[k, :count], ref_explored[k, :count])
     else:
         assert explored is None and ref_explored is None
-    return counts
+    return values, gs, counts
 
 
 @pytest.mark.parametrize("collect", [True, False])
@@ -260,7 +270,7 @@ def test_ascend_adversary_matches_reference(kind, collect):
     X, y, S, b, p = _statistics(33)
     theta_f = np.array([0.9, -0.4, 0.1, 1.8])
     step = 50.0 * gram_step_size(X, p.m)  # large enough to blow up some starts
-    counts = _assert_ascent_matches_reference(
+    _, _, counts = _assert_ascent_matches_reference(
         kind, S, b, theta_f, _starts(theta_f, 4), step, 30, collect
     )
     if collect:
@@ -280,11 +290,108 @@ def test_ascend_adversary_matches_reference_in_certificate_regime(d, N, n, count
     scale = np.linalg.norm(y - X @ ols) / math.sqrt(N)
     theta_f = np.resize([1.0, -0.5, 0.0, 2.0], d) + 0.05 * rng.standard_normal(d)
     starts = np.array([theta_f, ols, *(ols + scale * rng.standard_normal((2, d)))])
-    counts = _assert_ascent_matches_reference(
+    _, _, counts = _assert_ascent_matches_reference(
         kind, S, b, theta_f, starts, gram_step_size(X, p.m), 120, collect
     )
     if collect:
         assert np.all(counts == 121)
+
+
+@pytest.mark.parametrize("kind", _KINDS)
+def test_ascend_adversary_ties_go_to_the_earliest_iterate(kind):
+    # At step 0 no start moves, so every iterate's value ties with its
+    # start's, and the start at f scores exactly +0.0.
+    X, y, S, b, p = _statistics(38)
+    theta_f = np.array([0.9, -0.4, 0.1, 1.8])
+    starts = _starts(theta_f, 4)[[0, 1, 4]]
+    values, gs, counts = _assert_ascent_matches_reference(kind, S, b, theta_f, starts, 0.0, 12, True)
+    _assert_same_bytes(gs, starts)
+    assert np.all(counts == 13)
+    _assert_same_bytes(values[:1], np.zeros(1))
+
+
+@pytest.mark.parametrize("kind", ("l1", "slope"))
+def test_ascend_adversary_keeps_each_start_when_every_value_is_nan(kind):
+    X, y, S, b, p = _statistics(37)
+    theta_f = np.array([0.9, -0.4, 0.1, 1.8])
+    starts = _starts(theta_f, 4)
+    values, gs, counts = _assert_ascent_matches_reference(
+        kind, S, b, theta_f, starts, gram_step_size(X, p.m), 20, True, psi_f=math.nan
+    )
+    assert np.all(values == -math.inf)
+    _assert_same_bytes(gs, starts)
+    assert counts[0] == 21 and counts[2] == 0
+
+
+@st.composite
+def _ascents(draw):
+    """Block statistics, f and an (R, d) stack of starts (f first) for an
+    ascent of 0 to 40 iterations at 1e-3 to 100 times the Gram step.  Some
+    starts carry an entry of 1e148 to 1e156, which large steps grow until
+    its increments overflow, so rows stop at different iterations."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 8))
+    R = draw(st.integers(1, 6))
+    n = 2 * draw(st.integers(1, 10)) + 1
+    m = draw(st.integers(1, 6))
+    X = rng.standard_normal((n * m, d))
+    y = X @ rng.standard_normal(d) + rng.standard_normal(n * m)
+    y[rng.integers(n * m, size=draw(st.integers(0, 3)))] = 1e6
+    S, b = _kernels.block_stats(X, y, n, m)
+    theta_f = rng.standard_normal(d)
+    starts = theta_f + rng.standard_normal((R, d)) * 10.0 ** rng.integers(-2, 3, (R, 1))
+    starts[0] = theta_f
+    for k in np.flatnonzero(rng.random(R) < 0.5):
+        starts[k, rng.integers(d)] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(148.0, 156.0)
+    step = 10.0 ** rng.uniform(-3.0, 2.0) * gram_step_size(X, m)
+    return S, b, theta_f, starts, step, int(rng.integers(41))
+
+
+@given(_ascents(), st.sampled_from(_KINDS), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_ascend_adversary_matches_reference_property(instance, kind, collect):
+    S, b, theta_f, starts, step, iterations = instance
+    _assert_ascent_matches_reference(kind, S, b, theta_f, starts, step, iterations, collect)
+
+
+def test_ascend_adversary_runs_rows_whose_increment_sum_overflows():
+    # |x| = 1 makes every S_j 1: a start at 1e154 has increments near
+    # -1e308, each finite, whose sum overflows.
+    rng = np.random.default_rng(39)
+    X = rng.choice([-1.0, 1.0], (45, 1))
+    S, b = _kernels.block_stats(X, 2.0 * X[:, 0] + rng.standard_normal(45), 15, 3)
+    theta_f = np.array([1.0])
+    starts = np.array([theta_f, [1e154], [-1.2e154]])
+    inc = _kernels.block_increments(S, b, theta_f, starts)
+    with np.errstate(over="ignore"):
+        assert np.isfinite(inc).all() and not np.isfinite(inc.sum())
+    step = gram_step_size(X, 3)
+    _, _, counts = _assert_ascent_matches_reference("none", S, b, theta_f, starts, step, 10, True)
+    assert np.all(counts == 11)
+
+
+@pytest.mark.parametrize("kind,psi_f", [("none", 0.0), ("l1", -0.0)])
+def test_ascend_adversary_keeps_the_reference_sign_of_zero(kind, psi_f, monkeypatch):
+    # The block kernel gives no -0.0 median here, so both medians are made
+    # -0.0.  Without regularization the value is the median plus 0.0, so
+    # +0.0; with it, -0.0 + lam * (psi_f - psi(0)) stays -0.0 when psi_f is
+    # -0.0.
+    def negative_zero(median):
+        def patched(inc):
+            j, med = median(inc)
+            return j, np.full_like(med, -0.0)
+        return patched
+
+    monkeypatch.setattr(objective, "median_block_index", negative_zero(objective.median_block_index))
+    monkeypatch.setattr(
+        sys.modules[__name__], "_median_block_index_ref", negative_zero(_median_block_index_ref)
+    )
+    X, y, S, b, p = _statistics(40)
+    starts = np.zeros((2, 4))
+    values, _, _ = _assert_ascent_matches_reference(
+        kind, S, b, np.zeros(4), starts, 0.0, 3, False, psi_f=psi_f
+    )
+    assert np.all(np.signbit(values) == (kind == "l1"))
 
 
 def test_ascend_adversary_stops_when_every_start_overflows():
@@ -294,9 +401,9 @@ def test_ascend_adversary_stops_when_every_start_overflows():
     args = (S, b, theta_f, starts, 0.0, Regularizer.none(), 0.0, 0.01, 10, True)
     values, gs, (_, counts) = objective._ascend_adversary(*args)
     ref_values, ref_gs, (_, ref_counts) = _ascend_adversary_ref(*args)
-    np.testing.assert_array_equal(values, ref_values)
-    np.testing.assert_array_equal(gs, ref_gs)
-    np.testing.assert_array_equal(counts, ref_counts)
+    _assert_same_bytes(values, ref_values)
+    _assert_same_bytes(gs, ref_gs)
+    _assert_same_bytes(counts, ref_counts)
     assert np.all(values == -math.inf) and np.all(counts == 0)
 
 
