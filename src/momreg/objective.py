@@ -376,9 +376,11 @@ def phi_lambda_hat(
     """
     from .solver import erm_fit  # local import to avoid a cycle
 
-    X, y = covered_rows(data, p)
     theta_f = f.theta
     d = theta_f.shape[0]
+    if d != data.dim:
+        raise DimensionError(f"predictor dim {d} vs data dim {data.dim}")
+    X, y = covered_rows(data, p)
     lam = cfg.lam
     reg = cfg.regularizer
     psi_f = psi(reg, theta_f) if lam else 0.0

@@ -308,6 +308,14 @@ class TestPhiLambdaHat:
         assert res.value >= coarse - 1e-6
         assert res.value <= fine_max + 1e-6
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_predictor_of_the_wrong_dimension_raises(self, dim):
+        data, p = _toy_instance()  # d = 1
+        f = LinearPredictor(np.ones(dim))
+        for cfg in (ObjectiveConfig(), ObjectiveConfig(0.05, Regularizer.l1())):
+            with pytest.raises(DimensionError, match=rf"^predictor dim {dim} vs data dim 1$"):
+                phi_lambda_hat(f, data, p, cfg)
+
 
 def _ascend_one(S, b, theta_f, g0, lam, reg, psi_f, step, iterations):
     """One start at a time, one 1-d vector per iterate: the reference the
