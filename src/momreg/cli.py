@@ -685,13 +685,14 @@ def write_report(path, report: dict, started: float, cfg: dict) -> None:
 
 
 def write_trials_csv(path, report: dict) -> None:
-    """Flat per-trial rows for external plotting."""
+    """Flat per-trial rows for external plotting, numbered by their
+    position in the report's trials (a fit's one record is trial 0)."""
     import csv as _csv
 
     with _open_for_write(path, newline="") as fh:
         writer = _csv.writer(fh)
         writer.writerow(["trial", "estimator", "excess_risk", "distance", "passed"])
-        for rec in report["trials"]:
+        for trial, rec in enumerate(report["trials"]):
             for name in ("mom", "ols"):
                 if name not in rec or "excess_risk" not in rec[name]:
                     continue
@@ -699,7 +700,7 @@ def write_trials_csv(path, report: dict) -> None:
                 passed = rec.get("theorem1", {}).get("passed", "")
                 writer.writerow(
                     [
-                        rec["trial"],
+                        trial,
                         name,
                         repr(float(exc)),
                         repr(float(np.sqrt(exc))),

@@ -113,10 +113,12 @@ class Case:
     config: str
     mode: str
     flags: tuple[str, ...] = field(default=())
+    csv_out: bool = False  # fit cases write a trials CSV only when set; other modes always
 
 
 CASES = [
     Case("plain_fit", "plain", "fit"),
+    Case("plain_fit_csv_out", "plain", "fit", csv_out=True),
     Case("plain_simulate", "plain", "simulate"),
     Case("plain_corrupt_bench", "plain", "corrupt-bench"),
     Case("plain_verify", "plain", "verify"),
@@ -166,7 +168,7 @@ def run_case(case: Case, workdir: Path) -> str:
     csv_out = workdir / f"{case.name}.trials.csv"
     cfg_path.write_text(json.dumps(CONFIGS[case.config]))
     argv = [case.mode, "--config", str(cfg_path), "--out", str(out)]
-    if case.mode != "fit":  # fit's trials CSV is not recorded
+    if case.mode != "fit" or case.csv_out:
         argv += ["--csv-out", str(csv_out)]
     stderr = io.StringIO()
     cwd = os.getcwd()

@@ -298,6 +298,15 @@ class TestMainEntry:
         assert lines[0] == "trial,estimator,excess_risk,distance,passed"
         assert len(lines) == 1 + 2 * 2  # two trials x (mom, ols)
 
+    def test_fit_csv_out_rows(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_sim_config()))
+        flat = tmp_path / "fit.csv"
+        assert main(["fit", "--config", str(cfg_path), "--csv-out", str(flat)]) == 0
+        rows = [line.split(",") for line in flat.read_text().splitlines()[1:]]
+        assert [row[:2] for row in rows] == [["0", "mom"], ["0", "ols"]]
+        assert [row[4] for row in rows] == ["", ""]  # a fit runs no theorem check
+
     def test_verify_exit_zero_and_negative_control(self, tmp_path):
         cfg = _sim_config()
         cfg["verify"] = {"lemma_instances": 10, "negative_control": False}
