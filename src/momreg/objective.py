@@ -347,10 +347,11 @@ def _ascend_adversary(
         explored[rows, t + 1] = g
     np.fmax(values, -math.inf, out=values)
     best = values.argmax(axis=0)
-    best_value = values[best, np.arange(R)]
+    start = np.arange(R)
+    best_value = values[best, start]
     if not lam:
         best_value += 0.0  # the value med + 0.0: a -0.0 median reads +0.0
-    best_g = explored[np.arange(R), best]
+    best_g = explored[start, best]
     if not collect:
         return best_value, best_g, (None, np.zeros(R, dtype=np.intp))
     return best_value, best_g, (explored, evaluated)

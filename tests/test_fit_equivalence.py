@@ -8,7 +8,9 @@ place.  The descent-ascent loop makes the same per-row kernel calls as its
 reference, with the same operands in the same order.  The adversary ascent
 takes all its running starts' increments from one stacked
 ``_kernels.block_increments`` call, whose rows are bitwise the per-row
-kernel's, so every comparison is exact.
+kernel's, and picks each start's best after the loop from the values it
+recorded, where its reference keeps a running best.  Every comparison is
+exact, and the ascent's compares bytes, the sign of a zero included.
 """
 import math
 import sys
