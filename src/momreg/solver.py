@@ -34,15 +34,15 @@ _REFINE_SCALES = (0.05, 0.02, 0.01, 0.005, 0.002)
 _REFINE_EVAL_CAP = 60
 # Moves of a refine sweep audited in one batch.  Moves after the first
 # improving one are wasted, but every batch pays the same fixed numpy calls
-# (the screen, the audit, the candidate norms); the moves taken and
-# ``evals`` do not depend on the batch.  Going from 8 to 16 took the median
+# (the losses, the screen's partition and maximum, for lam > 0 the candidate
+# norms); the moves taken and ``evals`` do not depend on the batch.  Going from 8 to 16 took the median
 # refine time per fit from 6.95 to 6.50 ms at d=5 and from 26.1 to 23.1 ms
 # at d=50 (the benchmark's frozen trials, one BLAS thread, 2 vCPUs).
 _REFINE_BATCH = 16
 # Witnesses a refine batch is screened against before the full audit: those
-# with the largest medians at the current theta.  The screened value is a
-# maximum over fewer witnesses, so a move it does not put below the current
-# value cannot improve on the full pool either.
+# with the largest of the current theta's full-pool terms.  The screened
+# value is a maximum over fewer witnesses, so a move it does not put below
+# the current value cannot improve on the full pool either.
 _REFINE_SCREEN = 4
 # _WitnessPoolAudit.grid_values cuts the pool, in order, into leaves of
 # _GRID_CLUSTER consecutive members and the leaves into groups of _GRID_GROUP
@@ -169,7 +169,8 @@ class _WitnessPoolAudit:
     with the best candidates themselves (a round-robin of MOM matches)
     sharpens the selection further.  The pool is held as its block losses
     and norms; candidates are audited from theirs, against every member by
-    value_from_losses, or by two-level branch and bound by grid_values.
+    value_from_losses (or by its terms, which _pattern_refine screens
+    itself), or by two-level branch and bound by grid_values.
     """
 
     def __init__(self, pool_losses, pool_psi, lam):
@@ -253,13 +254,6 @@ class _WitnessPoolAudit:
         np.maximum.at(best, rows[pairs], leaf_max(rows[pairs], groups[at[pairs], cols]))
         return best
 
-    def screen(self, losses, psi) -> "_WitnessPoolAudit":
-        """Sub-audit of the _REFINE_SCREEN witnesses with the largest terms
-        at one theta, given its block losses and norm."""
-        meds = self.terms(losses, psi)
-        top = np.argpartition(-meds, _REFINE_SCREEN - 1)[:_REFINE_SCREEN]
-        return _WitnessPoolAudit(self.pool_losses[top], self.pool_psi[top], self.lam)
-
 
 def _pattern_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap):
     """Coordinate sweeps on the audited value, one step scale at a time.
@@ -269,24 +263,31 @@ def _pattern_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap)
     and goes on from the moved point at coordinate i + 1.  The block losses
     of theta + s e_i are loss_j + 2 s (S_j theta - b_j)_i + s^2 (S_j)_ii,
     and the sweep's next _REFINE_BATCH moves are audited together: first
-    against the screen of ``_WitnessPoolAudit.screen`` at the current
-    theta, then, only for the moves the screen puts below the current
-    value, against the full pool.  Both audits take the same witness
-    medians, so the screen rejects only moves the full audit would reject,
-    and the moves taken and ``evals`` are those of the unscreened sweep.
+    against the _REFINE_SCREEN witnesses of largest term at the current
+    theta, then, for the moves this screen puts below the current value,
+    against the full pool, slice by slice up to an improving move.  Both
+    take the same witness medians, so the screen rejects only moves the full
+    audit would reject: the moves and ``evals`` are the unscreened sweep's.
+    The next screen comes from the accepted move's own full-pool terms.
+    With lam = 0 the terms never read the norms and no candidate stack is built.
     """
-    theta = theta0.copy()
-    losses = losses0
-    value = value0
+
+    def screen(meds):
+        top = np.argpartition(-meds, _REFINE_SCREEN - 1)[:_REFINE_SCREEN]
+        return audit.pool_losses[top], audit.pool_psi[top]
+
+    theta, losses, value = theta0.copy(), losses0, value0
     d = theta.shape[0]
     coords = np.repeat(np.arange(d), 2)
     signs = np.tile([1.0, -1.0], d)[:, None]
     curv = np.diagonal(S, axis1=1, axis2=2).T[coords]
     grad = (S @ theta - b).T[coords]
-    screen = audit.screen(losses, psi(reg, theta))
+    near_losses, near_psi = screen(audit.terms(losses, psi(reg, theta)))
+    psis = np.zeros(_REFINE_BATCH)  # read by the terms only when lam > 0
     for scale in scales:
         steps = signs * scale
         quad = steps * steps * curv
+        lin = 2.0 * steps * grad
         evals = 0
         improved = True
         while improved and evals < eval_cap * d:
@@ -294,26 +295,33 @@ def _pattern_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap)
             lo = 0
             while lo < 2 * d:
                 hi = min(lo + _REFINE_BATCH, 2 * d)
-                cand_losses = losses + 2.0 * steps[lo:hi] * grad[lo:hi] + quad[lo:hi]
-                cands = np.repeat(theta[None, :], hi - lo, axis=0)
-                cands[np.arange(hi - lo), coords[lo:hi]] += steps[lo:hi, 0]
-                psis = psi_batch(reg, cands)
-                values = np.full(hi - lo, math.inf)
-                live = np.flatnonzero(screen.value_from_losses(cand_losses, psis) < value)
-                if live.size:
-                    values[live] = audit.value_from_losses(cand_losses[live], psis[live])
-                better = np.flatnonzero(values < value)
-                if better.size == 0:
+                cand_losses = losses + lin[lo:hi] + quad[lo:hi]
+                near = middle(cand_losses[:, None, :] - near_losses)
+                if audit.lam:
+                    cands = np.repeat(theta[None, :], hi - lo, axis=0)
+                    cands[np.arange(hi - lo), coords[lo:hi]] += steps[lo:hi, 0]
+                    psis = psi_batch(reg, cands)
+                    near = near + audit.lam * (psis[:, None] - near_psi)
+                live = np.flatnonzero(near.max(axis=1) < value)
+                for rows in row_slices(live.size, audit.pool_losses.size):
+                    at = live[rows]
+                    meds = audit.terms(cand_losses[at], psis[at])
+                    values = meds.max(axis=1)
+                    better = np.flatnonzero(values < value)
+                    if better.size:
+                        break
+                else:
                     evals += hi - lo
                     lo = hi
                     continue
-                k = int(better[0])
+                j, k = int(better[0]), int(at[better[0]])
                 evals += k + 1
-                theta = cands[k]
+                theta[coords[lo + k]] += steps[lo + k, 0]
                 losses = cand_losses[k]
-                value = float(values[k])
+                value = float(values[j])
                 grad = (S @ theta - b).T[coords]
-                screen = audit.screen(losses, float(psis[k]))
+                lin = 2.0 * steps * grad
+                near_losses, near_psi = screen(meds[j])
                 improved = True
                 lo = 2 * (int(coords[lo + k]) + 1)
     return theta, value

@@ -36,7 +36,7 @@ from momreg import (
     phi_lambda_hat,
 )
 from momreg import _kernels, solver
-from momreg.objective import gram_step_size, prox_psi, psi_batch
+from momreg.objective import gram_step_size, prox_psi, psi, psi_batch
 
 
 class TestErmFit:
@@ -344,10 +344,14 @@ class TestStatisticsPath:
                 assert not np.array_equal(got[0], theta0)
 
 
-def _unscreened_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap):
+def _unscreened_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap, live=None):
     """The refine with every batch of moves audited against the full pool:
-    the reference the screened refine must reproduce exactly."""
+    the reference the screened refine must reproduce exactly.  Given a
+    list, live gets each batch's number of moves that the screen of the
+    current theta, its _REFINE_SCREEN witnesses of largest term, puts below
+    the current value."""
     theta, losses, value = theta0.copy(), losses0, value0
+    norm = psi(reg, theta)
     d = theta.shape[0]
     coords = np.repeat(np.arange(d), 2)
     signs = np.tile([1.0, -1.0], d)[:, None]
@@ -366,7 +370,13 @@ def _unscreened_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_c
                 cand_losses = losses + 2.0 * steps[lo:hi] * grad[lo:hi] + quad[lo:hi]
                 cands = np.repeat(theta[None, :], hi - lo, axis=0)
                 cands[np.arange(hi - lo), coords[lo:hi]] += steps[lo:hi, 0]
-                values = audit.value_from_losses(cand_losses, psi_batch(reg, cands))
+                psis = psi_batch(reg, cands)
+                values = audit.value_from_losses(cand_losses, psis)
+                if live is not None:
+                    meds = audit.terms(losses, norm)
+                    top = np.argpartition(-meds, solver._REFINE_SCREEN - 1)[: solver._REFINE_SCREEN]
+                    near = solver._WitnessPoolAudit(audit.pool_losses[top], audit.pool_psi[top], audit.lam)
+                    live.append(int(np.sum(near.value_from_losses(cand_losses, psis) < value)))
                 better = np.flatnonzero(values < value)
                 if better.size == 0:
                     evals += hi - lo
@@ -375,6 +385,7 @@ def _unscreened_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_c
                 k = int(better[0])
                 evals += k + 1
                 theta, losses, value = cands[k], cand_losses[k], float(values[k])
+                norm = float(psis[k])
                 grad = (S @ theta - b).T[coords]
                 improved = True
                 lo = 2 * (int(coords[lo + k]) + 1)
@@ -387,14 +398,14 @@ class TestRefineScreen:
 
     def test_screened_refine_equals_unscreened(self, monkeypatch):
         rows = []
-        real = solver._WitnessPoolAudit.value_from_losses
+        real = solver._WitnessPoolAudit.terms
 
         def counted(audit, losses, psis):
             if audit.pool_losses.shape[0] > solver._REFINE_SCREEN:
-                rows.append(losses.shape[0])  # a full-pool audit
+                rows.append(losses[..., 0].size)  # thetas audited on the full pool
             return real(audit, losses, psis)
 
-        monkeypatch.setattr(solver._WitnessPoolAudit, "value_from_losses", counted)
+        monkeypatch.setattr(solver._WitnessPoolAudit, "terms", counted)
         rng = np.random.default_rng(23)
         n, m, d = 21, 9, 10
         screened_rows = full_rows = 0
@@ -410,7 +421,7 @@ class TestRefineScreen:
                 )
                 theta0 = rng.standard_normal(d)
                 losses0 = _kernels.block_losses(X, y, theta0[None], n, m)[0]
-                value0 = float(real(audit, losses0[None, :], psi_batch(reg, theta0[None, :]))[0])
+                value0 = float(audit.value_from_losses(losses0[None, :], psi_batch(reg, theta0[None, :]))[0])
                 # the last scale moves the value by far less than 1e-6
                 args = (audit, reg, S, b, theta0, losses0, value0, (0.5, 0.1, 0.02, 1e-9), 4)
                 rows.clear()
@@ -422,8 +433,52 @@ class TestRefineScreen:
                 assert np.array_equal(got[0], want[0])
                 assert got[1] == want[1]
                 assert not np.array_equal(want[0], theta0)
-        assert screened_rows < full_rows
+        assert 0 < screened_rows < full_rows
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(1, 20),
+        n=st.integers(1, 25).map(lambda k: 2 * k + 1),
+        pool_size=st.integers(5, 80),
+        kind=st.sampled_from(["none", "l1", "slope"]),
+        lam=st.floats(0.01, 1.0),
+        eval_cap=st.integers(1, 4),
+        scales=st.lists(st.sampled_from([1.0, 0.5, 0.1, 0.02]), max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_refine_bytes_equal_unscreened(self, d, n, pool_size, kind, lam, eval_cap, scales, seed):
+        """Byte for byte the unscreened refine, with exactly the screen-live
+        moves (and the start) audited against the full pool."""
+
+        class Counted(solver._WitnessPoolAudit):
+            rows = 0
+
+            def terms(self, losses, psis):
+                self.rows += losses[..., 0].size
+                return super().terms(losses, psis)
+
+        rng = np.random.default_rng(seed)
+        reg = Regularizer.none() if kind == "none" else Regularizer.l1() if kind == "l1" else Regularizer.slope(d=d)
+        lam = 0.0 if kind == "none" else lam
+        m = 3
+        X = rng.standard_normal((n * m, d))
+        y = X @ rng.standard_normal(d) + rng.standard_normal(n * m)
+        y[: rng.integers(0, 3)] = 1e3
+        S, b = _kernels.block_stats(X, y, n, m)
+        pool = rng.standard_normal((pool_size, d))
+        audit = Counted(_kernels.block_losses(X, y, pool, n, m), psi_batch(reg, pool), lam)
+        theta0 = rng.standard_normal(d)
+        losses0 = _kernels.block_losses(X, y, theta0[None], n, m)[0]
+        value0 = float(audit.value_from_losses(losses0[None, :], psi_batch(reg, theta0[None, :]))[0])
+        args = (audit, reg, S, b, theta0, losses0, value0, (*scales, 1e-9), eval_cap)
+        live = []
+        want = _unscreened_refine(*args, live=live)
+        audit.rows = 0
+        got = solver._pattern_refine(*args)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert np.float64(got[1]).tobytes() == np.float64(want[1]).tobytes()
+        # the start's terms, then the screen-live moves of every batch
+        assert audit.rows == 1 + sum(live)
 
     def test_fit_unchanged_by_the_screen(self, monkeypatch):
         data = generate(630, 6, np.ones(6), DesignSpec.identity(6), NoiseSpec("gaussian", 1.0), 40)
