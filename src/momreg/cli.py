@@ -39,7 +39,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -484,6 +483,8 @@ def _embed_config(cfg: dict) -> dict:
 def _map_trials(worker, cfg: dict) -> list[dict]:
     payloads = [(json.dumps(cfg, sort_keys=True), t) for t in range(cfg["trials"])]
     if cfg["workers"] > 1:
+        from concurrent.futures import ProcessPoolExecutor  # ~20 ms to import
+
         with ProcessPoolExecutor(max_workers=min(cfg["workers"], len(payloads))) as pool:
             records = list(pool.map(worker, payloads))
     else:

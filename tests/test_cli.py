@@ -148,6 +148,19 @@ class TestRunSimulate:
         b = run_simulate(cfg2)
         assert a["trials"] == b["trials"]
 
+    def test_import_leaves_the_process_pool_out(self):
+        # only workers > 1 needs the pool; a fresh interpreter shows what
+        # importing the CLI alone loads
+        src = str(Path(cli.__file__).parents[1])
+        pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        child = "import sys, momreg.cli; print('concurrent.futures.process' in sys.modules)"
+        proc = subprocess.run(
+            [sys.executable, "-c", child], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=pythonpath), timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
     def test_per_trial_seeds_pure_function_of_master_and_index(self):
         # running 2 trials then 3 trials leaves the first two records alone
         a = run_simulate(resolve_config(_sim_config(trials=2)))
