@@ -34,10 +34,10 @@ _REFINE_SCALES = (0.05, 0.02, 0.01, 0.005, 0.002)
 _REFINE_EVAL_CAP = 60
 # Moves of a refine sweep audited in one batch.  Moves after the first
 # improving one are wasted, but every batch pays the same fixed numpy calls
-# (the losses, the screen's partition and maximum, for lam > 0 the candidate
-# norms); the moves taken and ``evals`` do not depend on the batch.  Going from 8 to 16 took the median
-# refine time per fit from 6.95 to 6.50 ms at d=5 and from 26.1 to 23.1 ms
-# at d=50 (the benchmark's frozen trials, one BLAS thread, 2 vCPUs).
+# (the losses, the screen, the candidate norms when lam > 0); the moves
+# taken and ``evals`` do not depend on the batch.  Going from 8 to 16 took
+# the median refine time per fit from 6.95 to 6.50 ms at d=5 and from 26.1
+# to 23.1 ms at d=50 (the benchmark's frozen trials, one BLAS thread, 2 vCPUs).
 _REFINE_BATCH = 16
 # Witnesses a refine batch is screened against before the full audit: those
 # with the largest of the current theta's full-pool terms.  The screened
@@ -169,8 +169,8 @@ class _WitnessPoolAudit:
     with the best candidates themselves (a round-robin of MOM matches)
     sharpens the selection further.  The pool is held as its block losses
     and norms; candidates are audited from theirs, against every member by
-    value_from_losses (or by its terms, which _pattern_refine screens
-    itself), or by two-level branch and bound by grid_values.
+    value_from_losses or, in _pattern_refine, by the terms of the moves its
+    screen lets through, or by two-level branch and bound by grid_values.
     """
 
     def __init__(self, pool_losses, pool_psi, lam):
