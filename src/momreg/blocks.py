@@ -28,11 +28,12 @@ that the verifiers rely on; the solver's faster path through per-block
 statistics lives in ``_kernels``.
 
 ``block_increments`` and ``multiplier_components`` take a whole (k, d)
-stack of thetas against one h and return (k, n) arrays, from one stacked
-residual pass: ``np.matmul(X, thetas[:, :, None])`` runs one matrix-vector
-product per theta, so every row is bitwise the single-theta ``X @ theta``
-and every (k, n) row equals the one-theta statistic.  ``block_increment``
-and ``multiplier_component`` are their one-row cases.
+stack of thetas against one h and return (k, n) arrays from one stacked
+residual pass, ``_residual_pass``, which ``verify`` calls for both at once:
+``np.matmul(X, thetas[:, :, None])`` runs one matrix-vector product per
+theta, so every row is bitwise the single-theta ``X @ theta`` and every
+(k, n) row equals the one-theta statistic.  ``block_increment`` and
+``multiplier_component`` are their one-row cases.
 """
 from __future__ import annotations
 
@@ -112,39 +113,45 @@ def _stacked_products(X, thetas) -> np.ndarray:
     return np.matmul(X, thetas[:, :, None])[:, :, 0]
 
 
-def _finite(out: np.ndarray) -> np.ndarray:
-    if not np.isfinite(out).all():
+def _residual_pass(X, y, h_theta, inc_thetas, mult_thetas, n: int, m: int):
+    """Block increments against h of the rows of inc_thetas and multipliers
+    of the rows of mult_thetas, (k, n) and (l, n), from one stacked residual
+    pass over the covered rows X, y of [inc_thetas, h, mult_thetas - h]:
+    h's residual comes from its own row.  Only the output is checked."""
+    k = inc_thetas.shape[0]
+    stack = np.concatenate([inc_thetas, h_theta[None], mult_thetas - h_theta])
+    stats = np.empty((stack.shape[0], n))
+    for rows in row_slices(stack.shape[0], n * m):
+        z = _stacked_products(X, stack[rows])
+        mid = min(max(k + 1 - rows.start, 0), z.shape[0])  # the first multiplier row
+        z[:mid] -= y
+        if rows.start <= k < rows.stop:
+            resid_h = z[k - rows.start].copy()
+        np.square(z[:mid], out=z[:mid])
+        if mid < z.shape[0]:
+            z[mid:] *= resid_h
+        stats[rows] = block_means(z, n, m)
+        stats[rows.start + mid : rows.stop] *= 2.0
+    stats[:k] -= stats[k]
+    if not (np.isfinite(stats[:k]).all() and np.isfinite(stats[k + 1 :]).all()):
         raise InvalidInput("block statistics must be finite")
-    return out
+    return stats[:k], stats[k + 1 :]
 
 
 def block_increments(thetas, h: LinearPredictor, data: Dataset, p: BlockPartition) -> np.ndarray:
     """Blockwise squared-loss difference of each row of a (k, d) stack of
-    thetas and h, from the losses directly: shape (k, n)."""
+    thetas and h, from the losses of ``_residual_pass``: shape (k, n)."""
     thetas, X, y = _stacked_arrays(thetas, h, data, p)
-    # h's losses come from its own row of the same pass.
-    stack = np.concatenate([thetas, h.theta[None]])
-    losses = np.empty((stack.shape[0], p.n))
-    for rows in row_slices(stack.shape[0], p.total):
-        resid = _stacked_products(X, stack[rows])
-        resid -= y
-        losses[rows] = block_means(np.square(resid, out=resid), p.n, p.m)
-    return _finite(losses[:-1] - losses[-1])
+    return _residual_pass(X, y, h.theta, thetas, thetas[:0], p.n, p.m)[0]
 
 
 def multiplier_components(
     thetas, h: LinearPredictor, data: Dataset, p: BlockPartition
 ) -> np.ndarray:
     """Blockwise mean of 2 (theta - h)(X_i) (h(X_i) - Y_i) for each row of a
-    (k, d) stack of thetas: shape (k, n)."""
+    (k, d) stack of thetas, from ``_residual_pass``: shape (k, n)."""
     thetas, X, y = _stacked_arrays(thetas, h, data, p)
-    resid_h = X @ h.theta - y
-    out = np.empty((thetas.shape[0], p.n))
-    for rows in row_slices(thetas.shape[0], p.total):
-        z = _stacked_products(X, thetas[rows] - h.theta)
-        z *= resid_h
-        out[rows] = 2.0 * block_means(z, p.n, p.m)
-    return _finite(out)
+    return _residual_pass(X, y, h.theta, thetas[:0], thetas, p.n, p.m)[1]
 
 
 def multiplier_component(

@@ -579,11 +579,12 @@ def run_verify(cfg: dict) -> dict:
     f_star = LinearPredictor(theta_star)
     params = _params_from_config(cfg)
     vcfg = cfg["verify"]
-    n_probes = max(int(cfg["conditions"]["probes"]), 1)
-    rep1, rep2 = _condition_reports(cfg, 0, data, p, theta_star, design, n_probes)
-
-    sweep_table = None
-    if vcfg["r_grid"]:
+    n_probes = int(cfg["conditions"]["probes"])
+    rep1 = rep2 = sweep_table = None
+    if n_probes > 0:  # as in simulate, 0 probes means no condition checks
+        reports = _condition_reports(cfg, 0, data, p, theta_star, design, n_probes)
+        rep1, rep2 = (rep.to_dict() for rep in reports)
+    if n_probes > 0 and vcfg["r_grid"]:
         sweep_table = []
         for r_val in vcfg["r_grid"]:
             probes = sample_sphere_probes(
@@ -617,8 +618,8 @@ def run_verify(cfg: dict) -> dict:
         "config": _embed_config(cfg),
         "trials": [],
         "aggregate": {
-            "condition_one": rep1.to_dict(),
-            "condition_two": rep2.to_dict(),
+            "condition_one": rep1,
+            "condition_two": rep2,
             "r_sweep": sweep_table,
             "lemma": {
                 "instances": int(vcfg["lemma_instances"]),

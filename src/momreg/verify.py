@@ -10,6 +10,7 @@ any violation beyond float roundoff indicates an arithmetic bug.
 """
 from __future__ import annotations
 
+import collections
 import dataclasses
 import functools
 import math
@@ -17,7 +18,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import block_increments, middle, multiplier_components
+from .blocks import (
+    TEMP_ENTRIES, _residual_pass, _used_arrays, block_increments, middle, multiplier_components,
+)
 from .datagen import NoiseSpec, generate
 from .errors import (
     ConfigError,
@@ -31,7 +34,6 @@ from .model import (
     Dataset,
     DesignSpec,
     LinearPredictor,
-    make_partition,
     population_sq_norms,
 )
 from .objective import (
@@ -47,6 +49,7 @@ from .objective import (
 REGIME_FAR = "far"
 REGIME_SPHERE_NEAR = "sphere_near"
 REGIME_SCALED = "scaled"
+_REGIMES = (REGIME_FAR, REGIME_SPHERE_NEAR, REGIME_SCALED)
 
 _FLOAT_SLACK = 1e-9
 _SPHERE_RTOL = 1e-6
@@ -369,42 +372,137 @@ class LemmaCheckReport:
     checked: dict[str, int] = field(default_factory=lambda: dict.fromkeys(_CONCLUSIONS, 0))
     skipped: dict[str, int] = field(default_factory=lambda: dict.fromkeys(_CONCLUSIONS, 0))
 
-    def merge(self, other: "LemmaCheckReport") -> None:
-        self.violations.extend(other.violations)
-        for key, val in other.checked.items():
-            self.checked[key] = self.checked.get(key, 0) + val
-        for key, val in other.skipped.items():
-            self.skipped[key] = self.skipped.get(key, 0) + val
-
     @property
     def total_checked(self) -> int:
         return sum(self.checked.values())
 
 
-def _check_blocks(report, idx, conclusion, hypothesis, lhs, rhs) -> None:
-    """Check lhs >= rhs on the (probe, block) pairs where the hypothesis
-    mask holds; count the others as skipped and append violations in
-    probe-then-block order.
-
-    hypothesis and lhs are (probes, blocks) arrays with one probe index in
-    idx, one conclusion name and one rhs per row.
-    """
-    for name, count in zip(conclusion, hypothesis.sum(axis=1).tolist()):
-        report.checked[name] += count
-        report.skipped[name] += hypothesis.shape[1] - count
+def _check_blocks(report, instance, probe, code, n, hypothesis, lhs, rhs) -> None:
+    """Check lhs >= rhs where the (rows, blocks) hypothesis mask holds (it
+    fails past a row's n blocks), count each row's other blocks as skipped,
+    and append violations in row-then-block order; per row there is one
+    instance, probe index, conclusion code (into _CONCLUSIONS), n and rhs."""
+    counts = np.count_nonzero(hypothesis, axis=1)
+    for j, name in enumerate(_CONCLUSIONS):
+        report.checked[name] += int(counts[code == j].sum())
+        report.skipped[name] += int((n - counts)[code == j].sum())
     # lhs < rhs - slack implies lhs < rhs, so pairs with lhs >= rhs pass.
     rows, blocks = np.nonzero(hypothesis & (lhs < rhs[:, None]))
-    if not rows.size:
-        return
-    lhs = lhs[rows, blocks]
-    rhs = rhs[rows]
+    lhs, rhs = lhs[rows, blocks], rhs[rows]
     slack = _FLOAT_SLACK * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     for i in np.flatnonzero(lhs < rhs - slack).tolist():
-        report.violations.append(
-            LemmaViolation(
-                int(idx[rows[i]]), int(blocks[i]), conclusion[rows[i]], lhs[i], float(rhs[i])
-            )
-        )
+        row = rows[i]
+        report.violations.append(LemmaViolation(int(probe[row]), int(blocks[i]),
+            _CONCLUSIONS[code[row]], lhs[i], float(rhs[i]), int(instance[row])))
+
+
+# One lemma instance as arrays: f*'s theta, the regularizer, the design, the
+# condition parameters, lam, the partition's (n, m), the n*m covered rows X
+# and y, and per probe its theta, regime, alpha and expected multiplier.
+_LemmaInstance = collections.namedtuple("_LemmaInstance", "f_star reg design params lam n m "
+                                        "X y thetas regimes alphas expected")
+
+
+def _instance_terms(inst: _LemmaInstance):
+    """The per-instance stage of _check_lemma_instances: scalars, per probe
+    its row among the distinct thetas (by bytes), regime code, alpha and
+    expected multiplier, the thetas' squared distances, one psi call on [f*,
+    thetas, offsets, f's], the f's being f* + alpha (h - f*) of the scaled
+    probes, and one residual pass (increments of the thetas and of the f's
+    on the psi-sphere, multipliers of the thetas)."""
+    seen = {}
+    rows = [seen.setdefault(theta.tobytes(), (len(seen), theta))[0] for theta in inst.thetas]
+    probes = np.array([rows, [_REGIMES.index(g) for g in inst.regimes], inst.alphas, inst.expected])
+    thetas = np.array([theta for _, theta in seen.values()])
+    deltas, scaled, p = thetas - inst.f_star, probes[1] == 2, inst.params
+    at = probes[0, scaled].astype(np.intp)
+    with np.errstate(over="ignore", invalid="ignore"):
+        f_scaled = inst.f_star + probes[2, scaled, None] * deltas[at]
+    norms = psi_batch(inst.reg, np.concatenate([inst.f_star[None], thetas, deltas, f_scaled]))
+    f_scaled = f_scaled[np.abs(norms[len(thetas) + 1 + at] - p.rho) <= _SPHERE_RTOL * p.rho]
+    if not np.isfinite(f_scaled).all():
+        raise InvalidInput("coefficients must be finite")
+    stats = _residual_pass(
+        inst.X, inst.y, inst.f_star, np.concatenate([thetas, f_scaled]), thetas, inst.n, inst.m
+    )
+    scalars = (p.gamma1, p.gamma2, p.r, p.rho, inst.lam, inst.n, len(thetas))
+    return scalars, probes, population_sq_norms(deltas, inst.design), norms, *stats
+
+
+def _check_probes(report, first: int, chunk) -> None:
+    """The stage of _check_lemma_instances over every probe of a chunk of
+    _instance_terms at once, its instances numbered from first."""
+    scalars, probes, q, norms, incs, mults = zip(*chunk)
+    k = np.array([x.shape[1] for x in probes])
+    inst = np.repeat(np.arange(k.size), k)
+
+    def starts(sizes):  # per probe, where its instance's part of a concatenation starts
+        return (np.cumsum(sizes) - sizes)[inst]
+
+    def ordinal(mask):  # per probe, how many probes of its instance before it are in mask
+        before = np.cumsum(mask) - mask
+        return before - before[head]
+    head = starts(k)
+    g1, g2, r, rho, lam, n, u = np.array(scalars)[inst].T
+    rows, regime, alpha, em = np.concatenate(probes, axis=1)
+    rows, regime, n, u = (x.astype(np.intp) for x in (rows, regime, n, u))
+    q = np.concatenate(q)[starts([x.size for x in q]) + rows]
+    dist = np.sqrt(np.where(q < 0.0, 0.0, q))
+    at = starts([x.size for x in norms])
+    norms = np.concatenate([*norms, [math.nan]])
+    psi_star, psi_h, psi_delta = norms[at], norms[at + 1 + rows], norms[at + 1 + u + rows]
+    on_sphere = np.abs(psi_delta - rho) <= _SPHERE_RTOL * rho
+    scaled = regime == 2
+    at_f = scaled & on_sphere
+    # The left side at f for the scaled probes on the psi-sphere, else at h;
+    # b_h, m_h and the left side's increment per (probe, block), nan past n.
+    psi_lhs = np.where(at_f, norms[at + 1 + 2 * u + ordinal(scaled)], psi_h)
+    inc_at = starts([x.size for x in incs])
+    mult_at = sum(x.size for x in incs) + starts([x.size for x in mults])
+    lhs_rows = np.where(at_f, u + ordinal(at_f), rows)
+    blocks = np.arange(n.max())
+    index = np.array([inc_at + rows * n, mult_at + rows * n, inc_at + lhs_rows * n])
+    index = index[:, :, None] + blocks
+    index[:, blocks >= n[:, None]] = -1
+    b_h, m_h, lhs = np.concatenate([x.ravel() for x in incs + mults] + [[math.nan]])[index]
+
+    # Per probe: its conclusion (code into _CONCLUSIONS), the gates of its
+    # regime, far or near block hypothesis and right side.  A block meets
+    # the far hypothesis when b_h >= far_lo, the near one when |m_h - em| <=
+    # near_hi; nan, for the side not taken, a failed gate or padding, never.
+    r2 = r * r
+    code = regime + (at_f & ~(dist >= r))
+    gate = np.choose(code, [
+        ~((psi_delta > rho) | (dist < r)),
+        on_sphere & (dist < r) & (em >= 0.0) & (psi_h - psi_star >= 0.7 * rho),
+        on_sphere,
+        (em >= 0.0) & (psi_lhs - psi_star >= (0.8 * alpha - 0.1) * rho),
+    ])
+    far = code % 2 == 0
+    a = np.where(scaled, alpha, 1.0)  # 1.0 * 0.5 is 0.5: the far rhs keeps its bits
+    rhs = np.where(far, a * 0.5 * g1 * dist * dist, np.where(code == 1, 0.5, a) * g2 * r2)
+    far_lo = np.where(gate & far, g1 * dist * dist, math.nan)
+    near_hi = np.where(gate & ~far, g2 * r2, math.nan)
+    lhs += (lam * (psi_lhs - psi_star))[:, None]
+    hypothesis = (b_h >= far_lo[:, None]) | (np.abs(m_h - em[:, None]) <= near_hi[:, None])
+    _check_blocks(report, first + inst, np.arange(inst.size) - head, code, n, hypothesis, lhs, rhs)
+
+
+def _check_lemma_instances(instances) -> LemmaCheckReport:
+    """The report of an iterable of _LemmaInstance, numbered from 0.  Each
+    instance has its own geometry, psi and residual pass; the rest is taken
+    for every probe of a chunk at once, in about eight (probes, blocks)
+    arrays, so a chunk keeps probes * blocks within ``TEMP_ENTRIES // 8``."""
+    report, chunk, first, probes, blocks = LemmaCheckReport(), [], 0, 0, 0
+    for number, inst in enumerate(instances):
+        probes, blocks = probes + len(inst.thetas), max(blocks, inst.n)
+        if chunk and probes * blocks > TEMP_ENTRIES // 8:
+            _check_probes(report, first, chunk)
+            chunk, first, probes, blocks = [], number, len(inst.thetas), inst.n
+        chunk.append(_instance_terms(inst))
+    if chunk:
+        _check_probes(report, first, chunk)
+    return report
 
 
 def lemma_reg_check(
@@ -427,86 +525,23 @@ def lemma_reg_check(
                     >= alpha (g1/2) dist^2 (far branch) or >= alpha g2 r^2
                     (near branch): super-linear growth.
 
-    The block increments against f* of the distinct probe thetas and of
-    the scaled thetas f come from one stacked residual pass of ``blocks``
-    (one row per theta, bitwise the one-theta statistic), and the
-    multipliers of the distinct probe thetas from another; probes that
-    share h (the scaled probes of one direction, and the near probe with
-    its scaled copies) share their rows.  Distances and psi are taken for
-    all probes at once.  Each conclusion is checked as a (probe, block)
-    mask, with violations reported in probe-then-block order.
-
-    lam must lie in the admissible window.  Violations beyond float
-    roundoff indicate an arithmetic bug, not sampling noise.
+    lam must lie in the admissible window and the probe thetas form a finite
+    (k, d) stack; the check is ``_check_lemma_instances`` on this instance.
+    Violations beyond float roundoff indicate an arithmetic bug.
     """
     lo, hi = lambda_window(params)
     if not (lo <= lam <= hi):
         raise ConfigError(f"lambda {lam} outside window [{lo}, {hi}]")
-    g1, g2, r, rho = params.gamma1, params.gamma2, params.r, params.rho
-    r2 = r * r
-    report = LemmaCheckReport()
     probes = list(probes)
-    k = len(probes)
-    thetas, deltas, dists = _probe_geometry([probe.theta for probe in probes], f_star, design)
-    # One psi call for f*, the probes and their offsets, bitwise row by row.
-    norms = psi_batch(reg, np.concatenate([f_star.theta[None], thetas, deltas])).tolist()
-    psi_star, psi_h, psi_delta = norms[0], norms[1 : k + 1], norms[k + 1 :]
+    thetas = _probe_geometry([probe.theta for probe in probes], f_star, design)[0]
     if not probes:
-        return report
-    on_sphere = [abs(pd - rho) <= _SPHERE_RTOL * rho for pd in psi_delta]
-
-    # Statistics rows: one per distinct probe theta, then one per scaled
-    # probe on the psi-sphere, at f = f* + alpha (h - f*); scaled probes
-    # off the sphere are skipped without forming f.
-    seen = {}
-    row = [seen.setdefault(theta.tobytes(), len(seen)) for theta in thetas]
-    firsts = [row.index(j) for j in range(len(seen))]
-    at_f = [i for i, probe in enumerate(probes) if probe.regime == REGIME_SCALED and on_sphere[i]]
-    alpha = np.array([probes[i].alpha for i in at_f], dtype=np.float64)
-    f_scaled = f_star.theta + alpha[:, None] * deltas[at_f]
-    if not np.isfinite(f_scaled).all():
-        raise InvalidInput("coefficients must be finite")
-    distinct = thetas[firsts]
-    incs = block_increments(np.concatenate([distinct, f_scaled]), f_star, data, p)
-    b_h = incs[row]
-    m_h = multiplier_components(distinct, f_star, data, p)[row]
-    # The left side's increment and norm: at f for those scaled probes, at h
-    # for the others.
-    lhs_row, psi_lhs = list(row), list(psi_h)
-    for j, (i, psi_f) in enumerate(zip(at_f, psi_batch(reg, f_scaled).tolist())):
-        lhs_row[i], psi_lhs[i] = len(firsts) + j, psi_f
-
-    # Per probe: its conclusion, whether the hypothesis gates of its regime
-    # hold, whether its block hypothesis is the far or the near one, and the
-    # right side of its conclusion.  A block meets the far hypothesis when
-    # b_h >= far_lo, the near one when |m_h - em| <= near_hi; nan, for the
-    # side not taken or a failed gate, is met by no block.
-    conclusion, terms = [], []
-    for i, (probe, dist) in enumerate(zip(probes, dists.tolist())):
-        em = probe.expected_multiplier
-        if probe.regime == REGIME_FAR:
-            gate = not (psi_delta[i] > rho or dist < r)
-            case = ("far", gate, True, 0.5 * g1 * dist * dist)
-        elif probe.regime == REGIME_SPHERE_NEAR:
-            norming_ok = psi_h[i] - psi_star >= 0.7 * rho
-            gate = on_sphere[i] and dist < r and em >= 0.0 and norming_ok
-            case = ("sphere_near", gate, False, 0.5 * g2 * r2)
-        elif not on_sphere[i] or dist >= r:
-            case = ("scaled_far", on_sphere[i], True, probe.alpha * 0.5 * g1 * dist * dist)
-        else:
-            norming_ok = psi_lhs[i] - psi_star >= (0.8 * probe.alpha - 0.1) * rho
-            case = ("scaled_near", em >= 0.0 and norming_ok, False, probe.alpha * g2 * r2)
-        name, gate, far, rhs = case
-        conclusion.append(name)
-        far_lo = g1 * dist * dist if gate and far else math.nan
-        near_hi = g2 * r2 if gate and not far else math.nan
-        terms.append((lam * (psi_lhs[i] - psi_star), far_lo, near_hi, em, rhs))
-    lam_terms, far_lo, near_hi, expected, rhs = np.array(terms).T
-
-    lhs = incs[lhs_row] + lam_terms[:, None]
-    hypothesis = (b_h >= far_lo[:, None]) | (np.abs(m_h - expected[:, None]) <= near_hi[:, None])
-    _check_blocks(report, range(k), conclusion, hypothesis, lhs, rhs)
-    return report
+        psi_batch(reg, f_star.theta[None])
+        return LemmaCheckReport()
+    X, y = _used_arrays(f_star.dim, f_star, data, p)
+    return _check_lemma_instances([_LemmaInstance(
+        f_star.theta, reg, design, params, lam, p.n, p.m, X, y, thetas,
+        *zip(*((pr.regime, pr.alpha, pr.expected_multiplier) for pr in probes)),
+    )])
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +639,8 @@ def estimate_delta(
     most r; the sup runs over norming functionals of sampled v in the
     rho/20 ball (always including v = f, and v = 0 when psi(f) <= rho/20).
     The candidate steps h - f do not depend on the center f, so they are
-    normalised and filtered once; for each center and each v, one
-    broadcast ``norming_functional`` call covers every step.
+    normalised and filtered once; for each center, one broadcast
+    ``norming_functional`` call covers every v and every step.
     """
     if reg.kind not in ("l1", "slope"):
         raise ConfigError("estimate_delta needs an l1 or slope regularizer")
@@ -643,12 +678,11 @@ def estimate_delta(
         vs = [f] + [f + off for off in v_offsets]
         if psi(reg, f) <= rho / 20.0:
             vs.append(np.zeros(d))
-        sup = np.full(steps.shape[0], -math.inf)
-        for v in vs:
-            # vecdot, not einsum: it rounds like z @ delta, row by row.  fmax
-            # lets no NaN (from overflowing inputs) into the sup.
-            np.fmax(sup, np.vecdot(norming_functional(reg, v, steps), steps), out=sup)
-        best = min(best, float(sup.min()))
+        # vecdot, not einsum: it rounds like z @ delta, row by row.  fmax,
+        # folded over the v's in order, lets no NaN (from overflowing
+        # inputs) into the sup.
+        vals = np.vecdot(norming_functional(reg, np.array(vs)[:, None, :], steps), steps)
+        best = min(best, float(np.fmax.reduce(vals, axis=0, initial=-math.inf).min()))
     return DeltaEstimate(
         best, True, len(centers), len(centers) * steps.shape[0], len(directions), rho, r
     )
@@ -658,9 +692,11 @@ def estimate_delta(
 # randomized lemma sweep (hypothesis-satisfying instance generator)
 # ---------------------------------------------------------------------------
 
-# Populations of the draws with replacement of random_lemma_instance.
+# Populations of the draws with replacement of _draw_lemma_instance, and
+# the alphas of its scaled probes.
 _SIGNS = np.array([-1.0, 1.0])
 _BLOCK_COUNTS = np.array([5, 7, 9, 11])
+_ALPHAS = (2.0, 4.0, 8.0)
 _L1 = Regularizer.l1()
 
 
@@ -668,13 +704,6 @@ def _pick(rng, a: np.ndarray, size=None):
     """``rng.choice(a, size)`` with replacement from the 1-d array a, draw for
     draw, without choice's Python argument handling."""
     return a[rng.integers(0, a.shape[0], size=size)]
-
-
-def _sparse_f_star(rng, d: int, support: int) -> np.ndarray:
-    theta = np.zeros(d)
-    idx = rng.choice(d, size=support, replace=False)
-    theta[idx] = rng.uniform(0.5, 2.0, size=support) * _pick(rng, _SIGNS, support)
-    return theta
 
 
 # DesignSpec and Regularizer are immutable, so one per dimension (8 to 24)
@@ -689,8 +718,8 @@ def _slope_regularizer(d: int) -> Regularizer:
     return Regularizer.slope(d=d)
 
 
-def random_lemma_instance(rng, slope_fraction: float = 0.25):
-    """One randomized dataset + parameter draw + probe battery.
+def _draw_lemma_instance(rng, slope_fraction: float) -> _LemmaInstance:
+    """One randomized dataset + parameter draw + probe battery, as arrays.
 
     Probes are constructed so the hypothesis gates mostly pass: far probes
     sit on one coordinate (psi-sphere touching the far regime), near probes
@@ -704,8 +733,9 @@ def random_lemma_instance(rng, slope_fraction: float = 0.25):
     """
     d = int(rng.integers(8, 25))
     s = int(rng.integers(1, 4))
-    f_star_theta = _sparse_f_star(rng, d, s)
-    f_star = LinearPredictor(f_star_theta)
+    f_star = np.zeros(d)
+    idx = rng.choice(d, size=s, replace=False)
+    f_star[idx] = rng.uniform(0.5, 2.0, size=s) * _pick(rng, _SIGNS, s)
     design = _identity_design(d)
 
     use_slope = rng.uniform() < slope_fraction
@@ -723,23 +753,20 @@ def random_lemma_instance(rng, slope_fraction: float = 0.25):
     n = int(_pick(rng, _BLOCK_COUNTS))
     m = int(rng.integers(8, 31))
     noise = NoiseSpec("gaussian", scale=float(rng.uniform(0.01, 0.3)) * r)
-    data = generate(n * m, d, f_star_theta, design, noise, rng.integers(2**63))
-    partition = make_partition(n * m, n)
+    data = generate(n * m, d, f_star, design, noise, rng.integers(2**63))
 
-    free = (f_star_theta == 0.0).nonzero()[0]
-    probes: list[LemmaProbe] = []
+    free = (f_star == 0.0).nonzero()[0]
 
     # A probe is f* + rho u / psi(u), set in place: f* is 0 on the support of
     # u, and adding the zeros elsewhere would change no bit.
     def one_hot_probe():
         # 1-sparse on the psi-sphere, L2 distance rho / w1 >= r
-        h = f_star_theta.copy()
+        h = f_star.copy()
         k = int(_pick(rng, free))
         h[k] = rho * _pick(rng, _SIGNS) / w1
         return h
 
-    for _ in range(2):
-        probes.append(LemmaProbe(one_hot_probe(), REGIME_FAR))
+    probes = [(one_hot_probe(), REGIME_FAR, 1.0), (one_hot_probe(), REGIME_FAR, 1.0)]
 
     # near probes (l1 only): positive mass spread off-support so the norm
     # gap psi(h) - psi(f*) equals rho exactly
@@ -747,27 +774,30 @@ def random_lemma_instance(rng, slope_fraction: float = 0.25):
         k_needed = max(int(math.ceil((rho / r) ** 2 * 1.3)) + 1, 2)
         k_spread = min(len(free), k_needed)
         if k_spread >= 2 and rho / math.sqrt(k_spread) < r:
-            h = f_star_theta.copy()
+            h = f_star.copy()
             h[rng.choice(free, size=k_spread, replace=False)] = rho / float(k_spread)
-            probes.append(LemmaProbe(h, REGIME_SPHERE_NEAR))
-            probes.extend(LemmaProbe(h, REGIME_SCALED, alpha=a) for a in (2.0, 4.0, 8.0))
+            probes += [(h, REGIME_SPHERE_NEAR, 1.0)] + [(h, REGIME_SCALED, a) for a in _ALPHAS]
 
     # scaled far branch
     h = one_hot_probe()
-    probes.extend(LemmaProbe(h, REGIME_SCALED, alpha=a) for a in (2.0, 4.0, 8.0))
+    probes += [(h, REGIME_SCALED, a) for a in _ALPHAS]
+    return _LemmaInstance(f_star, reg, design, params, lam, n, m, data.features,
+                          data.responses, *zip(*probes), (0.0,) * len(probes))
 
-    return probes, f_star, data, partition, params, lam, reg, design
+
+def random_lemma_instance(rng, slope_fraction: float = 0.25):
+    """``_draw_lemma_instance`` as the arguments of ``lemma_reg_check``."""
+    inst = _draw_lemma_instance(rng, slope_fraction)
+    return (
+        list(map(LemmaProbe, inst.thetas, inst.regimes, inst.alphas, inst.expected)),
+        LinearPredictor(inst.f_star), Dataset(inst.X, inst.y), BlockPartition(inst.n, inst.m),
+        inst.params, inst.lam, inst.reg, inst.design,
+    )
 
 
 def lemma_sweep(count: int, seed: int = 0, slope_fraction: float = 0.25) -> LemmaCheckReport:
-    """Run lemma_reg_check over `count` randomized hypothesis-satisfying
-    instances, numbered from 0, and aggregate the violation report.  The
-    draw order of ``random_lemma_instance`` (through ``_pick``, not
-    ``Generator.choice``) is part of the ``momreg verify`` report contract."""
+    """``_check_lemma_instances`` on `count` instances of
+    ``_draw_lemma_instance``, taken as they are drawn; that draw order is
+    part of the ``momreg verify`` report contract."""
     rng = np.random.default_rng(seed)
-    total = LemmaCheckReport()
-    for i in range(count):
-        report = lemma_reg_check(*random_lemma_instance(rng, slope_fraction))
-        report.violations = [dataclasses.replace(v, instance=i) for v in report.violations]
-        total.merge(report)
-    return total
+    return _check_lemma_instances(_draw_lemma_instance(rng, slope_fraction) for _ in range(count))

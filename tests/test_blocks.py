@@ -1,3 +1,5 @@
+import unittest.mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -158,6 +160,46 @@ def test_stacked_statistics_reject_bad_stacks():
             stats(np.array([[1.0, 2.0], [np.inf, 0.0]]), h, data, p)
     with pytest.raises(InvalidInput), np.errstate(over="ignore"):
         block_increments(np.array([[1e200, 1e200]]), h, data, p)
+
+
+@st.composite
+def _pass_instances(draw):
+    """Inputs of one residual pass: d 1..30, odd n 1..15, m 1..30, 1..12
+    thetas with duplicate rows at scales 1e-3..1e5, at times a theta near
+    1e100, and a temporary budget of 1..4 thetas or the default."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    d = draw(st.integers(1, 30))
+    n = 2 * draw(st.integers(0, 7)) + 1
+    m = draw(st.integers(1, 30))
+    k = draw(st.integers(1, 12))
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n * m, d)) * draw(st.sampled_from([1e-3, 1.0, 1e5]))
+    y = X @ rng.standard_normal(d) + rng.standard_normal(n * m)
+    h = rng.standard_normal(d)
+    thetas = rng.standard_normal((k, d)) * 10.0 ** rng.integers(-3, 6, (k, 1))
+    thetas = thetas[rng.integers(0, k, k)]
+    if draw(st.booleans()):
+        thetas[rng.integers(k)] = 1e100 * rng.uniform(0.5, 1.0, d)
+    budget = draw(st.sampled_from([None, 1, 2, 3, 4]))
+    return X, y, h, thetas, n, m, budget and budget * n * m
+
+
+@given(_pass_instances())
+@settings(max_examples=150, deadline=None)
+def test_residual_pass_is_both_wrappers(instance):
+    X, y, h, thetas, n, m, budget = instance
+    data, p, hp = Dataset(X, y), BlockPartition(n, m), LinearPredictor(h)
+    mult_thetas = thetas[::-1].copy()
+    with unittest.mock.patch.object(blocks, "TEMP_ENTRIES", budget or blocks.TEMP_ENTRIES):
+        incs, mults = blocks._residual_pass(X, y, h, thetas, mult_thetas, n, m)
+        assert incs.tobytes() == block_increments(thetas, hp, data, p).tobytes()
+        assert mults.tobytes() == multiplier_components(mult_thetas, hp, data, p).tobytes()
+        for theta, inc, mult in zip(thetas, incs, mults[::-1]):
+            ref_inc, ref_mult = _one_theta_statistics(X, y, theta, h, n, m)
+            assert inc.tobytes() == ref_inc.tobytes() and mult.tobytes() == ref_mult.tobytes()
+        # a loss that overflows fails the finiteness check of the output
+        with pytest.raises(InvalidInput), np.errstate(over="ignore", invalid="ignore"):
+            blocks._residual_pass(X, y, h, 1e300 * np.ones((1, X.shape[1])), thetas, n, m)
 
 
 @st.composite

@@ -30,7 +30,7 @@ from momreg import (
     make_partition,
 )
 from momreg import cli, verify
-from momreg.blocks import block_increments
+from momreg.blocks import _residual_pass
 from momreg.cli import (
     _RUNNERS,
     main,
@@ -332,10 +332,11 @@ class TestMainEntry:
 
     def test_verify_violation_records_name_their_instance(self, monkeypatch):
         # a constant fault in every block increment makes lemma violations
-        def faulty_increments(thetas, h, data, p):
-            return block_increments(thetas, h, data, p) - 10.0
+        def faulty_pass(*args):
+            incs, mults = _residual_pass(*args)
+            return incs - 10.0, mults
 
-        monkeypatch.setattr(verify, "block_increments", faulty_increments)
+        monkeypatch.setattr(verify, "_residual_pass", faulty_pass)
         cfg = resolve_config(_set_path(_D3_CONFIG, "verify", {
             "lemma_instances": 3, "delta_budget": 4, "negative_control": True
         }))
@@ -527,6 +528,7 @@ class TestRunVerify:
 
     def test_r_sweep_table(self):
         cfg = resolve_config(_sim_config())
+        cfg["conditions"]["probes"] = 2
         cfg["verify"]["lemma_instances"] = 5
         cfg["verify"]["r_grid"] = [1.0, 2.0, 3.0]
         rep = run_verify(cfg)
@@ -534,6 +536,19 @@ class TestRunVerify:
         assert [row["r"] for row in table] == [1.0, 2.0, 3.0]
         for row in table:
             assert 0.0 <= row["mean_fraction"] <= 1.0
+
+    def test_zero_probes_run_no_condition_checks(self, tmp_path, capsys):
+        # as in simulate: no probes, no condition reports and no r sweep
+        doc = _set_path(_D3_CONFIG, "conditions.probes", 0)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_set_path(doc, "verify.r_grid", [1.0, 2.0])))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["verify", "--config", str(cfg_path)]) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        report = json.loads(capsys.readouterr().out)
+        assert report["condition_one"] is report["condition_two"] is report["r_sweep"] is None
+        assert sum(report["lemma"]["checked"].values()) > 0
 
 
 class TestInputErrors:

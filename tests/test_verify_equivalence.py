@@ -1,13 +1,14 @@
 """The array forms of estimate_delta, norming_functional, lemma_reg_check,
-the two block-condition checks and sample_sphere_probes against the loop
-forms they replaced, kept here as references, and random_lemma_instance
-against the Generator.choice form it replaced.
+lemma_sweep, the two block-condition checks and sample_sphere_probes
+against the loop forms they replaced, kept here as references, and
+random_lemma_instance against the Generator.choice form it replaced.
 
 The array forms keep the arithmetic of the loops (the same dot products,
 the same order of operations per block), so every comparison is exact.
 """
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,11 +35,12 @@ from momreg import (
     psi,
 )
 from momreg import blocks, verify
-from momreg.blocks import block_increment, block_increments
+from momreg.blocks import block_increment
 from momreg.errors import ConfigError, ProbeOutOfRegime
 from momreg.model import population_l2_distance
 from momreg.objective import lambda_window
 from momreg.verify import (
+    _CONCLUSIONS,
     _FLOAT_SLACK,
     ConditionReport,
     _SPHERE_RTOL,
@@ -339,6 +341,18 @@ def test_estimate_delta_center_on_the_norming_ball_edge():
     assert got.value == 1.0
 
 
+@pytest.mark.parametrize("kind", ["l1", "slope"])
+def test_estimate_delta_keeps_nan_out_of_the_sup(kind):
+    # An infinite rho makes every step's z(delta) nan or infinite; the sup
+    # skips nan, as the loop's max does, so no nan reaches the estimate.
+    args = (_reg(kind, 3), LinearPredictor([1.0, -0.5, 2.0]), math.inf, 2.0, DesignSpec.identity(3))
+    kw = dict(budget=12, seed=0, n_centers=3, n_norming=4)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = estimate_delta(*args, **kw)
+        assert got == _estimate_delta_ref(*args, **kw)
+    assert got.value == -math.inf
+
+
 def test_estimate_delta_without_feasible_steps_matches_loop():
     args = (Regularizer.l1(), LinearPredictor([1.0, 0.0]), 1.0, 1e-6, DesignSpec.identity(2))
     kw = dict(budget=10, seed=0, n_centers=3, n_norming=4)
@@ -450,27 +464,39 @@ def test_condition_checks_raise_at_the_first_out_of_regime_probe():
 # ---------------------------------------------------------------------------
 
 
+def _check_one_row(report, instance, probe, hypothesis, lhs, rhs, n=None):
+    # one far-conclusion row of n blocks (all of them by default)
+    n = hypothesis.size if n is None else n
+    verify._check_blocks(
+        report, np.array([instance]), np.array([probe]), np.array([0]), np.array([n]),
+        hypothesis[None], lhs[None], np.array([rhs]),
+    )
+
+
 def test_check_blocks_slack_boundary():
     # violation iff lhs < rhs - 1e-9 max(1, |lhs|, |rhs|), in block order
     rhs = 2.0
     lhs = rhs - np.array([0.0, 1e-9, 3e-9, 6e-9, 1.0, -1.0, 50.0, 3e-9])
     hypothesis = np.array([True, True, True, True, True, True, True, False])
-    report = LemmaCheckReport(checked={"far": 0}, skipped={"far": 0})
-    verify._check_blocks(
-        report, np.array([4]), ["far"], hypothesis[None], lhs[None], np.array([rhs])
-    )
-    assert (report.checked, report.skipped) == ({"far": 7}, {"far": 1})
-    assert [(v.probe_index, v.block_index) for v in report.violations] == [
-        (4, 2), (4, 3), (4, 4), (4, 6)
+    report = LemmaCheckReport()
+    _check_one_row(report, 2, 4, hypothesis, lhs, rhs)
+    zeros = dict.fromkeys(("sphere_near", "scaled_far", "scaled_near"), 0)
+    assert (report.checked, report.skipped) == ({"far": 7, **zeros}, {"far": 1, **zeros})
+    assert [(v.instance, v.probe_index, v.block_index) for v in report.violations] == [
+        (2, 4, 2), (2, 4, 3), (2, 4, 4), (2, 4, 6)
     ]
     assert [v.lhs for v in report.violations] == [lhs[2], lhs[3], lhs[4], lhs[6]]
     # below 1 in magnitude the slack stays 1e-9
-    report = LemmaCheckReport(checked={"far": 0}, skipped={"far": 0})
+    report = LemmaCheckReport()
     lhs = np.array([0.5 - 0.8e-9, 0.5 - 2e-9])
-    verify._check_blocks(
-        report, np.array([0]), ["far"], np.ones((1, 2), bool), lhs[None], np.array([0.5])
-    )
+    _check_one_row(report, 0, 0, np.ones(2, bool), lhs, 0.5)
     assert [v.block_index for v in report.violations] == [1]
+    # padding past a row's n blocks is neither checked nor skipped
+    report = LemmaCheckReport()
+    _check_one_row(report, 0, 0, np.array([True, False, False]), np.array([0.0, 0.0, np.nan]),
+                   1.0, n=2)
+    assert (report.checked["far"], report.skipped["far"]) == (1, 1)
+    assert [v.block_index for v in report.violations] == [0]
 
 
 def _assert_same_report(got, ref):
@@ -499,25 +525,32 @@ _FAULTS = {
 }
 
 
+def _inject_fault(monkeypatch, fault):
+    """Lower the increments of verify's residual pass and of the reference's
+    one-theta blocks.block_increment by the same fault, on every row."""
+    def shift(f_theta, h_theta):
+        return _FAULTS[fault](float(np.linalg.norm(f_theta - h_theta)))
+
+    def faulty_pass(X, y, h_theta, inc_thetas, mult_thetas, n, m):
+        incs, mults = blocks._residual_pass(X, y, h_theta, inc_thetas, mult_thetas, n, m)
+        shifts = np.array([shift(theta, h_theta) for theta in inc_thetas])
+        return incs - shifts[:, None], mults
+
+    def faulty_increment(f, h, data, p):
+        return blocks.BlockVector(block_increment(f, h, data, p).values - shift(f.theta, h.theta))
+
+    monkeypatch.setattr(verify, "_residual_pass", faulty_pass)
+    monkeypatch.setattr(blocks, "block_increment", faulty_increment)
+
+
 # Slope instances carry no near probes, which the constant fault needs.
 @pytest.mark.parametrize(
     "fault, slope_fraction", [("cubic", 0.0), ("cubic", 1.0), ("constant", 0.0)]
 )
 def test_lemma_reg_check_matches_loop_on_violations(monkeypatch, slope_fraction, fault):
-    def shift(f_theta, h):
-        return _FAULTS[fault](float(np.linalg.norm(f_theta - h.theta)))
-
-    def faulty_increment(f, h, data, p):
-        return blocks.BlockVector(block_increment(f, h, data, p).values - shift(f.theta, h))
-
-    def faulty_increments(thetas, h, data, p):
-        shifts = np.array([shift(theta, h) for theta in thetas])
-        return block_increments(thetas, h, data, p) - shifts[:, None]
-
-    # the stacked path looks its increments up in verify, the reference in
-    # blocks; both see the same fault on every row
-    monkeypatch.setattr(verify, "block_increments", faulty_increments)
-    monkeypatch.setattr(blocks, "block_increment", faulty_increment)
+    # the stacked path looks its residual pass up in verify, the reference
+    # its increments in blocks; both see the same fault on every row
+    _inject_fault(monkeypatch, fault)
     rng = np.random.default_rng(3)
     conclusions = set()
     for _ in range(6):
@@ -535,6 +568,31 @@ def test_lemma_reg_check_matches_loop_on_violations(monkeypatch, slope_fraction,
         _assert_same_report(got, _lemma_reg_check_ref(*instance))
         conclusions.update(v.conclusion for v in got.violations)
     assert conclusions
+
+
+def test_lemma_reg_check_matches_loop_at_the_regime_boundaries():
+    # Probes at L2 distance exactly r (far, sphere_near and scaled, the
+    # last of which takes the far branch) and alphas on regimes that ignore
+    # them: with gamma1 = 0.9 many blocks of the far probe sit between the
+    # far hypothesis and three times its right side.
+    design = DesignSpec.identity(6)
+    f_star = LinearPredictor(np.r_[1.0, np.zeros(5)])
+    data = generate(90, 6, f_star.theta, design, NoiseSpec("gaussian", 0.1), 1)
+    params = ConditionParams(gamma1=0.9, gamma2=0.05, r=0.5, rho=0.5)
+    on_r = f_star.theta + np.r_[0.0, 0.5, 0, 0, 0, 0]
+    inside = f_star.theta + np.r_[0.0, 0.25, 0.25, 0, 0, 0]
+    probes = [
+        LemmaProbe(on_r, REGIME_FAR, alpha=3.0),
+        LemmaProbe(on_r, REGIME_SPHERE_NEAR, alpha=2.0),
+        LemmaProbe(on_r, REGIME_SCALED, alpha=2.0),
+        LemmaProbe(inside, REGIME_SPHERE_NEAR, alpha=4.0),
+        LemmaProbe(inside, REGIME_SCALED, alpha=2.0),
+    ]
+    instance = (probes, f_star, data, make_partition(90, 9), params, 0.1, Regularizer.l1(), design)
+    got = lemma_reg_check(*instance)
+    _assert_same_report(got, _lemma_reg_check_ref(*instance))
+    assert got.skipped["sphere_near"] >= 9 and got.skipped["scaled_far"] < 9
+    assert min(got.checked.values()) > 0
 
 
 def test_lemma_reg_check_runs_block_checks_for_each_distinct_probe():
@@ -560,20 +618,15 @@ def test_lemma_reg_check_runs_block_checks_for_each_distinct_probe():
 
 
 def test_probe_statistics_once_per_distinct_theta(monkeypatch):
-    # one stacked call per instance, with one row per distinct theta
+    # one residual pass per instance, with one row per distinct theta
     rows = {"block_increments": [], "multiplier_components": []}
 
-    def counting(name):
-        real = getattr(verify, name)
+    def counting(X, y, h_theta, inc_thetas, mult_thetas, n, m):
+        rows["block_increments"].append(len(inc_thetas))
+        rows["multiplier_components"].append(len(mult_thetas))
+        return blocks._residual_pass(X, y, h_theta, inc_thetas, mult_thetas, n, m)
 
-        def wrapper(thetas, *args):
-            rows[name].append(len(thetas))
-            return real(thetas, *args)
-
-        return wrapper
-
-    for name in rows:
-        monkeypatch.setattr(verify, name, counting(name))
+    monkeypatch.setattr(verify, "_residual_pass", counting)
     rng = np.random.default_rng(5)
     for _ in range(20):
         probes, f_star, *rest = random_lemma_instance(rng, slope_fraction=0.5)
@@ -729,10 +782,7 @@ def test_lemma_sweep_counts_pin_the_draw_order():
 
 def test_lemma_sweep_numbers_the_instances_of_violations(monkeypatch):
     # the constant fault of test_lemma_reg_check_matches_loop_on_violations
-    def faulty_increments(thetas, h, data, p):
-        return block_increments(thetas, h, data, p) - 10.0
-
-    monkeypatch.setattr(verify, "block_increments", faulty_increments)
+    _inject_fault(monkeypatch, "constant")
     report = lemma_sweep(3, seed=3, slope_fraction=0.0)
     rng = np.random.default_rng(3)
     expected = []
@@ -743,3 +793,56 @@ def test_lemma_sweep_numbers_the_instances_of_violations(monkeypatch):
     assert report.violations == expected
     # positional construction leaves the instance at 0
     assert LemmaViolation(1, 2, "far", 0.0, 1.0).instance == 0
+
+
+def _lemma_sweep_ref(count, seed, slope_fraction):
+    """lemma_sweep as the per-instance loop of the reference check."""
+    rng = np.random.default_rng(seed)
+    total = LemmaCheckReport()
+    for i in range(count):
+        report = _lemma_reg_check_ref(*random_lemma_instance(rng, slope_fraction))
+        total.violations += [dataclasses.replace(v, instance=i) for v in report.violations]
+        for key in _CONCLUSIONS:
+            total.checked[key] += report.checked[key]
+            total.skipped[key] += report.skipped[key]
+    return total
+
+
+# A small chunk budget puts a few instances in each chunk of the sweep.
+@pytest.mark.parametrize("budget", [None, 2000])
+@pytest.mark.parametrize("slope_fraction", [0.0, 0.25, 1.0])
+def test_lemma_sweep_matches_the_per_instance_loop(monkeypatch, slope_fraction, budget):
+    if budget is not None:
+        monkeypatch.setattr(verify, "TEMP_ENTRIES", budget)
+    got = lemma_sweep(40, seed=11, slope_fraction=slope_fraction)
+    ref = _lemma_sweep_ref(40, 11, slope_fraction)
+    assert (got.checked, got.skipped) == (ref.checked, ref.skipped)
+    assert got.violations == ref.violations == []
+
+
+@pytest.mark.parametrize("budget", [None, 2000])
+def test_lemma_sweep_matches_the_per_instance_loop_on_violations(monkeypatch, budget):
+    # Violations in instances of different n exercise the padding of the
+    # chunk and its instance, probe and block order.
+    _inject_fault(monkeypatch, "cubic")
+    if budget is not None:
+        monkeypatch.setattr(verify, "TEMP_ENTRIES", budget)
+    got = lemma_sweep(16, seed=2, slope_fraction=0.25)
+    ref = _lemma_sweep_ref(16, 2, 0.25)
+    assert (got.checked, got.skipped) == (ref.checked, ref.skipped)
+    _assert_same_report(got, ref)
+    rng = np.random.default_rng(2)
+    n = [random_lemma_instance(rng, 0.25)[3].n for _ in range(16)]
+    assert len({n[v.instance] for v in got.violations}) > 1
+
+
+def test_lemma_sweep_memory_does_not_grow_with_the_count():
+    def peak(count):
+        tracemalloc.start()
+        try:
+            lemma_sweep(count, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(2000) <= 1.5 * peak(200)
