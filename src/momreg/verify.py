@@ -439,10 +439,12 @@ def _check_probes(report, first: int, chunk) -> None:
     def starts(sizes):  # per probe, where its instance's part of a concatenation starts
         return (np.cumsum(sizes) - sizes)[inst]
 
+    head = starts(k)
+
     def ordinal(mask):  # per probe, how many probes of its instance before it are in mask
         before = np.cumsum(mask) - mask
         return before - before[head]
-    head = starts(k)
+
     g1, g2, r, rho, lam, n, u = np.array(scalars)[inst].T
     rows, regime, alpha, em = np.concatenate(probes, axis=1)
     rows, regime, n, u = (x.astype(np.intp) for x in (rows, regime, n, u))
