@@ -1,7 +1,9 @@
 """Golden report corpus: the committed bytes that "same behaviour" means.
 
 Each case runs one ``momreg`` mode in process, through ``cli.main``, on a
-small d=3 config, and records its exit code, its stderr, its trials CSV and
+small d=3 config (one verify case runs at the benchmark's verify scale,
+where the lemma sweep spans several chunks and the condition checks
+several residual slices), and records its exit code, its stderr, its trials CSV and
 its report without the wall-clock ``meta`` field.  One more entry records
 the theta_hat of a fixed subset of the frozen acceptance trials (criteria
 3, 4 and 10) with the sha256 of their bytes, and another the adversary
@@ -104,6 +106,14 @@ CONFIGS = {
         verify={"lemma_instances": 10, "delta_budget": 50, "negative_control": True}
     ),
     "csv": _config(data={"csv": CSV_FILE}),
+    # perfbench's verify_suite config: 3 lemma-sweep chunks, 13 probes per
+    # residual slice of the condition checks
+    "verify_scale": _config(
+        data={"generate": {"n_samples": 5000, "dim": 3, "theta_star": [1.0, -0.5, 2.0]}},
+        partition={"blocks": 101},
+        conditions={"gamma1": 0.5, "gamma2": 0.2, "r": 2.0, "rho": 1.0, "probes": 200},
+        verify={"lemma_instances": 200, "delta_budget": 200},
+    ),
 }
 
 
@@ -135,6 +145,7 @@ CASES = [
     Case("indices_fit", "indices", "fit"),
     Case("indices_corrupt_bench_even_blocks", "indices", "corrupt-bench", ("--blocks", "20")),
     Case("negative_control_verify", "negative_control", "verify"),
+    Case("verify_scale_verify", "verify_scale", "verify"),
     Case("csv_fit", "csv", "fit"),
     Case("csv_fit_too_many_blocks", "csv", "fit", ("--blocks", "1001")),
 ]
