@@ -117,23 +117,31 @@ def _residual_pass(X, y, h_theta, inc_thetas, mult_thetas, n: int, m: int):
     """Block increments against h of the rows of inc_thetas and multipliers
     of the rows of mult_thetas, (k, n) and (l, n), from one stacked residual
     pass over the covered rows X, y of [inc_thetas, h, mult_thetas - h]:
-    h's residual comes from its own row.  Only the output is checked."""
+    h's residual comes from its own row.  A stack within one ``row_slices``
+    slice, as every lemma instance's is, has its block means as the output.
+    Only the output is checked; h's row is split out only when the check of
+    every row fails."""
     k = inc_thetas.shape[0]
     stack = np.concatenate([inc_thetas, h_theta[None], mult_thetas - h_theta])
-    stats = np.empty((stack.shape[0], n))
+    means = []
     for rows in row_slices(stack.shape[0], n * m):
         z = _stacked_products(X, stack[rows])
         mid = min(max(k + 1 - rows.start, 0), z.shape[0])  # the first multiplier row
         z[:mid] -= y
         if rows.start <= k < rows.stop:
-            resid_h = z[k - rows.start].copy()
-        np.square(z[:mid], out=z[:mid])
+            resid_h = z[k - rows.start]
+            if rows.stop < stack.shape[0]:  # later slices read it after the squares
+                resid_h = resid_h.copy()
         if mid < z.shape[0]:
             z[mid:] *= resid_h
-        stats[rows] = block_means(z, n, m)
-        stats[rows.start + mid : rows.stop] *= 2.0
+        np.square(z[:mid], out=z[:mid])
+        means.append(block_means(z, n, m))
+        means[-1][mid:] *= 2.0
+    stats = means[0] if len(means) == 1 else np.concatenate(means)
     stats[:k] -= stats[k]
-    if not (np.isfinite(stats[:k]).all() and np.isfinite(stats[k + 1 :]).all()):
+    if not np.isfinite(stats).all() and not (
+        np.isfinite(stats[:k]).all() and np.isfinite(stats[k + 1 :]).all()
+    ):
         raise InvalidInput("block statistics must be finite")
     return stats[:k], stats[k + 1 :]
 

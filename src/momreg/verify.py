@@ -21,7 +21,7 @@ import numpy as np
 from .blocks import (
     TEMP_ENTRIES, _residual_pass, _used_arrays, block_increments, middle, multiplier_components,
 )
-from .datagen import NoiseSpec, generate
+from .datagen import sample_arrays
 from .errors import (
     ConfigError,
     DimensionError,
@@ -49,7 +49,7 @@ from .objective import (
 REGIME_FAR = "far"
 REGIME_SPHERE_NEAR = "sphere_near"
 REGIME_SCALED = "scaled"
-_REGIMES = (REGIME_FAR, REGIME_SPHERE_NEAR, REGIME_SCALED)
+_REGIME_CODES = {REGIME_FAR: 0, REGIME_SPHERE_NEAR: 1, REGIME_SCALED: 2}
 
 _FLOAT_SLACK = 1e-9
 _SPHERE_RTOL = 1e-6
@@ -341,7 +341,7 @@ class LemmaProbe:
         object.__setattr__(
             self, "theta", np.asarray(self.theta, dtype=np.float64)
         )
-        if self.regime not in (REGIME_FAR, REGIME_SPHERE_NEAR, REGIME_SCALED):
+        if self.regime not in _REGIME_CODES:
             raise ConfigError(f"unknown lemma regime {self.regime!r}")
         if self.regime == REGIME_SCALED and self.alpha <= 1.0:
             raise ConfigError("scaled regime needs alpha > 1")
@@ -412,20 +412,20 @@ def _instance_terms(inst: _LemmaInstance):
     on the psi-sphere, multipliers of the thetas)."""
     seen = {}
     rows = [seen.setdefault(theta.tobytes(), (len(seen), theta))[0] for theta in inst.thetas]
-    probes = np.array([rows, [_REGIMES.index(g) for g in inst.regimes], inst.alphas, inst.expected])
-    thetas = np.array([theta for _, theta in seen.values()])
-    deltas, scaled, p = thetas - inst.f_star, probes[1] == 2, inst.params
-    at = probes[0, scaled].astype(np.intp)
+    probes = np.array([rows, [_REGIME_CODES[g] for g in inst.regimes], inst.alphas, inst.expected])
+    thetas, p, u = np.array([theta for _, theta in seen.values()]), inst.params, len(seen)
+    deltas, scaled = thetas - inst.f_star, probes[:, probes[1] == 2]  # the scaled probes' columns
+    at = scaled[0].astype(np.intp)
     with np.errstate(over="ignore", invalid="ignore"):
-        f_scaled = inst.f_star + probes[2, scaled, None] * deltas[at]
+        f_scaled = inst.f_star + scaled[2, :, None] * deltas[at]
     norms = psi_batch(inst.reg, np.concatenate([inst.f_star[None], thetas, deltas, f_scaled]))
-    f_scaled = f_scaled[np.abs(norms[len(thetas) + 1 + at] - p.rho) <= _SPHERE_RTOL * p.rho]
+    f_scaled = f_scaled[np.abs(norms[u + 1 + at] - p.rho) <= _SPHERE_RTOL * p.rho]
     if not np.isfinite(f_scaled).all():
         raise InvalidInput("coefficients must be finite")
     stats = _residual_pass(
         inst.X, inst.y, inst.f_star, np.concatenate([thetas, f_scaled]), thetas, inst.n, inst.m
     )
-    scalars = (p.gamma1, p.gamma2, p.r, p.rho, inst.lam, inst.n, len(thetas))
+    scalars = (p.gamma1, p.gamma2, p.r, p.rho, inst.lam, inst.n, u)
     return scalars, probes, population_sq_norms(deltas, inst.design), norms, *stats
 
 
@@ -607,20 +607,23 @@ def _psi_unit(reg: Regularizer, u: np.ndarray) -> np.ndarray | None:
     return u / scale
 
 
-def _delta_directions(d: int, budget: int, rng) -> list[np.ndarray]:
-    dirs: list[np.ndarray] = []
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = 1.0
-        dirs.append(e.copy())
-        dirs.append(-e)
-    while len(dirs) < 2 * d + budget:
+def _delta_directions(d: int, budget: int, rng) -> np.ndarray:
+    """The (2d + budget, d) directions of estimate_delta: e_k and then -e_k
+    for each coordinate k, then budget random sparse directions, each
+    standard normal on a support of uniform size drawn by ``rng.choice``; a
+    draw that is all zero is not kept."""
+    dirs = np.zeros((2 * d + budget, d))
+    eye = np.eye(d)
+    dirs[0 : 2 * d : 2] = eye
+    dirs[1 : 2 * d : 2] = -eye
+    k = 2 * d
+    while k < dirs.shape[0]:
         sparsity = int(rng.integers(1, d + 1))
         support = rng.choice(d, size=sparsity, replace=False)
-        u = np.zeros(d)
-        u[support] = rng.standard_normal(sparsity)
-        if np.any(u != 0.0):
-            dirs.append(u)
+        z = rng.standard_normal(sparsity)
+        if z.any():
+            dirs[k, support] = z
+            k += 1
     return dirs
 
 
@@ -660,7 +663,7 @@ def estimate_delta(
         if u is not None:
             centers.append(f_star.theta + (rho / 40.0) * rng.uniform(0.0, 1.0) * u)
 
-    directions = np.array(_delta_directions(d, budget, rng))
+    directions = _delta_directions(d, budget, rng)
     v_offsets = []
     for _ in range(n_norming):
         u = _psi_unit(reg, rng.standard_normal(d))
@@ -708,6 +711,13 @@ def _pick(rng, a: np.ndarray, size=None):
     return a[rng.integers(0, a.shape[0], size=size)]
 
 
+def _uniform(rng, lo: float = 0.0, hi: float = 1.0) -> float:
+    """``float(rng.uniform(lo, hi))``, draw for draw and bit for bit: lo +
+    (hi - lo) u for one ``rng.random()`` draw u, which is how
+    ``Generator.uniform`` computes it, without its Python argument handling."""
+    return lo + (hi - lo) * rng.random()
+
+
 # DesignSpec and Regularizer are immutable, so one per dimension (8 to 24)
 # serves every instance.
 @functools.cache
@@ -730,8 +740,11 @@ def _draw_lemma_instance(rng, slope_fraction: float) -> _LemmaInstance:
 
     The order of the draws from rng is part of the ``momreg verify`` report
     contract.  Draws with replacement go through ``_pick``, which makes
-    ``Generator.choice``'s draws; the probe norms are exact (w1 of a signed
-    one-hot vector, k of a 0/1 vector with k ones), so psi is not called.
+    ``Generator.choice``'s draws, and scalar uniform draws through
+    ``_uniform``, which makes ``Generator.uniform``'s.  The probe norms are
+    exact (w1 of a signed one-hot vector, k of a 0/1 vector with k ones), so
+    psi is not called.  The sample is drawn by ``datagen.sample_arrays``, as
+    ``generate`` draws it, without a ``Dataset`` copy.
     """
     d = int(rng.integers(8, 25))
     s = int(rng.integers(1, 4))
@@ -740,22 +753,22 @@ def _draw_lemma_instance(rng, slope_fraction: float) -> _LemmaInstance:
     f_star[idx] = rng.uniform(0.5, 2.0, size=s) * _pick(rng, _SIGNS, s)
     design = _identity_design(d)
 
-    use_slope = rng.uniform() < slope_fraction
+    use_slope = _uniform(rng) < slope_fraction
     reg = _slope_regularizer(d) if use_slope else _L1
     w1 = float(reg.weights[0]) if use_slope else 1.0
 
-    gamma1 = float(rng.uniform(0.4, 0.9))
-    gamma2 = float(rng.uniform(0.2, 1.0)) * gamma1 / 6.0
-    r = float(rng.uniform(0.3, 1.0))
-    rho = float(rng.uniform(1.05, 3.0)) * r * w1
+    gamma1 = _uniform(rng, 0.4, 0.9)
+    gamma2 = _uniform(rng, 0.2, 1.0) * gamma1 / 6.0
+    r = _uniform(rng, 0.3, 1.0)
+    rho = _uniform(rng, 1.05, 3.0) * r * w1
     params = ConditionParams(gamma1=gamma1, gamma2=gamma2, r=r, rho=rho)
     lo, hi = lambda_window(params)
-    lam = hi if rng.uniform() < 0.1 else float(rng.uniform(lo, hi))
+    lam = hi if _uniform(rng) < 0.1 else _uniform(rng, lo, hi)
 
     n = int(_pick(rng, _BLOCK_COUNTS))
     m = int(rng.integers(8, 31))
-    noise = NoiseSpec("gaussian", scale=float(rng.uniform(0.01, 0.3)) * r)
-    data = generate(n * m, d, f_star, design, noise, rng.integers(2**63))
+    scale = _uniform(rng, 0.01, 0.3) * r
+    X, y = sample_arrays(n * m, f_star, design.cholesky, scale, None, rng.integers(2**63))
 
     free = (f_star == 0.0).nonzero()[0]
 
@@ -783,8 +796,8 @@ def _draw_lemma_instance(rng, slope_fraction: float) -> _LemmaInstance:
     # scaled far branch
     h = one_hot_probe()
     probes += [(h, REGIME_SCALED, a) for a in _ALPHAS]
-    return _LemmaInstance(f_star, reg, design, params, lam, n, m, data.features,
-                          data.responses, *zip(*probes), (0.0,) * len(probes))
+    return _LemmaInstance(f_star, reg, design, params, lam, n, m, X, y, *zip(*probes),
+                          (0.0,) * len(probes))
 
 
 def random_lemma_instance(rng, slope_fraction: float = 0.25):

@@ -85,6 +85,24 @@ def _psi_unit_ref(reg, u):
     return None if scale <= 0.0 else u / scale
 
 
+def _delta_directions_ref(d, budget, rng):
+    """_delta_directions as a list of vectors, each made on its own."""
+    dirs = []
+    for k in range(d):
+        e = np.zeros(d)
+        e[k] = 1.0
+        dirs.append(e.copy())
+        dirs.append(-e)
+    while len(dirs) < 2 * d + budget:
+        sparsity = int(rng.integers(1, d + 1))
+        support = rng.choice(d, size=sparsity, replace=False)
+        u = np.zeros(d)
+        u[support] = rng.standard_normal(sparsity)
+        if np.any(u != 0.0):
+            dirs.append(u)
+    return dirs
+
+
 def _estimate_delta_ref(reg, f_star, rho, r, design, budget, seed, n_centers, n_norming):
     d = design.dim
     rng = np.random.default_rng(seed)
@@ -93,7 +111,7 @@ def _estimate_delta_ref(reg, f_star, rho, r, design, budget, seed, n_centers, n_
         u = _psi_unit_ref(reg, rng.standard_normal(d))
         if u is not None:
             centers.append(f_star.theta + (rho / 40.0) * rng.uniform(0.0, 1.0) * u)
-    directions = _delta_directions(d, budget, rng)
+    directions = _delta_directions_ref(d, budget, rng)
     v_offsets = []
     for _ in range(n_norming):
         u = _psi_unit_ref(reg, rng.standard_normal(d))
@@ -318,6 +336,17 @@ def test_estimate_delta_matches_loop(kind, d, f_kind):
             got = estimate_delta(*args, **kw)
             assert got == _estimate_delta_ref(*args, **kw)
             assert got.n_feasible > 0
+
+
+@pytest.mark.parametrize("d", [1, 3, 24])
+@pytest.mark.parametrize("budget", [0, 1, 200])
+def test_delta_directions_match_loop(d, budget):
+    for seed in range(3):
+        got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = _delta_directions(d, budget, got_rng)
+        ref = np.array(_delta_directions_ref(d, budget, ref_rng))
+        assert (got.shape, got.tobytes()) == (ref.shape, ref.tobytes())
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 @pytest.mark.parametrize("kind", ["l1", "slope"])
@@ -836,7 +865,11 @@ def test_lemma_sweep_matches_the_per_instance_loop_on_violations(monkeypatch, bu
     assert len({n[v.instance] for v in got.violations}) > 1
 
 
-def test_lemma_sweep_memory_does_not_grow_with_the_count():
+def test_lemma_sweep_memory_does_not_grow_with_the_count(monkeypatch):
+    # A quarter of the chunk budget puts about 20 instances in a chunk, so
+    # both counts pass it several times.
+    monkeypatch.setattr(verify, "TEMP_ENTRIES", verify.TEMP_ENTRIES // 4)
+
     def peak(count):
         tracemalloc.start()
         try:
@@ -845,4 +878,5 @@ def test_lemma_sweep_memory_does_not_grow_with_the_count():
         finally:
             tracemalloc.stop()
 
-    assert peak(2000) <= 1.5 * peak(200)
+    lemma_sweep(40, seed=1)  # keeps one-time allocations out of both peaks
+    assert peak(400) <= 1.5 * peak(40)
