@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidInput
+from .errors import ConfigError
 from .model import Dataset, DesignSpec
 
 CORRUPTION_MODES = ("huge_response", "sign_flip", "adversarial_leverage")
@@ -60,22 +60,6 @@ class CorruptionSpec:
             object.__setattr__(self, "indices", idx)
 
 
-def sample_arrays(
-    N: int, theta_star: np.ndarray, cholesky: np.ndarray, scale: float, dof: float | None, seed
-) -> tuple[np.ndarray, np.ndarray]:
-    """The seeded (X, y) of ``generate``: X = Z L^T from N standard normal
-    rows Z, then y = X theta* + scale eps, eps standard normal when dof is
-    None and student_t with dof degrees of freedom otherwise.  Raises
-    InvalidInput, as ``Dataset`` does, unless every entry is finite."""
-    rng = np.random.default_rng(seed)
-    X = rng.standard_normal((N, cholesky.shape[0])) @ cholesky.T
-    eps = rng.standard_normal(N) if dof is None else rng.standard_t(dof, N)
-    y = X @ theta_star + scale * eps
-    if not (np.isfinite(X).all() and np.isfinite(y).all()):
-        raise InvalidInput("all sample entries must be finite")
-    return X, y
-
-
 def generate(
     N: int,
     d: int,
@@ -85,8 +69,8 @@ def generate(
     seed,
 ) -> Dataset:
     """Draw X_i ~ N(0, Sigma) and Y_i = <theta*, X_i> + eps_i, seeded: the
-    rows first, then the noise.  The arrays come from ``sample_arrays``,
-    which the lemma sweep of ``verify`` calls directly."""
+    rows first, X = Z L^T for N standard normal rows Z, then the noise,
+    standard normal for gaussian noise and student_t otherwise."""
     theta_star = np.asarray(theta_star, dtype=np.float64)
     if theta_star.shape != (d,):
         raise ConfigError(f"theta_star must have shape ({d},)")
@@ -94,7 +78,10 @@ def generate(
         raise ConfigError(f"design dim {design.dim} does not match d={d}")
     if N < 1:
         raise ConfigError("N must be positive")
-    return Dataset(*sample_arrays(N, theta_star, design.cholesky, noise.scale, noise.dof, seed))
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((N, d)) @ design.cholesky.T
+    eps = rng.standard_normal(N) if noise.dof is None else rng.standard_t(noise.dof, N)
+    return Dataset(X, X @ theta_star + noise.scale * eps)
 
 
 def corrupt(data: Dataset, spec: CorruptionSpec, seed) -> tuple[Dataset, list[int]]:

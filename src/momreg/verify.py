@@ -7,12 +7,17 @@ under-verifies a for-all statement.  Deterministic checkers
 (lemma_reg_check and the super-linearity cases) assert implications that
 hold in exact arithmetic whenever their hypotheses hold numerically, so
 any violation beyond float roundoff indicates an arithmetic bug.
+
+``lemma_sweep`` checks the lemma implications on randomized instances,
+drawn a chunk at a time by ``_draw_lemma_instances``, whose docstring
+states the draws that ``momreg verify`` reports depend on.
 """
 from __future__ import annotations
 
 import collections
 import dataclasses
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +26,6 @@ import numpy as np
 from .blocks import (
     TEMP_ENTRIES, _residual_pass, _used_arrays, block_increments, middle, multiplier_components,
 )
-from .datagen import sample_arrays
 from .errors import (
     ConfigError,
     DimensionError,
@@ -496,12 +500,14 @@ def _check_lemma_instances(instances) -> LemmaCheckReport:
     for every probe of a chunk at once, in about eight (probes, blocks)
     arrays, so a chunk keeps probes * blocks within ``TEMP_ENTRIES // 8``."""
     report, chunk, first, probes, blocks = LemmaCheckReport(), [], 0, 0, 0
-    for number, inst in enumerate(instances):
-        probes, blocks = probes + len(inst.thetas), max(blocks, inst.n)
+    # map holds no instance while it takes the next one, which may be drawn
+    for number, terms in enumerate(map(_instance_terms, instances)):
+        k, n = terms[1].shape[1], terms[0][5]  # the instance's probes and blocks
+        probes, blocks = probes + k, max(blocks, n)
         if chunk and probes * blocks > TEMP_ENTRIES // 8:
             _check_probes(report, first, chunk)
-            chunk, first, probes, blocks = [], number, len(inst.thetas), inst.n
-        chunk.append(_instance_terms(inst))
+            chunk, first, probes, blocks = [], number, k, n
+        chunk.append(terms)
     if chunk:
         _check_probes(report, first, chunk)
     return report
@@ -697,25 +703,23 @@ def estimate_delta(
 # randomized lemma sweep (hypothesis-satisfying instance generator)
 # ---------------------------------------------------------------------------
 
-# Populations of the draws with replacement of _draw_lemma_instance, and
-# the alphas of its scaled probes.
+# The lemma sweep draws its instances this many at a time.
+LEMMA_CHUNK = 32
+_MAX_DIM = 24  # instances have 8 to 24 coordinates
 _SIGNS = np.array([-1.0, 1.0])
 _BLOCK_COUNTS = np.array([5, 7, 9, 11])
-_ALPHAS = (2.0, 4.0, 8.0)
 _L1 = Regularizer.l1()
 
-
-def _pick(rng, a: np.ndarray, size=None):
-    """``rng.choice(a, size)`` with replacement from the 1-d array a, draw for
-    draw, without choice's Python argument handling."""
-    return a[rng.integers(0, a.shape[0], size=size)]
-
-
-def _uniform(rng, lo: float = 0.0, hi: float = 1.0) -> float:
-    """``float(rng.uniform(lo, hi))``, draw for draw and bit for bit: lo +
-    (hi - lo) u for one ``rng.random()`` draw u, which is how
-    ``Generator.uniform`` computes it, without its Python argument handling."""
-    return lo + (hi - lo) * rng.random()
+# The probes of an instance without and with near probes: per probe its
+# row in the instance's (4, d) stack of distinct thetas (the two far one-hot
+# probes, the near probe, the scaled far one-hot probe), regime and alpha.
+_FAR2 = (REGIME_FAR, REGIME_FAR)
+_SCALED3 = (REGIME_SCALED,) * 3
+_PROBES = {
+    False: (np.array([0, 1, 3, 3, 3]), _FAR2 + _SCALED3, (1.0, 1.0, 2.0, 4.0, 8.0)),
+    True: (np.array([0, 1, 2, 2, 2, 2, 3, 3, 3]), _FAR2 + (REGIME_SPHERE_NEAR,) + _SCALED3 * 2,
+           (1.0, 1.0, 1.0, 2.0, 4.0, 8.0, 2.0, 4.0, 8.0)),
+}
 
 
 # DesignSpec and Regularizer are immutable, so one per dimension (8 to 24)
@@ -730,79 +734,108 @@ def _slope_regularizer(d: int) -> Regularizer:
     return Regularizer.slope(d=d)
 
 
-def _draw_lemma_instance(rng, slope_fraction: float) -> _LemmaInstance:
-    """One randomized dataset + parameter draw + probe battery, as arrays.
+def _draw_lemma_instances(rng, count: int, slope_fraction: float) -> list[_LemmaInstance]:
+    """A chunk of `count` randomized lemma instances (dataset, parameters and
+    probe battery), as arrays, drawn from rng.
 
     Probes are constructed so the hypothesis gates mostly pass: far probes
     sit on one coordinate (psi-sphere touching the far regime), near probes
     spread over coordinates off the support of f_star with positive signs,
     and scaled probes take alpha in {2, 4, 8} over both branches.
 
-    The order of the draws from rng is part of the ``momreg verify`` report
-    contract.  Draws with replacement go through ``_pick``, which makes
-    ``Generator.choice``'s draws, and scalar uniform draws through
-    ``_uniform``, which makes ``Generator.uniform``'s.  The probe norms are
-    exact (w1 of a signed one-hot vector, k of a 0/1 vector with k ones), so
-    psi is not called.  The sample is drawn by ``datagen.sample_arrays``, as
-    ``generate`` draws it, without a ``Dataset`` copy.
+    The draws are the ``momreg verify`` report contract.  Each is one
+    Generator call for the whole chunk, in this order, with c = count and i
+    indexing the instances:
+
+    1. d = integers(8, 25, c); s = integers(1, 4, c), the size of f*'s
+       support; its values uniform(0.5, 2.0, (c, 3)) times signs
+       _SIGNS[integers(0, 2, (c, 3))], of which instance i keeps s_i;
+    2. the slope flags random(c) < slope_fraction, with w1 the first slope
+       weight of d_i for a slope instance and 1 for an l1 one;
+    3. gamma1 = uniform(0.4, 0.9, c), gamma2 = uniform(0.2, 1.0, c) gamma1 / 6,
+       r = uniform(0.3, 1.0, c) and rho = uniform(1.05, 3.0, c) r w1;
+    4. lam = hi where random(c) < 0.1, else uniform(lo, hi), for (lo, hi)
+       the ``lambda_window`` of each instance;
+    5. n = _BLOCK_COUNTS[integers(0, 4, c)], m = integers(8, 31, c) and the
+       noise scale uniform(0.01, 0.3, c) r;
+    6. a permutation of each instance's coordinates: the argsort (stable)
+       of random((c, 24)) with the keys past d_i set to inf.  Its first s_i
+       entries are f*'s support, in the order of the values above;
+    7. the far probes' positions in that permutation, s + integers(0, d - s,
+       (c, 3)), and their signs _SIGNS[integers(0, 2, (c, 3))];
+    8. the chunk's designs, standard_normal of sum(n m d) entries: instance
+       i's X is its next n_i m_i d_i entries as an (n_i m_i, d_i) array;
+       then its noise, standard_normal of sum(n m) entries, of which
+       instance i takes its next n_i m_i as eps and y = X f* + scale eps.
+
+    Far probe j of instance i is f* + rho u / psi(u) for u the one-hot
+    vector with sign j at coordinate j of 7.; the first two are far probes,
+    the third the scaled probe at each alpha.  An l1 instance has a near
+    probe when rho / sqrt(k) < r for k = min(d - s, max(ceil((rho / r)^2
+    1.3) + 1, 2)), the square taken as a product (k >= 2, as d - s >= 5):
+    f* + rho u / psi(u) for u the 0/1 vector on the k entries of the
+    permutation after f*'s support, as a sphere_near probe and a scaled
+    probe at each alpha.  The probe norms are exact (w1 of a signed one-hot
+    vector, k of a 0/1 vector with k ones), so psi is not called.
     """
-    d = int(rng.integers(8, 25))
-    s = int(rng.integers(1, 4))
-    f_star = np.zeros(d)
-    idx = rng.choice(d, size=s, replace=False)
-    f_star[idx] = rng.uniform(0.5, 2.0, size=s) * _pick(rng, _SIGNS, s)
-    design = _identity_design(d)
+    d = rng.integers(8, _MAX_DIM + 1, count)
+    s = rng.integers(1, 4, count)
+    values = rng.uniform(0.5, 2.0, (count, 3)) * _SIGNS[rng.integers(0, 2, (count, 3))]
+    slope = rng.random(count) < slope_fraction
+    w1 = np.array([_slope_regularizer(k).weights[0] if on else 1.0
+                   for k, on in zip(d.tolist(), slope.tolist())])
+    gamma1 = rng.uniform(0.4, 0.9, count)
+    gamma2 = rng.uniform(0.2, 1.0, count) * gamma1 / 6.0
+    r = rng.uniform(0.3, 1.0, count)
+    rho = rng.uniform(1.05, 3.0, count) * r * w1
+    lo = 3.0 * gamma2 * r * r / rho
+    hi = gamma1 / 2.0 * r * r / rho
+    lam = np.where(rng.random(count) < 0.1, hi, rng.uniform(lo, hi))
+    n = _BLOCK_COUNTS[rng.integers(0, 4, count)]
+    m = rng.integers(8, 31, count)
+    scale = rng.uniform(0.01, 0.3, count) * r
+    keys = rng.random((count, _MAX_DIM))
+    keys[np.arange(_MAX_DIM) >= d[:, None]] = np.inf
+    perm = np.argsort(keys, axis=1, kind="stable")
+    far = np.take_along_axis(perm, s[:, None] + rng.integers(0, (d - s)[:, None], (count, 3)), 1)
+    far_values = rho[:, None] * _SIGNS[rng.integers(0, 2, (count, 3))] / w1[:, None]
+    rows = n * m
+    Z = rng.standard_normal(int(rows @ d))
+    noise = np.repeat(scale, rows) * rng.standard_normal(int(rows.sum()))
 
-    use_slope = _uniform(rng) < slope_fraction
-    reg = _slope_regularizer(d) if use_slope else _L1
-    w1 = float(reg.weights[0]) if use_slope else 1.0
+    # Each coordinate's position in its instance's permutation.
+    rank = np.empty_like(perm)
+    np.put_along_axis(rank, perm, np.arange(_MAX_DIM), axis=1)
+    f_star = np.where(rank < s[:, None], np.take_along_axis(values, np.minimum(rank, 2), 1), 0.0)
+    q = rho / r
+    k = np.minimum(d - s, np.maximum(np.ceil(q * q * 1.3).astype(np.int64) + 1, 2))
+    near = ~slope & (rho / np.sqrt(k) < r)
+    # The distinct thetas: the two far probes, the near one, the scaled far one.
+    thetas = np.repeat(f_star[:, None], 4, axis=1)
+    thetas[:, 2] = np.where((rank >= s[:, None]) & (rank < (s + k)[:, None]),
+                            (rho / k)[:, None], f_star)
+    thetas[np.arange(count)[:, None], [0, 1, 3], far] = far_values
 
-    gamma1 = _uniform(rng, 0.4, 0.9)
-    gamma2 = _uniform(rng, 0.2, 1.0) * gamma1 / 6.0
-    r = _uniform(rng, 0.3, 1.0)
-    rho = _uniform(rng, 1.05, 3.0) * r * w1
-    params = ConditionParams(gamma1=gamma1, gamma2=gamma2, r=r, rho=rho)
-    lo, hi = lambda_window(params)
-    lam = hi if _uniform(rng) < 0.1 else _uniform(rng, lo, hi)
-
-    n = int(_pick(rng, _BLOCK_COUNTS))
-    m = int(rng.integers(8, 31))
-    scale = _uniform(rng, 0.01, 0.3) * r
-    X, y = sample_arrays(n * m, f_star, design.cholesky, scale, None, rng.integers(2**63))
-
-    free = (f_star == 0.0).nonzero()[0]
-
-    # A probe is f* + rho u / psi(u), set in place: f* is 0 on the support of
-    # u, and adding the zeros elsewhere would change no bit.
-    def one_hot_probe():
-        # 1-sparse on the psi-sphere, L2 distance rho / w1 >= r
-        h = f_star.copy()
-        k = int(_pick(rng, free))
-        h[k] = rho * _pick(rng, _SIGNS) / w1
-        return h
-
-    probes = [(one_hot_probe(), REGIME_FAR, 1.0), (one_hot_probe(), REGIME_FAR, 1.0)]
-
-    # near probes (l1 only): positive mass spread off-support so the norm
-    # gap psi(h) - psi(f*) equals rho exactly
-    if not use_slope:
-        k_needed = max(int(math.ceil((rho / r) ** 2 * 1.3)) + 1, 2)
-        k_spread = min(len(free), k_needed)
-        if k_spread >= 2 and rho / math.sqrt(k_spread) < r:
-            h = f_star.copy()
-            h[rng.choice(free, size=k_spread, replace=False)] = rho / float(k_spread)
-            probes += [(h, REGIME_SPHERE_NEAR, 1.0)] + [(h, REGIME_SCALED, a) for a in _ALPHAS]
-
-    # scaled far branch
-    h = one_hot_probe()
-    probes += [(h, REGIME_SCALED, a) for a in _ALPHAS]
-    return _LemmaInstance(f_star, reg, design, params, lam, n, m, X, y, *zip(*probes),
-                          (0.0,) * len(probes))
+    out, at, first = [], 0, 0
+    for i, (di, ni, mi, reg_slope, near_i) in enumerate(
+        zip(d.tolist(), n.tolist(), m.tolist(), slope.tolist(), near.tolist())
+    ):
+        N = ni * mi
+        X = Z[at : at + N * di].reshape(N, di)
+        f = f_star[i, :di]
+        probe_rows, regimes, alphas = _PROBES[near_i]
+        out.append(_LemmaInstance(
+            f, _slope_regularizer(di) if reg_slope else _L1, _identity_design(di),
+            ConditionParams(float(gamma1[i]), float(gamma2[i]), float(r[i]), float(rho[i])),
+            float(lam[i]), ni, mi, X, X @ f + noise[first : first + N],
+            thetas[i, probe_rows, :di], regimes, alphas, (0.0,) * len(regimes),
+        ))
+        at, first = at + N * di, first + N
+    return out
 
 
-def random_lemma_instance(rng, slope_fraction: float = 0.25):
-    """``_draw_lemma_instance`` as the arguments of ``lemma_reg_check``."""
-    inst = _draw_lemma_instance(rng, slope_fraction)
+def _check_args(inst: _LemmaInstance) -> tuple:
+    """A lemma instance as the arguments of ``lemma_reg_check``."""
     return (
         list(map(LemmaProbe, inst.thetas, inst.regimes, inst.alphas, inst.expected)),
         LinearPredictor(inst.f_star), Dataset(inst.X, inst.y), BlockPartition(inst.n, inst.m),
@@ -810,9 +843,20 @@ def random_lemma_instance(rng, slope_fraction: float = 0.25):
     )
 
 
+def random_lemma_instance(rng, slope_fraction: float = 0.25):
+    """The instance of a one-instance chunk of ``_draw_lemma_instances``, as
+    the arguments of ``lemma_reg_check``."""
+    return _check_args(*_draw_lemma_instances(rng, 1, slope_fraction))
+
+
 def lemma_sweep(count: int, seed: int = 0, slope_fraction: float = 0.25) -> LemmaCheckReport:
-    """``_check_lemma_instances`` on `count` instances of
-    ``_draw_lemma_instance``, taken as they are drawn; that draw order is
-    part of the ``momreg verify`` report contract."""
+    """``_check_lemma_instances`` on `count` instances drawn from one
+    ``default_rng(seed)`` stream by ``_draw_lemma_instances``, in chunks of
+    ``LEMMA_CHUNK`` (the last one shorter); its docstring states the draws,
+    which are part of the ``momreg verify`` report contract."""
     rng = np.random.default_rng(seed)
-    return _check_lemma_instances(_draw_lemma_instance(rng, slope_fraction) for _ in range(count))
+    # chain lets go of each chunk before the next one is drawn
+    return _check_lemma_instances(itertools.chain.from_iterable(
+        _draw_lemma_instances(rng, min(LEMMA_CHUNK, count - start), slope_fraction)
+        for start in range(0, count, LEMMA_CHUNK)
+    ))

@@ -2,9 +2,10 @@
 
 Each case runs one ``momreg`` mode in process, through ``cli.main``, on a
 small d=3 config (one verify case runs at the benchmark's verify scale,
-where the lemma sweep spans several chunks and the condition checks
-several residual slices), and records its exit code, its stderr, its trials CSV and
-its report without the wall-clock ``meta`` field.  One more entry records
+where the lemma sweep spans several drawn and several checked chunks and
+the condition checks several residual slices), and records its exit code,
+its stderr, its trials CSV and its report without the wall-clock ``meta``
+field.  One more entry records
 the theta_hat of a fixed subset of the frozen acceptance trials (criteria
 3, 4 and 10) with the sha256 of their bytes, and another the adversary
 ascents of a few ``phi_hat``/``phi_lambda_hat`` certificates.
@@ -15,9 +16,16 @@ Regenerate the corpus with::
     PYTHONPATH=src python tests/golden_corpus.py
 
 A change that regenerates it says in CHANGES.md which entries moved and why.
+``--diff`` lists them: it regenerates the corpus into a temporary
+directory, writes nothing under ``tests/golden/``, prints each JSON path
+that moved with its committed and its fresh value, one per line, and exits
+1 when anything moved::
+
+    PYTHONPATH=src python tests/golden_corpus.py --diff
 """
 from __future__ import annotations
 
+import argparse
 import contextlib
 import hashlib
 import io
@@ -106,8 +114,8 @@ CONFIGS = {
         verify={"lemma_instances": 10, "delta_budget": 50, "negative_control": True}
     ),
     "csv": _config(data={"csv": CSV_FILE}),
-    # perfbench's verify_suite config: 3 lemma-sweep chunks, 13 probes per
-    # residual slice of the condition checks
+    # perfbench's verify_suite config: 7 drawn and 3 checked chunks of the
+    # lemma sweep, 13 probes per residual slice of the condition checks
     "verify_scale": _config(
         data={"generate": {"n_samples": 5000, "dim": 3, "theta_star": [1.0, -0.5, 2.0]}},
         partition={"blocks": 101},
@@ -318,25 +326,79 @@ def certificates() -> dict:
     return out
 
 
-def write_csv_input() -> None:
+def write_csv_input(out_dir: Path) -> None:
     """The dataset the ``csv`` config fits: 301 rows, d=3, 5 rows at 1e6."""
     data = generate(301, 3, [0.5, 1.0, -1.0], DesignSpec.identity(3), NoiseSpec(), 42)
     bad, _ = corrupt(data, CorruptionSpec(count=5), 43)
-    save_dataset(GOLDEN_DIR / CSV_FILE, bad)
+    save_dataset(out_dir / CSV_FILE, bad)
 
 
-def regenerate() -> None:
-    GOLDEN_DIR.mkdir(exist_ok=True)
-    write_csv_input()
-    (GOLDEN_DIR / ENVIRONMENT_FILE).write_text(_dump(environment()))
+def regenerate(out_dir: Path = GOLDEN_DIR) -> None:
+    """Write the corpus to out_dir; the cases read the committed CSV input."""
+    out_dir.mkdir(exist_ok=True)
+    write_csv_input(out_dir)
+    (out_dir / ENVIRONMENT_FILE).write_text(_dump(environment()))
     with tempfile.TemporaryDirectory() as tmp:
         for case in CASES:
-            (GOLDEN_DIR / f"{case.name}.json").write_text(run_case(case, Path(tmp)))
-    (GOLDEN_DIR / FROZEN_FILE).write_text(_dump(frozen_theta_hats()))
-    (GOLDEN_DIR / CERTIFICATE_FILE).write_text(_dump(certificates()))
+            (out_dir / f"{case.name}.json").write_text(run_case(case, Path(tmp)))
+    (out_dir / FROZEN_FILE).write_text(_dump(frozen_theta_hats()))
+    (out_dir / CERTIFICATE_FILE).write_text(_dump(certificates()))
+
+
+MISSING = object()  # the value at a key that one side lacks
+
+
+def moved_paths(old, new, where="$"):
+    """The JSON paths, in sorted key order, at which the JSON value new
+    differs from old, with old's and new's value there (MISSING for a key
+    one of them lacks); a list that changed length moves as a whole."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        for key in sorted(old.keys() | new.keys()):
+            a, b = old.get(key, MISSING), new.get(key, MISSING)
+            if a is MISSING or b is MISSING:
+                yield f"{where}.{key}", a, b
+            else:
+                yield from moved_paths(a, b, f"{where}.{key}")
+    elif isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        for i, (a, b) in enumerate(zip(old, new)):
+            yield from moved_paths(a, b, f"{where}[{i}]")
+    elif type(old) is not type(new) or old != new:
+        yield where, old, new
+
+
+def diff() -> int:
+    """Print each moved path of a fresh corpus against the committed one,
+    as `file: path: old -> new`; 1 when anything moved, else 0."""
+    moved = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        fresh = Path(tmp) / "golden"
+        regenerate(fresh)
+        names = {p.name for d in (GOLDEN_DIR, fresh) for p in d.iterdir()}
+        for name in sorted(names):
+            old, new = (d / name for d in (GOLDEN_DIR, fresh))
+            old_text = old.read_text() if old.exists() else None
+            new_text = new.read_text() if new.exists() else None
+            if old_text == new_text:
+                continue
+            if name.endswith(".json") and old_text is not None and new_text is not None:
+                paths = list(moved_paths(json.loads(old_text), json.loads(new_text)))
+            else:  # the CSV input, or a file only one side has
+                paths = [("$", MISSING if old_text is None else "committed",
+                          MISSING if new_text is None else "fresh")]
+            for where, a, b in paths or [("$", "same JSON", "other bytes")]:
+                a, b = ("<missing>" if v is MISSING else json.dumps(v) for v in (a, b))
+                print(f"{name}: {where}: {a} -> {b}")
+                moved += 1
+    print(f"{moved} moved", file=sys.stderr)
+    return int(moved > 0)
 
 
 if __name__ == "__main__":
+    parser = argparse.ArgumentParser(description="Regenerate the golden report corpus.")
+    parser.add_argument("--diff", action="store_true",
+                        help="print what a regeneration would move, and write nothing")
+    if parser.parse_args().diff:
+        sys.exit(diff())
     regenerate()
     print(
         f"wrote {len(CASES)} cases, {FROZEN_FILE} and {CERTIFICATE_FILE} to {GOLDEN_DIR}",

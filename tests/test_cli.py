@@ -509,10 +509,13 @@ def test_each_mode_offers_the_config_and_the_flags():
 
 
 class TestRunVerify:
-    def test_no_lemma_instances_report_the_four_conclusions(self):
-        # lemma_instances: 0 keeps the report's shape: each conclusion at 0
-        cfg = resolve_config(_set_path(_D3_CONFIG, "verify.lemma_instances", 0))
-        lemma = run_verify(cfg)["aggregate"]["lemma"]
+    def test_no_lemma_instances_report_the_four_conclusions(self, tmp_path, capsys):
+        # lemma_instances: 0 draws no chunk; verify exits 0 and keeps the
+        # report's shape, each conclusion at 0
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_set_path(_D3_CONFIG, "verify.lemma_instances", 0)))
+        assert main(["verify", "--config", str(cfg_path)]) == 0
+        lemma = json.loads(capsys.readouterr().out)["lemma"]
         zeros = dict.fromkeys(["far", "scaled_far", "scaled_near", "sphere_near"], 0)
         assert lemma == {"instances": 0, "checked": zeros, "skipped": zeros, "violations": []}
         some = run_verify(resolve_config(_D3_CONFIG))["aggregate"]["lemma"]

@@ -118,3 +118,16 @@ def test_tolerance_comparison_tells_rounding_from_drift():
         else:
             with pytest.raises(AssertionError, match=r"mom_excess\.median"):
                 _assert_close(_numbers(json.dumps(moved)), _numbers(want))
+
+
+def test_moved_paths_name_each_moved_entry():
+    old = {"a": {"b": [1, 2.0], "c": "x", "f": None}, "d": [1], "g": 1}
+    new = {"a": {"b": [1, 2.5], "c": "x", "e": None}, "d": [1, 2], "g": 1.0}
+    assert list(corpus.moved_paths(old, new)) == [
+        ("$.a.b[1]", 2.0, 2.5),
+        ("$.a.e", corpus.MISSING, None),
+        ("$.a.f", None, corpus.MISSING),
+        ("$.d", [1], [1, 2]),
+        ("$.g", 1, 1.0),
+    ]
+    assert list(corpus.moved_paths(old, json.loads(json.dumps(old)))) == []

@@ -1,7 +1,7 @@
 """The array forms of estimate_delta, norming_functional, lemma_reg_check,
 lemma_sweep, the two block-condition checks and sample_sphere_probes
-against the loop forms they replaced, kept here as references, and
-random_lemma_instance against the Generator.choice form it replaced.
+against the loop forms they replaced, kept here as references, and the
+lemma sweep's chunk drawer against a per-instance form of its draws.
 
 The array forms keep the arithmetic of the loops (the same dot products,
 the same order of operations per block), so every comparison is exact.
@@ -12,6 +12,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momreg import (
     ConditionParams,
@@ -703,62 +705,76 @@ def test_probe_statistics_reject_probes_of_the_wrong_shape():
 # ---------------------------------------------------------------------------
 
 
-def _sparse_f_star_ref(rng, d, support):
-    theta = np.zeros(d)
-    idx = rng.choice(d, size=support, replace=False)
-    theta[idx] = rng.uniform(0.5, 2.0, size=support) * rng.choice([-1.0, 1.0], support)
-    return theta
+def _lemma_instances_ref(rng, count, slope_fraction):
+    """_draw_lemma_instances as the arguments of lemma_reg_check: the same
+    Generator calls, then each instance built on its own, with an argsort
+    of its own keys for its permutation, psi for every probe norm and its X
+    and y sliced from the chunk's two standard normal arrays."""
+    signs = np.array([-1.0, 1.0])
+    d = rng.integers(8, 25, count)
+    s = rng.integers(1, 4, count)
+    values = rng.uniform(0.5, 2.0, (count, 3)) * signs[rng.integers(0, 2, (count, 3))]
+    slope = rng.random(count) < slope_fraction
+    regs = [
+        Regularizer.slope(default_slope_weights(int(d_i))) if on else Regularizer.l1()
+        for d_i, on in zip(d, slope)
+    ]
+    w1 = np.array([float(reg.weights[0]) if on else 1.0 for reg, on in zip(regs, slope)])
+    gamma1 = rng.uniform(0.4, 0.9, count)
+    gamma2 = rng.uniform(0.2, 1.0, count) * gamma1 / 6.0
+    r = rng.uniform(0.3, 1.0, count)
+    rho = rng.uniform(1.05, 3.0, count) * r * w1
+    params = [ConditionParams(float(a), float(b), float(c), float(e))
+              for a, b, c, e in zip(gamma1, gamma2, r, rho)]
+    window = np.array([lambda_window(p) for p in params]).reshape(count, 2)
+    at_hi = rng.random(count) < 0.1
+    between = rng.uniform(window[:, 0], window[:, 1])
+    n = np.array([5, 7, 9, 11])[rng.integers(0, 4, count)]
+    m = rng.integers(8, 31, count)
+    scale = rng.uniform(0.01, 0.3, count) * r
+    keys = rng.random((count, 24))
+    far = s[:, None] + rng.integers(0, (d - s)[:, None], (count, 3))
+    far_signs = signs[rng.integers(0, 2, (count, 3))]
+    Z = rng.standard_normal(int(np.sum(n * m * d)))
+    eps = rng.standard_normal(int(np.sum(n * m)))
 
+    instances, at, first = [], 0, 0
+    for i in range(count):
+        d_i, s_i, N = int(d[i]), int(s[i]), int(n[i] * m[i])
+        rho_i, r_i, reg = float(rho[i]), float(r[i]), regs[i]
+        perm = np.argsort(keys[i, :d_i], kind="stable")
+        f_star = np.zeros(d_i)
+        f_star[perm[:s_i]] = values[i, :s_i]
+        X = Z[at : at + N * d_i].reshape(N, d_i)
+        data = Dataset(X, X @ f_star + scale[i] * eps[first : first + N])
+        at, first = at + N * d_i, first + N
 
-def _random_lemma_instance_ref(rng, slope_fraction):
-    """random_lemma_instance with Generator.choice for every draw and psi
-    for every probe norm."""
-    d = int(rng.integers(8, 25))
-    s = int(rng.integers(1, 4))
-    f_star_theta = _sparse_f_star_ref(rng, d, s)
-    f_star = LinearPredictor(f_star_theta)
-    design = DesignSpec.identity(d)
-    use_slope = rng.uniform() < slope_fraction
-    reg = Regularizer.slope(default_slope_weights(d)) if use_slope else Regularizer.l1()
-    w1 = float(reg.weights[0]) if use_slope else 1.0
-    gamma1 = float(rng.uniform(0.4, 0.9))
-    gamma2 = float(rng.uniform(0.2, 1.0)) * gamma1 / 6.0
-    r = float(rng.uniform(0.3, 1.0))
-    rho = float(rng.uniform(1.05, 3.0)) * r * w1
-    params = ConditionParams(gamma1=gamma1, gamma2=gamma2, r=r, rho=rho)
-    lo, hi = lambda_window(params)
-    lam = hi if rng.uniform() < 0.1 else float(rng.uniform(lo, hi))
-    n = int(rng.choice([5, 7, 9, 11]))
-    m = int(rng.integers(8, 31))
-    noise = NoiseSpec("gaussian", scale=float(rng.uniform(0.01, 0.3)) * r)
-    data = generate(n * m, d, f_star_theta, design, noise, rng.integers(2**63))
-    partition = make_partition(n * m, n)
-    free = np.flatnonzero(f_star_theta == 0.0)
-    probes = []
-    for _ in range(2):
-        k = int(rng.choice(free))
-        e = np.zeros(d)
-        e[k] = rng.choice([-1.0, 1.0])
-        delta = rho * e / psi(reg, e)
-        probes.append(LemmaProbe(f_star_theta + delta, REGIME_FAR))
-    if not use_slope:
-        k_needed = max(int(math.ceil((rho / r) ** 2 * 1.3)) + 1, 2)
-        k_spread = min(len(free), k_needed)
-        if k_spread >= 2 and rho / math.sqrt(k_spread) < r:
-            support = rng.choice(free, size=k_spread, replace=False)
-            u = np.zeros(d)
-            u[support] = 1.0
-            delta = rho * u / psi(reg, u)
-            probes.append(LemmaProbe(f_star_theta + delta, REGIME_SPHERE_NEAR))
-            for alpha in (2.0, 4.0, 8.0):
-                probes.append(LemmaProbe(f_star_theta + delta, REGIME_SCALED, alpha=alpha))
-    k = int(rng.choice(free))
-    e = np.zeros(d)
-    e[k] = rng.choice([-1.0, 1.0])
-    delta = rho * e / psi(reg, e)
-    for alpha in (2.0, 4.0, 8.0):
-        probes.append(LemmaProbe(f_star_theta + delta, REGIME_SCALED, alpha=alpha))
-    return probes, f_star, data, partition, params, lam, reg, design
+        def on_sphere(u):
+            return f_star + rho_i * u / psi(reg, u)
+
+        def one_hot(j):
+            u = np.zeros(d_i)
+            u[perm[far[i, j]]] = far_signs[i, j]
+            return on_sphere(u)
+
+        probes = [LemmaProbe(one_hot(0), REGIME_FAR), LemmaProbe(one_hot(1), REGIME_FAR)]
+        if not slope[i]:
+            q = rho_i / r_i
+            k = min(d_i - s_i, max(int(math.ceil(q * q * 1.3)) + 1, 2))
+            if k >= 2 and rho_i / math.sqrt(k) < r_i:
+                u = np.zeros(d_i)
+                u[perm[s_i : s_i + k]] = 1.0
+                h = on_sphere(u)
+                probes.append(LemmaProbe(h, REGIME_SPHERE_NEAR))
+                probes += [LemmaProbe(h, REGIME_SCALED, alpha=a) for a in (2.0, 4.0, 8.0)]
+        h = one_hot(2)
+        probes += [LemmaProbe(h, REGIME_SCALED, alpha=a) for a in (2.0, 4.0, 8.0)]
+        lam = window[i, 1] if at_hi[i] else between[i]
+        instances.append((
+            probes, LinearPredictor(f_star), data, make_partition(N, int(n[i])), params[i],
+            float(lam), reg, DesignSpec.identity(d_i),
+        ))
+    return instances
 
 
 def _bits(a):
@@ -781,30 +797,39 @@ def _instance_key(instance):
     )
 
 
+def _drawn(rng, count, slope_fraction):
+    """The instances of one _draw_lemma_instances chunk, as the arguments of
+    lemma_reg_check."""
+    return [verify._check_args(inst)
+            for inst in verify._draw_lemma_instances(rng, count, slope_fraction)]
+
+
 @pytest.mark.parametrize("slope_fraction", [0.0, 0.25, 1.0])
-def test_random_lemma_instance_matches_choice_form(slope_fraction):
+def test_draw_lemma_instances_match_the_per_instance_form(slope_fraction):
     regimes = set()
-    for seed in range(4):
+    for seed, count in enumerate([1, 7, 32, 45]):
         got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        for _ in range(25):
-            got = random_lemma_instance(got_rng, slope_fraction)
-            assert _instance_key(got) == _instance_key(
-                _random_lemma_instance_ref(ref_rng, slope_fraction)
-            )
-            regimes.update(pr.regime for pr in got[0])
+        got = _drawn(got_rng, count, slope_fraction)
+        ref = _lemma_instances_ref(ref_rng, count, slope_fraction)
+        assert [_instance_key(inst) for inst in got] == [_instance_key(inst) for inst in ref]
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
-    assert REGIME_SPHERE_NEAR in regimes or slope_fraction == 1.0
+        regimes.update(pr.regime for inst in got for pr in inst[0])
+    assert (REGIME_SPHERE_NEAR in regimes) == (slope_fraction < 1.0)
+    # random_lemma_instance is the instance of a one-instance chunk
+    assert _instance_key(random_lemma_instance(np.random.default_rng(9), slope_fraction)) == (
+        _instance_key(_lemma_instances_ref(np.random.default_rng(9), 1, slope_fraction)[0])
+    )
 
 
 def test_lemma_sweep_counts_pin_the_draw_order():
     # The counts of momreg verify's sweep for one seed; any change to the
-    # order of random_lemma_instance's draws moves them.
+    # draws of _draw_lemma_instances or to its chunk size moves them.
     report = lemma_sweep(200, seed=8)
     assert report.checked == {
-        "far": 2594, "sphere_near": 924, "scaled_far": 3846, "scaled_near": 2772
+        "far": 2713, "sphere_near": 929, "scaled_far": 3966, "scaled_near": 2787
     }
     assert report.skipped == {
-        "far": 570, "sphere_near": 306, "scaled_far": 900, "scaled_near": 918
+        "far": 531, "sphere_near": 318, "scaled_far": 900, "scaled_near": 954
     }
     assert report.violations == []
 
@@ -813,10 +838,9 @@ def test_lemma_sweep_numbers_the_instances_of_violations(monkeypatch):
     # the constant fault of test_lemma_reg_check_matches_loop_on_violations
     _inject_fault(monkeypatch, "constant")
     report = lemma_sweep(3, seed=3, slope_fraction=0.0)
-    rng = np.random.default_rng(3)
     expected = []
-    for i in range(3):
-        violations = lemma_reg_check(*random_lemma_instance(rng, 0.0)).violations
+    for i, instance in enumerate(_drawn(np.random.default_rng(3), 3, 0.0)):
+        violations = lemma_reg_check(*instance).violations
         assert violations and {v.instance for v in violations} == {0}
         expected.extend(dataclasses.replace(v, instance=i) for v in violations)
     assert report.violations == expected
@@ -824,12 +848,21 @@ def test_lemma_sweep_numbers_the_instances_of_violations(monkeypatch):
     assert LemmaViolation(1, 2, "far", 0.0, 1.0).instance == 0
 
 
+def _sweep_instances(count, seed, slope_fraction):
+    """The instances of lemma_sweep(count, seed, slope_fraction), as the
+    arguments of lemma_reg_check."""
+    rng = np.random.default_rng(seed)
+    return [
+        instance for start in range(0, count, verify.LEMMA_CHUNK)
+        for instance in _drawn(rng, min(verify.LEMMA_CHUNK, count - start), slope_fraction)
+    ]
+
+
 def _lemma_sweep_ref(count, seed, slope_fraction):
     """lemma_sweep as the per-instance loop of the reference check."""
-    rng = np.random.default_rng(seed)
     total = LemmaCheckReport()
-    for i in range(count):
-        report = _lemma_reg_check_ref(*random_lemma_instance(rng, slope_fraction))
+    for i, instance in enumerate(_sweep_instances(count, seed, slope_fraction)):
+        report = _lemma_reg_check_ref(*instance)
         total.violations += [dataclasses.replace(v, instance=i) for v in report.violations]
         for key in _CONCLUSIONS:
             total.checked[key] += report.checked[key]
@@ -860,9 +893,52 @@ def test_lemma_sweep_matches_the_per_instance_loop_on_violations(monkeypatch, bu
     ref = _lemma_sweep_ref(16, 2, 0.25)
     assert (got.checked, got.skipped) == (ref.checked, ref.skipped)
     _assert_same_report(got, ref)
-    rng = np.random.default_rng(2)
-    n = [random_lemma_instance(rng, 0.25)[3].n for _ in range(16)]
+    n = [instance[3].n for instance in _sweep_instances(16, 2, 0.25)]
     assert len({n[v.instance] for v in got.violations}) > 1
+
+
+_C = verify.LEMMA_CHUNK
+
+
+@pytest.mark.parametrize("count", [0, 1, _C - 1, _C, _C + 1, 2 * _C + 1])
+def test_lemma_sweep_matches_the_per_instance_loop_at_chunk_edges(count):
+    got = lemma_sweep(count, seed=4)
+    ref = _lemma_sweep_ref(count, 4, 0.25)
+    assert (got.checked, got.skipped) == (ref.checked, ref.skipped)
+    assert got.violations == ref.violations == []
+    assert (got.total_checked > 0) == (count > 0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 40),
+    slope_fraction=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+)
+def test_draw_lemma_instances_meet_their_ranges(seed, count, slope_fraction):
+    rng = np.random.default_rng(seed)
+    for inst in verify._draw_lemma_instances(rng, count, slope_fraction):
+        d = inst.f_star.shape[0]
+        support = np.flatnonzero(inst.f_star)
+        assert 8 <= d <= 24 and 1 <= support.size <= 3
+        assert inst.n in (5, 7, 9, 11) and 8 <= inst.m <= 30
+        lo, hi = lambda_window(inst.params)
+        assert lo <= inst.lam <= hi
+        p = inst.params
+        for theta, regime in zip(inst.thetas, inst.regimes):
+            offset = theta - inst.f_star
+            assert psi(inst.reg, offset) == pytest.approx(p.rho, rel=1e-12, abs=0.0)
+            dist = population_l2_distance(LinearPredictor(theta), LinearPredictor(inst.f_star),
+                                          inst.design)
+            moved = np.flatnonzero(offset)
+            if moved.size == 1:  # a far probe, or a scaled one on the far branch
+                assert dist >= p.r
+            else:  # a near probe, or a scaled one on the near branch
+                assert inst.reg.kind == "l1" and regime != REGIME_FAR
+                assert (offset[moved] > 0.0).all() and not np.isin(moved, support).any()
+                assert dist < p.r
+        assert inst.X.shape == (inst.n * inst.m, d) and inst.y.shape == (inst.n * inst.m,)
+        assert np.isfinite(inst.X).all() and np.isfinite(inst.y).all()
 
 
 def test_lemma_sweep_memory_does_not_grow_with_the_count(monkeypatch):
