@@ -43,7 +43,7 @@ import time
 import numpy as np
 
 from .datagen import CORRUPTION_MODES, CorruptionSpec, NoiseSpec, corrupt, generate
-from .errors import ConfigError, MomregError, ParseError
+from .errors import ConfigError, EmptyLambdaWindow, MomregError, ParseError
 from .model import (
     MAX_MAGNITUDE,
     Dataset,
@@ -613,6 +613,10 @@ def run_verify(cfg: dict) -> dict:
         reg, f_star, params.rho, params.r, design,
         budget=int(vcfg["delta_budget"]), seed=cfg["seed"],
     )
+    try:
+        window = list(lambda_window(params))
+    except EmptyLambdaWindow:
+        window = None
 
     return {
         "config": _embed_config(cfg),
@@ -638,11 +642,7 @@ def run_verify(cfg: dict) -> dict:
                 ],
             },
             "delta_estimate": delta.to_dict(),
-            "lambda_window": (
-                list(lambda_window(params))
-                if 6.0 * params.gamma2 <= params.gamma1
-                else None
-            ),
+            "lambda_window": window,
         },
     }
 

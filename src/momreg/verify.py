@@ -10,21 +10,21 @@ any violation beyond float roundoff indicates an arithmetic bug.
 
 ``lemma_sweep`` checks the lemma implications on randomized instances,
 drawn a chunk at a time by ``_draw_lemma_instances``, whose docstring
-states the draws that ``momreg verify`` reports depend on.
+states the draws that ``momreg verify`` reports depend on; each drawn
+chunk is checked as a whole, before the next one is drawn.
 """
 from __future__ import annotations
 
 import collections
 import dataclasses
 import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .blocks import (
-    TEMP_ENTRIES, _residual_pass, _used_arrays, block_increments, middle, multiplier_components,
+    _residual_pass, _used_arrays, block_increments, middle, multiplier_components,
 )
 from .errors import (
     ConfigError,
@@ -38,6 +38,7 @@ from .model import (
     Dataset,
     DesignSpec,
     LinearPredictor,
+    _frozen_array,
     population_sq_norms,
 )
 from .objective import (
@@ -53,7 +54,8 @@ from .objective import (
 REGIME_FAR = "far"
 REGIME_SPHERE_NEAR = "sphere_near"
 REGIME_SCALED = "scaled"
-_REGIME_CODES = {REGIME_FAR: 0, REGIME_SPHERE_NEAR: 1, REGIME_SCALED: 2}
+_REGIMES = (REGIME_FAR, REGIME_SPHERE_NEAR, REGIME_SCALED)  # by regime code
+_REGIME_CODES = {name: code for code, name in enumerate(_REGIMES)}
 
 _FLOAT_SLACK = 1e-9
 _SPHERE_RTOL = 1e-6
@@ -402,22 +404,20 @@ def _check_blocks(report, instance, probe, code, n, hypothesis, lhs, rhs) -> Non
 
 # One lemma instance as arrays: f*'s theta, the regularizer, the design, the
 # condition parameters, lam, the partition's (n, m), the n*m covered rows X
-# and y, and per probe its theta, regime, alpha and expected multiplier.
+# and y, the (u, d) stack of the thetas its probes use (rows may repeat) and
+# the (4, k) probes: per probe its row in that stack, regime code (into
+# _REGIMES), alpha and expected multiplier.
 _LemmaInstance = collections.namedtuple("_LemmaInstance", "f_star reg design params lam n m "
-                                        "X y thetas regimes alphas expected")
+                                        "X y thetas probes")
 
 
 def _instance_terms(inst: _LemmaInstance):
-    """The per-instance stage of _check_lemma_instances: scalars, per probe
-    its row among the distinct thetas (by bytes), regime code, alpha and
-    expected multiplier, the thetas' squared distances, one psi call on [f*,
-    thetas, offsets, f's], the f's being f* + alpha (h - f*) of the scaled
-    probes, and one residual pass (increments of the thetas and of the f's
-    on the psi-sphere, multipliers of the thetas)."""
-    seen = {}
-    rows = [seen.setdefault(theta.tobytes(), (len(seen), theta))[0] for theta in inst.thetas]
-    probes = np.array([rows, [_REGIME_CODES[g] for g in inst.regimes], inst.alphas, inst.expected])
-    thetas, p, u = np.array([theta for _, theta in seen.values()]), inst.params, len(seen)
+    """The per-instance stage of _check_probes: scalars, the probes, the
+    thetas' squared distances, one psi call on [f*, thetas, offsets, f's],
+    the f's being f* + alpha (h - f*) of the scaled probes, and one residual
+    pass (increments of the thetas and of the f's on the psi-sphere,
+    multipliers of the thetas)."""
+    thetas, probes, p, u = inst.thetas, inst.probes, inst.params, inst.thetas.shape[0]
     deltas, scaled = thetas - inst.f_star, probes[:, probes[1] == 2]  # the scaled probes' columns
     at = scaled[0].astype(np.intp)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -434,8 +434,9 @@ def _instance_terms(inst: _LemmaInstance):
 
 
 def _check_probes(report, first: int, chunk) -> None:
-    """The stage of _check_lemma_instances over every probe of a chunk of
-    _instance_terms at once, its instances numbered from first."""
+    """Add to report the check of every probe of a chunk of _instance_terms
+    at once, its instances numbered from first, in about eight (probes,
+    blocks) arrays."""
     scalars, probes, q, norms, incs, mults = zip(*chunk)
     k = np.array([x.shape[1] for x in probes])
     inst = np.repeat(np.arange(k.size), k)
@@ -494,25 +495,6 @@ def _check_probes(report, first: int, chunk) -> None:
     _check_blocks(report, first + inst, np.arange(inst.size) - head, code, n, hypothesis, lhs, rhs)
 
 
-def _check_lemma_instances(instances) -> LemmaCheckReport:
-    """The report of an iterable of _LemmaInstance, numbered from 0.  Each
-    instance has its own geometry, psi and residual pass; the rest is taken
-    for every probe of a chunk at once, in about eight (probes, blocks)
-    arrays, so a chunk keeps probes * blocks within ``TEMP_ENTRIES // 8``."""
-    report, chunk, first, probes, blocks = LemmaCheckReport(), [], 0, 0, 0
-    # map holds no instance while it takes the next one, which may be drawn
-    for number, terms in enumerate(map(_instance_terms, instances)):
-        k, n = terms[1].shape[1], terms[0][5]  # the instance's probes and blocks
-        probes, blocks = probes + k, max(blocks, n)
-        if chunk and probes * blocks > TEMP_ENTRIES // 8:
-            _check_probes(report, first, chunk)
-            chunk, first, probes, blocks = [], number, k, n
-        chunk.append(terms)
-    if chunk:
-        _check_probes(report, first, chunk)
-    return report
-
-
 def lemma_reg_check(
     probes,
     f_star: LinearPredictor,
@@ -534,22 +516,29 @@ def lemma_reg_check(
                     (near branch): super-linear growth.
 
     lam must lie in the admissible window and the probe thetas form a finite
-    (k, d) stack; the check is ``_check_lemma_instances`` on this instance.
-    Violations beyond float roundoff indicate an arithmetic bug.
+    (k, d) stack; the check is ``_check_probes`` on this instance, with one
+    row per distinct (by bytes) theta.  Violations beyond float roundoff
+    indicate an arithmetic bug.
     """
     lo, hi = lambda_window(params)
     if not (lo <= lam <= hi):
         raise ConfigError(f"lambda {lam} outside window [{lo}, {hi}]")
     probes = list(probes)
     thetas = _probe_geometry([probe.theta for probe in probes], f_star, design)[0]
+    report = LemmaCheckReport()
     if not probes:
         psi_batch(reg, f_star.theta[None])
-        return LemmaCheckReport()
+        return report
+    seen = {}
+    rows = [seen.setdefault(theta.tobytes(), (len(seen), theta))[0] for theta in thetas]
     X, y = _used_arrays(f_star.dim, f_star, data, p)
-    return _check_lemma_instances([_LemmaInstance(
-        f_star.theta, reg, design, params, lam, p.n, p.m, X, y, thetas,
-        *zip(*((pr.regime, pr.alpha, pr.expected_multiplier) for pr in probes)),
-    )])
+    _check_probes(report, 0, [_instance_terms(_LemmaInstance(
+        f_star.theta, reg, design, params, lam, p.n, p.m, X, y,
+        np.array([theta for _, theta in seen.values()]),
+        np.array([rows, [_REGIME_CODES[pr.regime] for pr in probes],
+                  [pr.alpha for pr in probes], [pr.expected_multiplier for pr in probes]]),
+    ))])
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -710,16 +699,14 @@ _SIGNS = np.array([-1.0, 1.0])
 _BLOCK_COUNTS = np.array([5, 7, 9, 11])
 _L1 = Regularizer.l1()
 
-# The probes of an instance without and with near probes: per probe its
-# row in the instance's (4, d) stack of distinct thetas (the two far one-hot
-# probes, the near probe, the scaled far one-hot probe), regime and alpha.
-_FAR2 = (REGIME_FAR, REGIME_FAR)
-_SCALED3 = (REGIME_SCALED,) * 3
-_PROBES = {
-    False: (np.array([0, 1, 3, 3, 3]), _FAR2 + _SCALED3, (1.0, 1.0, 2.0, 4.0, 8.0)),
-    True: (np.array([0, 1, 2, 2, 2, 2, 3, 3, 3]), _FAR2 + (REGIME_SPHERE_NEAR,) + _SCALED3 * 2,
-           (1.0, 1.0, 1.0, 2.0, 4.0, 8.0, 2.0, 4.0, 8.0)),
-}
+# The probes of an instance without and with a near probe, as the probes of
+# a _LemmaInstance whose thetas are the two far one-hot probes, the scaled
+# far one-hot probe and, with a near probe, the near probe.
+_PROBES = (
+    _frozen_array([[0, 1, 2, 2, 2], [0, 0, 2, 2, 2], [1, 1, 2, 4, 8], [0] * 5]),
+    _frozen_array([[0, 1, 3, 3, 3, 3, 2, 2, 2], [0, 0, 1, 2, 2, 2, 2, 2, 2],
+                   [1, 1, 1, 2, 4, 8, 2, 4, 8], [0] * 9]),
+)
 
 
 # DesignSpec and Regularizer are immutable, so one per dimension (8 to 24)
@@ -810,11 +797,11 @@ def _draw_lemma_instances(rng, count: int, slope_fraction: float) -> list[_Lemma
     q = rho / r
     k = np.minimum(d - s, np.maximum(np.ceil(q * q * 1.3).astype(np.int64) + 1, 2))
     near = ~slope & (rho / np.sqrt(k) < r)
-    # The distinct thetas: the two far probes, the near one, the scaled far one.
+    # The thetas: the two far probes, the scaled far one, the near one.
     thetas = np.repeat(f_star[:, None], 4, axis=1)
-    thetas[:, 2] = np.where((rank >= s[:, None]) & (rank < (s + k)[:, None]),
+    thetas[:, 3] = np.where((rank >= s[:, None]) & (rank < (s + k)[:, None]),
                             (rho / k)[:, None], f_star)
-    thetas[np.arange(count)[:, None], [0, 1, 3], far] = far_values
+    thetas[np.arange(count)[:, None], [0, 1, 2], far] = far_values
 
     out, at, first = [], 0, 0
     for i, (di, ni, mi, reg_slope, near_i) in enumerate(
@@ -823,12 +810,11 @@ def _draw_lemma_instances(rng, count: int, slope_fraction: float) -> list[_Lemma
         N = ni * mi
         X = Z[at : at + N * di].reshape(N, di)
         f = f_star[i, :di]
-        probe_rows, regimes, alphas = _PROBES[near_i]
         out.append(_LemmaInstance(
             f, _slope_regularizer(di) if reg_slope else _L1, _identity_design(di),
             ConditionParams(float(gamma1[i]), float(gamma2[i]), float(r[i]), float(rho[i])),
             float(lam[i]), ni, mi, X, X @ f + noise[first : first + N],
-            thetas[i, probe_rows, :di], regimes, alphas, (0.0,) * len(regimes),
+            thetas[i, : 3 + near_i, :di], _PROBES[near_i],
         ))
         at, first = at + N * di, first + N
     return out
@@ -836,8 +822,10 @@ def _draw_lemma_instances(rng, count: int, slope_fraction: float) -> list[_Lemma
 
 def _check_args(inst: _LemmaInstance) -> tuple:
     """A lemma instance as the arguments of ``lemma_reg_check``."""
+    rows, codes, alphas, expected = inst.probes.tolist()
     return (
-        list(map(LemmaProbe, inst.thetas, inst.regimes, inst.alphas, inst.expected)),
+        [LemmaProbe(inst.thetas[int(row)], _REGIMES[int(code)], alpha, em)
+         for row, code, alpha, em in zip(rows, codes, alphas, expected)],
         LinearPredictor(inst.f_star), Dataset(inst.X, inst.y), BlockPartition(inst.n, inst.m),
         inst.params, inst.lam, inst.reg, inst.design,
     )
@@ -850,13 +838,16 @@ def random_lemma_instance(rng, slope_fraction: float = 0.25):
 
 
 def lemma_sweep(count: int, seed: int = 0, slope_fraction: float = 0.25) -> LemmaCheckReport:
-    """``_check_lemma_instances`` on `count` instances drawn from one
-    ``default_rng(seed)`` stream by ``_draw_lemma_instances``, in chunks of
-    ``LEMMA_CHUNK`` (the last one shorter); its docstring states the draws,
-    which are part of the ``momreg verify`` report contract."""
+    """The lemma check of `count` instances, numbered from 0, drawn from one
+    ``default_rng(seed)`` stream by ``_draw_lemma_instances`` in chunks of
+    ``LEMMA_CHUNK`` (the last one shorter), one ``_check_probes`` call per
+    chunk; its docstring states the draws, which are part of the ``momreg
+    verify`` report contract."""
     rng = np.random.default_rng(seed)
-    # chain lets go of each chunk before the next one is drawn
-    return _check_lemma_instances(itertools.chain.from_iterable(
-        _draw_lemma_instances(rng, min(LEMMA_CHUNK, count - start), slope_fraction)
-        for start in range(0, count, LEMMA_CHUNK)
-    ))
+    report = LemmaCheckReport()
+    for start in range(0, count, LEMMA_CHUNK):
+        # the chunk's instances are gone once its terms are built, before
+        # the next chunk is drawn
+        _check_probes(report, start, [_instance_terms(inst) for inst in _draw_lemma_instances(
+            rng, min(LEMMA_CHUNK, count - start), slope_fraction)])
+    return report

@@ -2,8 +2,8 @@
 
 Each case runs one ``momreg`` mode in process, through ``cli.main``, on a
 small d=3 config (one verify case runs at the benchmark's verify scale,
-where the lemma sweep spans several drawn and several checked chunks and
-the condition checks several residual slices), and records its exit code,
+where the lemma sweep spans several chunks and the condition checks
+several residual slices), and records its exit code,
 its stderr, its trials CSV and its report without the wall-clock ``meta``
 field.  One more entry records
 the theta_hat of a fixed subset of the frozen acceptance trials (criteria
@@ -114,8 +114,8 @@ CONFIGS = {
         verify={"lemma_instances": 10, "delta_budget": 50, "negative_control": True}
     ),
     "csv": _config(data={"csv": CSV_FILE}),
-    # perfbench's verify_suite config: 7 drawn and 3 checked chunks of the
-    # lemma sweep, 13 probes per residual slice of the condition checks
+    # perfbench's verify_suite config: 7 chunks of the lemma sweep, 13
+    # probes per residual slice of the condition checks
     "verify_scale": _config(
         data={"generate": {"n_samples": 5000, "dim": 3, "theta_star": [1.0, -0.5, 2.0]}},
         partition={"blocks": 101},

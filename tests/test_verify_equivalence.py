@@ -848,14 +848,21 @@ def test_lemma_sweep_numbers_the_instances_of_violations(monkeypatch):
     assert LemmaViolation(1, 2, "far", 0.0, 1.0).instance == 0
 
 
+def _drawn_sweep(count, seed, slope_fraction):
+    """The instances of lemma_sweep(count, seed, slope_fraction), as drawn."""
+    rng = np.random.default_rng(seed)
+    return [
+        inst for start in range(0, count, verify.LEMMA_CHUNK)
+        for inst in verify._draw_lemma_instances(
+            rng, min(verify.LEMMA_CHUNK, count - start), slope_fraction
+        )
+    ]
+
+
 def _sweep_instances(count, seed, slope_fraction):
     """The instances of lemma_sweep(count, seed, slope_fraction), as the
     arguments of lemma_reg_check."""
-    rng = np.random.default_rng(seed)
-    return [
-        instance for start in range(0, count, verify.LEMMA_CHUNK)
-        for instance in _drawn(rng, min(verify.LEMMA_CHUNK, count - start), slope_fraction)
-    ]
+    return [verify._check_args(inst) for inst in _drawn_sweep(count, seed, slope_fraction)]
 
 
 def _lemma_sweep_ref(count, seed, slope_fraction):
@@ -870,25 +877,18 @@ def _lemma_sweep_ref(count, seed, slope_fraction):
     return total
 
 
-# A small chunk budget puts a few instances in each chunk of the sweep.
-@pytest.mark.parametrize("budget", [None, 2000])
 @pytest.mark.parametrize("slope_fraction", [0.0, 0.25, 1.0])
-def test_lemma_sweep_matches_the_per_instance_loop(monkeypatch, slope_fraction, budget):
-    if budget is not None:
-        monkeypatch.setattr(verify, "TEMP_ENTRIES", budget)
+def test_lemma_sweep_matches_the_per_instance_loop(slope_fraction):
     got = lemma_sweep(40, seed=11, slope_fraction=slope_fraction)
     ref = _lemma_sweep_ref(40, 11, slope_fraction)
     assert (got.checked, got.skipped) == (ref.checked, ref.skipped)
     assert got.violations == ref.violations == []
 
 
-@pytest.mark.parametrize("budget", [None, 2000])
-def test_lemma_sweep_matches_the_per_instance_loop_on_violations(monkeypatch, budget):
+def test_lemma_sweep_matches_the_per_instance_loop_on_violations(monkeypatch):
     # Violations in instances of different n exercise the padding of the
     # chunk and its instance, probe and block order.
     _inject_fault(monkeypatch, "cubic")
-    if budget is not None:
-        monkeypatch.setattr(verify, "TEMP_ENTRIES", budget)
     got = lemma_sweep(16, seed=2, slope_fraction=0.25)
     ref = _lemma_sweep_ref(16, 2, 0.25)
     assert (got.checked, got.skipped) == (ref.checked, ref.skipped)
@@ -907,6 +907,11 @@ def test_lemma_sweep_matches_the_per_instance_loop_at_chunk_edges(count):
     assert (got.checked, got.skipped) == (ref.checked, ref.skipped)
     assert got.violations == ref.violations == []
     assert (got.total_checked > 0) == (count > 0)
+    # The sweep checks an instance's stacked thetas as drawn, repeats
+    # included, and the reference checks each probe's theta on its own.
+    repeats = [len({row.tobytes() for row in inst.thetas}) < len(inst.thetas)
+               for inst in _drawn_sweep(count, 4, 0.25)]
+    assert any(repeats) == (count >= _C - 1)
 
 
 @settings(max_examples=25, deadline=None)
@@ -925,7 +930,12 @@ def test_draw_lemma_instances_meet_their_ranges(seed, count, slope_fraction):
         lo, hi = lambda_window(inst.params)
         assert lo <= inst.lam <= hi
         p = inst.params
-        for theta, regime in zip(inst.thetas, inst.regimes):
+        rows, codes = inst.probes[:2].astype(int)
+        regimes = [verify._REGIMES[code] for code in codes]
+        # every stacked theta is some probe's, and a near probe adds one
+        assert sorted(set(rows)) == list(range(len(inst.thetas)))
+        assert len(inst.thetas) == (4 if REGIME_SPHERE_NEAR in regimes else 3)
+        for theta, regime in zip(inst.thetas[rows], regimes):
             offset = theta - inst.f_star
             assert psi(inst.reg, offset) == pytest.approx(p.rho, rel=1e-12, abs=0.0)
             dist = population_l2_distance(LinearPredictor(theta), LinearPredictor(inst.f_star),
@@ -941,11 +951,8 @@ def test_draw_lemma_instances_meet_their_ranges(seed, count, slope_fraction):
         assert np.isfinite(inst.X).all() and np.isfinite(inst.y).all()
 
 
-def test_lemma_sweep_memory_does_not_grow_with_the_count(monkeypatch):
-    # A quarter of the chunk budget puts about 20 instances in a chunk, so
-    # both counts pass it several times.
-    monkeypatch.setattr(verify, "TEMP_ENTRIES", verify.TEMP_ENTRIES // 4)
-
+def test_lemma_sweep_memory_does_not_grow_with_the_count():
+    # Both counts span more than one chunk of LEMMA_CHUNK instances.
     def peak(count):
         tracemalloc.start()
         try:
