@@ -877,18 +877,27 @@ def _lemma_sweep_ref(count, seed, slope_fraction):
     return total
 
 
+# A small draw chunk splits the sweep into several chunks, the last one
+# shorter; the reference draws with the same chunk.
+@pytest.mark.parametrize("chunk", [None, 7])
 @pytest.mark.parametrize("slope_fraction", [0.0, 0.25, 1.0])
-def test_lemma_sweep_matches_the_per_instance_loop(slope_fraction):
+def test_lemma_sweep_matches_the_per_instance_loop(monkeypatch, slope_fraction, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(verify, "LEMMA_CHUNK", chunk)
     got = lemma_sweep(40, seed=11, slope_fraction=slope_fraction)
     ref = _lemma_sweep_ref(40, 11, slope_fraction)
     assert (got.checked, got.skipped) == (ref.checked, ref.skipped)
     assert got.violations == ref.violations == []
 
 
-def test_lemma_sweep_matches_the_per_instance_loop_on_violations(monkeypatch):
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_lemma_sweep_matches_the_per_instance_loop_on_violations(monkeypatch, chunk):
     # Violations in instances of different n exercise the padding of the
-    # chunk and its instance, probe and block order.
+    # chunk and its instance, probe and block order; a small chunk numbers
+    # the violations of later chunks from their offset.
     _inject_fault(monkeypatch, "cubic")
+    if chunk is not None:
+        monkeypatch.setattr(verify, "LEMMA_CHUNK", chunk)
     got = lemma_sweep(16, seed=2, slope_fraction=0.25)
     ref = _lemma_sweep_ref(16, 2, 0.25)
     assert (got.checked, got.skipped) == (ref.checked, ref.skipped)
