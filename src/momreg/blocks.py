@@ -28,12 +28,13 @@ that the verifiers rely on; the solver's faster path through per-block
 statistics lives in ``_kernels``.
 
 ``block_increments`` and ``multiplier_components`` take a whole (k, d)
-stack of thetas against one h and return (k, n) arrays from one stacked
-residual pass, ``_residual_pass``, which ``verify`` calls for both at once:
-``np.matmul(X, thetas[:, :, None])`` runs one matrix-vector product per
-theta, so every row is bitwise the single-theta ``X @ theta`` and every
-(k, n) row equals the one-theta statistic.  ``block_increment`` and
-``multiplier_component`` are their one-row cases.
+stack of thetas against one h and return (k, n) arrays from the block sums
+of ``_residual_sums``, one stacked residual pass, which ``verify``'s lemma
+check also calls, once per instance with its increments and multipliers
+at once: ``np.matmul(X, thetas[:, :, None])`` runs one matrix-vector
+product per theta, so every row is bitwise the single-theta ``X @ theta``
+and every (k, n) row equals the one-theta statistic.  ``block_increment``
+and ``multiplier_component`` are their one-row cases.
 """
 from __future__ import annotations
 
@@ -101,65 +102,59 @@ def quad_component(
     return BlockVector(block_means(np.square(X @ (f.theta - h.theta)), p.n, p.m))
 
 
-def _stacked_arrays(thetas, h: LinearPredictor, data: Dataset, p: BlockPartition):
+def _residual_sums(X, y, stack, k: int, out, noisy: bool = False) -> None:
+    """Write to out, an (s, n) array, the n block sums of each row of a
+    residual pass over the covered rows X, y of the (s, d) stack [k
+    increment thetas, h, offsets from h]: the squared residuals of the
+    first k + 1 rows, then the offsets' products with h's residual.  With
+    noisy, y holds the noise and the responses are h's own product plus it.
+    The caller takes the means (``block_means`` divides the sums by m)."""
+    z = np.matmul(X, stack[:, :, None])[:, :, 0]  # each row bitwise X @ theta
+    if noisy:
+        y = z[k] + y
+    z[: k + 1] -= y
+    z[k + 1 :] *= z[k]
+    np.square(z[: k + 1], out=z[: k + 1])
+    np.add.reduce(z.reshape(z.shape[0], out.shape[-1], -1), axis=-1, out=out)
+
+
+def _block_statistics(thetas, h: LinearPredictor, data: Dataset, p: BlockPartition,
+                      multipliers: bool) -> np.ndarray:
+    """Block increments against h, or multiplier components, of each row of
+    a (k, d) stack of thetas, one ``_residual_sums`` call (with h's row) per
+    ``row_slices`` slice: shape (k, n)."""
     thetas = np.ascontiguousarray(thetas, dtype=np.float64)
     if thetas.ndim != 2:
         raise DimensionError("thetas must be a (k, d) stack of coefficient vectors")
-    return (thetas, *_used_arrays(thetas.shape[1], h, data, p))
-
-
-def _stacked_products(X, thetas) -> np.ndarray:
-    # One matrix-vector product per theta: each row is bitwise X @ theta.
-    return np.matmul(X, thetas[:, :, None])[:, :, 0]
-
-
-def _residual_pass(X, y, h_theta, inc_thetas, mult_thetas, n: int, m: int):
-    """Block increments against h of the rows of inc_thetas and multipliers
-    of the rows of mult_thetas, (k, n) and (l, n), from one stacked residual
-    pass over the covered rows X, y of [inc_thetas, h, mult_thetas - h]:
-    h's residual comes from its own row.  A stack within one ``row_slices``
-    slice, as every lemma instance's is, has its block means as the output.
-    Only the output is checked; h's row is split out only when the check of
-    every row fails."""
-    k = inc_thetas.shape[0]
-    stack = np.concatenate([inc_thetas, h_theta[None], mult_thetas - h_theta])
-    means = []
-    for rows in row_slices(stack.shape[0], n * m):
-        z = _stacked_products(X, stack[rows])
-        mid = min(max(k + 1 - rows.start, 0), z.shape[0])  # the first multiplier row
-        z[:mid] -= y
-        if rows.start <= k < rows.stop:
-            resid_h = z[k - rows.start]
-            if rows.stop < stack.shape[0]:  # later slices read it after the squares
-                resid_h = resid_h.copy()
-        if mid < z.shape[0]:
-            z[mid:] *= resid_h
-        np.square(z[:mid], out=z[:mid])
-        means.append(block_means(z, n, m))
-        means[-1][mid:] *= 2.0
-    stats = means[0] if len(means) == 1 else np.concatenate(means)
-    stats[:k] -= stats[k]
-    if not np.isfinite(stats).all() and not (
-        np.isfinite(stats[:k]).all() and np.isfinite(stats[k + 1 :]).all()
-    ):
+    X, y = _used_arrays(thetas.shape[1], h, data, p)
+    stats = np.empty((thetas.shape[0], p.n))
+    for rows in row_slices(thetas.shape[0], p.n * p.m):
+        part = thetas[rows]
+        if multipliers:
+            stack, k = np.concatenate([h.theta[None], part - h.theta]), 0
+        else:
+            stack, k = np.concatenate([part, h.theta[None]]), part.shape[0]
+        sums = np.empty((stack.shape[0], p.n))
+        _residual_sums(X, y, stack, k, sums)
+        sums /= p.m
+        stats[rows] = sums[1:] * 2.0 if multipliers else sums[:-1] - sums[-1]
+    if not np.isfinite(stats).all():
         raise InvalidInput("block statistics must be finite")
-    return stats[:k], stats[k + 1 :]
+    return stats
 
 
 def block_increments(thetas, h: LinearPredictor, data: Dataset, p: BlockPartition) -> np.ndarray:
     """Blockwise squared-loss difference of each row of a (k, d) stack of
-    thetas and h, from the losses of ``_residual_pass``: shape (k, n)."""
-    thetas, X, y = _stacked_arrays(thetas, h, data, p)
-    return _residual_pass(X, y, h.theta, thetas, thetas[:0], p.n, p.m)[0]
+    thetas and h, from the losses directly: shape (k, n)."""
+    return _block_statistics(thetas, h, data, p, multipliers=False)
 
 
 def multiplier_components(
     thetas, h: LinearPredictor, data: Dataset, p: BlockPartition
 ) -> np.ndarray:
     """Blockwise mean of 2 (theta - h)(X_i) (h(X_i) - Y_i) for each row of a
-    (k, d) stack of thetas, from ``_residual_pass``: shape (k, n)."""
-    thetas, X, y = _stacked_arrays(thetas, h, data, p)
-    return _residual_pass(X, y, h.theta, thetas[:0], thetas, p.n, p.m)[1]
+    (k, d) stack of thetas: shape (k, n)."""
+    return _block_statistics(thetas, h, data, p, multipliers=True)
 
 
 def multiplier_component(

@@ -35,6 +35,7 @@ from __future__ import annotations
 import argparse
 import copy
 import errno
+import functools
 import json
 import os
 import sys
@@ -734,6 +735,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built on first use, not at import, and kept for the process: a build
+    # costs about 20 parses, and parse_args leaves the parser as it was.
+    return build_parser()
+
+
 _RUNNERS = {
     "fit": run_fit,
     "simulate": run_simulate,
@@ -757,7 +765,7 @@ def _load_config(path: str) -> dict:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     overrides = {key: getattr(args, key) for key in _FLAGS}
     started = time.time()
     try:

@@ -10,8 +10,10 @@ any violation beyond float roundoff indicates an arithmetic bug.
 
 ``lemma_sweep`` checks the lemma implications on randomized instances,
 drawn a chunk at a time by ``_draw_lemma_instances``, whose docstring
-states the draws that ``momreg verify`` reports depend on; each drawn
-chunk is checked as a whole, before the next one is drawn.
+states the draws that ``momreg verify`` reports depend on.
+``_check_chunk`` checks each drawn chunk whole, as arrays padded to fixed
+slots per instance, before the next one is drawn; ``lemma_reg_check`` is
+its one-instance case.
 """
 from __future__ import annotations
 
@@ -23,9 +25,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocks import (
-    _residual_pass, _used_arrays, block_increments, middle, multiplier_components,
-)
+from . import blocks
+from .blocks import _used_arrays, block_increments, middle, multiplier_components
 from .errors import (
     ConfigError,
     DimensionError,
@@ -393,85 +394,107 @@ def _check_blocks(report, instance, probe, code, n, hypothesis, lhs, rhs) -> Non
         report.checked[name] += int(counts[code == j].sum())
         report.skipped[name] += int((n - counts)[code == j].sum())
     # lhs < rhs - slack implies lhs < rhs, so pairs with lhs >= rhs pass.
-    rows, blocks = np.nonzero(hypothesis & (lhs < rhs[:, None]))
-    lhs, rhs = lhs[rows, blocks], rhs[rows]
+    rows, cols = np.nonzero(hypothesis & (lhs < rhs[:, None]))
+    lhs, rhs = lhs[rows, cols], rhs[rows]
     slack = _FLOAT_SLACK * np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     for i in np.flatnonzero(lhs < rhs - slack).tolist():
         row = rows[i]
-        report.violations.append(LemmaViolation(int(probe[row]), int(blocks[i]),
+        report.violations.append(LemmaViolation(int(probe[row]), int(cols[i]),
             _CONCLUSIONS[code[row]], lhs[i], float(rhs[i]), int(instance[row])))
 
 
-# One lemma instance as arrays: f*'s theta, the regularizer, the design, the
-# condition parameters, lam, the partition's (n, m), the n*m covered rows X
-# and y, the (u, d) stack of the thetas its probes use (rows may repeat) and
-# the (4, k) probes: per probe its row in that stack, regime code (into
-# _REGIMES), alpha and expected multiplier.
-_LemmaInstance = collections.namedtuple("_LemmaInstance", "f_star reg design params lam n m "
-                                        "X y thetas probes")
+# A chunk of c lemma instances as arrays, each padded to the chunk's widest:
+# f*'s (c, D) thetas; the (c, u, D) stack of the thetas its probes use (rows
+# may repeat); the (4, c, k) probe table, per probe its row in that stack,
+# regime code (into _REGIMES, -1 for no probe), alpha and expected
+# multiplier; each instance's regularizer and design; the (5, c) gamma1,
+# gamma2, r, rho and lam; n, m and d; the instances' (n m, d) designs X,
+# raveled one after another, and their responses y one after another, or
+# with noisy their noise, the responses being X f* + noise.
+_LemmaChunk = collections.namedtuple("_LemmaChunk", "f_star thetas probes regs designs params "
+                                     "n m d X y noisy")
 
 
-def _instance_terms(inst: _LemmaInstance):
-    """The per-instance stage of _check_probes: scalars, the probes, the
-    thetas' squared distances, one psi call on [f*, thetas, offsets, f's],
-    the f's being f* + alpha (h - f*) of the scaled probes, and one residual
-    pass (increments of the thetas and of the f's on the psi-sphere,
-    multipliers of the thetas)."""
-    thetas, probes, p, u = inst.thetas, inst.probes, inst.params, inst.thetas.shape[0]
-    deltas, scaled = thetas - inst.f_star, probes[:, probes[1] == 2]  # the scaled probes' columns
-    at = scaled[0].astype(np.intp)
-    with np.errstate(over="ignore", invalid="ignore"):
-        f_scaled = inst.f_star + scaled[2, :, None] * deltas[at]
-    norms = psi_batch(inst.reg, np.concatenate([inst.f_star[None], thetas, deltas, f_scaled]))
-    f_scaled = f_scaled[np.abs(norms[u + 1 + at] - p.rho) <= _SPHERE_RTOL * p.rho]
-    if not np.isfinite(f_scaled).all():
-        raise InvalidInput("coefficients must be finite")
-    stats = _residual_pass(
-        inst.X, inst.y, inst.f_star, np.concatenate([thetas, f_scaled]), thetas, inst.n, inst.m
-    )
-    scalars = (p.gamma1, p.gamma2, p.r, p.rho, inst.lam, inst.n, u)
-    return scalars, probes, population_sq_norms(deltas, inst.design), norms, *stats
+def _check_chunk(report, first: int, chunk: _LemmaChunk) -> None:
+    """Add to report the check of every probe of a chunk, its instances
+    numbered from first.
 
-
-def _check_probes(report, first: int, chunk) -> None:
-    """Add to report the check of every probe of a chunk of _instance_terms
-    at once, its instances numbered from first, in about eight (probes,
-    blocks) arrays."""
-    scalars, probes, q, norms, incs, mults = zip(*chunk)
-    k = np.array([x.shape[1] for x in probes])
-    inst = np.repeat(np.arange(k.size), k)
-
-    def starts(sizes):  # per probe, where its instance's part of a concatenation starts
-        return (np.cumsum(sizes) - sizes)[inst]
-
-    head = starts(k)
-
-    def ordinal(mask):  # per probe, how many probes of its instance before it are in mask
-        before = np.cumsum(mask) - mask
-        return before - before[head]
-
-    g1, g2, r, rho, lam, n, u = np.array(scalars)[inst].T
-    rows, regime, alpha, em = np.concatenate(probes, axis=1)
-    rows, regime, n, u = (x.astype(np.intp) for x in (rows, regime, n, u))
-    q = np.concatenate(q)[starts([x.size for x in q]) + rows]
-    dist = np.sqrt(np.where(q < 0.0, 0.0, q))
-    at = starts([x.size for x in norms])
-    norms = np.concatenate([*norms, [math.nan]])
-    psi_star, psi_h, psi_delta = norms[at], norms[at + 1 + rows], norms[at + 1 + u + rows]
-    on_sphere = np.abs(psi_delta - rho) <= _SPHERE_RTOL * rho
+    An instance's statistics sit in fixed slots: its u thetas, the f's
+    f* + alpha (h - f*) of its scaled probes in probe order, h = f* and the
+    thetas' offsets from f*.  psi and the squared distances are taken once
+    per group of instances that share a regularizer and a design, on 2-d
+    stacks as ``psi_batch`` is.  Each instance then makes one residual pass
+    over the slots in use (an f only on the psi-sphere) into one
+    (instances, slots, blocks) array, nan past its n blocks."""
+    c, u = chunk.thetas.shape[:2]
+    inst, probe = np.nonzero(chunk.probes[1] >= 0)  # the probes, in instance then probe order
+    row, regime, alpha, em = chunk.probes[:, inst, probe]
+    row, regime = row.astype(np.intp), regime.astype(np.intp)
     scaled = regime == 2
+    # Each scaled probe's f sits in the slot of its ordinal among its
+    # instance's scaled probes; an unused slot's f is f*.
+    ordinal = np.cumsum(chunk.probes[1] == 2, axis=1)[inst, probe] - 1
+    f_count = int(ordinal.max(initial=-1)) + 1
+    f_rows, f_alpha = np.zeros((c, f_count), np.intp), np.zeros((c, f_count))
+    f_valid = np.zeros((c, f_count), bool)
+    at = inst[scaled], ordinal[scaled]
+    f_rows[at], f_alpha[at], f_valid[at] = row[scaled], alpha[scaled], True
+    f_star = chunk.f_star[:, None]
+    deltas = chunk.thetas - f_star
+    each = np.arange(c)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        fs = f_star + f_alpha[:, :, None] * deltas[each, f_rows]
+    H = u + f_count  # h's slot; the offsets follow it
+    slots = np.concatenate([chunk.thetas, fs, f_star, deltas], axis=1)
+    norms, q = np.empty(slots.shape[:2]), np.empty((c, u))
+    groups = collections.defaultdict(list)
+    for i, key in enumerate(zip(map(id, chunk.regs), map(id, chunk.designs))):
+        groups[key].append(i)
+    for idx in groups.values():
+        d, design = int(chunk.d[idx[0]]), chunk.designs[idx[0]]
+        part = slots[idx, :, :d]
+        norms[idx] = psi_batch(chunk.regs[idx[0]], part.reshape(-1, d)).reshape(len(idx), -1)
+        q[idx] = population_sq_norms(part[:, H + 1 :].reshape(-1, d), design).reshape(len(idx), u)
+
+    rho_c = chunk.params[3, :, None]  # per instance; per probe below
+    on_sphere = np.abs(norms[:, H + 1 :] - rho_c) <= _SPHERE_RTOL * rho_c  # per stacked theta
+    f_use = f_valid & on_sphere[each, f_rows]
+    if not np.isfinite(fs[f_use]).all():
+        raise InvalidInput("coefficients must be finite")
+    t_use = np.zeros((c, u), bool)
+    t_use[inst, row] = True
+    use = np.concatenate([t_use, f_use, np.ones((c, 1), bool), t_use], axis=1)
+    stack, sizes = slots[use], use.sum(axis=1)
+    sums = np.full((stack.shape[0], chunk.n.max()), math.nan)
+    lo = x_at = y_at = 0
+    for size, k, n, m, d in zip(sizes.tolist(), (sizes - 1 - t_use.sum(axis=1)).tolist(),
+                                chunk.n.tolist(), chunk.m.tolist(), chunk.d.tolist()):
+        N = n * m
+        blocks._residual_sums(chunk.X[x_at : x_at + N * d].reshape(N, d), chunk.y[y_at : y_at + N],
+                              stack[lo : lo + size, :d], k, sums[lo : lo + size, :n], chunk.noisy)
+        lo, x_at, y_at = lo + size, x_at + N * d, y_at + N
+    stats = np.full((*use.shape, sums.shape[1]), math.nan)
+    stats[use] = sums
+    stats /= chunk.m[:, None, None]
+    stats[:, H + 1 :] *= 2.0
+    stats[:, :H] -= stats[:, H, None]
+    checked = use[:, :, None] & (np.arange(sums.shape[1]) < chunk.n[:, None, None])
+    checked[:, H] = False
+    if not np.isfinite(stats[checked]).all():
+        raise InvalidInput("block statistics must be finite")
+
+    g1, g2, r, rho, lam = chunk.params[:, inst]
+    n, q = chunk.n[inst], q[inst, row]
+    dist = np.sqrt(np.where(q < 0.0, 0.0, q))
+    psi_star, psi_h, psi_delta = norms[inst, H], norms[inst, row], norms[inst, H + 1 + row]
+    on_sphere = on_sphere[inst, row]
     at_f = scaled & on_sphere
     # The left side at f for the scaled probes on the psi-sphere, else at h;
     # b_h, m_h and the left side's increment per (probe, block), nan past n.
-    psi_lhs = np.where(at_f, norms[at + 1 + 2 * u + ordinal(scaled)], psi_h)
-    inc_at = starts([x.size for x in incs])
-    mult_at = sum(x.size for x in incs) + starts([x.size for x in mults])
-    lhs_rows = np.where(at_f, u + ordinal(at_f), rows)
-    blocks = np.arange(n.max())
-    index = np.array([inc_at + rows * n, mult_at + rows * n, inc_at + lhs_rows * n])
-    index = index[:, :, None] + blocks
-    index[:, blocks >= n[:, None]] = -1
-    b_h, m_h, lhs = np.concatenate([x.ravel() for x in incs + mults] + [[math.nan]])[index]
+    f_slot = u + ordinal
+    psi_lhs = np.where(at_f, norms[inst, f_slot], psi_h)
+    b_h, m_h = stats[inst, row], stats[inst, H + 1 + row]
+    lhs = stats[inst, np.where(at_f, f_slot, row)]
 
     # Per probe: its conclusion (code into _CONCLUSIONS), the gates of its
     # regime, far or near block hypothesis and right side.  A block meets
@@ -492,7 +515,7 @@ def _check_probes(report, first: int, chunk) -> None:
     near_hi = np.where(gate & ~far, g2 * r2, math.nan)
     lhs += (lam * (psi_lhs - psi_star))[:, None]
     hypothesis = (b_h >= far_lo[:, None]) | (np.abs(m_h - em[:, None]) <= near_hi[:, None])
-    _check_blocks(report, first + inst, np.arange(inst.size) - head, code, n, hypothesis, lhs, rhs)
+    _check_blocks(report, first + inst, probe, code, n, hypothesis, lhs, rhs)
 
 
 def lemma_reg_check(
@@ -516,9 +539,10 @@ def lemma_reg_check(
                     (near branch): super-linear growth.
 
     lam must lie in the admissible window and the probe thetas form a finite
-    (k, d) stack; the check is ``_check_probes`` on this instance, with one
-    row per distinct (by bytes) theta.  Violations beyond float roundoff
-    indicate an arithmetic bug.
+    (k, d) stack; the check is ``_check_chunk`` on a one-instance chunk
+    whose slots are this instance's distinct (by bytes) thetas and its
+    scaled probes.  Violations beyond float roundoff indicate an
+    arithmetic bug.
     """
     lo, hi = lambda_window(params)
     if not (lo <= lam <= hi):
@@ -532,12 +556,14 @@ def lemma_reg_check(
     seen = {}
     rows = [seen.setdefault(theta.tobytes(), (len(seen), theta))[0] for theta in thetas]
     X, y = _used_arrays(f_star.dim, f_star, data, p)
-    _check_probes(report, 0, [_instance_terms(_LemmaInstance(
-        f_star.theta, reg, design, params, lam, p.n, p.m, X, y,
-        np.array([theta for _, theta in seen.values()]),
-        np.array([rows, [_REGIME_CODES[pr.regime] for pr in probes],
-                  [pr.alpha for pr in probes], [pr.expected_multiplier for pr in probes]]),
-    ))])
+    table = [rows, [_REGIME_CODES[pr.regime] for pr in probes], [pr.alpha for pr in probes],
+             [pr.expected_multiplier for pr in probes]]
+    _check_chunk(report, 0, _LemmaChunk(
+        f_star.theta[None], np.array([theta for _, theta in seen.values()])[None],
+        np.array(table)[:, None], [reg], [design],
+        np.array([[params.gamma1], [params.gamma2], [params.r], [params.rho], [lam]]),
+        np.array([p.n]), np.array([p.m]), np.array([f_star.dim]), X.ravel(), y, False,
+    ))
     return report
 
 
@@ -699,14 +725,17 @@ _SIGNS = np.array([-1.0, 1.0])
 _BLOCK_COUNTS = np.array([5, 7, 9, 11])
 _L1 = Regularizer.l1()
 
-# The probes of an instance without and with a near probe, as the probes of
-# a _LemmaInstance whose thetas are the two far one-hot probes, the scaled
-# far one-hot probe and, with a near probe, the near probe.
-_PROBES = (
-    _frozen_array([[0, 1, 2, 2, 2], [0, 0, 2, 2, 2], [1, 1, 2, 4, 8], [0] * 5]),
-    _frozen_array([[0, 1, 3, 3, 3, 3, 2, 2, 2], [0, 0, 1, 2, 2, 2, 2, 2, 2],
-                   [1, 1, 1, 2, 4, 8, 2, 4, 8], [0] * 9]),
-)
+# The probe table of an instance without and with a near probe, whose
+# thetas are the two far one-hot probes, the scaled far one-hot probe and
+# the near probe (unused without one): per probe its row, regime code (-1
+# pads the shorter table), alpha and expected multiplier.  The near probe's
+# scaled probes come before the far one's.
+_PROBES = _frozen_array([
+    [[0, 1, 2, 2, 2, 0, 0, 0, 0], [0, 1, 3, 3, 3, 3, 2, 2, 2]],
+    [[0, 0, 2, 2, 2, -1, -1, -1, -1], [0, 0, 1, 2, 2, 2, 2, 2, 2]],
+    [[1, 1, 2, 4, 8, 1, 1, 1, 1], [1, 1, 1, 2, 4, 8, 2, 4, 8]],
+    np.zeros((2, 9)),
+])
 
 
 # DesignSpec and Regularizer are immutable, so one per dimension (8 to 24)
@@ -721,9 +750,9 @@ def _slope_regularizer(d: int) -> Regularizer:
     return Regularizer.slope(d=d)
 
 
-def _draw_lemma_instances(rng, count: int, slope_fraction: float) -> list[_LemmaInstance]:
+def _draw_lemma_instances(rng, count: int, slope_fraction: float) -> _LemmaChunk:
     """A chunk of `count` randomized lemma instances (dataset, parameters and
-    probe battery), as arrays, drawn from rng.
+    probe battery), as the arrays of a ``_LemmaChunk``, drawn from rng.
 
     Probes are constructed so the hypothesis gates mostly pass: far probes
     sit on one coordinate (psi-sphere touching the far regime), near probes
@@ -769,8 +798,8 @@ def _draw_lemma_instances(rng, count: int, slope_fraction: float) -> list[_Lemma
     s = rng.integers(1, 4, count)
     values = rng.uniform(0.5, 2.0, (count, 3)) * _SIGNS[rng.integers(0, 2, (count, 3))]
     slope = rng.random(count) < slope_fraction
-    w1 = np.array([_slope_regularizer(k).weights[0] if on else 1.0
-                   for k, on in zip(d.tolist(), slope.tolist())])
+    regs = [_slope_regularizer(k) if on else _L1 for k, on in zip(d.tolist(), slope.tolist())]
+    w1 = np.array([reg.weights[0] if on else 1.0 for reg, on in zip(regs, slope.tolist())])
     gamma1 = rng.uniform(0.4, 0.9, count)
     gamma2 = rng.uniform(0.2, 1.0, count) * gamma1 / 6.0
     r = rng.uniform(0.3, 1.0, count)
@@ -803,51 +832,47 @@ def _draw_lemma_instances(rng, count: int, slope_fraction: float) -> list[_Lemma
                             (rho / k)[:, None], f_star)
     thetas[np.arange(count)[:, None], [0, 1, 2], far] = far_values
 
-    out, at, first = [], 0, 0
-    for i, (di, ni, mi, reg_slope, near_i) in enumerate(
-        zip(d.tolist(), n.tolist(), m.tolist(), slope.tolist(), near.tolist())
-    ):
-        N = ni * mi
-        X = Z[at : at + N * di].reshape(N, di)
-        f = f_star[i, :di]
-        out.append(_LemmaInstance(
-            f, _slope_regularizer(di) if reg_slope else _L1, _identity_design(di),
-            ConditionParams(float(gamma1[i]), float(gamma2[i]), float(r[i]), float(rho[i])),
-            float(lam[i]), ni, mi, X, X @ f + noise[first : first + N],
-            thetas[i, : 3 + near_i, :di], _PROBES[near_i],
-        ))
-        at, first = at + N * di, first + N
-    return out
+    return _LemmaChunk(
+        f_star, thetas, _PROBES[:, near.astype(np.intp)], regs,
+        [_identity_design(k) for k in d.tolist()], np.array([gamma1, gamma2, r, rho, lam]),
+        n, m, d, Z, noise, True,
+    )
 
 
-def _check_args(inst: _LemmaInstance) -> tuple:
-    """A lemma instance as the arguments of ``lemma_reg_check``."""
-    rows, codes, alphas, expected = inst.probes.tolist()
+def _check_args(chunk: _LemmaChunk, i: int) -> tuple:
+    """Instance i of a chunk as the arguments of ``lemma_reg_check``."""
+    d, n, m = int(chunk.d[i]), int(chunk.n[i]), int(chunk.m[i])
+    sizes = chunk.n[:i] * chunk.m[:i]
+    at, first, N = int(sizes @ chunk.d[:i]), int(sizes.sum()), n * m
+    X, y = chunk.X[at : at + N * d].reshape(N, d), chunk.y[first : first + N]
+    f_star = chunk.f_star[i, :d]
     return (
-        [LemmaProbe(inst.thetas[int(row)], _REGIMES[int(code)], alpha, em)
-         for row, code, alpha, em in zip(rows, codes, alphas, expected)],
-        LinearPredictor(inst.f_star), Dataset(inst.X, inst.y), BlockPartition(inst.n, inst.m),
-        inst.params, inst.lam, inst.reg, inst.design,
+        [LemmaProbe(chunk.thetas[i, int(row), :d], _REGIMES[int(code)], alpha, em)
+         for row, code, alpha, em in zip(*chunk.probes[:, i].tolist()) if code >= 0],
+        LinearPredictor(f_star), Dataset(X, X @ f_star + y if chunk.noisy else y),
+        BlockPartition(n, m), ConditionParams(*chunk.params[:4, i].tolist()),
+        float(chunk.params[4, i]), chunk.regs[i], chunk.designs[i],
     )
 
 
 def random_lemma_instance(rng, slope_fraction: float = 0.25):
     """The instance of a one-instance chunk of ``_draw_lemma_instances``, as
     the arguments of ``lemma_reg_check``."""
-    return _check_args(*_draw_lemma_instances(rng, 1, slope_fraction))
+    return _check_args(_draw_lemma_instances(rng, 1, slope_fraction), 0)
 
 
 def lemma_sweep(count: int, seed: int = 0, slope_fraction: float = 0.25) -> LemmaCheckReport:
     """The lemma check of `count` instances, numbered from 0, drawn from one
     ``default_rng(seed)`` stream by ``_draw_lemma_instances`` in chunks of
-    ``LEMMA_CHUNK`` (the last one shorter), one ``_check_probes`` call per
-    chunk; its docstring states the draws, which are part of the ``momreg
+    ``LEMMA_CHUNK`` (the last one shorter), one ``_check_chunk`` call per
+    chunk, the path ``lemma_reg_check`` takes for its one instance; the
+    drawer's docstring states the draws, which are part of the ``momreg
     verify`` report contract."""
     rng = np.random.default_rng(seed)
     report = LemmaCheckReport()
     for start in range(0, count, LEMMA_CHUNK):
-        # the chunk's instances are gone once its terms are built, before
-        # the next chunk is drawn
-        _check_probes(report, start, [_instance_terms(inst) for inst in _draw_lemma_instances(
-            rng, min(LEMMA_CHUNK, count - start), slope_fraction)])
+        # no name holds the chunk, so it is released once checked, before
+        # the next one is drawn
+        _check_chunk(report, start, _draw_lemma_instances(
+            rng, min(LEMMA_CHUNK, count - start), slope_fraction))
     return report

@@ -186,12 +186,24 @@ def _pass_instances(draw):
 
 @given(_pass_instances())
 @settings(max_examples=150, deadline=None)
-def test_residual_pass_is_both_wrappers(instance):
+def test_residual_sums_give_both_wrappers(instance):
     X, y, h, thetas, n, m, budget = instance
     data, p, hp = Dataset(X, y), BlockPartition(n, m), LinearPredictor(h)
+    k = thetas.shape[0]
     mult_thetas = thetas[::-1].copy()
+    stack = np.concatenate([thetas, h[None], mult_thetas - h])
+    sums = np.empty((2 * k + 1, n))
+    blocks._residual_sums(X, y, stack, k, sums)
+    # with noisy, the responses are h's own product plus the given noise,
+    # which has the bits of responses formed as X @ h + noise
+    noise = y[::-1].copy()
+    noisy_sums, ref_sums = np.empty_like(sums), np.empty_like(sums)
+    blocks._residual_sums(X, noise, stack, k, noisy_sums, noisy=True)
+    blocks._residual_sums(X, X @ h + noise, stack, k, ref_sums)
+    assert noisy_sums.tobytes() == ref_sums.tobytes()
+    sums /= m
+    incs, mults = sums[:k] - sums[k], sums[k + 1 :] * 2.0
     with unittest.mock.patch.object(blocks, "TEMP_ENTRIES", budget or blocks.TEMP_ENTRIES):
-        incs, mults = blocks._residual_pass(X, y, h, thetas, mult_thetas, n, m)
         assert incs.tobytes() == block_increments(thetas, hp, data, p).tobytes()
         assert mults.tobytes() == multiplier_components(mult_thetas, hp, data, p).tobytes()
         for theta, inc, mult in zip(thetas, incs, mults[::-1]):
@@ -199,7 +211,7 @@ def test_residual_pass_is_both_wrappers(instance):
             assert inc.tobytes() == ref_inc.tobytes() and mult.tobytes() == ref_mult.tobytes()
         # a loss that overflows fails the finiteness check of the output
         with pytest.raises(InvalidInput), np.errstate(over="ignore", invalid="ignore"):
-            blocks._residual_pass(X, y, h, 1e300 * np.ones((1, X.shape[1])), thetas, n, m)
+            block_increments(np.vstack([thetas, 1e300 * np.ones(X.shape[1])]), hp, data, p)
 
 
 @st.composite

@@ -29,8 +29,7 @@ from momreg import (
     load_dataset,
     make_partition,
 )
-from momreg import cli, verify
-from momreg.blocks import _residual_pass
+from momreg import blocks, cli
 from momreg.cli import (
     _RUNNERS,
     main,
@@ -331,12 +330,15 @@ class TestMainEntry:
         assert main(["verify", "--config", str(cfg_path)]) == 1
 
     def test_verify_violation_records_name_their_instance(self, monkeypatch):
-        # a constant fault in every block increment makes lemma violations
-        def faulty_pass(*args):
-            incs, mults = _residual_pass(*args)
-            return incs - 10.0, mults
+        # a constant fault in every block increment makes lemma violations:
+        # the residual routine's k increment rows lose 10 from each block mean
+        real_sums = blocks._residual_sums
 
-        monkeypatch.setattr(verify, "_residual_pass", faulty_pass)
+        def faulty_sums(X, y, stack, k, out, noisy=False):
+            real_sums(X, y, stack, k, out, noisy)
+            out[:k] -= 10.0 * (X.shape[0] // out.shape[-1])
+
+        monkeypatch.setattr(blocks, "_residual_sums", faulty_sums)
         cfg = resolve_config(_set_path(_D3_CONFIG, "verify", {
             "lemma_instances": 3, "delta_budget": 4, "negative_control": True
         }))

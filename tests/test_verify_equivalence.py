@@ -9,6 +9,7 @@ the same order of operations per block), so every comparison is exact.
 import dataclasses
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -37,7 +38,6 @@ from momreg import (
     psi,
 )
 from momreg import blocks, verify
-from momreg.blocks import block_increment
 from momreg.errors import ConfigError, ProbeOutOfRegime
 from momreg.model import population_l2_distance
 from momreg.objective import lambda_window
@@ -557,21 +557,18 @@ _FAULTS = {
 
 
 def _inject_fault(monkeypatch, fault):
-    """Lower the increments of verify's residual pass and of the reference's
-    one-theta blocks.block_increment by the same fault, on every row."""
-    def shift(f_theta, h_theta):
-        return _FAULTS[fault](float(np.linalg.norm(f_theta - h_theta)))
+    """Lower every increment row of the shared residual routine, which the
+    chunk check and the reference's blocks.block_increment both call, by the
+    fault of |f - h|: each of the k increment rows' block sums loses m times
+    it."""
+    real_sums = blocks._residual_sums
 
-    def faulty_pass(X, y, h_theta, inc_thetas, mult_thetas, n, m):
-        incs, mults = blocks._residual_pass(X, y, h_theta, inc_thetas, mult_thetas, n, m)
-        shifts = np.array([shift(theta, h_theta) for theta in inc_thetas])
-        return incs - shifts[:, None], mults
+    def faulty_sums(X, y, stack, k, out, noisy=False):
+        real_sums(X, y, stack, k, out, noisy)
+        shifts = [_FAULTS[fault](float(np.linalg.norm(theta - stack[k]))) for theta in stack[:k]]
+        out[:k] -= (X.shape[0] // out.shape[-1]) * np.array(shifts).reshape(k, 1)
 
-    def faulty_increment(f, h, data, p):
-        return blocks.BlockVector(block_increment(f, h, data, p).values - shift(f.theta, h.theta))
-
-    monkeypatch.setattr(verify, "_residual_pass", faulty_pass)
-    monkeypatch.setattr(blocks, "block_increment", faulty_increment)
+    monkeypatch.setattr(blocks, "_residual_sums", faulty_sums)
 
 
 # Slope instances carry no near probes, which the constant fault needs.
@@ -579,8 +576,8 @@ def _inject_fault(monkeypatch, fault):
     "fault, slope_fraction", [("cubic", 0.0), ("cubic", 1.0), ("constant", 0.0)]
 )
 def test_lemma_reg_check_matches_loop_on_violations(monkeypatch, slope_fraction, fault):
-    # the stacked path looks its residual pass up in verify, the reference
-    # its increments in blocks; both see the same fault on every row
+    # the chunk check and the reference both see the same fault on every
+    # increment row
     _inject_fault(monkeypatch, fault)
     rng = np.random.default_rng(3)
     conclusions = set()
@@ -648,16 +645,56 @@ def test_lemma_reg_check_runs_block_checks_for_each_distinct_probe():
         )
 
 
+def test_lemma_reg_check_matches_loop_on_a_dense_design_and_slope_weights():
+    # The sweep draws only identity designs and default slope weights; here
+    # a dense design, other weights, a repeated theta and a scaled probe off
+    # the psi-sphere at alpha 1e300, which must form no statistics.
+    d = 6
+    A = np.random.default_rng(2).standard_normal((d, d))
+    design = DesignSpec(A @ A.T + np.eye(d))
+    reg = Regularizer.slope(np.linspace(1.5, 1.0, d))
+    assert not np.array_equal(reg.weights, default_slope_weights(d))
+    f_star = LinearPredictor(np.r_[1.0, -0.5, np.zeros(d - 2)])
+    data = generate(165, d, f_star.theta, design, NoiseSpec("gaussian", 0.1), 4)
+    params = ConditionParams(gamma1=0.6, gamma2=0.05, r=0.8, rho=0.5)
+    lam = sum(lambda_window(params)) / 2
+
+    def on_sphere(u):
+        return f_star.theta + params.rho * u / psi(reg, u)
+
+    far = on_sphere(np.eye(d)[4])
+    near = on_sphere(np.r_[0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
+    off = f_star.theta + 0.5 * (far - f_star.theta)
+    probes = [
+        LemmaProbe(far, REGIME_FAR),
+        LemmaProbe(on_sphere(-np.eye(d)[4]), REGIME_FAR),
+        LemmaProbe(far, REGIME_FAR),
+        LemmaProbe(near, REGIME_SPHERE_NEAR),
+        LemmaProbe(far, REGIME_SCALED, alpha=2.0),
+        LemmaProbe(near, REGIME_SCALED, alpha=4.0),
+        LemmaProbe(off, REGIME_SCALED, alpha=1e300),
+    ]
+    instance = (probes, f_star, data, make_partition(165, 11), params, lam, reg, design)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lemma_reg_check(*instance)
+        ref = _lemma_reg_check_ref(*instance)
+    _assert_same_report(got, ref)
+    assert min(got.checked.values()) > 0
+    assert got.skipped["scaled_far"] >= 11  # the probe off the sphere
+
+
 def test_probe_statistics_once_per_distinct_theta(monkeypatch):
     # one residual pass per instance, with one row per distinct theta
     rows = {"block_increments": [], "multiplier_components": []}
+    real_sums = blocks._residual_sums
 
-    def counting(X, y, h_theta, inc_thetas, mult_thetas, n, m):
-        rows["block_increments"].append(len(inc_thetas))
-        rows["multiplier_components"].append(len(mult_thetas))
-        return blocks._residual_pass(X, y, h_theta, inc_thetas, mult_thetas, n, m)
+    def counting(X, y, stack, k, out, noisy=False):
+        rows["block_increments"].append(k)
+        rows["multiplier_components"].append(len(stack) - k - 1)
+        real_sums(X, y, stack, k, out, noisy)
 
-    monkeypatch.setattr(verify, "_residual_pass", counting)
+    monkeypatch.setattr(blocks, "_residual_sums", counting)
     rng = np.random.default_rng(5)
     for _ in range(20):
         probes, f_star, *rest = random_lemma_instance(rng, slope_fraction=0.5)
@@ -800,8 +837,14 @@ def _instance_key(instance):
 def _drawn(rng, count, slope_fraction):
     """The instances of one _draw_lemma_instances chunk, as the arguments of
     lemma_reg_check."""
-    return [verify._check_args(inst)
-            for inst in verify._draw_lemma_instances(rng, count, slope_fraction)]
+    chunk = verify._draw_lemma_instances(rng, count, slope_fraction)
+    return [verify._check_args(chunk, i) for i in range(count)]
+
+
+def _used_rows(chunk, i):
+    """The rows of instance i's stacked thetas that its probes use, per probe."""
+    rows, codes = chunk.probes[:2, i].astype(int)
+    return rows[codes >= 0]
 
 
 @pytest.mark.parametrize("slope_fraction", [0.0, 0.25, 1.0])
@@ -849,20 +892,19 @@ def test_lemma_sweep_numbers_the_instances_of_violations(monkeypatch):
 
 
 def _drawn_sweep(count, seed, slope_fraction):
-    """The instances of lemma_sweep(count, seed, slope_fraction), as drawn."""
+    """The chunks of lemma_sweep(count, seed, slope_fraction), as drawn."""
     rng = np.random.default_rng(seed)
     return [
-        inst for start in range(0, count, verify.LEMMA_CHUNK)
-        for inst in verify._draw_lemma_instances(
-            rng, min(verify.LEMMA_CHUNK, count - start), slope_fraction
-        )
+        verify._draw_lemma_instances(rng, min(verify.LEMMA_CHUNK, count - start), slope_fraction)
+        for start in range(0, count, verify.LEMMA_CHUNK)
     ]
 
 
 def _sweep_instances(count, seed, slope_fraction):
     """The instances of lemma_sweep(count, seed, slope_fraction), as the
     arguments of lemma_reg_check."""
-    return [verify._check_args(inst) for inst in _drawn_sweep(count, seed, slope_fraction)]
+    return [verify._check_args(chunk, i) for chunk in _drawn_sweep(count, seed, slope_fraction)
+            for i in range(len(chunk.n))]
 
 
 def _lemma_sweep_ref(count, seed, slope_fraction):
@@ -918,8 +960,11 @@ def test_lemma_sweep_matches_the_per_instance_loop_at_chunk_edges(count):
     assert (got.total_checked > 0) == (count > 0)
     # The sweep checks an instance's stacked thetas as drawn, repeats
     # included, and the reference checks each probe's theta on its own.
-    repeats = [len({row.tobytes() for row in inst.thetas}) < len(inst.thetas)
-               for inst in _drawn_sweep(count, 4, 0.25)]
+    repeats = []
+    for chunk in _drawn_sweep(count, 4, 0.25):
+        for i in range(len(chunk.n)):
+            used = set(_used_rows(chunk, i))
+            repeats.append(len({chunk.thetas[i, row].tobytes() for row in used}) < len(used))
     assert any(repeats) == (count >= _C - 1)
 
 
@@ -930,34 +975,36 @@ def test_lemma_sweep_matches_the_per_instance_loop_at_chunk_edges(count):
     slope_fraction=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
 )
 def test_draw_lemma_instances_meet_their_ranges(seed, count, slope_fraction):
-    rng = np.random.default_rng(seed)
-    for inst in verify._draw_lemma_instances(rng, count, slope_fraction):
-        d = inst.f_star.shape[0]
-        support = np.flatnonzero(inst.f_star)
+    chunk = verify._draw_lemma_instances(np.random.default_rng(seed), count, slope_fraction)
+    for i in range(count):
+        probes, f_star, data, p, params, lam, reg, design = verify._check_args(chunk, i)
+        d = f_star.dim
+        support = np.flatnonzero(f_star.theta)
         assert 8 <= d <= 24 and 1 <= support.size <= 3
-        assert inst.n in (5, 7, 9, 11) and 8 <= inst.m <= 30
-        lo, hi = lambda_window(inst.params)
-        assert lo <= inst.lam <= hi
-        p = inst.params
-        rows, codes = inst.probes[:2].astype(int)
-        regimes = [verify._REGIMES[code] for code in codes]
-        # every stacked theta is some probe's, and a near probe adds one
-        assert sorted(set(rows)) == list(range(len(inst.thetas)))
-        assert len(inst.thetas) == (4 if REGIME_SPHERE_NEAR in regimes else 3)
-        for theta, regime in zip(inst.thetas[rows], regimes):
-            offset = theta - inst.f_star
-            assert psi(inst.reg, offset) == pytest.approx(p.rho, rel=1e-12, abs=0.0)
-            dist = population_l2_distance(LinearPredictor(theta), LinearPredictor(inst.f_star),
-                                          inst.design)
+        assert p.n in (5, 7, 9, 11) and 8 <= p.m <= 30
+        lo, hi = lambda_window(params)
+        assert lo <= lam <= hi
+        rows = _used_rows(chunk, i)
+        regimes = [pr.regime for pr in probes]
+        # each probe's theta is a stacked one, and the probes use rows 0-2,
+        # with a near probe row 3 as well
+        assert [pr.theta.tobytes() for pr in probes] == [
+            chunk.thetas[i, row, :d].tobytes() for row in rows
+        ]
+        assert sorted(set(rows)) == list(range(4 if REGIME_SPHERE_NEAR in regimes else 3))
+        for probe in probes:
+            offset = probe.theta - f_star.theta
+            assert psi(reg, offset) == pytest.approx(params.rho, rel=1e-12, abs=0.0)
+            dist = population_l2_distance(LinearPredictor(probe.theta), f_star, design)
             moved = np.flatnonzero(offset)
             if moved.size == 1:  # a far probe, or a scaled one on the far branch
-                assert dist >= p.r
+                assert dist >= params.r
             else:  # a near probe, or a scaled one on the near branch
-                assert inst.reg.kind == "l1" and regime != REGIME_FAR
+                assert reg.kind == "l1" and probe.regime != REGIME_FAR
                 assert (offset[moved] > 0.0).all() and not np.isin(moved, support).any()
-                assert dist < p.r
-        assert inst.X.shape == (inst.n * inst.m, d) and inst.y.shape == (inst.n * inst.m,)
-        assert np.isfinite(inst.X).all() and np.isfinite(inst.y).all()
+                assert dist < params.r
+        assert data.features.shape == (p.n * p.m, d) and data.responses.shape == (p.n * p.m,)
+        assert np.isfinite(data.features).all() and np.isfinite(data.responses).all()
 
 
 def test_lemma_sweep_memory_does_not_grow_with_the_count():
