@@ -612,7 +612,7 @@ def run_verify(cfg: dict) -> dict:
         reg = Regularizer.l1()
     delta = estimate_delta(
         reg, f_star, params.rho, params.r, design,
-        budget=int(vcfg["delta_budget"]), seed=cfg["seed"],
+        budget=int(vcfg["delta_budget"]), seed=_trial_seed(cfg["seed"], 0, 6),
     )
     try:
         window = list(lambda_window(params))

@@ -13,7 +13,8 @@ drawn a chunk at a time by ``_draw_lemma_instances``, whose docstring
 states the draws that ``momreg verify`` reports depend on.
 ``_check_chunk`` checks each drawn chunk whole, as arrays padded to fixed
 slots per instance, before the next one is drawn; ``lemma_reg_check`` is
-its one-instance case.
+its one-instance case.  ``estimate_delta``'s docstring states the draws of
+the Delta estimate, which that report also depends on.
 """
 from __future__ import annotations
 
@@ -621,97 +622,95 @@ class DeltaEstimate(_Record):
     r: float
 
 
-def _psi_unit(reg: Regularizer, u: np.ndarray) -> np.ndarray | None:
-    scale = psi(reg, u)
-    if scale <= 0.0:
-        return None
-    return u / scale
+def _psi_rows(reg: Regularizer, u: np.ndarray, radii) -> np.ndarray:
+    """radius_i u_i / psi(u_i) for each row u_i of u that is not all zero
+    (psi(u_i) > 0), in order; radii is one radius per row or one for all."""
+    norms = psi_batch(reg, u)
+    keep = norms > 0.0
+    return np.broadcast_to(radii, norms.shape)[keep, None] * (u[keep] / norms[keep, None])
 
 
-def _delta_directions(d: int, budget: int, rng) -> np.ndarray:
-    """The (2d + budget, d) directions of estimate_delta: e_k and then -e_k
-    for each coordinate k, then budget random sparse directions, each
-    standard normal on a support of uniform size drawn by ``rng.choice``; a
-    draw that is all zero is not kept."""
-    dirs = np.zeros((2 * d + budget, d))
-    eye = np.eye(d)
-    dirs[0 : 2 * d : 2] = eye
-    dirs[1 : 2 * d : 2] = -eye
-    k = 2 * d
-    while k < dirs.shape[0]:
-        sparsity = int(rng.integers(1, d + 1))
-        support = rng.choice(d, size=sparsity, replace=False)
-        z = rng.standard_normal(sparsity)
-        if z.any():
-            dirs[k, support] = z
-            k += 1
-    return dirs
+def estimate_delta(reg: Regularizer, f_star: LinearPredictor, rho: float, r: float,
+                   design: DesignSpec, budget: int = 200, seed=0, n_centers: int = 8,
+                   n_norming: int = 24) -> DeltaEstimate:
+    """Sample the inf-inf-sup separation estimate around f_star: the least,
+    over centers f and feasible steps h - f, of the greatest z(h - f) over
+    the norming functionals z of the v of f.
 
+    The draws are the ``momreg verify`` report contract.  Each is one call
+    of the Generator ``np.random.default_rng(seed)``, in this order, with
+    c = n_centers - 1, b = budget and d = design.dim:
 
-def estimate_delta(
-    reg: Regularizer,
-    f_star: LinearPredictor,
-    rho: float,
-    r: float,
-    design: DesignSpec,
-    budget: int = 200,
-    seed: int = 0,
-    n_centers: int = 8,
-    n_norming: int = 24,
-) -> DeltaEstimate:
-    """Sample the inf-inf-sup separation estimate around f_star.
+    1. center directions standard_normal((c, d)), then their radii
+       uniform(0.0, 1.0, c): the centers are f* and f* + (rho / 40) radius
+       u / psi(u) for each direction u;
+    2. sparsities integers(1, d + 1, b); supports, row i's the first
+       sparsity_i entries of the argsort (stable) of row i of random((b,
+       d)); values standard_normal((b, d)), of which direction i keeps those
+       on its support.  The steps are rho u / psi(u) for the directions u:
+       e_k, then -e_k, for each coordinate k, then these b; a step is
+       feasible when its L2 norm is at most r (1 + 1e-12);
+    3. v directions standard_normal((n_norming, d)), then their radii
+       uniform(0.0, 1.0, n_norming): the v of a center f are f, f + (rho /
+       20) radius u / psi(u) for each direction u, and 0 when psi(f) <=
+       rho / 20.
 
-    Candidate h live on the psi-sphere of radius rho with L2 distance at
-    most r; the sup runs over norming functionals of sampled v in the
-    rho/20 ball (always including v = f, and v = 0 when psi(f) <= rho/20).
-    The candidate steps h - f do not depend on the center f, so they are
-    normalised and filtered once; for each center, one broadcast
-    ``norming_functional`` call covers every v and every step.
+    A drawn direction that is all zero (probability 0) is dropped, with its
+    radius.  n_centers counts the centers, n_candidates the steps and
+    n_feasible the (center, feasible step) pairs.  The steps, shared by all
+    centers, are normalised and filtered once; then one
+    ``norming_functional`` call takes every (center, v, step) triple of a
+    ``blocks.row_slices`` slice of the steps.
     """
     if reg.kind not in ("l1", "slope"):
         raise ConfigError("estimate_delta needs an l1 or slope regularizer")
+    if budget < 0 or n_centers < 1 or n_norming < 0:
+        raise ConfigError("estimate_delta needs budget >= 0, n_centers >= 1 and n_norming >= 0, "
+                          f"got {budget}, {n_centers} and {n_norming}")
+    d = design.dim
+    if f_star.dim != d:
+        raise DimensionError(f"predictor dim {f_star.dim} vs design dim {d}")
     if rho <= 0.0:
         return DeltaEstimate(None, False, 0, 0, 0, rho, r)
-    d = design.dim
     rng = np.random.default_rng(seed)
 
     # Centers stay well inside the rho/20 norming ball around f_star: the
     # hypothesis consumes norming functionals of that ball, and a center
     # drifting outside it loses the sign freedom the bound relies on.
-    centers = [f_star.theta.copy()]
-    for _ in range(n_centers - 1):
-        u = _psi_unit(reg, rng.standard_normal(d))
-        if u is not None:
-            centers.append(f_star.theta + (rho / 40.0) * rng.uniform(0.0, 1.0) * u)
+    u = rng.standard_normal((n_centers - 1, d))
+    offsets = _psi_rows(reg, u, rho / 40.0 * rng.uniform(0.0, 1.0, n_centers - 1))
+    centers = np.vstack([f_star.theta, f_star.theta + offsets])
 
-    directions = _delta_directions(d, budget, rng)
-    v_offsets = []
-    for _ in range(n_norming):
-        u = _psi_unit(reg, rng.standard_normal(d))
-        if u is not None:
-            v_offsets.append((rho / 20.0) * rng.uniform(0.0, 1.0) * u)
+    sparsity = rng.integers(1, d + 1, budget)
+    support = np.zeros((budget, d), dtype=bool)
+    np.put_along_axis(support, np.argsort(rng.random((budget, d)), axis=1, kind="stable"),
+                      np.arange(d) < sparsity[:, None], axis=1)
+    directions = np.vstack([np.kron(np.eye(d), [[1.0], [-1.0]]),  # e_0, -e_0, e_1, ...
+                            np.where(support, rng.standard_normal((budget, d)), 0.0)])
+    steps = _psi_rows(reg, directions, rho)
+    n_candidates = len(steps)
 
-    steps = rho * (directions / psi_batch(reg, directions)[:, None])
+    u = rng.standard_normal((n_norming, d))
+    offsets = _psi_rows(reg, u, rho / 20.0 * rng.uniform(0.0, 1.0, n_norming))
+
     q = population_sq_norms(steps, design)
     steps = steps[~(np.sqrt(np.maximum(q, 0.0)) > r * (1 + 1e-12))]
-    if steps.shape[0] == 0:
-        return DeltaEstimate(
-            None, False, len(centers), 0, len(directions), rho, r
-        )
+    if len(steps) == 0:
+        return DeltaEstimate(None, False, len(centers), 0, n_candidates, rho, r)
 
+    # The v of center f: f + 0 (f's norming functionals), f + each offset,
+    # then 0 where psi(f) <= rho/20, else f again, which keeps the sup.
+    vs = centers[:, None] + np.vstack([np.zeros(d), offsets, np.zeros(d)])
+    vs[psi_batch(reg, centers) <= rho / 20.0, -1] = 0.0
     best = math.inf
-    for f in centers:
-        vs = [f] + [f + off for off in v_offsets]
-        if psi(reg, f) <= rho / 20.0:
-            vs.append(np.zeros(d))
-        # vecdot, not einsum: it rounds like z @ delta, row by row.  fmax,
-        # folded over the v's in order, lets no NaN (from overflowing
+    for rows in blocks.row_slices(len(steps), vs.size):
+        step = steps[rows]
+        # vecdot, not einsum: it rounds like z @ delta, triple by triple.
+        # fmax, folded over the v's in order, lets no NaN (from overflowing
         # inputs) into the sup.
-        vals = np.vecdot(norming_functional(reg, np.array(vs)[:, None, :], steps), steps)
-        best = min(best, float(np.fmax.reduce(vals, axis=0, initial=-math.inf).min()))
-    return DeltaEstimate(
-        best, True, len(centers), len(centers) * steps.shape[0], len(directions), rho, r
-    )
+        vals = np.vecdot(norming_functional(reg, vs[:, :, None], step), step)
+        best = min(best, float(np.fmax.reduce(vals, axis=1, initial=-math.inf).min()))
+    return DeltaEstimate(best, True, len(centers), len(centers) * len(steps), n_candidates, rho, r)
 
 
 # ---------------------------------------------------------------------------

@@ -19,12 +19,16 @@ from hypothesis import strategies as st
 
 from momreg import (
     CorruptionSpec,
+    DesignSpec,
     InvalidInput,
+    LinearPredictor,
     MomregError,
     NoiseSpec,
     ParseError,
+    Regularizer,
     SolverConfig,
     default_slope_weights,
+    estimate_delta,
     lemma_sweep,
     load_dataset,
     make_partition,
@@ -354,6 +358,18 @@ class TestMainEntry:
             "instance": -1, "probe": -1, "block": -1, "conclusion": "negative_control",
             "lhs": -1.0, "rhs": 1.0,
         }
+
+    def test_delta_estimate_draws_from_its_own_stream(self):
+        # stream 6 of the master seed, not the lemma sweep's default_rng(seed);
+        # at r = 0.8 the feasible count depends on the drawn directions
+        cfg = resolve_config(_set_path(_set_path(
+            _D3_CONFIG, "conditions.r", 0.8), "verify.delta_budget", 200))
+        report = run_verify(cfg)["aggregate"]["delta_estimate"]
+        args = (Regularizer.l1(), LinearPredictor([1.0, -0.5, 2.0]), 1.0, 0.8,
+                DesignSpec.identity(3))
+        own = estimate_delta(*args, seed=np.random.SeedSequence([cfg["seed"], 0, 6]))
+        assert report == own.to_dict()
+        assert report != estimate_delta(*args, seed=cfg["seed"]).to_dict()
 
     def test_python_m_momreg_runs_main(self, tmp_path, monkeypatch, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -52,7 +52,6 @@ from momreg.verify import (
     DeltaEstimate,
     LemmaCheckReport,
     LemmaViolation,
-    _delta_directions,
     random_lemma_instance,
     sample_sphere_probes,
 )
@@ -88,37 +87,47 @@ def _psi_unit_ref(reg, u):
 
 
 def _delta_directions_ref(d, budget, rng):
-    """_delta_directions as a list of vectors, each made on its own."""
+    """The directions of estimate_delta as a list of vectors, each made on
+    its own from the contract's draws."""
     dirs = []
     for k in range(d):
         e = np.zeros(d)
         e[k] = 1.0
         dirs.append(e.copy())
         dirs.append(-e)
-    while len(dirs) < 2 * d + budget:
-        sparsity = int(rng.integers(1, d + 1))
-        support = rng.choice(d, size=sparsity, replace=False)
+    sparsity = rng.integers(1, d + 1, budget)
+    keys = rng.random((budget, d))
+    values = rng.standard_normal((budget, d))
+    for i in range(budget):
         u = np.zeros(d)
-        u[support] = rng.standard_normal(sparsity)
+        for k in np.argsort(keys[i], kind="stable")[: sparsity[i]]:
+            u[k] = values[i, k]
         if np.any(u != 0.0):
             dirs.append(u)
     return dirs
+
+
+def _ball_offsets_ref(reg, d, radius, count, rng):
+    """radius * t * u / psi(u) for each drawn direction u that is not all
+    zero and its drawn t, made one at a time."""
+    units = rng.standard_normal((count, d))
+    ts = rng.uniform(0.0, 1.0, count)
+    offsets = []
+    for u, t in zip(units, ts):
+        unit = _psi_unit_ref(reg, u)
+        if unit is not None:
+            offsets.append(radius * t * unit)
+    return offsets
 
 
 def _estimate_delta_ref(reg, f_star, rho, r, design, budget, seed, n_centers, n_norming):
     d = design.dim
     rng = np.random.default_rng(seed)
     centers = [f_star.theta.copy()]
-    for _ in range(n_centers - 1):
-        u = _psi_unit_ref(reg, rng.standard_normal(d))
-        if u is not None:
-            centers.append(f_star.theta + (rho / 40.0) * rng.uniform(0.0, 1.0) * u)
+    for off in _ball_offsets_ref(reg, d, rho / 40.0, n_centers - 1, rng):
+        centers.append(f_star.theta + off)
     directions = _delta_directions_ref(d, budget, rng)
-    v_offsets = []
-    for _ in range(n_norming):
-        u = _psi_unit_ref(reg, rng.standard_normal(d))
-        if u is not None:
-            v_offsets.append((rho / 20.0) * rng.uniform(0.0, 1.0) * u)
+    v_offsets = _ball_offsets_ref(reg, d, rho / 20.0, n_norming, rng)
     cov = design.covariance
     best = math.inf
     n_feasible = 0
@@ -342,13 +351,90 @@ def test_estimate_delta_matches_loop(kind, d, f_kind):
 
 @pytest.mark.parametrize("d", [1, 3, 24])
 @pytest.mark.parametrize("budget", [0, 1, 200])
-def test_delta_directions_match_loop(d, budget):
+def test_estimate_delta_draws_match_loop(d, budget):
+    # A Generator given as the seed is the one default_rng hands back, so
+    # its state after the call shows what the draws consumed.
+    args = (Regularizer.l1(), LinearPredictor(np.linspace(-1.0, 1.0, d)), 1.0, 2.0,
+            DesignSpec.identity(d))
     for seed in range(3):
         got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        got = _delta_directions(d, budget, got_rng)
-        ref = np.array(_delta_directions_ref(d, budget, ref_rng))
-        assert (got.shape, got.tobytes()) == (ref.shape, ref.tobytes())
+        got = estimate_delta(*args, budget=budget, seed=got_rng, n_centers=4, n_norming=6)
+        assert got == _estimate_delta_ref(*args, budget, ref_rng, 4, 6)
+        assert got.n_candidates == 2 * d + budget
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class _ZeroFirstNormals(np.random.Generator):
+    """A Generator whose standard_normal draws have an all-zero first row."""
+
+    def standard_normal(self, size=None, *args, **kwargs):
+        out = super().standard_normal(size, *args, **kwargs)
+        out[:1] = 0.0
+        return out
+
+
+@pytest.mark.parametrize("kind", ["l1", "slope"])
+def test_estimate_delta_drops_all_zero_directions(kind):
+    # Probability 0 with a real Generator: an all-zero center direction,
+    # sparse direction or v direction is dropped, with its radius.
+    args = (_reg(kind, 3), LinearPredictor([1.0, -0.5, 2.0]), 1.0, 2.0, DesignSpec.identity(3))
+    kw = dict(budget=12, n_centers=4, n_norming=6)
+    got = estimate_delta(*args, seed=_ZeroFirstNormals(np.random.PCG64(5)), **kw)
+    ref = _estimate_delta_ref(*args, seed=_ZeroFirstNormals(np.random.PCG64(5)), **kw)
+    assert got == ref
+    assert (got.n_centers, got.n_candidates) == (3, 2 * 3 + 11)
+    full = estimate_delta(*args, seed=np.random.default_rng(5), **kw)
+    assert (full.n_centers, full.n_candidates) == (4, 2 * 3 + 12)
+
+
+def test_estimate_delta_counts_pin_the_draw_order():
+    # momreg verify's Delta estimate at two seeds of the benchmark's verify
+    # config (r = 2), whose every step is feasible, and at r = 0.8, whose
+    # feasible count depends on the drawn directions; any change to the
+    # draws of estimate_delta moves them.
+    pins = {}
+    for r in (2.0, 0.8):
+        for seed in (1, 2):
+            est = estimate_delta(
+                Regularizer.l1(), LinearPredictor([1.0, -0.5, 2.0]), 1.0, r,
+                DesignSpec.identity(3), budget=200, seed=np.random.SeedSequence([seed, 0, 6]),
+            )
+            pins[r, seed] = (est.value, est.n_feasible, est.n_candidates)
+    assert pins == {
+        (2.0, 1): (-1.0, 1648, 206),
+        (2.0, 2): (-1.0000000000000002, 1648, 206),
+        (0.8, 1): (-1.0, 848, 206),
+        (0.8, 2): (-1.0000000000000002, 760, 206),
+    }
+
+
+def test_estimate_delta_memory_does_not_grow_with_the_budget():
+    # The steps are evaluated a slice of blocks.row_slices at a time; only
+    # the (budget, d) draws and steps grow with the budget.
+    args = (Regularizer.slope(d=3), LinearPredictor([1.0, -0.5, 2.0]), 1.0, 2.0,
+            DesignSpec.identity(3))
+
+    def peak(budget):
+        tracemalloc.start()
+        try:
+            estimate_delta(*args, budget=budget, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    estimate_delta(*args, budget=20, seed=1)  # keeps one-time allocations out of both peaks
+    assert peak(20_000) <= 2 * peak(2_000)
+
+
+def test_estimate_delta_rejects_bad_counts_and_dimensions():
+    args = (Regularizer.l1(), LinearPredictor([1.0, -0.5, 2.0]), 1.0, 2.0, DesignSpec.identity(3))
+    for kw in ({"budget": -1}, {"budget": -7}, {"n_centers": 0}, {"n_centers": -2},
+               {"n_norming": -1}):
+        with pytest.raises(ConfigError):
+            estimate_delta(*args, **kw)
+    with pytest.raises(DimensionError):
+        estimate_delta(Regularizer.l1(), LinearPredictor([1.0, 2.0]), 1.0, 2.0,
+                       DesignSpec.identity(3))
 
 
 @pytest.mark.parametrize("kind", ["l1", "slope"])
