@@ -630,9 +630,17 @@ def _psi_rows(reg: Regularizer, u: np.ndarray, radii) -> np.ndarray:
     return np.broadcast_to(radii, norms.shape)[keep, None] * (u[keep] / norms[keep, None])
 
 
-def estimate_delta(reg: Regularizer, f_star: LinearPredictor, rho: float, r: float,
-                   design: DesignSpec, budget: int = 200, seed=0, n_centers: int = 8,
-                   n_norming: int = 24) -> DeltaEstimate:
+def estimate_delta(
+    reg: Regularizer,
+    f_star: LinearPredictor,
+    rho: float,
+    r: float,
+    design: DesignSpec,
+    budget: int = 200,
+    seed=0,
+    n_centers: int = 8,
+    n_norming: int = 24,
+) -> DeltaEstimate:
     """Sample the inf-inf-sup separation estimate around f_star: the least,
     over centers f and feasible steps h - f, of the greatest z(h - f) over
     the norming functionals z of the v of f.
@@ -696,7 +704,9 @@ def estimate_delta(reg: Regularizer, f_star: LinearPredictor, rho: float, r: flo
     q = population_sq_norms(steps, design)
     steps = steps[~(np.sqrt(np.maximum(q, 0.0)) > r * (1 + 1e-12))]
     if len(steps) == 0:
-        return DeltaEstimate(None, False, len(centers), 0, n_candidates, rho, r)
+        return DeltaEstimate(
+            None, False, len(centers), 0, n_candidates, rho, r
+        )
 
     # The v of center f: f + 0 (f's norming functionals), f + each offset,
     # then 0 where psi(f) <= rho/20, else f again, which keeps the sup.
@@ -710,7 +720,9 @@ def estimate_delta(reg: Regularizer, f_star: LinearPredictor, rho: float, r: flo
         # inputs) into the sup.
         vals = np.vecdot(norming_functional(reg, vs[:, :, None], step), step)
         best = min(best, float(np.fmax.reduce(vals, axis=1, initial=-math.inf).min()))
-    return DeltaEstimate(best, True, len(centers), len(centers) * len(steps), n_candidates, rho, r)
+    return DeltaEstimate(
+        best, True, len(centers), len(centers) * len(steps), n_candidates, rho, r
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,11 @@ CONFIGS = {
         verify={"lemma_instances": 10, "delta_budget": 50, "negative_control": True}
     ),
     "csv": _config(data={"csv": CSV_FILE}),
+    # r < rho: which of the Delta estimate's steps are feasible, so its
+    # n_feasible, depends on the drawn directions
+    "delta_draws": _config(
+        conditions={"gamma1": 0.5, "gamma2": 0.05, "r": 0.8, "rho": 1.0, "probes": 10}
+    ),
     # perfbench's verify_suite config: 7 chunks of the lemma sweep, 13
     # probes per residual slice of the condition checks
     "verify_scale": _config(
@@ -154,6 +159,7 @@ CASES = [
     Case("indices_corrupt_bench_even_blocks", "indices", "corrupt-bench", ("--blocks", "20")),
     Case("negative_control_verify", "negative_control", "verify"),
     Case("verify_scale_verify", "verify_scale", "verify"),
+    Case("delta_draws_verify", "delta_draws", "verify"),
     Case("csv_fit", "csv", "fit"),
     Case("csv_fit_too_many_blocks", "csv", "fit", ("--blocks", "1001")),
 ]

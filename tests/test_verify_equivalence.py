@@ -351,17 +351,35 @@ def test_estimate_delta_matches_loop(kind, d, f_kind):
 
 @pytest.mark.parametrize("d", [1, 3, 24])
 @pytest.mark.parametrize("budget", [0, 1, 200])
-def test_estimate_delta_draws_match_loop(d, budget):
-    # A Generator given as the seed is the one default_rng hands back, so
-    # its state after the call shows what the draws consumed.
-    args = (Regularizer.l1(), LinearPredictor(np.linspace(-1.0, 1.0, d)), 1.0, 2.0,
-            DesignSpec.identity(d))
+def test_delta_directions_match_loop(monkeypatch, d, budget):
+    # The steps estimate_delta forms, caught where it takes their L2 norms,
+    # against rho times the reference's unit directions, byte for byte.  A
+    # Generator given as the seed is the one default_rng hands back, so its
+    # state after the call shows what the draws consumed.  With f* = 0 and
+    # r < rho, which steps are feasible depends on the drawn directions.
+    reg = Regularizer.l1()
+    args = (reg, LinearPredictor(np.zeros(d)), 1.0, 0.8, DesignSpec.identity(d))
+    seen = []
+    sq_norms = verify.population_sq_norms
+
+    def catch(steps, design):
+        seen.append(steps.copy())
+        return sq_norms(steps, design)
+
+    monkeypatch.setattr(verify, "population_sq_norms", catch)
     for seed in range(3):
+        seen.clear()
         got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
         got = estimate_delta(*args, budget=budget, seed=got_rng, n_centers=4, n_norming=6)
-        assert got == _estimate_delta_ref(*args, budget, ref_rng, 4, 6)
-        assert got.n_candidates == 2 * d + budget
+        _ball_offsets_ref(reg, d, 1.0 / 40.0, 3, ref_rng)
+        ref = np.array([1.0 * _psi_unit_ref(reg, u) for u in _delta_directions_ref(d, budget, ref_rng)])
+        _ball_offsets_ref(reg, d, 1.0 / 20.0, 6, ref_rng)
+        assert [(s.shape, s.tobytes()) for s in seen] == [(ref.shape, ref.tobytes())]
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert got == _estimate_delta_ref(*args, budget, np.random.default_rng(seed), 4, 6)
+        assert got.n_candidates == 2 * d + budget
+        if d > 1 and budget == 200:
+            assert 0 < got.n_feasible < got.n_centers * got.n_candidates
 
 
 class _ZeroFirstNormals(np.random.Generator):
