@@ -10,7 +10,8 @@ O(n d^2), without reading X or y again, and ``block_increments`` does so
 for a stack of pairs in one call, each row bitwise the single-pair kernel.
 The adversary ascent of ``objective.phi_lambda_hat`` takes the stacked
 call once per iteration; the descent-ascent loop of the fit goes row by
-row through ``block_increment`` (``objective.row_increments`` says why).
+row through ``block_increment`` (``objective.row_increments`` says why),
+writing each row, bitwise, into that loop's (R, n) buffer through ``out=``.
 ``block_losses`` is the exact residual path: it reads X and y, takes a
 (k, d) batch of thetas, and is the reference the statistics path is
 tested against.
@@ -38,8 +39,9 @@ def block_stats(X, y, n, m):
     return S, b
 
 
-def block_increment(S, b, theta_f, theta_h):
-    """Per-block squared-loss difference of theta_f and theta_h from (S, b).
+def block_increment(S, b, theta_f, theta_h, out=None):
+    """Per-block squared-loss difference of theta_f and theta_h from (S, b),
+    written into out, an (n,) array, when given.
 
     Evaluated as (S_j (f - h)) . (f + h) - 2 b_j . (f - h): the y^T y / m
     term of each block loss never forms, so nothing cancels against a large
@@ -48,7 +50,9 @@ def block_increment(S, b, theta_f, theta_h):
     delta = theta_f - theta_h
     # One (n*d, d) matrix-vector product is faster than n batched (d, d) ones.
     s_delta = (S.reshape(-1, delta.shape[0]) @ delta).reshape(b.shape)
-    return s_delta @ (theta_f + theta_h) - 2.0 * (b @ delta)
+    inc = np.matmul(s_delta, theta_f + theta_h, out=out)
+    inc -= 2.0 * (b @ delta)
+    return inc
 
 
 def block_increments(S, b, theta_f, thetas_h):

@@ -145,7 +145,7 @@ _CONFIG = {
     "verify": (_OBJECT, ("object",), None),
     "verify.lemma_instances": (200, ("int",), _COUNT),
     "verify.delta_budget": (200, ("int",), _COUNT),
-    "verify.r_grid": (None, ("numbers", "null"), _at_least(0)),
+    "verify.r_grid": (None, ("numbers", "null"), _POSITIVE),
     "verify.negative_control": (False, ("bool",), None),
     "trials": (1, ("int",), _POSITIVE_COUNT),
     "seed": (0, ("int",), _at_least(0)),

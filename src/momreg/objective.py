@@ -229,10 +229,15 @@ class PhiResult:
     explored: tuple[np.ndarray, ...] | None = None
 
 
-def median_block_index(inc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def median_block_index(inc: np.ndarray, scratch=None) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise median block of an (R, n) increment matrix: the index of the
-    block attaining each row's median (lowest index on ties) and the median."""
-    med = middle(inc.copy())
+    block attaining each row's median (lowest index on ties) and the median,
+    a view of the partitioned copy of inc: a new one, or the buffer scratch."""
+    if scratch is None:
+        scratch = inc.copy()
+    else:
+        scratch[...] = inc
+    med = middle(scratch)
     return (inc == med[:, None]).argmax(axis=1), med
 
 
@@ -247,7 +252,7 @@ def block_loss_gradient(S, b, thetas, j) -> np.ndarray:
 
 def row_increments(S, b, thetas_f, thetas_h, out) -> np.ndarray:
     """Fill the (R, n) buffer out, row k with ``_kernels.block_increment``
-    of row k of thetas_f against row k of thetas_h, and return it.
+    of row k of thetas_f against row k of thetas_h (arrays or row lists).
 
     The descent-ascent loop takes this per-row path, although
     ``_kernels.block_increments`` gives the same bits in one call: the
@@ -257,21 +262,24 @@ def row_increments(S, b, thetas_f, thetas_h, out) -> np.ndarray:
     BLAS thread on a 2-vCPU VM).  The adversary ascent, with all its
     starts in one stack, takes the stacked kernel.
     """
-    for k, (f, h) in enumerate(zip(thetas_f, thetas_h)):
-        out[k] = _kernels.block_increment(S, b, f, h)
+    for f, h, row in zip(thetas_f, thetas_h, out):
+        _kernels.block_increment(S, b, f, h, out=row)
     return out
 
 
-def prox_gradient_step(reg, S, b, thetas, j, step: float, lam: float) -> np.ndarray:
+def prox_gradient_step(reg, S, b, thetas, j, step: float, lam: float, out=None) -> np.ndarray:
     """One median-block prox-gradient step, row-wise: row k moves against
     the gradient of block j[k]'s loss, then through the prox of
-    step * lam * psi.  The learner and the adversary both take it."""
-    out = block_loss_gradient(S, b, thetas, j)
-    out *= step
-    np.subtract(thetas, out, out=out)
-    if lam:
-        out = prox_psi(reg, out, step * lam)
-    return out
+    step * lam * psi.  The learner and the adversary both take it.  Given
+    out, an array of the shape of thetas, the new iterates go there too."""
+    grad = block_loss_gradient(S, b, thetas, j)
+    grad *= step
+    if not lam:
+        return np.subtract(thetas, grad, out=out)
+    new = prox_psi(reg, np.subtract(thetas, grad, out=grad), step * lam)
+    if out is not None:
+        out[...] = new
+    return new
 
 
 def gram_step_size(X: np.ndarray, m: int) -> float:

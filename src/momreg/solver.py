@@ -339,6 +339,10 @@ def _descent_ascent(S, b, starts, reg, lam, step_f, step_g, iterations, warm):
     lockstep.  Returns the (2, restarts, iterations + 1, d) iterates, f
     first and g second with the starts at iteration 0, and the adversary's
     (restarts, iterations) median blocks and median increments.
+
+    Each half step writes into buffers allocated once: the increments into
+    one (restarts, n) array, f and g into one of two (2, restarts, d)
+    arrays that swap after each iteration, whose rows are listed once.
     """
     R, d = starts.shape
     iterates = np.empty((2, R, iterations + 1, d))
@@ -346,26 +350,29 @@ def _descent_ascent(S, b, starts, reg, lam, step_f, step_g, iterations, warm):
     median_block = np.empty((R, iterations), dtype=np.intp)
     med_increment = np.empty((R, iterations))
     inc = np.empty((R, b.shape[0]))
-    f = g = starts
+    scratch = np.empty_like(inc)
+    states = [(pair, *pair, *map(list, pair)) for pair in np.array([[starts, starts]] * 2)]
     for t in range(1, iterations + 1):
         damp = 1.0 if t <= warm else math.sqrt(t - warm)
-        row_increments(S, b, f, g, inc)
-        if not np.isfinite(inc).all():
+        (_, f, g, f_rows, g_rows), (new, f_next, g_next, _, g_next_rows) = states
+        row_increments(S, b, f_rows, g_rows, inc)
+        # Finite entries have a finite sum, unless it overflows.
+        if not math.isfinite(inc.sum()) and not np.isfinite(inc).all():
             raise DivergenceError(
                 "block increments became non-finite; reduce step_f/step_g"
             )
-        j_adv, med = median_block_index(inc)
-        g = prox_gradient_step(reg, S, b, g, j_adv, step_g / damp, lam)
-        j_lrn, _ = median_block_index(row_increments(S, b, f, g, inc))
-        f = prox_gradient_step(reg, S, b, f, j_lrn, step_f / damp, lam)
-        iterates[0, :, t] = f
-        iterates[1, :, t] = g
-        if not np.isfinite(iterates[:, :, t]).all():
+        j_adv, med = median_block_index(inc, scratch)
+        median_block[:, t - 1] = j_adv
+        med_increment[:, t - 1] = med  # before the learner's call rewrites scratch
+        prox_gradient_step(reg, S, b, g, j_adv, step_g / damp, lam, g_next)
+        j_lrn, _ = median_block_index(row_increments(S, b, f_rows, g_next_rows, inc), scratch)
+        prox_gradient_step(reg, S, b, f, j_lrn, step_f / damp, lam, f_next)
+        if not math.isfinite(new.sum()) and not np.isfinite(new).all():
             raise DivergenceError(
                 "iterate became non-finite; reduce step_f/step_g"
             )
-        median_block[:, t - 1] = j_adv
-        med_increment[:, t - 1] = med
+        iterates[:, :, t] = new
+        states.reverse()
     return iterates, median_block, med_increment
 
 

@@ -690,6 +690,7 @@ class TestConfigValues:
             ("objective.lambda", "x"),
             ("solver.iterations", "x"),
             ("verify.r_grid", "abc"),
+            ("verify.r_grid", [1.0, 0.0]),
             ("conditions.block_fraction", "x"),
             ("data.generate", None),
             ("conditions", None),
@@ -734,6 +735,14 @@ class TestConfigValues:
             assert main([mode, "--config", str(cfg_path)]) == 2
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert capsys.readouterr().err.startswith(f"error: {key} must be ")
+
+    # An r of 0 puts every probe at f*, where every increment is 0 >= 0: a
+    # pass fraction of 1.0 that measures nothing.
+    def test_zero_r_grid_exits_2(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(_set_path(_D3_CONFIG, "verify.r_grid", [0.0])))
+        assert main(["verify", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == "error: verify.r_grid must be > 0, got [0.0]\n"
 
     def test_null_probe_distances_keep_the_defaults(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

@@ -2,10 +2,11 @@
 as references: the descent-ascent loop, the adversary ascent, the batched
 residual block losses and the helpers they share.
 
-The trimmed forms reuse one increment buffer, check finiteness once per
-iteration, drop rows only when one has stopped and form residuals in
-place.  The descent-ascent loop makes the same per-row kernel calls as its
-reference, with the same operands in the same order.  The adversary ascent
+The trimmed forms reuse buffers, check finiteness by a sum first, drop
+rows only when one has stopped and form residuals in place.  The
+descent-ascent loop makes the same per-row kernel calls as its reference,
+with the same operands in the same order, writing the increments, their
+partitioned copy and the iterates into buffers allocated once per run.  The adversary ascent
 takes all its running starts' increments from one stacked
 ``_kernels.block_increments`` call, whose rows are bitwise the per-row
 kernel's, and picks each start's best after the loop from the values it
@@ -20,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import momreg
 from momreg import (
     CorruptionSpec,
     DesignSpec,
@@ -191,6 +193,132 @@ def test_descent_ascent_diverges_with_the_reference_message(kind, start, step, m
     with pytest.raises(DivergenceError) as got:
         solver._descent_ascent(*args)
     assert str(got.value) == str(want.value) == message
+
+
+@st.composite
+def _descents(draw):
+    """Block statistics, 1 to 3 starts and the steps and length of a short
+    descent-ascent run, at scales 1e-3 to 1e5 and 1e-3 to 100 times the
+    Gram step.  Some starts carry an entry of 1e148 to 1e156, whose
+    increments overflow after a few steps, or of 1e305 to 8e307, which the
+    first step may take past the largest float."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 8))
+    R = draw(st.integers(1, 3))
+    n = 2 * draw(st.integers(1, 10)) + 1
+    m = draw(st.integers(1, 6))
+    X = rng.standard_normal((n * m, d)) * 10.0 ** draw(st.integers(-3, 5))
+    y = rng.standard_normal(n * m) * 10.0 ** draw(st.integers(-3, 5))
+    S, b = _kernels.block_stats(X, y, n, m)
+    starts = rng.standard_normal((R, d)) * 10.0 ** rng.integers(-3, 6, (R, 1))
+    for k in np.flatnonzero(rng.random(R) < draw(st.sampled_from([0.0, 0.3]))):
+        lo, hi = ((148.0, 156.0), (305.0, 307.9))[rng.integers(2)]
+        starts[k, rng.integers(d)] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(lo, hi)
+    step_f, step_g = 10.0 ** rng.uniform(-3.0, 2.0, 2) * gram_step_size(X, m)
+    iterations = draw(st.integers(1, 8))
+    return S, b, starts, step_f, step_g, iterations, draw(st.integers(0, iterations))
+
+
+def _outcome(loop, args):
+    """The loop's outputs, or the exception it raised."""
+    try:
+        return loop(*args)
+    except Exception as exc:
+        return exc
+
+
+@given(_descents(), st.sampled_from(_KINDS))
+@settings(max_examples=200, deadline=None)
+def test_descent_ascent_matches_reference_property(instance, kind):
+    S, b, starts, step_f, step_g, iterations, warm = instance
+    obj = _objective(kind, starts.shape[1])
+    args = (S, b, starts, obj.regularizer, obj.lam, step_f, step_g, iterations, warm)
+    got, want = _outcome(solver._descent_ascent, args), _outcome(_descent_ascent_ref, args)
+    if isinstance(want, Exception) or isinstance(got, Exception):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        _assert_same(got, want)
+
+
+def _unit_statistics(n, s_value, b_values):
+    """d=1 block statistics S_j = s_value[j], b_j = b_values[j]."""
+    S = np.broadcast_to(np.asarray(s_value, dtype=np.float64), (n,))[:, None, None].copy()
+    return S, np.broadcast_to(np.asarray(b_values, dtype=np.float64), (n,))[:, None].copy()
+
+
+def test_descent_ascent_runs_on_when_a_finite_sum_overflows():
+    # Increments near -1e308 at the start of iteration 2, each finite, whose
+    # sum overflows.
+    S, b = _unit_statistics(15, 1.0, np.linspace(-1.0, 1.0, 15) * 6e153)
+    args = (S, b, np.zeros((2, 1)), Regularizer.none(), 0.0, 0.25, 0.25, 4, 4)
+    iterates, _, _ = _descent_ascent_ref(*args)
+    with np.errstate(over="ignore"):
+        inc = _row_increments_ref(S, b, iterates[0, :, 1], iterates[1, :, 1])
+        assert np.isfinite(inc).all() and not np.isfinite(inc.sum())
+    _assert_same(solver._descent_ascent(*args), _descent_ascent_ref(*args))
+    # Iterates near 9e307 at every iteration, each finite, whose sum
+    # overflows; f == g keeps every increment exactly 0.
+    S, b = _unit_statistics(5, 1.0, 0.0)
+    args = (S, b, np.array([[8.9e307], [8.8e307]]), Regularizer.none(), 0.0, 0.01, 0.01, 5, 5)
+    iterates, _, med_increment = _descent_ascent_ref(*args)
+    with np.errstate(over="ignore"):
+        assert np.isfinite(iterates).all() and not np.isfinite(iterates[:, :, 5].sum())
+    assert np.all(med_increment == 0.0)
+    _assert_same(solver._descent_ascent(*args), _descent_ascent_ref(*args))
+
+
+@pytest.mark.parametrize(
+    "s_value, b_values, start, step_f, step_g, iteration, message",
+    [
+        # S_3 is NaN: block 3's increment is NaN from the start, the rest 0.
+        (
+            np.where(np.arange(15) == 3, math.nan, 1.0), 0.0, 1.0, 0.1, 0.1, 1,
+            "block increments became non-finite; reduce step_f/step_g",
+        ),
+        # S_3 is 1e300: as the iterates grow, block 3's increment alone
+        # overflows.
+        (
+            np.where(np.arange(15) == 3, 1e300, 1.0), np.linspace(-1.0, 1.0, 15), 1.0, 5.0, 5.0, 6,
+            "block increments became non-finite; reduce step_f/step_g",
+        ),
+        # S = 0 and b = 0.1: g moves by 2e307 an iteration and overflows
+        # alone; the increments -0.2 (f - g) stay finite until then.
+        (0.0, 0.1, 0.0, 1.0, 1e308, 9, "iterate became non-finite; reduce step_f/step_g"),
+    ],
+)
+def test_descent_ascent_raises_at_the_reference_iteration(
+    s_value, b_values, start, step_f, step_g, iteration, message
+):
+    S, b = _unit_statistics(15, s_value, b_values)
+    for loop in (solver._descent_ascent, _descent_ascent_ref):
+        args = (S, b, np.full((1, 1), start), Regularizer.none(), 0.0, step_f, step_g)
+        loop(*args, iteration - 1, iteration - 1)
+        with pytest.raises(DivergenceError) as raised:
+            loop(*args, iteration, iteration)
+        assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("d", [1, 5, 50])
+def test_block_increment_into_a_buffer_row_is_the_allocating_call(d):
+    X, y, S, b, p = _statistics(41 + d, N=1020, n=51, d=d)
+    rng = np.random.default_rng(d)
+    thetas = rng.standard_normal((2, 3, d)) * 10.0 ** rng.integers(-3, 6, (2, 3, 1))
+    buffer = np.full((3, p.n), math.nan)
+    for f, h, row in zip(*thetas, buffer):
+        assert _kernels.block_increment(S, b, f, h, out=row) is row
+        _assert_same_bytes(row, _kernels.block_increment(S, b, f, h))
+
+
+def test_a_second_fit_leaves_the_first_result_unchanged():
+    X, y, S, b, p = _statistics(42, N=315, n=15)
+    data = momreg.Dataset(X, y)
+    cfg = momreg.SolverConfig(iterations=30, restarts=3)
+    first = momreg.mom_minimax_fit(data, p, _objective("l1"), cfg)
+    kept = [first.theta_hat.copy(), *(a.copy() for a in vars(first.trace).values())]
+    for seed in (42, 43):
+        X2, y2, _, _, _ = _statistics(seed, N=315, n=15)
+        momreg.mom_minimax_fit(momreg.Dataset(X2, y2), p, _objective("l1"), cfg)
+    _assert_same([first.theta_hat, *vars(first.trace).values()], kept)
 
 
 def _starts(theta_f, d):
