@@ -275,7 +275,7 @@ def prox_gradient_step(reg, S, b, thetas, j, step: float, lam: float, out=None) 
     grad = block_loss_gradient(S, b, thetas, j)
     grad *= step
     if not lam:
-        return np.subtract(thetas, grad, out=out)
+        return np.subtract(thetas, grad, out=grad if out is None else out)
     new = prox_psi(reg, np.subtract(thetas, grad, out=grad), step * lam)
     if out is not None:
         out[...] = new

@@ -6,11 +6,11 @@ The trimmed forms reuse buffers, check finiteness by a sum first, drop
 rows only when one has stopped and form residuals in place.  The
 descent-ascent loop makes the same per-row kernel calls as its reference,
 with the same operands in the same order, writing the increments, their
-partitioned copy and the iterates into buffers allocated once per run.  The adversary ascent
-takes all its running starts' increments from one stacked
-``_kernels.block_increments`` call, whose rows are bitwise the per-row
-kernel's, and picks each start's best after the loop from the values it
-recorded, where its reference keeps a running best.  Every comparison is
+partitioned copy and the iterates into buffers allocated once per run.
+The adversary ascent takes all its running starts' increments from one
+stacked ``_kernels.block_increments`` call, whose rows are bitwise the
+per-row kernel's, and picks each start's best after the loop from the
+values it recorded, where its reference keeps a running best.  Every comparison is
 exact, and the ascent's compares bytes, the sign of a zero included.
 """
 import math
@@ -21,17 +21,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import momreg
 from momreg import (
     CorruptionSpec,
+    Dataset,
     DesignSpec,
     DivergenceError,
     NoiseSpec,
     ObjectiveConfig,
     Regularizer,
+    SolverConfig,
     corrupt,
     generate,
     make_partition,
+    mom_minimax_fit,
 )
 from momreg import _kernels, objective, solver
 from momreg.objective import gram_step_size, prox_psi, psi, psi_batch
@@ -311,13 +313,12 @@ def test_block_increment_into_a_buffer_row_is_the_allocating_call(d):
 
 def test_a_second_fit_leaves_the_first_result_unchanged():
     X, y, S, b, p = _statistics(42, N=315, n=15)
-    data = momreg.Dataset(X, y)
-    cfg = momreg.SolverConfig(iterations=30, restarts=3)
-    first = momreg.mom_minimax_fit(data, p, _objective("l1"), cfg)
+    cfg = SolverConfig(iterations=30, restarts=3)
+    first = mom_minimax_fit(Dataset(X, y), p, _objective("l1"), cfg)
     kept = [first.theta_hat.copy(), *(a.copy() for a in vars(first.trace).values())]
     for seed in (42, 43):
         X2, y2, _, _, _ = _statistics(seed, N=315, n=15)
-        momreg.mom_minimax_fit(momreg.Dataset(X2, y2), p, _objective("l1"), cfg)
+        mom_minimax_fit(Dataset(X2, y2), p, _objective("l1"), cfg)
     _assert_same([first.theta_hat, *vars(first.trace).values()], kept)
 
 
