@@ -351,6 +351,7 @@ def _descent_ascent(S, b, starts, reg, lam, step_f, step_g, iterations, warm):
     med_increment = np.empty((R, iterations))
     inc = np.empty((R, b.shape[0]))
     scratch = np.empty_like(inc)
+    # Per buffer: the (2, R, d) pair, f, g, and the row lists of f and g.
     states = [(pair, *pair, *map(list, pair)) for pair in np.array([[starts, starts]] * 2)]
     for t in range(1, iterations + 1):
         damp = 1.0 if t <= warm else math.sqrt(t - warm)
