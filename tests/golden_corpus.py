@@ -127,6 +127,9 @@ CONFIGS = {
         conditions={"gamma1": 0.5, "gamma2": 0.2, "r": 2.0, "rho": 1.0, "probes": 200},
         verify={"lemma_instances": 200, "delta_budget": 200},
     ),
+    # four restarts with no step decay and a fixed adversary step: pins the
+    # seeded perturbation draws of restarts 2 and 3 and their bases
+    "restarts": _config(solver={"iterations": 100, "restarts": 4, "decay": False, "step_g": 0.05}),
 }
 
 
@@ -160,6 +163,7 @@ CASES = [
     Case("negative_control_verify", "negative_control", "verify"),
     Case("verify_scale_verify", "verify_scale", "verify"),
     Case("delta_draws_verify", "delta_draws", "verify"),
+    Case("restarts_simulate", "restarts", "simulate"),
     Case("csv_fit", "csv", "fit"),
     Case("csv_fit_too_many_blocks", "csv", "fit", ("--blocks", "1001")),
 ]
