@@ -17,7 +17,7 @@ import numpy as np
 from . import _kernels
 from .blocks import block_increment, median, middle
 from .errors import ConfigError, DimensionError, EmptyLambdaWindow
-from .model import BlockPartition, Dataset, LinearPredictor, _frozen_array, covered_rows
+from .model import BlockPartition, Dataset, LinearPredictor, _frozen_array
 
 
 # ---------------------------------------------------------------------------
@@ -383,21 +383,18 @@ def phi_lambda_hat(
     returned; ties go to the earliest restart.  ``explored`` lists the
     evaluated iterates restart by restart.
     """
-    from .solver import erm_fit  # local import to avoid a cycle
+    from .solver import _setup  # local import to avoid a cycle
 
     theta_f = f.theta
     d = theta_f.shape[0]
     if d != data.dim:
         raise DimensionError(f"predictor dim {d} vs data dim {data.dim}")
-    X, y = covered_rows(data, p)
+    X, y, S, b, ols, step = _setup(data, p)
     lam = cfg.lam
     reg = cfg.regularizer
     psi_f = psi(reg, theta_f) if lam else 0.0
-    step = gram_step_size(X, p.m)
-    ols = erm_fit(data).theta
     rng = np.random.default_rng(seed)
     scale = float(np.linalg.norm(y - X @ ols)) / math.sqrt(X.shape[0])
-    S, b = _kernels.block_stats(X, y, p.n, p.m)
 
     starts = np.empty((budget.restarts, d))
     starts[0] = theta_f

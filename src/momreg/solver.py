@@ -1,5 +1,10 @@
 """Fitting procedures: median-block descent-ascent, grid oracle, baselines.
 
+``mom_minimax_fit`` chains five stages: ``_setup`` (covered rows, block
+statistics, least-squares fit and step, shared with ``phi_lambda_hat``),
+``_fit_starts``, ``_descent_ascent``, ``_select`` and ``_pattern_refine``.
+Its ``default_rng(cfg.seed)`` draws one ``standard_normal(d)`` per restart
+after the second, for the starts, then _AUDIT_EXTRA_WITNESSES for the pool.
 The descent-ascent scheme has no monotonicity guarantee, so the returned
 coefficient vector is not the last iterate: every iterate of every restart
 is audited with a witness-pool surrogate of the regularized minimax value
@@ -377,6 +382,75 @@ def _descent_ascent(S, b, starts, reg, lam, step_f, step_g, iterations, warm):
     return iterates, median_block, med_increment
 
 
+def _setup(data, p):
+    """What a fit and its certificate ``phi_lambda_hat`` start from: the
+    covered rows X and y, their block statistics S and b, the least-squares
+    theta and the ``gram_step_size`` step."""
+    X, y = covered_rows(data, p)
+    S, b = _kernels.block_stats(X, y, p.n, p.m)
+    return X, y, S, b, erm_fit(data).theta, gram_step_size(X, p.m)
+
+
+def _fit_starts(cfg, X, y, ols, step, rng):
+    """step_f, step_g, the iterations at constant steps, the perturbation
+    scale and the (restarts, d) starts: the least-squares fit, zero, then
+    perturbations of each in turn, one ``standard_normal(d)`` draw each."""
+    step_f = cfg.step_f if cfg.step_f is not None else step
+    step_g = cfg.step_g if cfg.step_g is not None else step
+    # Robust perturbation scale: corrupted responses can make the plain RMS
+    # residual astronomically large, so take the smaller of the two medians.
+    resid2 = np.square(y - X @ ols)
+    scale = math.sqrt(min(float(np.median(resid2)), float(np.median(np.square(y)))))
+    warm = cfg.iterations // 3 if cfg.decay else cfg.iterations
+    d = ols.shape[0]
+    starts = np.empty((cfg.restarts, d))
+    for k in range(cfg.restarts):
+        if k == 0:
+            starts[k] = ols
+        elif k == 1:
+            starts[k] = 0.0
+        else:
+            base = ols if k % 2 else np.zeros(d)
+            starts[k] = base + scale * rng.standard_normal(d) / math.sqrt(d)
+    return step_f, step_g, warm, scale, starts
+
+
+def _select(X, y, p, obj, iterates, ols, scale, rng):
+    """Audit the candidates of a run: every iterate of f and the mean of
+    the second half of the run, restart by restart.  The pool holds the
+    least-squares fit, the last f and g of every restart and perturbations
+    of the least-squares fit; the best prelim candidates then join it and
+    are re-audited, as pairwise matches cancel shared block noise.  Returns
+    the audit and the winner's candidate index, theta, losses and value.
+    """
+    F, G = iterates
+    R, T, d = F.shape[0], F.shape[1] - 1, F.shape[2]
+    cands = np.empty((R, T + 2, d))
+    cands[:, : T + 1] = F
+    cands[:, T + 1] = F[:, T // 2 + 1 :].mean(axis=1)
+    cands = cands.reshape(-1, d)
+
+    extra = [
+        ols + scale * rng.standard_normal(d) / math.sqrt(d)
+        for _ in range(_AUDIT_EXTRA_WITNESSES)
+    ]
+    pool = np.vstack([ols, F[:, T], G[:, T], *extra])
+    thetas = np.concatenate([pool, cands])
+    losses = _kernels.block_losses(X, y, thetas, p.n, p.m)
+    psis = psi_batch(obj.regularizer, thetas)
+    audit = _WitnessPoolAudit(losses[: len(pool)], psis[: len(pool)], obj.lam)
+    cand_losses = losses[len(pool) :]
+    cand_psi = psis[len(pool) :]
+
+    prelim = audit.value_from_losses(cand_losses, cand_psi)
+    top = np.argsort(prelim, kind="stable")[:_AUDIT_TOURNAMENT_SIZE]
+    audit.extend(cand_losses[top], cand_psi[top])
+    final = audit.value_from_losses(cand_losses[top], cand_psi[top])
+    pick = int(np.argmin(final))
+    best = int(top[pick])
+    return audit, best, cands[best], cand_losses[best], float(final[pick])
+
+
 def mom_minimax_fit(
     data: Dataset,
     p: BlockPartition,
@@ -390,92 +464,28 @@ def mom_minimax_fit(
     re-locate the median block, take a learner step for f, and apply the
     proximal shrinkage of the regularizer to both when lambda > 0.
     Restarts begin at the least-squares fit, at zero, and at seeded
-    perturbations of either, scaled by a median residual.  All restarts
-    advance in lockstep, as the rows of (restarts, d) arrays, through the
-    median-block prox-gradient step the adversary ascent also takes; see
-    ``_descent_ascent``.  Every iterate is then audited against a witness
-    pool, and the audited minimizer is refined by ``_pattern_refine``.
+    perturbations of either (``_fit_starts``) and advance in lockstep
+    (``_descent_ascent``); every iterate is audited against a witness pool
+    (``_select``) and the audited minimizer refined (``_pattern_refine``).
+    The seed draws a start per restart after the second, then the witnesses.
     """
-    X, y = covered_rows(data, p)
-    n, m = p.n, p.m
-    d = data.dim
-    lam = obj.lam
-    reg = obj.regularizer
-    S, b = _kernels.block_stats(X, y, n, m)
-
-    ols = erm_fit(data).theta
-    auto_step = gram_step_size(X, m)
-    step_f = cfg.step_f if cfg.step_f is not None else auto_step
-    step_g = cfg.step_g if cfg.step_g is not None else auto_step
+    X, y, S, b, ols, step = _setup(data, p)
     rng = np.random.default_rng(cfg.seed)
-    # Robust perturbation scale: corrupted responses can make the plain RMS
-    # residual astronomically large, so take the smaller of the two medians.
-    resid2 = np.square(y - X @ ols)
-    scale = math.sqrt(min(float(np.median(resid2)), float(np.median(np.square(y)))))
-    warm = cfg.iterations // 3 if cfg.decay else cfg.iterations
-    R, T = cfg.restarts, cfg.iterations
-
-    starts = np.empty((R, d))
-    for k in range(R):
-        if k == 0:
-            starts[k] = ols
-        elif k == 1:
-            starts[k] = 0.0
-        else:
-            base = ols if k % 2 else np.zeros(d)
-            starts[k] = base + scale * rng.standard_normal(d) / math.sqrt(d)
+    step_f, step_g, warm, scale, starts = _fit_starts(cfg, X, y, ols, step, rng)
     iterates, median_block, med_increment = _descent_ascent(
-        S, b, starts, reg, lam, step_f, step_g, T, warm
+        S, b, starts, obj.regularizer, obj.lam, step_f, step_g, cfg.iterations, warm
     )
     step_norms = np.linalg.norm(np.diff(iterates, axis=2), axis=3)
     trace = Trace(median_block, med_increment, step_norms[0], step_norms[1])
-
-    # Candidates, restart by restart: every iterate of f, then the mean of
-    # the second half of the run.
-    F, G = iterates
-    cands = np.empty((R, T + 2, d))
-    cands[:, : T + 1] = F
-    cands[:, T + 1] = F[:, T // 2 + 1 :].mean(axis=1)
-    cands = cands.reshape(-1, d)
-
-    extra = [
-        ols + scale * rng.standard_normal(d) / math.sqrt(d)
-        for _ in range(_AUDIT_EXTRA_WITNESSES)
-    ]
-    pool = np.vstack([ols, F[:, T], G[:, T], *extra])
-    thetas = np.concatenate([pool, cands])
-    losses = _kernels.block_losses(X, y, thetas, n, m)
-    psis = psi_batch(reg, thetas)
-    audit = _WitnessPoolAudit(losses[: len(pool)], psis[: len(pool)], lam)
-    cand_losses = losses[len(pool) :]
-    cand_psi = psis[len(pool) :]
-
-    prelim = audit.value_from_losses(cand_losses, cand_psi)
-    # Round-robin stage: admit the most promising candidates as witnesses,
-    # then re-audit; pairwise matches cancel shared block noise.
-    top = np.argsort(prelim, kind="stable")[:_AUDIT_TOURNAMENT_SIZE]
-    audit.extend(cand_losses[top], cand_psi[top])
-    final = audit.value_from_losses(cand_losses[top], cand_psi[top])
-    pick = int(np.argmin(final))
-    best_idx = int(top[pick])
-    best_restart = best_idx // (T + 2)
-    best_theta = cands[best_idx]
-
-    scale = max(1.0, float(np.max(np.abs(best_theta))))
-    best_theta, best_value = _pattern_refine(
-        audit,
-        reg,
-        S,
-        b,
-        best_theta,
-        cand_losses[best_idx],
-        float(final[pick]),
-        tuple(s * scale for s in _REFINE_SCALES),
-        _REFINE_EVAL_CAP,
+    audit, best, theta, losses, value = _select(X, y, p, obj, iterates, ols, scale, rng)
+    size = max(1.0, float(np.max(np.abs(theta))))
+    theta_hat, best_value = _pattern_refine(
+        audit, obj.regularizer, S, b, theta, losses, value,
+        tuple(s * size for s in _REFINE_SCALES), _REFINE_EVAL_CAP,
     )
-
+    best_restart = best // (cfg.iterations + 2)
     return SolverResult(
-        theta_hat=best_theta,
+        theta_hat=theta_hat,
         trace=trace,
         converged=bool(trace.step_norm_f[best_restart, -1] < cfg.tolerance),
         best_surrogate=best_value,
