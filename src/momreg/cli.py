@@ -317,9 +317,7 @@ def _objective_from_config(cfg: dict, dim: int) -> ObjectiveConfig:
         return ObjectiveConfig()
     if kind == "l1":
         return ObjectiveConfig(lam, Regularizer.l1())
-    if kind == "slope":
-        return ObjectiveConfig(lam, Regularizer.slope(weights, d=dim))
-    raise ConfigError(f"unknown regularizer {kind!r}")
+    return ObjectiveConfig(lam, Regularizer.slope(weights, d=dim))
 
 
 def _params_from_config(cfg: dict) -> ConditionParams:

@@ -80,16 +80,19 @@ class SolverConfig:
     decay: bool = True
 
     def __post_init__(self):
-        if self.step_f is not None and self.step_f <= 0.0:
-            raise ConfigError("step_f must be positive")
-        if self.step_g is not None and self.step_g <= 0.0:
-            raise ConfigError("step_g must be positive")
+        # NaN fails every comparison, so it is rejected with inf.
+        for name in ("step_f", "step_g"):
+            step = getattr(self, name)
+            if step is not None and not 0.0 < step < math.inf:
+                raise ConfigError(f"{name} must be positive and finite")
         if self.iterations < 1:
             raise ConfigError("iterations must be positive")
         if self.restarts < 1:
             raise ConfigError("restarts must be positive")
-        if self.tolerance <= 0.0:
-            raise ConfigError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise ConfigError("tolerance must be positive and finite")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
 
 
 @dataclass(frozen=True, eq=False)

@@ -850,28 +850,6 @@ def _draw_lemma_instances(rng, count: int, slope_fraction: float) -> _LemmaChunk
     )
 
 
-def _check_args(chunk: _LemmaChunk, i: int) -> tuple:
-    """Instance i of a chunk as the arguments of ``lemma_reg_check``."""
-    d, n, m = int(chunk.d[i]), int(chunk.n[i]), int(chunk.m[i])
-    sizes = chunk.n[:i] * chunk.m[:i]
-    at, first, N = int(sizes @ chunk.d[:i]), int(sizes.sum()), n * m
-    X, y = chunk.X[at : at + N * d].reshape(N, d), chunk.y[first : first + N]
-    f_star = chunk.f_star[i, :d]
-    return (
-        [LemmaProbe(chunk.thetas[i, int(row), :d], _REGIMES[int(code)], alpha, em)
-         for row, code, alpha, em in zip(*chunk.probes[:, i].tolist()) if code >= 0],
-        LinearPredictor(f_star), Dataset(X, X @ f_star + y if chunk.noisy else y),
-        BlockPartition(n, m), ConditionParams(*chunk.params[:4, i].tolist()),
-        float(chunk.params[4, i]), chunk.regs[i], chunk.designs[i],
-    )
-
-
-def random_lemma_instance(rng, slope_fraction: float = 0.25):
-    """The instance of a one-instance chunk of ``_draw_lemma_instances``, as
-    the arguments of ``lemma_reg_check``."""
-    return _check_args(_draw_lemma_instances(rng, 1, slope_fraction), 0)
-
-
 def lemma_sweep(count: int, seed: int = 0, slope_fraction: float = 0.25) -> LemmaCheckReport:
     """The lemma check of `count` instances, numbered from 0, drawn from one
     ``default_rng(seed)`` stream by ``_draw_lemma_instances`` in chunks of

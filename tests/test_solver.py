@@ -111,6 +111,18 @@ class TestSolverConfig:
             SolverConfig(restarts=0)
         with pytest.raises(ConfigError):
             SolverConfig(tolerance=0.0)
+        with pytest.raises(ConfigError, match="seed"):
+            SolverConfig(seed=-1)
+        with pytest.raises(ConfigError, match="seed"):
+            SolverConfig(seed=1.5)
+        for step in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="step_f"):
+                SolverConfig(step_f=step)
+            with pytest.raises(ConfigError, match="step_g"):
+                SolverConfig(step_g=step)
+        for tolerance in (math.nan, math.inf):
+            with pytest.raises(ConfigError, match="tolerance"):
+                SolverConfig(tolerance=tolerance)
 
 
 class TestMomMinimaxFit:
@@ -256,6 +268,22 @@ class TestStatisticsPath:
         data = generate(105, 2, np.ones(2), DesignSpec.identity(2), NoiseSpec("gaussian", 1.0), 1)
         mom_minimax_fit(data, make_partition(105, 7), ObjectiveConfig(), SolverConfig(iterations=5))
         assert calls == [15]
+
+    def test_fit_and_certificate_share_one_step(self, monkeypatch):
+        steps = []
+        real = solver.gram_step_size
+
+        def recorded(X, m):
+            steps.append(real(X, m))
+            return steps[-1]
+
+        monkeypatch.setattr(solver, "gram_step_size", recorded)
+        data = generate(105, 2, np.ones(2), DesignSpec.identity(2), NoiseSpec("gaussian", 1.0), 2)
+        p = make_partition(105, 7)
+        fit = mom_minimax_fit(data, p, ObjectiveConfig(), SolverConfig(iterations=5))
+        assert len(steps) == 1
+        phi_lambda_hat(fit.predictor, data, p, ObjectiveConfig())
+        assert len(steps) == 2 and steps[0] == steps[1]
 
     def test_refine_neighbour_losses_match_exact_losses(self):
         rng = np.random.default_rng(20)

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from momreg import (
+    BlockPartition,
     ConditionParams,
     Dataset,
     DesignSpec,
@@ -52,9 +53,32 @@ from momreg.verify import (
     DeltaEstimate,
     LemmaCheckReport,
     LemmaViolation,
-    random_lemma_instance,
     sample_sphere_probes,
 )
+
+
+def _check_args(chunk, i: int) -> tuple:
+    """Instance i of a ``verify._draw_lemma_instances`` chunk as the
+    arguments of ``lemma_reg_check``."""
+    d, n, m = int(chunk.d[i]), int(chunk.n[i]), int(chunk.m[i])
+    sizes = chunk.n[:i] * chunk.m[:i]
+    at, first, N = int(sizes @ chunk.d[:i]), int(sizes.sum()), n * m
+    X, y = chunk.X[at : at + N * d].reshape(N, d), chunk.y[first : first + N]
+    f_star = chunk.f_star[i, :d]
+    return (
+        [LemmaProbe(chunk.thetas[i, int(row), :d], verify._REGIMES[int(code)], alpha, em)
+         for row, code, alpha, em in zip(*chunk.probes[:, i].tolist()) if code >= 0],
+        LinearPredictor(f_star), Dataset(X, X @ f_star + y if chunk.noisy else y),
+        BlockPartition(n, m), ConditionParams(*chunk.params[:4, i].tolist()),
+        float(chunk.params[4, i]), chunk.regs[i], chunk.designs[i],
+    )
+
+
+def random_lemma_instance(rng, slope_fraction: float = 0.25):
+    """The instance of a one-instance chunk of ``verify._draw_lemma_instances``,
+    as the arguments of ``lemma_reg_check``."""
+    return _check_args(verify._draw_lemma_instances(rng, 1, slope_fraction), 0)
+
 
 # ---------------------------------------------------------------------------
 # loop references
@@ -942,7 +966,7 @@ def _drawn(rng, count, slope_fraction):
     """The instances of one _draw_lemma_instances chunk, as the arguments of
     lemma_reg_check."""
     chunk = verify._draw_lemma_instances(rng, count, slope_fraction)
-    return [verify._check_args(chunk, i) for i in range(count)]
+    return [_check_args(chunk, i) for i in range(count)]
 
 
 def _used_rows(chunk, i):
@@ -1007,7 +1031,7 @@ def _drawn_sweep(count, seed, slope_fraction):
 def _sweep_instances(count, seed, slope_fraction):
     """The instances of lemma_sweep(count, seed, slope_fraction), as the
     arguments of lemma_reg_check."""
-    return [verify._check_args(chunk, i) for chunk in _drawn_sweep(count, seed, slope_fraction)
+    return [_check_args(chunk, i) for chunk in _drawn_sweep(count, seed, slope_fraction)
             for i in range(len(chunk.n))]
 
 
@@ -1081,7 +1105,7 @@ def test_lemma_sweep_matches_the_per_instance_loop_at_chunk_edges(count):
 def test_draw_lemma_instances_meet_their_ranges(seed, count, slope_fraction):
     chunk = verify._draw_lemma_instances(np.random.default_rng(seed), count, slope_fraction)
     for i in range(count):
-        probes, f_star, data, p, params, lam, reg, design = verify._check_args(chunk, i)
+        probes, f_star, data, p, params, lam, reg, design = _check_args(chunk, i)
         d = f_star.dim
         support = np.flatnonzero(f_star.theta)
         assert 8 <= d <= 24 and 1 <= support.size <= 3
