@@ -397,7 +397,8 @@ def _setup(data, p):
 def _fit_starts(cfg, X, y, ols, step, rng):
     """step_f, step_g, the iterations at constant steps, the perturbation
     scale and the (restarts, d) starts: the least-squares fit, zero, then
-    perturbations of each in turn, one ``standard_normal(d)`` draw each."""
+    perturbations of zero and of the least-squares fit in turn, one
+    ``standard_normal(d)`` draw each."""
     step_f = cfg.step_f if cfg.step_f is not None else step
     step_g = cfg.step_g if cfg.step_g is not None else step
     # Robust perturbation scale: corrupted responses can make the plain RMS
