@@ -43,7 +43,7 @@ import time
 
 import numpy as np
 
-from .datagen import CORRUPTION_MODES, CorruptionSpec, NoiseSpec, corrupt, generate
+from .datagen import CORRUPTION_MODES, NOISE_KINDS, CorruptionSpec, NoiseSpec, corrupt, generate
 from .errors import ConfigError, EmptyLambdaWindow, MomregError, ParseError
 from .model import (
     MAX_MAGNITUDE,
@@ -111,7 +111,7 @@ _CONFIG = {
     "data.generate.theta_star.sparse.value": (1.0, ("number",), None),
     "data.generate.covariance": ("identity", ("string", "null", "matrix"), _one_of("identity")),
     "data.generate.noise": (_OBJECT, ("object",), None),
-    "data.generate.noise.kind": (NoiseSpec.kind, ("string",), None),
+    "data.generate.noise.kind": (NoiseSpec.kind, ("string",), _one_of(*NOISE_KINDS)),
     "data.generate.noise.scale": (NoiseSpec.scale, ("number",), _POSITIVE),
     "data.generate.noise.dof": (NoiseSpec.dof, ("number", "null"), None),
     "partition": (_OBJECT, ("object",), None),

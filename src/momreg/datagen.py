@@ -6,8 +6,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import Dataset, DesignSpec
+from .model import Dataset, DesignSpec, _check_count, _check_number
 
+NOISE_KINDS = ("gaussian", "student_t")
 CORRUPTION_MODES = ("huge_response", "sign_flip", "adversarial_leverage")
 
 
@@ -20,13 +21,11 @@ class NoiseSpec:
     dof: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("gaussian", "student_t"):
+        if self.kind not in NOISE_KINDS:
             raise ConfigError(f"unknown noise kind {self.kind!r}")
-        if self.scale <= 0.0:
-            raise ConfigError("noise scale must be positive")
+        _check_number("noise scale", self.scale)
         if self.kind == "student_t":
-            if self.dof is None or self.dof <= 2.0:
-                raise ConfigError("student_t noise needs dof > 2")
+            _check_number("student_t noise dof", self.dof, 2.0)
         elif self.dof is not None:
             raise ConfigError("gaussian noise takes no dof")
 
@@ -45,13 +44,13 @@ class CorruptionSpec:
     indices: tuple[int, ...] | None = None  # None -> seeded random placement
 
     def __post_init__(self):
-        if self.count < 0:
-            raise ConfigError("corruption count must be nonnegative")
+        _check_count("corruption count", self.count)
         if self.mode not in CORRUPTION_MODES:
             raise ConfigError(f"unknown corruption mode {self.mode!r}")
-        if self.magnitude <= 0.0:
-            raise ConfigError("corruption magnitude must be positive")
+        _check_number("corruption magnitude", self.magnitude)
         if self.indices is not None:
+            for i in self.indices:
+                _check_count("explicit corruption index", i)
             idx = tuple(int(i) for i in self.indices)
             if len(idx) != self.count:
                 raise ConfigError(
@@ -71,13 +70,13 @@ def generate(
     """Draw X_i ~ N(0, Sigma) and Y_i = <theta*, X_i> + eps_i, seeded: the
     rows first, X = Z L^T for N standard normal rows Z, then the noise,
     standard normal for gaussian noise and student_t otherwise."""
+    _check_count("N", N, 1)
+    _check_count("d", d, 1)
     theta_star = np.asarray(theta_star, dtype=np.float64)
     if theta_star.shape != (d,):
         raise ConfigError(f"theta_star must have shape ({d},)")
     if design.dim != d:
         raise ConfigError(f"design dim {design.dim} does not match d={d}")
-    if N < 1:
-        raise ConfigError("N must be positive")
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((N, d)) @ design.cholesky.T
     eps = rng.standard_normal(N) if noise.dof is None else rng.standard_t(noise.dof, N)
@@ -94,7 +93,7 @@ def corrupt(data: Dataset, spec: CorruptionSpec, seed) -> tuple[Dataset, list[in
         raise ConfigError(f"cannot corrupt {spec.count} of {N} samples")
     if spec.indices is not None:
         idx = np.asarray(spec.indices, dtype=np.int64)
-        if idx.size and (idx.min() < 0 or idx.max() >= N):
+        if idx.size and idx.max() >= N:  # CorruptionSpec keeps them >= 0
             raise ConfigError("explicit corruption index out of range")
         if np.unique(idx).size != idx.size:
             raise ConfigError("explicit corruption indices must be distinct")

@@ -1,7 +1,9 @@
 """Core data model: samples, linear predictors, block partitions, design geometry.
 
 All types are immutable after construction (arrays are copied and marked
-read-only), so they are safe to share across parallel workers.
+read-only), so they are safe to share across parallel workers.  Counts and
+numbers are checked by ``_check_count`` and ``_check_number`` alone, since
+NaN fails every comparison and a bool is not a count.
 """
 from __future__ import annotations
 
@@ -13,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DimensionError,
     InvalidInput,
     OddBlockCountRequired,
@@ -24,6 +27,19 @@ from .errors import (
 # Largest magnitude of a config number or a dataset cell: far beyond any scale
 # a run uses, and small enough that the squares and products of it stay finite.
 MAX_MAGNITUDE = 1e100
+
+
+def _check_count(name, value, lo=0, error=ConfigError) -> None:
+    """Raise error unless value is an int or numpy integer, not a bool, >= lo."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < lo:
+        raise error(f"{name} must be an integer >= {lo}, got {value!r}")
+
+
+def _check_number(name, value, lo=0.0, strict=True, error=ConfigError) -> None:
+    """Raise error unless value is a finite non-bool number > lo (>= lo when not strict)."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+    if not (real and abs(value) < math.inf and (value > lo if strict else value >= lo)):
+        raise error(f"{name} must be finite and {'>' if strict else '>='} {lo}, got {value!r}")
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
@@ -97,12 +113,10 @@ class BlockPartition:
     m: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise InvalidInput("block count must be positive")
+        _check_count("block count n", self.n, 1, InvalidInput)
         if self.n % 2 == 0:
             raise OddBlockCountRequired(f"block count n={self.n} must be odd")
-        if self.m < 1:
-            raise InvalidInput("block size must be positive")
+        _check_count("block size m", self.m, 1, InvalidInput)
 
     @property
     def total(self) -> int:
@@ -115,10 +129,8 @@ def make_partition(N: int, n: int) -> BlockPartition:
 
     The trailing N - n*m indices are dropped.  n must be odd and at most N.
     """
-    if N < 1:
-        raise InvalidInput("sample count must be positive")
-    if n < 1:
-        raise InvalidInput("block count must be positive")
+    _check_count("sample count N", N, 1, InvalidInput)
+    _check_count("block count n", n, 1, InvalidInput)
     if n % 2 == 0:
         raise OddBlockCountRequired(f"block count n={n} must be odd")
     if n > N:
@@ -149,8 +161,9 @@ class DesignSpec:
         cov = _frozen_array(self.covariance)
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
             raise DimensionError("covariance must be a square matrix")
-        scale = max(float(np.max(np.abs(cov))), 1e-300)
-        if float(np.max(np.abs(cov - cov.T))) > 1e-12 * scale:
+        scale = float(np.max(np.abs(cov)))
+        _check_number("greatest covariance magnitude", scale, 0.0, False, InvalidInput)
+        if float(np.max(np.abs(cov - cov.T))) > 1e-12 * max(scale, 1e-300):
             raise InvalidInput("covariance must be symmetric (1e-12 relative)")
         if float(np.linalg.eigvalsh(cov)[0]) <= 0.0:
             raise InvalidInput("covariance must be positive definite")

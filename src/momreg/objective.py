@@ -17,7 +17,8 @@ import numpy as np
 from . import _kernels
 from .blocks import block_increment, median, middle
 from .errors import ConfigError, DimensionError, EmptyLambdaWindow
-from .model import BlockPartition, Dataset, LinearPredictor, _frozen_array
+from .model import (BlockPartition, Dataset, LinearPredictor, _check_count, _check_number,
+                    _frozen_array)
 
 
 # ---------------------------------------------------------------------------
@@ -46,8 +47,8 @@ class Regularizer:
             w = _frozen_array(self.weights)
             if w.ndim != 1 or w.shape[0] < 1:
                 raise ConfigError("slope weights must be a nonempty vector")
-            if not np.all(w > 0.0):
-                raise ConfigError("slope weights must be strictly positive")
+            _check_number("least slope weight", float(w.min()))
+            _check_number("greatest slope weight", float(w.max()))
             if np.any(np.diff(w) > 0.0):
                 raise ConfigError("slope weights must be nonincreasing")
             object.__setattr__(self, "weights", w)
@@ -160,8 +161,7 @@ class ObjectiveConfig:
     regularizer: Regularizer = field(default_factory=Regularizer.none)
 
     def __post_init__(self):
-        if self.lam < 0.0:
-            raise ConfigError("lambda must be nonnegative")
+        _check_number("lambda", self.lam, strict=False)
         if (self.lam == 0.0) != (self.regularizer.kind == "none"):
             raise ConfigError("lambda must be 0 exactly when the regularizer is none")
 
@@ -177,8 +177,7 @@ class ConditionParams:
 
     def __post_init__(self):
         for name in ("gamma1", "gamma2", "r", "rho"):
-            if getattr(self, name) <= 0.0:
-                raise ConfigError(f"{name} must be positive")
+            _check_number(name, getattr(self, name))
 
 
 def lambda_window(params: ConditionParams) -> tuple[float, float]:
@@ -214,10 +213,8 @@ class AdversaryBudget:
     iterations: int = 120
 
     def __post_init__(self):
-        if self.restarts < 1:
-            raise ConfigError("restarts must be positive")
-        if self.iterations < 0:
-            raise ConfigError("iterations must be nonnegative")
+        _check_count("restarts", self.restarts, 1)
+        _check_count("iterations", self.iterations)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,9 @@ import numpy as np
 
 from . import _kernels
 from .blocks import middle, row_slices
-from .errors import ConfigError, DimensionError, DivergenceError, GridCapExceeded
-from .model import BlockPartition, Dataset, LinearPredictor, covered_rows
+from .errors import DimensionError, DivergenceError, GridCapExceeded
+from .model import (BlockPartition, Dataset, LinearPredictor, _check_count, _check_number,
+                    covered_rows)
 from .objective import (
     ObjectiveConfig,
     Regularizer,
@@ -80,19 +81,13 @@ class SolverConfig:
     decay: bool = True
 
     def __post_init__(self):
-        # NaN fails every comparison, so it is rejected with inf.
         for name in ("step_f", "step_g"):
-            step = getattr(self, name)
-            if step is not None and not 0.0 < step < math.inf:
-                raise ConfigError(f"{name} must be positive and finite")
-        if self.iterations < 1:
-            raise ConfigError("iterations must be positive")
-        if self.restarts < 1:
-            raise ConfigError("restarts must be positive")
-        if not 0.0 < self.tolerance < math.inf:
-            raise ConfigError("tolerance must be positive and finite")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ConfigError("seed must be a non-negative integer")
+            if getattr(self, name) is not None:
+                _check_number(name, getattr(self, name))
+        _check_count("iterations", self.iterations, 1)
+        _check_count("restarts", self.restarts, 1)
+        _check_number("tolerance", self.tolerance)
+        _check_count("seed", self.seed)
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,6 +141,7 @@ def lasso_fit(
     data: Dataset, lam: float, iterations: int = 1000, tol: float = 1e-10
 ) -> LinearPredictor:
     """Plain l1-penalized least squares (ISTA on the mean squared loss)."""
+    _check_count("iterations", iterations)
     X = data.features
     y = data.responses
     N = X.shape[0]
@@ -270,11 +266,11 @@ def _pattern_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap)
     theta - scale e_i.  A sweep takes the first move that lowers the value
     and goes on from the moved point at coordinate i + 1.  The block losses
     of theta + s e_i are loss_j + 2 s (S_j theta - b_j)_i + s^2 (S_j)_ii,
-    and the sweep's next _REFINE_BATCH moves are audited together: first
-    against the _REFINE_SCREEN witnesses of largest term at the current
-    theta, then, for the moves this screen puts below the current value,
-    against the full pool, slice by slice up to an improving move.  Both
-    take the same witness medians, so the screen rejects only moves the full
+    and the sweep's next _REFINE_BATCH moves are audited together: first by
+    the ``terms`` of a sub-audit of the _REFINE_SCREEN witnesses of largest
+    term at the current theta, then, for the moves it puts below the current
+    value, by those of the full pool, slice by slice up to an improving move.
+    Both take the same terms, so the screen rejects only moves the full
     audit would reject: the moves and ``evals`` are the unscreened sweep's.
     The next screen comes from the accepted move's own full-pool terms.
     With lam = 0 the terms never read the norms and no candidate stack is built.
@@ -282,7 +278,7 @@ def _pattern_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap)
 
     def screen(meds):
         top = np.argpartition(-meds, _REFINE_SCREEN - 1)[:_REFINE_SCREEN]
-        return audit.pool_losses[top], audit.pool_psi[top]
+        return _WitnessPoolAudit(audit.pool_losses[top], audit.pool_psi[top], audit.lam)
 
     theta, losses, value = theta0.copy(), losses0, value0
     d = theta.shape[0]
@@ -290,7 +286,7 @@ def _pattern_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap)
     signs = np.tile([1.0, -1.0], d)[:, None]
     curv = np.diagonal(S, axis1=1, axis2=2).T[coords]
     grad = (S @ theta - b).T[coords]
-    near_losses, near_psi = screen(audit.terms(losses, psi(reg, theta)))
+    near = screen(audit.terms(losses, psi(reg, theta)))
     psis = np.zeros(_REFINE_BATCH)  # read by the terms only when lam > 0
     for scale in scales:
         steps = signs * scale
@@ -304,13 +300,11 @@ def _pattern_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap)
             while lo < 2 * d:
                 hi = min(lo + _REFINE_BATCH, 2 * d)
                 cand_losses = losses + lin[lo:hi] + quad[lo:hi]
-                near = middle(cand_losses[:, None, :] - near_losses)
                 if audit.lam:
                     cands = np.repeat(theta[None, :], hi - lo, axis=0)
                     cands[np.arange(hi - lo), coords[lo:hi]] += steps[lo:hi, 0]
                     psis = psi_batch(reg, cands)
-                    near = near + audit.lam * (psis[:, None] - near_psi)
-                live = np.flatnonzero(near.max(axis=1) < value)
+                live = np.flatnonzero(near.terms(cand_losses, psis).max(axis=1) < value)
                 for rows in row_slices(live.size, audit.pool_losses.size):
                     at = live[rows]
                     meds = audit.terms(cand_losses[at], psis[at])
@@ -329,7 +323,7 @@ def _pattern_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap)
                 value = float(values[j])
                 grad = (S @ theta - b).T[coords]
                 lin = 2.0 * steps * grad
-                near_losses, near_psi = screen(meds[j])
+                near = screen(meds[j])
                 improved = True
                 lo = 2 * (int(coords[lo + k]) + 1)
     return theta, value
@@ -508,10 +502,9 @@ class GridSpec:
 
     def __post_init__(self):
         for lo, hi, step in self.axes:
-            if step <= 0.0:
-                raise ConfigError("grid step must be positive")
-            if lo > hi:
-                raise ConfigError("grid lo must not exceed hi")
+            _check_number("grid step", step)
+            _check_number("grid lo", lo, -math.inf)
+            _check_number("grid hi", hi, lo, strict=False)
 
     def points(self) -> np.ndarray:
         """Grid points in lexicographic (row-major) order, shape (G, d)."""

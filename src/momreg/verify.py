@@ -35,14 +35,8 @@ from .errors import (
     InvalidInput,
     ProbeOutOfRegime,
 )
-from .model import (
-    BlockPartition,
-    Dataset,
-    DesignSpec,
-    LinearPredictor,
-    _frozen_array,
-    population_sq_norms,
-)
+from .model import (BlockPartition, Dataset, DesignSpec, LinearPredictor, _check_count,
+                    _check_number, _frozen_array, population_sq_norms)
 from .objective import (
     ConditionParams,
     Regularizer,
@@ -89,8 +83,8 @@ def sample_sphere_probes(
     Row i is bitwise the probe solved and normed alone from the i-th of
     count draws of ``rng.standard_normal(d)``, and rng ends in that state.
     """
-    if distance < 0.0:
-        raise ConfigError("distance must be nonnegative")
+    _check_number("distance", distance, strict=False)
+    _check_count("count", count)
     V = rng.standard_normal((count, design.dim))
     W = np.linalg.solve(design.cholesky.T[None], V[:, :, None])[:, :, 0]
     return f_star.theta + distance * W / np.sqrt(np.vecdot(V, V))[:, None]
@@ -351,8 +345,8 @@ class LemmaProbe:
         )
         if self.regime not in _REGIME_CODES:
             raise ConfigError(f"unknown lemma regime {self.regime!r}")
-        if self.regime == REGIME_SCALED and self.alpha <= 1.0:
-            raise ConfigError("scaled regime needs alpha > 1")
+        if self.regime == REGIME_SCALED:
+            _check_number("scaled regime alpha", self.alpha, 1.0)
 
 
 @dataclass(frozen=True)
@@ -672,9 +666,12 @@ def estimate_delta(
     """
     if reg.kind not in ("l1", "slope"):
         raise ConfigError("estimate_delta needs an l1 or slope regularizer")
-    if budget < 0 or n_centers < 1 or n_norming < 0:
-        raise ConfigError("estimate_delta needs budget >= 0, n_centers >= 1 and n_norming >= 0, "
-                          f"got {budget}, {n_centers} and {n_norming}")
+    _check_count("budget", budget)
+    _check_count("n_centers", n_centers, 1)
+    _check_count("n_norming", n_norming)
+    if rho != math.inf:  # the overflowing case, whose sup is kept free of nan below
+        _check_number("rho", rho, -math.inf)
+    _check_number("r", r, -math.inf)
     d = design.dim
     if f_star.dim != d:
         raise DimensionError(f"predictor dim {f_star.dim} vs design dim {d}")
@@ -857,6 +854,7 @@ def lemma_sweep(count: int, seed: int = 0, slope_fraction: float = 0.25) -> Lemm
     chunk, the path ``lemma_reg_check`` takes for its one instance; the
     drawer's docstring states the draws, which are part of the ``momreg
     verify`` report contract."""
+    _check_count("count", count)
     rng = np.random.default_rng(seed)
     report = LemmaCheckReport()
     for start in range(0, count, LEMMA_CHUNK):

@@ -427,6 +427,12 @@ class TestMainEntry:
         assert main(["fit", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err.startswith("error: config")
 
+    def test_config_not_an_object_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text("[1, 2]")
+        assert main(["fit", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == f"error: config {str(cfg_path)!r} must hold a JSON object\n"
+
     @pytest.mark.parametrize("blocks", [0, -3])
     def test_nonpositive_blocks_exit_code(self, tmp_path, capsys, blocks):
         bad = tmp_path / "bad.json"
@@ -701,6 +707,7 @@ class TestConfigValues:
             ("solver.iterations", 2.5),
             ("corruption.indices", [10**30]),
             ("corruption.indices", [-1]),
+            ("data.generate.noise.kind", "cauchy"),
         ],
     )
     @pytest.mark.parametrize("mode", ["simulate", "verify"])

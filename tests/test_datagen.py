@@ -24,6 +24,10 @@ class TestNoiseSpec:
         with pytest.raises(ConfigError):
             NoiseSpec("gaussian", 1.0, dof=3.0)
 
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ConfigError, match="^unknown noise kind 'cauchy'$"):
+            NoiseSpec("cauchy", 1.0)
+
 
 class TestGenerate:
     def test_seed_determinism(self):
@@ -121,6 +125,15 @@ class TestCorrupt:
     def test_count_exceeding_n_rejected(self):
         with pytest.raises(ConfigError):
             corrupt(self._data(10), CorruptionSpec(count=11), 0)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ConfigError, match="^unknown corruption mode 'bogus'$"):
+            CorruptionSpec(count=1, mode="bogus")
+
+    def test_repeated_index_rejected(self):
+        spec = CorruptionSpec(count=2, indices=(3, 3))
+        with pytest.raises(ConfigError, match="^explicit corruption indices must be distinct$"):
+            corrupt(self._data(10), spec, 0)
 
     def test_out_of_range_index_rejected(self):
         with pytest.raises(ConfigError):

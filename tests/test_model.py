@@ -129,6 +129,18 @@ class TestCsvRoundTrip:
             load_dataset(path)
         assert excinfo.value.row == 1
 
+    @pytest.mark.parametrize(
+        "text, row, message",
+        [("", 1, "empty CSV file"), ("x0,y\n", 2, "CSV has a header but no data rows")],
+        ids=["empty", "header_only"],
+    )
+    def test_file_without_data_rows_names_row(self, tmp_path, text, row, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"^{message}$") as excinfo:
+            load_dataset(path)
+        assert excinfo.value.row == row
+
     def test_non_numeric_cell_names_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x0,y\n1.0,2.0\n1.0,oops\n")
