@@ -6,9 +6,9 @@ that the package's per-block computations share.
 along the odd last axis of ``a``, found by partitioning ``a`` in place (a
 caller that must keep its input passes a copy).  ``row_slices(k,
 row_entries)`` is the temporary budget of the stacked statistics here and
-of the solver's audit: slices of a k-row stack such that no slice's
-temporary, row_entries entries per row, exceeds ``TEMP_ENTRIES`` (65,536)
-entries, with at least one row per slice.  ``_kernels.block_losses`` keeps
+of the solver's audit and its block losses: slices of a k-row stack such
+that no slice's temporary, row_entries entries per row, exceeds
+``TEMP_ENTRIES`` (65,536) entries, with at least one row per slice.  ``_kernels.block_losses`` keeps
 its own 64-row ``_CHUNK`` instead, because a matrix product rounds some
 rows differently with the number of rows it is given, and the fits depend
 on those bits.  ``block_means(v, n, m)``, from ``_kernels``, is the one
@@ -66,8 +66,9 @@ class BlockVector:
 
 
 # Largest temporary, in entries, of one slice of a stacked pass: the
-# residuals of the stacked statistics here and the (candidates, pool,
-# blocks) differences of the solver's witness-pool audit.
+# residuals of the stacked statistics here, the (candidates, pool, blocks)
+# differences of the solver's witness-pool audit and the (thetas, n * d)
+# products of its block losses from S and b.
 TEMP_ENTRIES = 65536
 
 

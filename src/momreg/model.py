@@ -159,8 +159,8 @@ class DesignSpec:
 
     def __post_init__(self):
         cov = _frozen_array(self.covariance)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-            raise DimensionError("covariance must be a square matrix")
+        if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.size == 0:
+            raise DimensionError("covariance must be a non-empty square matrix")
         scale = float(np.max(np.abs(cov)))
         _check_number("greatest covariance magnitude", scale, 0.0, False, InvalidInput)
         if float(np.max(np.abs(cov - cov.T))) > 1e-12 * max(scale, 1e-300):

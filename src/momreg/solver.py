@@ -141,6 +141,7 @@ def lasso_fit(
     data: Dataset, lam: float, iterations: int = 1000, tol: float = 1e-10
 ) -> LinearPredictor:
     """Plain l1-penalized least squares (ISTA on the mean squared loss)."""
+    _check_number("lam", lam, strict=False)
     _check_count("iterations", iterations)
     X = data.features
     y = data.responses
@@ -163,6 +164,21 @@ def lasso_fit(
 # ---------------------------------------------------------------------------
 # witness-pool audit
 # ---------------------------------------------------------------------------
+
+def _audit_losses(X, y, S, b, thetas, p):
+    """Block losses of a (k, d) stack of thetas for the audits, which take
+    only their differences: where d <= m, from S and b less each block's
+    constant y_j^T y_j / m, one ``row_slices`` slice at a time; where
+    d > m, from the residuals, which cost less there."""
+    thetas = np.ascontiguousarray(thetas, dtype=np.float64)
+    k, d = thetas.shape
+    if d > p.m:
+        return _kernels.block_losses(X, y, thetas, p.n, p.m)
+    out = np.empty((k, p.n))
+    for rows in row_slices(k, p.n * d):
+        out[rows] = _kernels.stats_block_losses(S, b, thetas[rows])
+    return out
+
 
 class _WitnessPoolAudit:
     """phi_lambda_hat under a fixed-witness budget: max over a pool of g's
@@ -413,13 +429,16 @@ def _fit_starts(cfg, X, y, ols, step, rng):
     return step_f, step_g, warm, scale, starts
 
 
-def _select(X, y, p, obj, iterates, ols, scale, rng):
+def _select(X, y, S, b, p, obj, iterates, ols, scale, rng):
     """Audit the candidates of a run: every iterate of f and the mean of
     the second half of the run, restart by restart.  The pool holds the
     least-squares fit, the last f and g of every restart and perturbations
     of the least-squares fit; the best prelim candidates then join it and
-    are re-audited, as pairwise matches cancel shared block noise.  Returns
-    the audit and the winner's candidate index, theta, losses and value.
+    are re-audited, as pairwise matches cancel shared block noise.  The
+    block losses of pool and candidates come from one ``_audit_losses``
+    call, from S and b where d <= m (less each block's y_j^T y_j / m, which
+    cancels in every term), from X and y where d > m.  Returns the audit
+    and the winner's candidate index, theta, losses and value.
     """
     F, G = iterates
     R, T, d = F.shape[0], F.shape[1] - 1, F.shape[2]
@@ -434,7 +453,7 @@ def _select(X, y, p, obj, iterates, ols, scale, rng):
     ]
     pool = np.vstack([ols, F[:, T], G[:, T], *extra])
     thetas = np.concatenate([pool, cands])
-    losses = _kernels.block_losses(X, y, thetas, p.n, p.m)
+    losses = _audit_losses(X, y, S, b, thetas, p)
     psis = psi_batch(obj.regularizer, thetas)
     audit = _WitnessPoolAudit(losses[: len(pool)], psis[: len(pool)], obj.lam)
     cand_losses = losses[len(pool) :]
@@ -475,7 +494,7 @@ def mom_minimax_fit(
     )
     step_norms = np.linalg.norm(np.diff(iterates, axis=2), axis=3)
     trace = Trace(median_block, med_increment, step_norms[0], step_norms[1])
-    audit, best, theta, losses, value = _select(X, y, p, obj, iterates, ols, scale, rng)
+    audit, best, theta, losses, value = _select(X, y, S, b, p, obj, iterates, ols, scale, rng)
     size = max(1.0, float(np.max(np.abs(theta))))
     theta_hat, best_value = _pattern_refine(
         audit, obj.regularizer, S, b, theta, losses, value,
@@ -540,7 +559,9 @@ def oracle_grid_fit(
     median-increment entries evaluated; the default 1e8 is practical for
     d <= 2.  ``_WitnessPoolAudit.grid_values`` bounds groups of 64 and
     leaves of 16 consecutive g's by their envelopes and skips those that
-    cannot raise an entry, with the objective bits of the full table.
+    cannot raise an entry, with the objective bits of the full table.  The
+    block losses of both grids come from ``_audit_losses``: where d <= m
+    they omit each block's y_j^T y_j / m, which cancels in the objective.
     """
     pts_f = grid_f.points()
     pts_g = grid_g.points()
@@ -552,13 +573,13 @@ def oracle_grid_fit(
             f"exceeds cap {cap}"
         )
     X, y = covered_rows(data, p)
-    n, m = p.n, p.m
+    S, b = _kernels.block_stats(X, y, p.n, p.m)
 
-    losses_f = _kernels.block_losses(X, y, pts_f, n, m)
+    losses_f = _audit_losses(X, y, S, b, pts_f, p)
     psi_f = psi_batch(obj.regularizer, pts_f)
     # The grid of g's is a witness pool: the audit's value is the objective.
     same = np.array_equal(pts_f, pts_g)
-    losses_g = losses_f if same else _kernels.block_losses(X, y, pts_g, n, m)
+    losses_g = losses_f if same else _audit_losses(X, y, S, b, pts_g, p)
     psi_g = psi_f if same else psi_batch(obj.regularizer, pts_g)
     objective = _WitnessPoolAudit(losses_g, psi_g, obj.lam).grid_values(losses_f, psi_f)
 

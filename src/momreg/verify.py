@@ -173,6 +173,9 @@ def check_condition_one(
     >= r from f_star.  The block increments of all probes come from one
     stacked residual pass, and the per-probe fractions and medians are row-wise.
     """
+    _check_number("gamma1", gamma1)
+    _check_number("r", r)
+    _check_number("fraction_threshold", fraction_threshold, strict=False)
     thetas, _, dists = _probe_geometry(probes, f_star, design)
     # roundoff allowance for exact-sphere probes
     inside = np.flatnonzero(dists < r * (1.0 - 1e-9))
@@ -202,6 +205,9 @@ def check_condition_two(
     < r.  The multipliers of all probes come from one stacked residual
     pass, and the per-probe fractions and medians are taken row-wise.
     """
+    _check_number("gamma2", gamma2)
+    _check_number("r", r)
+    _check_number("fraction_threshold", fraction_threshold, strict=False)
     thetas, _, dists = _probe_geometry(probes, f_star, design)
     # roundoff allowance, mirror of condition one
     outside = np.flatnonzero(dists >= r * (1.0 + 1e-9))

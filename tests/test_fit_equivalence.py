@@ -1,6 +1,7 @@
 """The trimmed hot path of the fit against the forms it replaced, kept here
 as references: the descent-ascent loop, the adversary ascent, the batched
-residual block losses and the helpers they share.
+residual block losses and the helpers they share, and the audit's block
+losses from the block statistics against the residual ones.
 
 The trimmed forms reuse buffers, check finiteness by a sum first, drop
 rows only when one has stopped and form residuals in place.  The
@@ -11,7 +12,10 @@ The adversary ascent takes all its running starts' increments from one
 stacked ``_kernels.block_increments`` call, whose rows are bitwise the
 per-row kernel's, and picks each start's best after the loop from the
 values it recorded, where its reference keeps a running best.  Every comparison is
-exact, and the ascent's compares bytes, the sign of a zero included.
+exact but one, and the ascent's compares bytes, the sign of a zero
+included.  The one: the statistics losses, which omit each block's
+y_j^T y_j / m, match the residual losses less that constant within a
+stated tolerance.
 """
 import math
 import sys
@@ -35,7 +39,7 @@ from momreg import (
     make_partition,
     mom_minimax_fit,
 )
-from momreg import _kernels, objective, solver
+from momreg import _kernels, blocks, objective, solver
 from momreg.objective import gram_step_size, prox_psi, psi, psi_batch
 
 
@@ -365,6 +369,78 @@ def test_block_increments_rows_are_the_per_row_kernel(instance):
     assert got.shape == want.shape
     # NaN counts as equal to NaN, so the non-finite patterns match too.
     np.testing.assert_array_equal(got, want)
+
+
+@st.composite
+def _loss_stacks(draw):
+    """A design and responses at scales 1e-3 to 1e3, with up to three
+    responses and up to three design rows set to 1e6, their block
+    statistics, and a (k, d) stack of thetas at scales 1e-3 to 1e3."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 8))
+    n = 2 * draw(st.integers(0, 25)) + 1
+    m = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 40))
+    X = rng.standard_normal((n * m, d)) * 10.0 ** draw(st.integers(-3, 3))
+    y = X @ rng.standard_normal(d) + rng.standard_normal(n * m) * 10.0 ** draw(st.integers(-3, 3))
+    y[rng.choice(n * m, draw(st.integers(0, min(3, n * m))), replace=False)] = 1e6
+    X[rng.choice(n * m, draw(st.integers(0, min(3, n * m))), replace=False)] = 1e6
+    S, b = _kernels.block_stats(X, y, n, m)
+    thetas = rng.standard_normal((k, d)) * 10.0 ** rng.integers(-3, 4, (k, 1))
+    return X, y, S, b, thetas
+
+
+# Bound on |statistics loss - (residual loss - mean y^2)| relative to the
+# block means of (|X| |theta|)^2 + y^2, the size of the terms that cancel
+# in either form: both round at a few eps times that.
+_LOSS_RTOL = 1e-11
+
+
+@given(_loss_stacks())
+@settings(max_examples=200, deadline=None)
+def test_stats_block_losses_are_the_residual_losses_less_the_response_norm(instance):
+    X, y, S, b, thetas = instance
+    n, m = b.shape[0], X.shape[0] // b.shape[0]
+    got = _kernels.stats_block_losses(S, b, thetas)
+    y2 = _kernels.block_means(y * y, n, m)
+    want = _kernels.block_losses(X, y, thetas, n, m) - y2
+    scale = _kernels.block_means(np.square(np.abs(thetas) @ np.abs(X).T), n, m) + y2
+    assert got.shape == want.shape == (thetas.shape[0], n)
+    assert np.all(np.abs(got - want) <= _LOSS_RTOL * scale)
+
+
+@given(_loss_stacks(), st.lists(st.integers(1, 40), max_size=4))
+@settings(max_examples=200, deadline=None)
+def test_stats_block_losses_rows_are_the_single_theta_call(instance, cuts):
+    _, _, S, b, thetas = instance
+    got = _kernels.stats_block_losses(S, b, thetas)
+    for theta, row in zip(thetas, got):
+        _assert_same_bytes(_kernels.stats_block_losses(S, b, theta[None])[0], row)
+    # cut into slices of any sizes, the batch has the same bytes
+    edges = [0, *sorted(c % thetas.shape[0] for c in cuts), thetas.shape[0]]
+    pieces = [_kernels.stats_block_losses(S, b, thetas[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+    _assert_same_bytes(np.concatenate(pieces), got)
+
+
+@pytest.mark.parametrize("d, m", [(3, 2), (3, 3), (5, 19), (50, 19)])
+def test_audit_losses_take_the_statistics_where_d_is_at_most_m(d, m, monkeypatch):
+    rng = np.random.default_rng(d + m)
+    n = 7
+    X = rng.standard_normal((n * m, d))
+    y = X @ rng.standard_normal(d) + rng.standard_normal(n * m)
+    y[:2] = 1e6
+    S, b = _kernels.block_stats(X, y, n, m)
+    p = make_partition(n * m, n)
+    thetas = rng.standard_normal((300, d))
+    strided = np.repeat(thetas, 2, axis=1)[:, ::2]
+    got = solver._audit_losses(X, y, S, b, strided, p)
+    if d > m:
+        _assert_same_bytes(got, _kernels.block_losses(X, y, thetas, n, m))
+    else:
+        _assert_same_bytes(got, _kernels.stats_block_losses(S, b, thetas))
+        # one theta per slice of the temporary budget gives the same bytes
+        monkeypatch.setattr(blocks, "TEMP_ENTRIES", 1)
+        _assert_same_bytes(solver._audit_losses(X, y, S, b, thetas, p), got)
 
 
 def _assert_same_bytes(got, want):

@@ -111,6 +111,10 @@ class TestDesignSpec:
         with pytest.raises(ValueError):
             DesignSpec(np.array([[1.0, 0.0], [0.0, -1.0]]))
 
+    def test_rejects_empty(self):
+        with pytest.raises(DimensionError, match="non-empty"):
+            DesignSpec.identity(0)
+
 
 class TestCsvRoundTrip:
     def test_round_trip_exact(self, tmp_path):

@@ -24,6 +24,8 @@ from momreg import (
     ObjectiveConfig,
     Regularizer,
     SolverConfig,
+    check_condition_one,
+    check_condition_two,
     estimate_delta,
     generate,
     lasso_fit,
@@ -95,6 +97,7 @@ _NOT_ENTRIES = (math.nan, math.inf, -math.inf)
 
 _DESIGN = DesignSpec.identity(2)
 _ORIGIN = LinearPredictor(np.zeros(2))
+_TINY = Dataset(np.eye(3, 2), np.ones(3))
 
 # Per site: its name (a record's is its class name), a call whose keyword
 # defaults are valid, and the bad values of each argument.  estimate_delta
@@ -124,9 +127,18 @@ _SITES = [
          _ORIGIN, _DESIGN, distance, count, np.random.default_rng(0)),
      {"distance": _NOT_NUMBERS, "count": _NOT_COUNTS}),
     ("lemma_sweep", lambda count=0: lemma_sweep(count), {"count": _NOT_COUNTS}),
-    ("lasso_fit",
-     lambda iterations=3: lasso_fit(Dataset(np.eye(3, 2), np.ones(3)), 0.1, iterations),
-     {"iterations": _NOT_COUNTS}),
+    ("lasso_fit", lambda lam=0.1, iterations=3: lasso_fit(_TINY, lam, iterations),
+     {"lam": (*_NOT_NUMBERS, -1.0), "iterations": _NOT_COUNTS}),
+    ("check_condition_one",
+     lambda gamma1=0.5, r=1.0, fraction_threshold=0.9: check_condition_one(
+         _TINY, BlockPartition(3, 1), _ORIGIN, [[2.0, 0.0]], gamma1, r, _DESIGN,
+         fraction_threshold),
+     {"gamma1": _NOT_NUMBERS, "r": _NOT_NUMBERS, "fraction_threshold": (*_NOT_NUMBERS, -1.0)}),
+    ("check_condition_two",
+     lambda gamma2=0.2, r=1.0, fraction_threshold=0.9: check_condition_two(
+         _TINY, BlockPartition(3, 1), _ORIGIN, [[0.5, 0.0]], gamma2, r, _DESIGN,
+         fraction_threshold),
+     {"gamma2": _NOT_NUMBERS, "r": _NOT_NUMBERS, "fraction_threshold": (*_NOT_NUMBERS, -1.0)}),
     ("NoiseSpec", lambda scale=1.0, dof=3.0: NoiseSpec("student_t", scale, dof),
      dict.fromkeys(["scale", "dof"], _NOT_NUMBERS)),
     ("ConditionParams",

@@ -709,8 +709,9 @@ class TestOracleGridFit:
             if corrupt:
                 y[rng.choice(300, 3, replace=False)] = 1e6
             data, p = Dataset(X, y), make_partition(300, 15)
+            S, b = _kernels.block_stats(X, y, p.n, p.m)
             pts = grid.points()
-            losses = _kernels.block_losses(X, y, pts, p.n, p.m)
+            losses = solver._audit_losses(X, y, S, b, pts, p)  # the oracle's losses
             psis = psi_batch(obj.regularizer, pts)
             full = solver._WitnessPoolAudit(losses, psis, obj.lam).value_from_losses(losses, psis)
             fit = oracle_grid_fit(data, p, obj, grid, grid)
@@ -722,8 +723,7 @@ class TestOracleGridFit:
         other = GridSpec(axes=((-1.0, 1.0, 0.1), (-0.5, 1.5, 0.5)))
         pts_g = other.points()
         audit = solver._WitnessPoolAudit(
-            _kernels.block_losses(X, y, pts_g, p.n, p.m), psi_batch(obj.regularizer, pts_g),
-            obj.lam,
+            solver._audit_losses(X, y, S, b, pts_g, p), psi_batch(obj.regularizer, pts_g), obj.lam
         )
         np.testing.assert_array_equal(
             oracle_grid_fit(data, p, obj, grid, other).objective,
