@@ -8,7 +8,11 @@ after the second, for the starts, then _AUDIT_EXTRA_WITNESSES for the pool.
 The descent-ascent scheme has no monotonicity guarantee, so the returned
 coefficient vector is not the last iterate: every iterate of every restart
 is audited with a witness-pool surrogate of the regularized minimax value
-and the minimizer of the audited value is returned.
+and the minimizer of the audited value is returned.  ``_select`` runs that
+audit as a small tournament (``_tournament``) that plays only the matches
+that can change its pick: a bound on each candidate's value against two
+pool members rules most candidates out of the full audit, and the seats'
+round-robin plays each pair once, the reverse match being its mirror.
 """
 from __future__ import annotations
 
@@ -19,7 +23,7 @@ import numpy as np
 
 from . import _kernels
 from .blocks import middle, row_slices
-from .errors import DimensionError, DivergenceError, GridCapExceeded
+from .errors import ConfigError, DimensionError, DivergenceError, GridCapExceeded
 from .model import (BlockPartition, Dataset, LinearPredictor, _check_count, _check_number,
                     covered_rows)
 from .objective import (
@@ -36,6 +40,11 @@ from .objective import (
 
 _AUDIT_EXTRA_WITNESSES = 3
 _AUDIT_TOURNAMENT_SIZE = 64
+# _tournament bounds each candidate's value by its terms against the
+# _AUDIT_BOUND_MEMBERS pool members that hold the largest term most often on
+# _AUDIT_SAMPLE evenly spaced candidates.
+_AUDIT_BOUND_MEMBERS = 2
+_AUDIT_SAMPLE = 32
 _REFINE_SCALES = (0.05, 0.02, 0.01, 0.005, 0.002)
 _REFINE_EVAL_CAP = 60
 # Moves of a refine sweep audited in one batch.  Moves after the first
@@ -186,17 +195,24 @@ class _WitnessPoolAudit:
 
     Pool members share the same blocks, so comparing two nearby candidates
     against the pool cancels the common block noise; extending the pool
-    with the best candidates themselves (a round-robin of MOM matches)
-    sharpens the selection further.  The pool is held as its block losses
-    and norms; candidates are audited from theirs, against every member by
-    value_from_losses or, in _pattern_refine, by the terms of the moves its
-    screen lets through, or by two-level branch and bound by grid_values.
+    with the best candidates themselves sharpens the selection further.
+    There the seats play a round-robin of MOM matches, in which
+    ``_tournament`` plays each pair once (``_match_table``).  The pool is
+    held as its block losses and norms; candidates are audited from
+    theirs, against every member by value_from_losses, against a few
+    ``members`` first to bound their values in ``_tournament`` and to
+    screen moves in _pattern_refine, or by two-level branch and bound by
+    grid_values.
     """
 
     def __init__(self, pool_losses, pool_psi, lam):
         self.pool_losses = pool_losses
         self.pool_psi = pool_psi
         self.lam = lam
+
+    def members(self, index) -> _WitnessPoolAudit:
+        """The audit against the pool members selected by index."""
+        return _WitnessPoolAudit(self.pool_losses[index], self.pool_psi[index], self.lam)
 
     def extend(self, losses, psis) -> None:
         self.pool_losses = np.concatenate([self.pool_losses, losses], axis=0)
@@ -239,8 +255,7 @@ class _WitnessPoolAudit:
         def leaf_terms(rows, at):
             out = np.empty((rows.size, _GRID_GROUP))
             for part in row_slices(rows.size, _GRID_GROUP * losses.shape[1]):
-                sel = groups[at[part]]
-                sub = _WitnessPoolAudit(leaf.pool_losses[sel], leaf.pool_psi[sel], self.lam)
+                sub = leaf.members(groups[at[part]])
                 out[part] = sub.terms(losses[rows[part]], psis[rows[part]])
             return out
 
@@ -249,7 +264,7 @@ class _WitnessPoolAudit:
             for k in np.unique(leaves):
                 at = np.flatnonzero(leaves == k)
                 span = slice(k * _GRID_CLUSTER, (k + 1) * _GRID_CLUSTER)
-                sub = _WitnessPoolAudit(self.pool_losses[span], self.pool_psi[span], self.lam)
+                sub = self.members(span)
                 for part in row_slices(at.size, _GRID_CLUSTER * losses.shape[1]):
                     own = rows[at[part]]
                     out[at[part]] = sub.terms(losses[own], psis[own]).max(axis=1)
@@ -275,6 +290,81 @@ class _WitnessPoolAudit:
         return best
 
 
+def _match_terms(losses, psis, lam, a, b):
+    """The terms of the matches of thetas a against thetas b, index arrays
+    into the rows of losses (k, n) and psis (k,), as ``terms`` takes them."""
+    meds = middle(losses[a] - losses[b])
+    return meds + lam * (psis[a] - psis[b]) if lam else meds
+
+
+def _match_table(losses, psis, lam):
+    """The (k, k) terms of the matches among k thetas, row a holding a's
+    terms, bitwise ``_WitnessPoolAudit(losses, psis, lam).terms(losses,
+    psis)``, from one match per pair a <= b.  term(b, a) is then 0.0 -
+    term(a, b): x - y is -(y - x) bit for bit, so the differences, their
+    middle and the norm gap all change sign.  That fails where a difference
+    is NaN, which sorts last either way, and where term(a, b) is zero,
+    whose sign need not change, so the pairs with a non-finite loss or a
+    zero term are also played as (b, a).  Each slice of pairs holds its
+    two gathered loss rows and their difference within ``TEMP_ENTRIES``."""
+    k, n = losses.shape
+    finite = np.isfinite(losses).all(axis=1)
+    table = np.empty((k, k))
+    a, b = np.triu_indices(k)
+    for rows in row_slices(a.size, 3 * n):
+        i, j = a[rows], b[rows]
+        terms = _match_terms(losses, psis, lam, i, j)
+        table[j, i] = 0.0 - terms
+        table[i, j] = terms  # the diagonal keeps its own term
+        odd = np.flatnonzero((i != j) & ((terms == 0.0) | ~(finite[i] & finite[j])))
+        table[j[odd], i[odd]] = _match_terms(losses, psis, lam, j[odd], i[odd])
+    return table
+
+
+def _tournament(audit, losses, psis):
+    """The fit's tournament among candidates with block losses losses (k, n)
+    and norms psis: the _AUDIT_TOURNAMENT_SIZE of least audited value take
+    seats, in stable order, and join the pool, and a seat's final value is
+    its audited value against the extended pool.  Returns the seats and
+    their final values, bit for bit those of ``value_from_losses`` on every
+    candidate and then on the seats, from only the matches that can change
+    them:
+
+    - Where k exceeds the seats, every candidate is first audited against
+      _AUDIT_BOUND_MEMBERS members, a lower bound on its value.  As many
+      candidates as there are seats, those of least bound, have exact
+      values at most their maximum M, so a candidate whose bound is above
+      M takes no seat (a NaN bound or M keeps it), and only the others are
+      audited against the whole pool.
+    - A seat's final value is the larger of its audited value and its row
+      of the seats' ``_match_table``.  Where that is zero or NaN, whose bits
+      depend on the order of the maximum, the seat is audited again.
+    """
+    size = _AUDIT_TOURNAMENT_SIZE
+    k = losses.shape[0]
+    if k > size:
+        step = -(-k // _AUDIT_SAMPLE)
+        held = np.argmax(audit.terms(losses[::step], psis[::step]), axis=1)
+        near = np.argsort(-np.bincount(held, minlength=audit.pool_psi.size), kind="stable")
+        bound = audit.members(near[:_AUDIT_BOUND_MEMBERS]).value_from_losses(losses, psis)
+        first = np.argpartition(bound, size - 1)[:size]
+        value = np.empty(k)
+        value[first] = audit.value_from_losses(losses[first], psis[first])
+        live = ~(bound > value[first].max())
+        cands = np.flatnonzero(live)
+        live[first] = False
+        more = np.flatnonzero(live)
+        value[more] = audit.value_from_losses(losses[more], psis[more])
+    else:
+        value, cands = audit.value_from_losses(losses, psis), np.arange(k)
+    top = cands[np.argsort(value[cands], kind="stable")[:size]]
+    audit.extend(losses[top], psis[top])
+    final = np.maximum(value[top], _match_table(losses[top], psis[top], audit.lam).max(axis=1))
+    redo = np.flatnonzero(np.isnan(final) | (final == 0.0))
+    final[redo] = audit.value_from_losses(losses[top[redo]], psis[top[redo]])
+    return top, final
+
+
 def _pattern_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap):
     """Coordinate sweeps on the audited value, one step scale at a time.
 
@@ -289,12 +379,14 @@ def _pattern_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap)
     Both take the same terms, so the screen rejects only moves the full
     audit would reject: the moves and ``evals`` are the unscreened sweep's.
     The next screen comes from the accepted move's own full-pool terms.
+    The moves of a sweep after its last accepted one were all rejected at
+    the point it ends at, so a next sweep that takes no move before them
+    ends the scale there without auditing them again.
     With lam = 0 the terms never read the norms and no candidate stack is built.
     """
 
     def screen(meds):
-        top = np.argpartition(-meds, _REFINE_SCREEN - 1)[:_REFINE_SCREEN]
-        return _WitnessPoolAudit(audit.pool_losses[top], audit.pool_psi[top], audit.lam)
+        return audit.members(np.argpartition(-meds, _REFINE_SCREEN - 1)[:_REFINE_SCREEN])
 
     theta, losses, value = theta0.copy(), losses0, value0
     d = theta.shape[0]
@@ -310,11 +402,12 @@ def _pattern_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap)
         lin = 2.0 * steps * grad
         evals = 0
         improved = True
+        stop = 2 * d
         while improved and evals < eval_cap * d:
             improved = False
-            lo = 0
-            while lo < 2 * d:
-                hi = min(lo + _REFINE_BATCH, 2 * d)
+            lo, end = 0, stop
+            while lo < end:
+                hi = min(lo + _REFINE_BATCH, end)
                 cand_losses = losses + lin[lo:hi] + quad[lo:hi]
                 if audit.lam:
                     cands = np.repeat(theta[None, :], hi - lo, axis=0)
@@ -341,7 +434,8 @@ def _pattern_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap)
                 lin = 2.0 * steps * grad
                 near = screen(meds[j])
                 improved = True
-                lo = 2 * (int(coords[lo + k]) + 1)
+                lo = stop = 2 * (int(coords[lo + k]) + 1)
+                end = 2 * d
     return theta, value
 
 
@@ -434,11 +528,14 @@ def _select(X, y, S, b, p, obj, iterates, ols, scale, rng):
     the second half of the run, restart by restart.  The pool holds the
     least-squares fit, the last f and g of every restart and perturbations
     of the least-squares fit; the best prelim candidates then join it and
-    are re-audited, as pairwise matches cancel shared block noise.  The
-    block losses of pool and candidates come from one ``_audit_losses``
-    call, from S and b where d <= m (less each block's y_j^T y_j / m, which
-    cancels in every term), from X and y where d > m.  Returns the audit
-    and the winner's candidate index, theta, losses and value.
+    are re-audited, as pairwise matches cancel shared block noise.
+    ``_tournament`` computes those two audits' seats and values bit for
+    bit, from a bounded prelim audit and a match table that plays each
+    pair of seats once.  The block losses of pool and candidates come from
+    one ``_audit_losses`` call, from S and b where d <= m (less each
+    block's y_j^T y_j / m, which cancels in every term), from X and y where
+    d > m.  Returns the audit and the winner's candidate index, theta,
+    losses and value.
     """
     F, G = iterates
     R, T, d = F.shape[0], F.shape[1] - 1, F.shape[2]
@@ -459,10 +556,7 @@ def _select(X, y, S, b, p, obj, iterates, ols, scale, rng):
     cand_losses = losses[len(pool) :]
     cand_psi = psis[len(pool) :]
 
-    prelim = audit.value_from_losses(cand_losses, cand_psi)
-    top = np.argsort(prelim, kind="stable")[:_AUDIT_TOURNAMENT_SIZE]
-    audit.extend(cand_losses[top], cand_psi[top])
-    final = audit.value_from_losses(cand_losses[top], cand_psi[top])
+    top, final = _tournament(audit, cand_losses, cand_psi)
     pick = int(np.argmin(final))
     best = int(top[pick])
     return audit, best, cands[best], cand_losses[best], float(final[pick])
@@ -520,10 +614,25 @@ class GridSpec:
     axes: tuple[tuple[float, float, float], ...]
 
     def __post_init__(self):
-        for lo, hi, step in self.axes:
+        try:
+            axes = [(lo, hi, step) for lo, hi, step in self.axes]
+        except (TypeError, ValueError):
+            raise ConfigError(
+                f"grid axes must be (lo, hi, step) triples, got {self.axes!r}"
+            ) from None
+        if not axes:
+            raise ConfigError("a grid needs at least one axis")
+        for lo, hi, step in axes:
             _check_number("grid step", step)
             _check_number("grid lo", lo, -math.inf)
             _check_number("grid hi", hi, lo, strict=False)
+            if not math.isfinite((hi + 0.5 * step - lo) / step):
+                raise ConfigError(f"grid axis {(lo, hi, step)!r} has too many points to count")
+
+    def sizes(self) -> list[int]:
+        """Points per axis, counted as ``np.arange`` in ``points`` counts
+        them, without building them."""
+        return [math.ceil((hi + 0.5 * step - lo) / step) for lo, hi, step in self.axes]
 
     def points(self) -> np.ndarray:
         """Grid points in lexicographic (row-major) order, shape (G, d)."""
@@ -556,22 +665,22 @@ def oracle_grid_fit(
     """Exact minimax argmin over finite grids; ties go to the smallest theta.
 
     The cap bounds |grid_f| * |grid_g| * n, an upper bound on the
-    median-increment entries evaluated; the default 1e8 is practical for
-    d <= 2.  ``_WitnessPoolAudit.grid_values`` bounds groups of 64 and
-    leaves of 16 consecutive g's by their envelopes and skips those that
-    cannot raise an entry, with the objective bits of the full table.  The
+    median-increment entries evaluated, and is checked on the axes' sizes
+    before a point is built; the default 1e8 is practical for d <= 2.
+    ``_WitnessPoolAudit.grid_values`` bounds groups of 64 and leaves of 16
+    consecutive g's by their envelopes and skips those that cannot raise
+    an entry, with the objective bits of the full table.  The
     block losses of both grids come from ``_audit_losses``: where d <= m
     they omit each block's y_j^T y_j / m, which cancels in the objective.
     """
+    _check_count("cap", cap, 1)
+    if len(grid_f.axes) != data.dim or len(grid_g.axes) != data.dim:
+        raise DimensionError("grid dimension does not match data")
+    size_f, size_g = math.prod(grid_f.sizes()), math.prod(grid_g.sizes())
+    if size_f * size_g * p.n > cap:
+        raise GridCapExceeded(f"{size_f} x {size_g} grid over {p.n} blocks exceeds cap {cap}")
     pts_f = grid_f.points()
     pts_g = grid_g.points()
-    if pts_f.shape[1] != data.dim or pts_g.shape[1] != data.dim:
-        raise DimensionError("grid dimension does not match data")
-    if pts_f.shape[0] * pts_g.shape[0] * p.n > cap:
-        raise GridCapExceeded(
-            f"{pts_f.shape[0]} x {pts_g.shape[0]} grid over {p.n} blocks "
-            f"exceeds cap {cap}"
-        )
     X, y = covered_rows(data, p)
     S, b = _kernels.block_stats(X, y, p.n, p.m)
 

@@ -12,25 +12,34 @@ import momreg
 from momreg import (
     AdversaryBudget,
     BlockPartition,
+    BlockVector,
     ConditionParams,
+    ConfigError,
     CorruptionSpec,
     Dataset,
     DesignSpec,
+    DimensionError,
     GridSpec,
+    InvalidInput,
     LemmaProbe,
     LinearPredictor,
     MomregError,
     NoiseSpec,
     ObjectiveConfig,
+    OddBlockCountRequired,
     Regularizer,
     SolverConfig,
     check_condition_one,
     check_condition_two,
     estimate_delta,
+    excess_risk,
     generate,
     lasso_fit,
     lemma_sweep,
     make_partition,
+    oracle_grid_fit,
+    population_l2_distance,
+    quad_component,
     sample_sphere_probes,
 )
 
@@ -98,6 +107,7 @@ _NOT_ENTRIES = (math.nan, math.inf, -math.inf)
 _DESIGN = DesignSpec.identity(2)
 _ORIGIN = LinearPredictor(np.zeros(2))
 _TINY = Dataset(np.eye(3, 2), np.ones(3))
+_GRID = GridSpec(((0.0, 1.0, 0.5),) * 2)
 
 # Per site: its name (a record's is its class name), a call whose keyword
 # defaults are valid, and the bad values of each argument.  estimate_delta
@@ -153,6 +163,10 @@ _SITES = [
      {"weight": _NOT_ENTRIES}),
     ("LemmaProbe", lambda alpha=2.0: LemmaProbe(np.zeros(2), "scaled", alpha),
      {"alpha": _NOT_NUMBERS}),
+    ("oracle_grid_fit",
+     lambda cap=10**8: oracle_grid_fit(_TINY, BlockPartition(3, 1), ObjectiveConfig(), _GRID,
+                                       _GRID, cap),
+     {"cap": _NOT_COUNTS}),
 ]
 
 # Records the library builds from its own results and never takes as input.
@@ -190,3 +204,51 @@ def test_every_record_with_a_numeric_field_has_a_row():
     assert numeric - _RESULTS <= {row[0] for row in _SITES}
     assert _RESULTS <= numeric
     assert not any(hasattr(getattr(momreg, name), "__post_init__") for name in _RESULTS)
+
+
+# ---------------------------------------------------------------------------
+# every other input check, each raising its own MomregError subclass
+# ---------------------------------------------------------------------------
+
+_LINE = LinearPredictor(np.zeros(1))
+_INPUT_CHECKS = [
+    ("Dataset-1d-features", lambda: Dataset(np.ones(3), np.ones(3)), DimensionError),
+    ("Dataset-2d-responses", lambda: Dataset(np.ones((3, 1)), np.ones((3, 1))), DimensionError),
+    ("Dataset-no-rows", lambda: Dataset(np.ones((0, 2)), np.ones(0)), InvalidInput),
+    ("LinearPredictor-2d", lambda: LinearPredictor(np.zeros((2, 2))), DimensionError),
+    ("BlockPartition-even", lambda: BlockPartition(4, 3), OddBlockCountRequired),
+    ("population_l2_distance-predictors",
+     lambda: population_l2_distance(_ORIGIN, _LINE, _DESIGN), DimensionError),
+    ("population_l2_distance-design",
+     lambda: population_l2_distance(_LINE, _LINE, _DESIGN), DimensionError),
+    ("Regularizer-kind", lambda: Regularizer("l2"), ConfigError),
+    ("Regularizer-empty-slope", lambda: Regularizer.slope([]), ConfigError),
+    ("Regularizer-l1-weights", lambda: Regularizer("l1", np.ones(2)), ConfigError),
+    ("Regularizer-slope-unsized", lambda: Regularizer.slope(), ConfigError),
+    ("BlockVector-2d", lambda: BlockVector(np.zeros((3, 1))), DimensionError),
+    ("BlockVector-nan", lambda: BlockVector([0.0, math.nan, 1.0]), InvalidInput),
+    ("quad_component-data", lambda: quad_component(_LINE, _LINE, _TINY, BlockPartition(3, 1)),
+     DimensionError),
+    ("generate-theta-star", lambda: generate(10, 2, np.zeros(3), _DESIGN, NoiseSpec(), 0),
+     ConfigError),
+    ("generate-design", lambda: generate(10, 3, np.zeros(3), _DESIGN, NoiseSpec(), 0),
+     ConfigError),
+    ("oracle_grid_fit-grid",
+     lambda: oracle_grid_fit(_TINY, BlockPartition(3, 1), ObjectiveConfig(),
+                             GridSpec(((0.0, 1.0, 0.5),)), _GRID),
+     DimensionError),
+    ("excess_risk-shape", lambda: excess_risk(np.zeros(2), np.zeros(3), _DESIGN), DimensionError),
+    ("excess_risk-design", lambda: excess_risk(np.zeros(1), np.zeros(1), _DESIGN), DimensionError),
+    ("check_condition_one-design",
+     lambda: check_condition_one(_TINY, BlockPartition(3, 1), _ORIGIN, [[2.0, 0.0]], 0.5, 1.0,
+                                 DesignSpec.identity(3)),
+     DimensionError),
+    ("LemmaProbe-regime", lambda: LemmaProbe(np.zeros(2), "sideways"), ConfigError),
+]
+
+
+@pytest.mark.parametrize("call, error", [row[1:] for row in _INPUT_CHECKS],
+                         ids=[row[0] for row in _INPUT_CHECKS])
+def test_every_input_check_raises_its_error(call, error):
+    with pytest.raises(error):
+        call()

@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from momreg import (
@@ -377,7 +377,9 @@ def _unscreened_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_c
     the reference the screened refine must reproduce exactly.  Given a
     list, live gets each batch's number of moves that the screen of the
     current theta, its _REFINE_SCREEN witnesses of largest term, puts below
-    the current value."""
+    the current value, for the moves the refine audits: a sweep that takes
+    no move before where the last sweep's last move left off audits none
+    after it, since all of them were rejected at that point."""
     theta, losses, value = theta0.copy(), losses0, value0
     norm = psi(reg, theta)
     d = theta.shape[0]
@@ -390,17 +392,18 @@ def _unscreened_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_c
         quad = steps * steps * curv
         evals = 0
         improved = True
+        stop = 2 * d
         while improved and evals < eval_cap * d:
             improved = False
-            lo = 0
+            lo, end = 0, stop
             while lo < 2 * d:
-                hi = min(lo + solver._REFINE_BATCH, 2 * d)
+                hi = min(lo + solver._REFINE_BATCH, end if lo < end else 2 * d)
                 cand_losses = losses + 2.0 * steps[lo:hi] * grad[lo:hi] + quad[lo:hi]
                 cands = np.repeat(theta[None, :], hi - lo, axis=0)
                 cands[np.arange(hi - lo), coords[lo:hi]] += steps[lo:hi, 0]
                 psis = psi_batch(reg, cands)
                 values = audit.value_from_losses(cand_losses, psis)
-                if live is not None:
+                if live is not None and lo < end:
                     meds = audit.terms(losses, norm)
                     top = np.argpartition(-meds, solver._REFINE_SCREEN - 1)[: solver._REFINE_SCREEN]
                     near = solver._WitnessPoolAudit(audit.pool_losses[top], audit.pool_psi[top], audit.lam)
@@ -416,7 +419,8 @@ def _unscreened_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_c
                 norm = float(psis[k])
                 grad = (S @ theta - b).T[coords]
                 improved = True
-                lo = 2 * (int(coords[lo + k]) + 1)
+                lo = stop = 2 * (int(coords[lo + k]) + 1)
+                end = 2 * d
     return theta, value
 
 
@@ -474,6 +478,9 @@ class TestRefineScreen:
         scales=st.lists(st.sampled_from([1.0, 0.5, 0.1, 0.02]), max_size=3),
         seed=st.integers(0, 2**32 - 1),
     )
+    # A sweep that takes no move before where the last one left off, with
+    # moves after that point live on the screen.
+    @example(d=2, n=21, pool_size=54, kind="none", lam=1.0, eval_cap=2, scales=[0.5], seed=304)
     def test_refine_bytes_equal_unscreened(self, d, n, pool_size, kind, lam, eval_cap, scales, seed):
         """Byte for byte the unscreened refine, with exactly the screen-live
         moves (and the start) audited against the full pool."""
@@ -519,6 +526,119 @@ class TestRefineScreen:
                 full = mom_minimax_fit(data, p, obj, cfg)
             assert np.array_equal(screened.theta_hat, full.theta_hat)
             assert screened.best_surrogate == full.best_surrogate
+
+
+def _reference_tournament(audit, losses, psis):
+    """The tournament as two full audits: every candidate against the pool,
+    then the seats against the pool they joined."""
+    prelim = audit.value_from_losses(losses, psis)
+    top = np.argsort(prelim, kind="stable")[: solver._AUDIT_TOURNAMENT_SIZE]
+    audit.extend(losses[top], psis[top])
+    return top, audit.value_from_losses(losses[top], psis[top])
+
+
+@st.composite
+def _tournament_cases(draw):
+    """A pool and candidates whose block losses hold ties, repeated rows,
+    signed zeros, +-inf and NaN entries, with some infinite norms, lam = 0
+    or lam > 0, and candidate counts below, at and above the seats."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from([1, 3, 5, 9]))
+    pool = draw(st.integers(1, 10))
+    k = draw(st.one_of(st.sampled_from([1, 63, 64, 65, 200]), st.integers(1, 200)))
+    losses = np.round(rng.standard_normal((pool + k, n)), draw(st.sampled_from([0, 1, 8])))
+    rows = rng.integers(0, pool + k, draw(st.integers(0, 20)))
+    losses[rows] = losses[rng.integers(0, pool + k, rows.size)]
+    for value in (0.0, -0.0, np.inf, -np.inf, np.nan):
+        frac = draw(st.sampled_from([0.0, 0.0, 0.02, 0.3]))
+        losses[rng.random(losses.shape) < frac] = value
+    psis = np.abs(np.round(rng.standard_normal(pool + k), 1))
+    psis[rng.random(pool + k) < draw(st.sampled_from([0.0, 0.0, 0.1]))] = np.inf
+    lam = draw(st.sampled_from([0.0, 0.5, 3.0]))
+    return losses[:pool], psis[:pool], lam, losses[pool:], psis[pool:]
+
+
+class TestTournament:
+    """The fit's tournament plays only the matches that can change its pick."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tournament_cases())
+    def test_bitwise_the_two_full_audits(self, case):
+        pool_losses, pool_psi, lam, losses, psis = case
+        with np.errstate(invalid="ignore"):
+            want_audit = solver._WitnessPoolAudit(pool_losses, pool_psi, lam)
+            want_top, want = _reference_tournament(want_audit, losses, psis)
+            audit = solver._WitnessPoolAudit(pool_losses, pool_psi, lam)
+            top, final = solver._tournament(audit, losses, psis)
+            seats = losses[top], psis[top]
+            table = solver._match_table(*seats, lam)
+            terms = solver._WitnessPoolAudit(*seats, lam).terms(*seats)
+        assert top.tobytes() == want_top.tobytes()
+        assert final.tobytes() == want.tobytes()  # sign bits and NaNs included
+        assert np.argmin(final) == np.argmin(want)
+        assert audit.pool_losses.tobytes() == want_audit.pool_losses.tobytes()
+        assert audit.pool_psi.tobytes() == want_audit.pool_psi.tobytes()
+        assert table.tobytes() == terms.tobytes()
+
+    def test_frozen_fit_plays_each_match_once(self, monkeypatch):
+        """On the criterion-4 seed-0 huge-response fit, the round takes one
+        median per pair a <= b of seats and one more per pair whose mirror
+        is not exact, and fewer than all 604 candidates are audited against
+        the whole 8-member pool."""
+        data = generate(1000, 5, np.ones(5), DesignSpec.identity(5), NoiseSpec("gaussian", 1.0), 0)
+        bad, _ = corrupt(data, CorruptionSpec(count=10, magnitude=1e6), 9999)
+        real_table, real_middle = solver._match_table, solver.middle
+        real_value = solver._WitnessPoolAudit.value_from_losses
+        real_tournament = solver._tournament
+        inside, seats, medians, full, cands = [], [], [], [], []
+
+        def middle(a):
+            if inside:
+                medians.append(a[..., 0].size)
+            return real_middle(a)
+
+        def table(losses, psis, lam):
+            seats.append((losses, psis, lam))
+            inside.append(True)
+            try:
+                return real_table(losses, psis, lam)
+            finally:
+                inside.clear()
+
+        def value(audit, losses, psis):
+            if audit.pool_psi.size == 8:
+                full.append(losses.shape[0])
+            return real_value(audit, losses, psis)
+
+        def tournament(audit, losses, psis):
+            cands.append(losses.shape[0])
+            return real_tournament(audit, losses, psis)
+
+        monkeypatch.setattr(solver, "middle", middle)
+        monkeypatch.setattr(solver, "_match_table", table)
+        monkeypatch.setattr(solver, "_tournament", tournament)
+        monkeypatch.setattr(solver._WitnessPoolAudit, "value_from_losses", value)
+        mom_minimax_fit(bad, make_partition(1000, 51), ObjectiveConfig(), SolverConfig(seed=0))
+        (losses, psis, lam), = seats
+        size = solver._AUDIT_TOURNAMENT_SIZE
+        upper = np.triu(solver._WitnessPoolAudit(losses, psis, lam).terms(losses, psis) == 0.0, 1)
+        assert np.isfinite(losses).all()
+        assert sum(medians) == size * (size + 1) // 2 + int(upper.sum())
+        assert cands == [604]
+        assert size <= sum(full) < 604
+
+    @pytest.mark.parametrize("obj", [ObjectiveConfig(), ObjectiveConfig(0.05, Regularizer.l1())])
+    def test_fit_unchanged(self, obj, monkeypatch):
+        data = generate(630, 6, np.ones(6), DesignSpec.identity(6), NoiseSpec("gaussian", 1.0), 41)
+        bad, _ = corrupt(data, CorruptionSpec(count=8, magnitude=1e4), 42)
+        p = make_partition(630, 21)
+        cfg = SolverConfig(iterations=60, restarts=3, seed=5)
+        got = mom_minimax_fit(bad, p, obj, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_tournament", _reference_tournament)
+            want = mom_minimax_fit(bad, p, obj, cfg)
+        assert got.theta_hat.tobytes() == want.theta_hat.tobytes()
+        assert np.float64(got.best_surrogate).tobytes() == np.float64(want.best_surrogate).tobytes()
 
 
 def _sequential_descent_ascent(S, b, starts, reg, lam, step_f, step_g, iterations, warm):
@@ -644,6 +764,23 @@ class TestOracleGridFit:
         with pytest.raises(GridCapExceeded):
             oracle_grid_fit(data, p, ObjectiveConfig(), grid, grid, cap=1000)
 
+    def test_cap_checked_before_a_point_is_built(self, monkeypatch):
+        monkeypatch.setattr(GridSpec, "points", lambda self: pytest.fail("grid points built"))
+        data = Dataset(np.eye(3, 2), np.ones(3))
+        fine = GridSpec(axes=((-1.0, 1.0, 1e-6),) * 2)  # 2,000,001 points per axis
+        with pytest.raises(GridCapExceeded, match="4000004000001 x 4000004000001 grid"):
+            oracle_grid_fit(data, BlockPartition(3, 1), ObjectiveConfig(), fine, fine)
+        line = GridSpec(axes=((-3.0, 3.0, 1e-7),))
+        with pytest.raises(GridCapExceeded, match="60000001 x 60000001 grid"):
+            oracle_grid_fit(Dataset(np.ones((3, 1)), np.ones(3)), BlockPartition(3, 1),
+                            ObjectiveConfig(), line, line)
+
+    @pytest.mark.parametrize("axes", [(), ((0.0, 1.0),), ((0.0, 1.0, 0.5, 2.0),), (0.5,), None,
+                                      ((0.0, 1.7e308, 1.7e308),)])
+    def test_grid_axes_must_be_countable_triples(self, axes):
+        with pytest.raises(ConfigError):
+            GridSpec(axes=axes)
+
     def test_partition_larger_than_the_data_raises_dimension_error(self):
         # Every caller of the partition's rows shares one size check.
         rng = np.random.default_rng(11)
@@ -760,6 +897,24 @@ class TestOracleGridFit:
         k = fit.grid_f.shape[0]
         assert k <= sum(member) <= 20 * k
         assert 0 < sum(envelope) < -(-k // 16) * k
+
+
+# An axis ends a whole number of steps past lo, plus a fraction of a step
+# near the half step that ``points`` adds to hi.
+_AXES = st.tuples(
+    st.integers(-300, 300).map(lambda k: k / 100),
+    st.sampled_from([0.01, 0.1, 0.25, 0.3, 1 / 3, 0.7, 1.0]),
+    st.integers(0, 40),
+    st.sampled_from([0.0, 1e-12, 0.49, 0.5, 0.51, 0.99]),
+).map(lambda t: (t[0], t[0] + (t[2] + t[3]) * t[1], t[1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_AXES, min_size=1, max_size=3))
+def test_grid_sizes_count_the_points(axes):
+    grid = GridSpec(axes=tuple(axes))
+    assert math.prod(grid.sizes()) == len(grid.points())
+    assert grid.sizes() == [len(np.unique(col)) for col in grid.points().T]
 
 
 @st.composite
