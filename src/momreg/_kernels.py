@@ -10,7 +10,7 @@ O(n d^2), without reading X or y again, and ``block_increments`` does so
 for a stack of pairs in one call, each row bitwise the single-pair kernel.
 The adversary ascent of ``objective.phi_lambda_hat`` takes the stacked
 call once per iteration; the descent-ascent loop of the fit goes row by
-row through ``block_increment`` (``objective.row_increments`` says why),
+row through ``block_increment`` (``solver._descent_ascent`` says why),
 writing each row, bitwise, into that loop's (R, n) buffer through ``out=``.
 ``stats_block_losses`` gives a (k, d) stack of thetas their block losses
 less each block's constant y_j^T y_j / m, from S and b in O(n d^2) per

@@ -247,23 +247,6 @@ def block_loss_gradient(S, b, thetas, j) -> np.ndarray:
     return grad
 
 
-def row_increments(S, b, thetas_f, thetas_h, out) -> np.ndarray:
-    """Fill the (R, n) buffer out, row k with ``_kernels.block_increment``
-    of row k of thetas_f against row k of thetas_h (arrays or row lists).
-
-    The descent-ascent loop takes this per-row path, although
-    ``_kernels.block_increments`` gives the same bits in one call: the
-    benchmark's trace test pins one kernel call per row and half step, and
-    one row through the stacked call is slower (16.0 against 11.1 us at
-    d=5, 40.0 against 36.5 us at d=50; n=51, best of 7 x 2000 calls, one
-    BLAS thread on a 2-vCPU VM).  The adversary ascent, with all its
-    starts in one stack, takes the stacked kernel.
-    """
-    for f, h, row in zip(thetas_f, thetas_h, out):
-        _kernels.block_increment(S, b, f, h, out=row)
-    return out
-
-
 def prox_gradient_step(reg, S, b, thetas, j, step: float, lam: float, out=None) -> np.ndarray:
     """One median-block prox-gradient step, row-wise: row k moves against
     the gradient of block j[k]'s loss, then through the prox of
@@ -290,76 +273,58 @@ def gram_step_size(X: np.ndarray, m: int) -> float:
 # Overflow is expected here and caught: a start that overflows stops at its
 # first non-finite increment vector.
 @np.errstate(over="ignore", invalid="ignore")
-def _ascend_adversary(
-    S,
-    b,
-    theta_f,
-    starts,
-    lam,
-    reg,
-    psi_f,
-    step,
-    iterations,
-    collect,
-):
+def _ascend_adversary(S, b, theta_f, starts, lam, reg, psi_f, step, iterations):
     """Adversary ascent from every row of starts, all rows in lockstep.
 
-    Each iteration takes the increments of every running start from one
+    Each iteration takes the increments of every start from one
     ``_kernels.block_increments`` call, row k bitwise the per-row
     ``block_increment`` of that start.  A row stops at its first non-finite
     increment vector, as a sequential ascent from that start would; a
     non-finite iterate stops its row one round later, before it is
-    evaluated.
+    evaluated.  A stopped row stays in the stack, and every call of the
+    loop treats rows independently, so the running rows keep their bits;
+    the loop ends early once every row has stopped.
 
     The loop only records: each iteration's values go into an
-    (iterations + 1, R) table, -inf where a start no longer runs, and each
-    next iterate into the (R, iterations + 1, d) array of iterates, whose
-    column 0 holds the starts.  After the loop one argmax per start picks
-    its best iterate: the first maximum, the one a running best replaced
-    only by a strictly larger value would keep.  A NaN value counts as
-    -inf, so it never wins, and a start with no value above -inf keeps its
-    own start at -inf.  Returns per start the best value and its g, and,
-    when collect is set, the iterates with how many of each start's were
-    evaluated; otherwise None and zero counts.
+    (iterations + 1, R) table and each next iterate into the (R,
+    iterations + 1, d) array of iterates, whose column 0 holds the starts.
+    After the loop a start's values from its stop on read -inf, and one
+    argmax per start picks its best iterate: the first maximum, the one a
+    running best replaced only by a strictly larger value would keep.  A
+    NaN value counts as -inf, so it never wins, and a start with no value
+    above -inf keeps its own start at -inf.  Returns per start the best
+    value and its g, then the iterates with how many of each start's were
+    evaluated.
     """
     R, d = starts.shape
-    values = np.full((iterations + 1, R), -math.inf)
+    values = np.empty((iterations + 1, R))
     explored = np.empty((R, iterations + 1, d))
     explored[:, 0] = starts
     evaluated = np.full(R, iterations + 1, dtype=np.intp)
-    # rows selects the starts still running, a plain slice while every one
-    # is; g holds their iterates in order.
-    rows = slice(None)
     g = starts
     for t in range(iterations + 1):
         inc = _kernels.block_increments(S, b, theta_f, g)
         # A finite sum means finite entries; only an infinite or NaN sum
         # (or one that overflows) needs the per-row test.
         if not math.isfinite(inc.sum()):
-            finite = np.isfinite(inc).all(axis=1)
-            if not finite.all():
-                running = np.arange(R)[rows]
-                evaluated[running[~finite]] = t
-                rows, g, inc = running[finite], g[finite], inc[finite]
-                if rows.size == 0:
-                    break
+            evaluated[~np.isfinite(inc).all(axis=1) & (evaluated > t)] = t
+            if (evaluated <= t).all():
+                break
         j_star, med = median_block_index(inc)
-        values[t, rows] = med + lam * (psi_f - psi_batch(reg, g)) if lam else med
+        values[t] = med + lam * (psi_f - psi_batch(reg, g)) if lam else med
         if t == iterations:
             break
         s = step / math.sqrt(t + 1.0)
         g = prox_gradient_step(reg, S, b, g, j_star, s, lam)
-        explored[rows, t + 1] = g
+        explored[:, t + 1] = g
+    values[np.arange(iterations + 1)[:, None] >= evaluated] = -math.inf
     np.fmax(values, -math.inf, out=values)
     best = values.argmax(axis=0)
     start = np.arange(R)
     best_value = values[best, start]
     if not lam:
         best_value += 0.0  # the value med + 0.0: a -0.0 median reads +0.0
-    best_g = explored[start, best]
-    if not collect:
-        return best_value, best_g, (None, np.zeros(R, dtype=np.intp))
-    return best_value, best_g, (explored, evaluated)
+    return best_value, explored[start, best], (explored, evaluated)
 
 
 def phi_lambda_hat(
@@ -399,7 +364,7 @@ def phi_lambda_hat(
         starts[k] = ols if k == 1 else ols + scale * rng.standard_normal(d)
 
     values, gs, (explored, counts) = _ascend_adversary(
-        S, b, theta_f, starts, lam, reg, psi_f, step, budget.iterations, collect_explored
+        S, b, theta_f, starts, lam, reg, psi_f, step, budget.iterations
     )
     # The start at f always scores (its increments are exactly 0), so the
     # best start is finite.

@@ -13,6 +13,8 @@ audit as a small tournament (``_tournament``) that plays only the matches
 that can change its pick: a bound on each candidate's value against two
 pool members rules most candidates out of the full audit, and the seats'
 round-robin plays each pair once, the reverse match being its mirror.
+One screen rule picks the members a bound is taken against, in the
+tournament and in ``_pattern_refine``: those of largest term at one theta.
 """
 from __future__ import annotations
 
@@ -35,16 +37,15 @@ from .objective import (
     prox_psi,
     psi,
     psi_batch,
-    row_increments,
 )
 
 _AUDIT_EXTRA_WITNESSES = 3
 _AUDIT_TOURNAMENT_SIZE = 64
 # _tournament bounds each candidate's value by its terms against the
-# _AUDIT_BOUND_MEMBERS pool members that hold the largest term most often on
-# _AUDIT_SAMPLE evenly spaced candidates.
+# _AUDIT_BOUND_MEMBERS pool members of largest term at the last candidate
+# (``_WitnessPoolAudit.screen``).  With 4 the median tournament took 1.38
+# against 1.32 ms per fit at d=5 and 1.35 against 1.20 ms at d=50.
 _AUDIT_BOUND_MEMBERS = 2
-_AUDIT_SAMPLE = 32
 _REFINE_SCALES = (0.05, 0.02, 0.01, 0.005, 0.002)
 _REFINE_EVAL_CAP = 60
 # Moves of a refine sweep audited in one batch.  Moves after the first
@@ -57,7 +58,8 @@ _REFINE_BATCH = 16
 # Witnesses a refine batch is screened against before the full audit: those
 # with the largest of the current theta's full-pool terms.  The screened
 # value is a maximum over fewer witnesses, so a move it does not put below
-# the current value cannot improve on the full pool either.
+# the current value cannot improve on the full pool either.  With 2 the
+# median d=50 refine took 14.9 against 13.1 ms per fit.
 _REFINE_SCREEN = 4
 # _WitnessPoolAudit.grid_values cuts the pool, in order, into leaves of
 # _GRID_CLUSTER consecutive members and the leaves into groups of _GRID_GROUP
@@ -199,10 +201,10 @@ class _WitnessPoolAudit:
     There the seats play a round-robin of MOM matches, in which
     ``_tournament`` plays each pair once (``_match_table``).  The pool is
     held as its block losses and norms; candidates are audited from
-    theirs, against every member by value_from_losses, against a few
-    ``members`` first to bound their values in ``_tournament`` and to
-    screen moves in _pattern_refine, or by two-level branch and bound by
-    grid_values.
+    theirs, against every member by value_from_losses, against the few
+    members of largest term at one theta (``screen``) first to bound their
+    values in ``_tournament`` and to screen moves in _pattern_refine, or by
+    two-level branch and bound by grid_values.
     """
 
     def __init__(self, pool_losses, pool_psi, lam):
@@ -213,6 +215,12 @@ class _WitnessPoolAudit:
     def members(self, index) -> _WitnessPoolAudit:
         """The audit against the pool members selected by index."""
         return _WitnessPoolAudit(self.pool_losses[index], self.pool_psi[index], self.lam)
+
+    def screen(self, meds, count) -> _WitnessPoolAudit:
+        """The audit against the count members (all, in a smaller pool) of
+        largest term in meds, one theta's ``terms``.  Its value is a
+        maximum over fewer members, a lower bound on the full audit's."""
+        return self.members(np.argpartition(-meds, min(count, meds.size) - 1)[:count])
 
     def extend(self, losses, psis) -> None:
         self.pool_losses = np.concatenate([self.pool_losses, losses], axis=0)
@@ -299,8 +307,11 @@ def _match_terms(losses, psis, lam, a, b):
 
 def _match_table(losses, psis, lam):
     """The (k, k) terms of the matches among k thetas, row a holding a's
-    terms, bitwise ``_WitnessPoolAudit(losses, psis, lam).terms(losses,
-    psis)``, from one match per pair a <= b.  term(b, a) is then 0.0 -
+    terms, from one match per pair a <= b: the bits of
+    ``_WitnessPoolAudit(losses, psis, lam).terms(losses, psis)`` wherever a
+    term is a number, and NaN exactly where it is NaN (NaN + NaN keeps
+    either operand's sign, so no layout promises that sign; the round reads
+    only that a final is NaN, and audits it again).  term(b, a) is 0.0 -
     term(a, b): x - y is -(y - x) bit for bit, so the differences, their
     middle and the norm gap all change sign.  That fails where a difference
     is NaN, which sorts last either way, and where term(a, b) is zero,
@@ -330,33 +341,29 @@ def _tournament(audit, losses, psis):
     candidate and then on the seats, from only the matches that can change
     them:
 
-    - Where k exceeds the seats, every candidate is first audited against
-      _AUDIT_BOUND_MEMBERS members, a lower bound on its value.  As many
-      candidates as there are seats, those of least bound, have exact
-      values at most their maximum M, so a candidate whose bound is above
-      M takes no seat (a NaN bound or M keeps it), and only the others are
-      audited against the whole pool.
+    - Every candidate is first audited against the _AUDIT_BOUND_MEMBERS
+      members of largest term at the last candidate (``screen``), a lower
+      bound on its value.  As many candidates as there are seats, those of
+      least bound, have exact values at most their maximum M, so a
+      candidate whose bound is above M takes no seat (a NaN bound or M
+      keeps it), and only the others are audited against the whole pool.
+      Any members give such a bound, so they change no seat and no value.
     - A seat's final value is the larger of its audited value and its row
       of the seats' ``_match_table``.  Where that is zero or NaN, whose bits
       depend on the order of the maximum, the seat is audited again.
     """
     size = _AUDIT_TOURNAMENT_SIZE
     k = losses.shape[0]
-    if k > size:
-        step = -(-k // _AUDIT_SAMPLE)
-        held = np.argmax(audit.terms(losses[::step], psis[::step]), axis=1)
-        near = np.argsort(-np.bincount(held, minlength=audit.pool_psi.size), kind="stable")
-        bound = audit.members(near[:_AUDIT_BOUND_MEMBERS]).value_from_losses(losses, psis)
-        first = np.argpartition(bound, size - 1)[:size]
-        value = np.empty(k)
-        value[first] = audit.value_from_losses(losses[first], psis[first])
-        live = ~(bound > value[first].max())
-        cands = np.flatnonzero(live)
-        live[first] = False
-        more = np.flatnonzero(live)
-        value[more] = audit.value_from_losses(losses[more], psis[more])
-    else:
-        value, cands = audit.value_from_losses(losses, psis), np.arange(k)
+    near = audit.screen(audit.terms(losses[-1], psis[-1]), _AUDIT_BOUND_MEMBERS)
+    bound = near.value_from_losses(losses, psis)
+    first = np.argpartition(bound, min(size, k) - 1)[:size]
+    value = np.empty(k)
+    value[first] = audit.value_from_losses(losses[first], psis[first])
+    live = ~(bound > value[first].max())
+    cands = np.flatnonzero(live)
+    live[first] = False
+    more = np.flatnonzero(live)
+    value[more] = audit.value_from_losses(losses[more], psis[more])
     top = cands[np.argsort(value[cands], kind="stable")[:size]]
     audit.extend(losses[top], psis[top])
     final = np.maximum(value[top], _match_table(losses[top], psis[top], audit.lam).max(axis=1))
@@ -384,17 +391,13 @@ def _pattern_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap)
     ends the scale there without auditing them again.
     With lam = 0 the terms never read the norms and no candidate stack is built.
     """
-
-    def screen(meds):
-        return audit.members(np.argpartition(-meds, _REFINE_SCREEN - 1)[:_REFINE_SCREEN])
-
     theta, losses, value = theta0.copy(), losses0, value0
     d = theta.shape[0]
     coords = np.repeat(np.arange(d), 2)
     signs = np.tile([1.0, -1.0], d)[:, None]
     curv = np.diagonal(S, axis1=1, axis2=2).T[coords]
     grad = (S @ theta - b).T[coords]
-    near = screen(audit.terms(losses, psi(reg, theta)))
+    near = audit.screen(audit.terms(losses, psi(reg, theta)), _REFINE_SCREEN)
     psis = np.zeros(_REFINE_BATCH)  # read by the terms only when lam > 0
     for scale in scales:
         steps = signs * scale
@@ -432,7 +435,7 @@ def _pattern_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap)
                 value = float(values[j])
                 grad = (S @ theta - b).T[coords]
                 lin = 2.0 * steps * grad
-                near = screen(meds[j])
+                near = audit.screen(meds[j], _REFINE_SCREEN)
                 improved = True
                 lo = stop = 2 * (int(coords[lo + k]) + 1)
                 end = 2 * d
@@ -455,6 +458,12 @@ def _descent_ascent(S, b, starts, reg, lam, step_f, step_g, iterations, warm):
     Each half step writes into buffers allocated once: the increments into
     one (restarts, n) array, f and g into one of two (2, restarts, d)
     arrays that swap after each iteration, whose rows are listed once.
+    The increments take one ``_kernels.block_increment`` call per row,
+    although ``_kernels.block_increments`` gives the same bits in one call:
+    the benchmark's trace test pins one kernel call per row and half step,
+    and one row through the stacked call is slower (16.0 against 11.1 us at
+    d=5, 40.0 against 36.5 us at d=50; n=51, best of 7 x 2000 calls, one
+    BLAS thread on a 2-vCPU VM).
     """
     R, d = starts.shape
     iterates = np.empty((2, R, iterations + 1, d))
@@ -468,7 +477,8 @@ def _descent_ascent(S, b, starts, reg, lam, step_f, step_g, iterations, warm):
     for t in range(1, iterations + 1):
         damp = 1.0 if t <= warm else math.sqrt(t - warm)
         (_, f, g, f_rows, g_rows), (new, f_next, g_next, _, g_next_rows) = states
-        row_increments(S, b, f_rows, g_rows, inc)
+        for f_row, g_row, row in zip(f_rows, g_rows, inc):
+            _kernels.block_increment(S, b, f_row, g_row, out=row)
         # Finite entries have a finite sum, unless it overflows.
         if not math.isfinite(inc.sum()) and not np.isfinite(inc).all():
             raise DivergenceError(
@@ -478,7 +488,9 @@ def _descent_ascent(S, b, starts, reg, lam, step_f, step_g, iterations, warm):
         median_block[:, t - 1] = j_adv
         med_increment[:, t - 1] = med  # before the learner's call rewrites scratch
         prox_gradient_step(reg, S, b, g, j_adv, step_g / damp, lam, g_next)
-        j_lrn, _ = median_block_index(row_increments(S, b, f_rows, g_next_rows, inc), scratch)
+        for f_row, g_row, row in zip(f_rows, g_next_rows, inc):
+            _kernels.block_increment(S, b, f_row, g_row, out=row)
+        j_lrn, _ = median_block_index(inc, scratch)
         prox_gradient_step(reg, S, b, f, j_lrn, step_f / damp, lam, f_next)
         if not math.isfinite(new.sum()) and not np.isfinite(new).all():
             raise DivergenceError(

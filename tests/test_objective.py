@@ -415,7 +415,7 @@ class TestLockstepAdversary:
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             values, gs, (explored, counts) = _ascend_adversary(
-                S, b, f.theta, starts, 0.01, reg, psi_f, step, 30, True
+                S, b, f.theta, starts, 0.01, reg, psi_f, step, 30
             )
         with np.errstate(over="ignore", invalid="ignore"):
             reference = [
