@@ -173,9 +173,8 @@ def block_increment(
 
 
 def _as_values(v) -> np.ndarray:
-    if isinstance(v, BlockVector):
-        return v.values
-    return np.asarray(v, dtype=np.float64)
+    """The values of a BlockVector, or of a raw vector held to its rule."""
+    return (v if isinstance(v, BlockVector) else BlockVector(v)).values
 
 
 def median(v) -> float:

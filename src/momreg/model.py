@@ -48,6 +48,15 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     return arr
 
 
+def _check_theta(theta: np.ndarray) -> np.ndarray:
+    """theta, a float array, unless it is not a finite 1-d coefficient vector."""
+    if theta.ndim != 1:
+        raise DimensionError("theta must be a 1-d coefficient vector")
+    if not np.isfinite(theta).all():
+        raise InvalidInput("coefficients must be finite")
+    return theta
+
+
 @dataclass(frozen=True)
 class Dataset:
     """An i.i.d. sample: N design rows (features) and N responses."""
@@ -89,12 +98,7 @@ class LinearPredictor:
     theta: np.ndarray
 
     def __post_init__(self):
-        t = _frozen_array(self.theta)
-        if t.ndim != 1:
-            raise DimensionError("theta must be a 1-d coefficient vector")
-        if not np.isfinite(t).all():
-            raise InvalidInput("coefficients must be finite")
-        object.__setattr__(self, "theta", t)
+        object.__setattr__(self, "theta", _check_theta(_frozen_array(self.theta)))
 
     @property
     def dim(self) -> int:

@@ -18,7 +18,7 @@ from . import _kernels
 from .blocks import block_increment, median, middle
 from .errors import ConfigError, DimensionError, EmptyLambdaWindow
 from .model import (BlockPartition, Dataset, LinearPredictor, _check_count, _check_number,
-                    _frozen_array)
+                    _check_theta, _frozen_array)
 
 
 # ---------------------------------------------------------------------------
@@ -73,9 +73,11 @@ class Regularizer:
 
 
 def _theta_of(f) -> np.ndarray:
+    """The coefficients of a predictor, or of a raw vector held to
+    ``LinearPredictor``'s rule without its copy."""
     if isinstance(f, LinearPredictor):
         return f.theta
-    return np.asarray(f, dtype=np.float64)
+    return _check_theta(np.asarray(f, dtype=np.float64))
 
 
 def slope_weights_for(reg: Regularizer, d: int) -> np.ndarray:

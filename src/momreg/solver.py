@@ -25,7 +25,8 @@ import numpy as np
 
 from . import _kernels
 from .blocks import middle, row_slices
-from .errors import ConfigError, DimensionError, DivergenceError, GridCapExceeded
+from .errors import (ConfigError, DimensionError, DivergenceError, GridCapExceeded,
+                     InvalidInput)
 from .model import (BlockPartition, Dataset, LinearPredictor, _check_count, _check_number,
                     covered_rows)
 from .objective import (
@@ -133,8 +134,9 @@ def erm_fit(data: Dataset) -> LinearPredictor:
     """Least-squares baseline via the normal equations.
 
     A singular Gram matrix, or a solve that comes out non-finite, gets a
-    ridge jitter of 1e-10 instead; a ridge solve that is still non-finite
-    raises InvalidInput.
+    ridge jitter of 1e-10 instead; a ridge solve that is still singular
+    (the jitter vanishes beside a large Gram) or non-finite raises
+    InvalidInput.
     """
     X = data.features
     gram = X.T @ X
@@ -145,7 +147,12 @@ def erm_fit(data: Dataset) -> LinearPredictor:
             return LinearPredictor(theta)
     except np.linalg.LinAlgError:
         pass
-    return LinearPredictor(np.linalg.solve(gram + 1e-10 * np.eye(gram.shape[0]), rhs))
+    try:
+        return LinearPredictor(np.linalg.solve(gram + 1e-10 * np.eye(gram.shape[0]), rhs))
+    except np.linalg.LinAlgError:
+        raise InvalidInput(
+            "the least-squares Gram matrix X^T X is singular, even with a 1e-10 ridge"
+        ) from None
 
 
 def lasso_fit(

@@ -42,7 +42,6 @@ from .objective import (
     Regularizer,
     _theta_of,
     lambda_window,
-    psi,
     psi_batch,
     slope_weights_for,
 )
@@ -298,9 +297,11 @@ def theorem2_check(
     No config key sets the slack constants c1-c3; the source material leaves
     them unquantified.  Assumes theta_hat was fit with lambda inside the window.
     """
+    for name, c in (("c1", c1), ("c2", c2), ("c3", c3)):
+        _check_number(name, c, strict=False)
     th = _theta_of(theta_hat)
     ts = _theta_of(theta_star)
-    psi_error = psi(reg, th - ts)
+    psi_error = float(psi_batch(reg, (th - ts)[None, :])[0])  # th - ts may overflow
     excess = excess_risk(th, ts, design)
     dist = math.sqrt(excess)
     psi_bound = c1 * params.rho
@@ -326,6 +327,7 @@ def theorem2_check(
 def support_recovery_error(theta_hat, theta_star, atol: float = 0.1) -> int:
     """Symmetric difference between the thresholded estimated support and
     the true support."""
+    _check_number("atol", atol, strict=False)
     th = _theta_of(theta_hat)
     ts = _theta_of(theta_star)
     return int(np.count_nonzero((np.abs(th) > atol) != (ts != 0.0)))

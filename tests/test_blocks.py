@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from momreg import (
     BlockPartition,
+    BlockVector,
     Dataset,
     DimensionError,
     InvalidInput,
@@ -399,6 +400,10 @@ def test_multiplier_reflection_identity():
 class TestMedian:
     def test_middle_of_three(self):
         assert median(np.array([3.0, 1.0, 2.0])) == 2.0
+
+    def test_block_vector_has_one_entry_per_block(self):
+        v = BlockVector([3.0, 1.0, 2.0])
+        assert len(v) == 3 and median(v) == 2.0
 
     def test_all_equal(self):
         assert median(np.full(7, 4.2)) == 4.2

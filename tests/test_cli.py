@@ -323,6 +323,16 @@ class TestMainEntry:
         assert [row[:2] for row in rows] == [["0", "mom"], ["0", "ols"]]
         assert [row[4] for row in rows] == ["", ""]  # a fit runs no theorem check
 
+    def test_csv_fit_csv_out_writes_only_the_header(self, tmp_path):
+        # a CSV fit has no theta_star, so no record has an excess risk
+        data = tmp_path / "data.csv"
+        data.write_text("x0,y\n" + "".join(f"{x}.0,{2 * x}.5\n" for x in range(9)))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"data": {"csv": str(data)}, "partition": {"blocks": 3}}))
+        flat = tmp_path / "fit.csv"
+        assert main(["fit", "--config", str(cfg_path), "--csv-out", str(flat)]) == 0
+        assert flat.read_text() == "trial,estimator,excess_risk,distance,passed\n"
+
     def test_verify_exit_zero_and_negative_control(self, tmp_path):
         cfg = _sim_config()
         cfg["verify"] = {"lemma_instances": 10, "negative_control": False}
@@ -604,6 +614,20 @@ class TestInputErrors:
             assert main(["fit", "--config", str(cfg_path)]) == 2
         assert capsys.readouterr().err == (
             "error: row 2: cell of magnitude above 1e+100 in ['1e200', '1e200']\n"
+        )
+
+    def test_collinear_csv_at_a_large_scale_exit_code(self, tmp_path, capsys):
+        # x0 == x1 at about 1e20: the 1e-10 ridge vanishes beside a Gram of
+        # about 1e40, so even the ridge solve is singular
+        rng = np.random.default_rng(0)
+        cells = zip((1e20 * rng.standard_normal(200)).tolist(), rng.standard_normal(200).tolist())
+        data = tmp_path / "collinear.csv"
+        data.write_text("x0,x1,y\n" + "".join(f"{x!r},{x!r},{y!r}\n" for x, y in cells))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"data": {"csv": str(data)}, "partition": {"blocks": 5}}))
+        assert main(["fit", "--config", str(cfg_path)]) == 2
+        assert capsys.readouterr().err == (
+            "error: the least-squares Gram matrix X^T X is singular, even with a 1e-10 ridge\n"
         )
 
     @pytest.mark.parametrize("mode", ["simulate", "corrupt-bench", "verify"])

@@ -126,6 +126,13 @@ class TestCsvRoundTrip:
         np.testing.assert_array_equal(back.features, data.features)
         np.testing.assert_array_equal(back.responses, data.responses)
 
+    def test_blank_rows_are_skipped(self, tmp_path):
+        path = tmp_path / "gaps.csv"
+        path.write_text("x0,y\n1.0,2.0\n\n3.0,4.0\n\n")
+        data = load_dataset(path)
+        np.testing.assert_array_equal(data.features, [[1.0], [3.0]])
+        np.testing.assert_array_equal(data.responses, [2.0, 4.0])
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,y\n1,2,3\n")

@@ -31,16 +31,22 @@ from momreg import (
     SolverConfig,
     check_condition_one,
     check_condition_two,
+    count_blocks_satisfying,
+    erm_fit,
     estimate_delta,
     excess_risk,
     generate,
     lasso_fit,
     lemma_sweep,
     make_partition,
+    median,
     oracle_grid_fit,
     population_l2_distance,
     quad_component,
     sample_sphere_probes,
+    support_recovery_error,
+    theorem1_check,
+    theorem2_check,
 )
 
 
@@ -108,6 +114,7 @@ _DESIGN = DesignSpec.identity(2)
 _ORIGIN = LinearPredictor(np.zeros(2))
 _TINY = Dataset(np.eye(3, 2), np.ones(3))
 _GRID = GridSpec(((0.0, 1.0, 0.5),) * 2)
+_PARAMS = ConditionParams(0.5, 0.1, 1.0)
 
 # Per site: its name (a record's is its class name), a call whose keyword
 # defaults are valid, and the bad values of each argument.  estimate_delta
@@ -167,6 +174,13 @@ _SITES = [
      lambda cap=10**8: oracle_grid_fit(_TINY, BlockPartition(3, 1), ObjectiveConfig(), _GRID,
                                        _GRID, cap),
      {"cap": _NOT_COUNTS}),
+    ("theorem2_check",
+     lambda c1=10.0, c2=10.0, c3=10.0: theorem2_check(
+         np.zeros(2), np.zeros(2), _DESIGN, _PARAMS, Regularizer.l1(), c1, c2, c3),
+     dict.fromkeys(["c1", "c2", "c3"], (*_NOT_NUMBERS, -1.0))),
+    ("support_recovery_error",
+     lambda atol=0.1: support_recovery_error(np.zeros(2), np.zeros(2), atol),
+     {"atol": (*_NOT_NUMBERS, -1.0)}),
 ]
 
 # Records the library builds from its own results and never takes as input.
@@ -244,6 +258,22 @@ _INPUT_CHECKS = [
                                  DesignSpec.identity(3)),
      DimensionError),
     ("LemmaProbe-regime", lambda: LemmaProbe(np.zeros(2), "sideways"), ConfigError),
+    # the 1e-10 ridge vanishes beside a Gram of about 1e40
+    ("erm_fit-singular",
+     lambda: erm_fit(Dataset(np.outer([1e20, 2e20, 3e20], [1.0, 1.0]), np.arange(3.0))),
+     InvalidInput),
+    ("excess_risk-nan", lambda: excess_risk([math.nan, 1.0], [1.0, 1.0], _DESIGN), InvalidInput),
+    ("theorem1_check-nan",
+     lambda: theorem1_check(np.array([math.nan, 1.0]), np.ones(2), _DESIGN, _PARAMS),
+     InvalidInput),
+    ("theorem2_check-nan",
+     lambda: theorem2_check(np.ones(2), [1.0, math.inf], _DESIGN, _PARAMS, Regularizer.l1()),
+     InvalidInput),
+    ("support_recovery_error-nan",
+     lambda: support_recovery_error([math.nan, 1.0], np.ones(2)), InvalidInput),
+    ("median-nan", lambda: median([1.0, math.nan, 3.0]), InvalidInput),
+    ("count_blocks_satisfying-nan",
+     lambda: count_blocks_satisfying([1.0, math.nan, 3.0], 2.0), InvalidInput),
 ]
 
 

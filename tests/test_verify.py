@@ -9,6 +9,7 @@ from momreg import (
     Dataset,
     DesignSpec,
     HypothesisViolated,
+    InvalidInput,
     LemmaProbe,
     LinearPredictor,
     NoiseSpec,
@@ -338,6 +339,18 @@ class TestLemmaRegCheck:
         for j in range(p.n):
             if b_h[j] >= g1 * dist * dist:
                 assert b_f[j] + lam * psi_gap >= 2.0 * rhs_alpha1 - 1e-9
+
+    def test_scaled_probe_whose_f_overflows_raises(self):
+        f_star, design, data, p, _ = _lemma_setup(seed=3)
+        params = ConditionParams(gamma1=0.5, gamma2=0.05, r=1.0, rho=4.0)
+        lo, hi = lambda_window(params)
+        delta = np.zeros(12)
+        delta[4] = params.rho  # on the psi-sphere; alpha * delta overflows
+        probe = LemmaProbe(f_star.theta + delta, REGIME_SCALED, alpha=1e308)
+        with pytest.raises(InvalidInput, match="^coefficients must be finite$"):
+            lemma_reg_check(
+                [probe], f_star, data, p, params, (lo + hi) / 2, Regularizer.l1(), design
+            )
 
     def test_randomized_sweep_zero_violations(self):
         report = lemma_sweep(100, seed=42)
