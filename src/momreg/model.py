@@ -49,7 +49,7 @@ def _frozen_array(values, dtype=np.float64) -> np.ndarray:
 
 
 def _check_theta(theta: np.ndarray) -> np.ndarray:
-    """theta, a float array, unless it is not a finite 1-d coefficient vector."""
+    """theta, a float array, once checked to be a finite 1-d coefficient vector."""
     if theta.ndim != 1:
         raise DimensionError("theta must be a 1-d coefficient vector")
     if not np.isfinite(theta).all():

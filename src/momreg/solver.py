@@ -148,11 +148,12 @@ def erm_fit(data: Dataset) -> LinearPredictor:
     except np.linalg.LinAlgError:
         pass
     try:
-        return LinearPredictor(np.linalg.solve(gram + 1e-10 * np.eye(gram.shape[0]), rhs))
+        theta = np.linalg.solve(gram + 1e-10 * np.eye(gram.shape[0]), rhs)
     except np.linalg.LinAlgError:
         raise InvalidInput(
             "the least-squares Gram matrix X^T X is singular, even with a 1e-10 ridge"
         ) from None
+    return LinearPredictor(theta)
 
 
 def lasso_fit(
