@@ -12,9 +12,6 @@ The adversary ascent of ``objective.phi_lambda_hat`` takes the stacked
 call once per iteration; the descent-ascent loop of the fit goes row by
 row through ``block_increment`` (``solver._descent_ascent`` says why),
 writing each row, bitwise, into that loop's (R, n) buffer through ``out=``.
-``stats_block_losses`` gives a (k, d) stack of thetas their block losses
-less each block's constant y_j^T y_j / m, from S and b in O(n d^2) per
-theta, each row bitwise the single-theta call.
 ``block_losses`` is the exact residual path: it reads X and y, O(n m d)
 per theta, and is the reference the statistics path is tested against.
 
@@ -23,7 +20,9 @@ The witness-pool audit of ``solver.mom_minimax_fit`` and the grid oracle
 block losses, in which the per-block constant cancels.  Both take their
 losses from ``solver._audit_losses``, which picks the cheaper form: the
 statistics where d <= m, the residuals where d > m, as n d^2 against
-n m d operations per theta says.
+n m d operations per theta says.  From the statistics, the block losses of
+theta less each block's y_j^T y_j / m are its ``block_increments`` against
+the zero predictor, theta^T S_j theta - 2 b_j^T theta.
 """
 from __future__ import annotations
 
@@ -65,9 +64,8 @@ def block_increment(S, b, theta_f, theta_h, out=None):
 
 
 def block_increments(S, b, theta_f, thetas_h):
-    """Row k: ``block_increment(S, b, f_k, thetas_h[k])``, bitwise, for an
-    (R, d) stack thetas_h and theta_f one vector or an (R, d) stack; shape
-    (R, n).
+    """Row k: ``block_increment(S, b, f_k, h_k)``, bitwise, for theta_f and
+    thetas_h that broadcast to (R, d) stacks f and h; shape (R, n).
 
     Each product is the single-pair kernel's matrix-vector product, stacked
     over the rows by matmul, so every row rounds as that kernel's does.
@@ -78,26 +76,6 @@ def block_increments(S, b, theta_f, thetas_h):
     inc = np.matmul(s_delta, (theta_f + thetas_h)[:, :, None])
     inc -= 2.0 * np.matmul(b, delta[:, :, None])
     return inc[:, :, 0]
-
-
-def stats_block_losses(S, b, thetas):
-    """Row k: the block losses of thetas[k] less each block's y_j^T y_j / m,
-    theta^T S_j theta - 2 b_j^T theta, for a C-contiguous (k, d) stack;
-    shape (k, n).
-
-    The y^T y / m term never forms, so a block with a large response adds
-    no large constant to cancel.  The products are the matrix-vector
-    products of a one-row stack, stacked over the rows by matmul, so every
-    row has the bits of the single-theta call whatever the batch.  (A
-    plain ``thetas @ S.reshape(-1, d).T`` is faster, but its rounding
-    depends on the number of rows.)
-    """
-    k, d = thetas.shape
-    col = thetas[:, :, None]
-    s_theta = np.matmul(S.reshape(-1, d), col).reshape(k, *b.shape)
-    loss = np.matmul(s_theta, col)
-    loss -= 2.0 * np.matmul(b, col)
-    return loss[:, :, 0]
 
 
 def block_means(v, n, m):

@@ -188,6 +188,8 @@ def median(v) -> float:
 def count_blocks_satisfying(v, threshold: float, direction: str = "ge") -> int:
     """Number of entries with value >= threshold ('ge') or <= threshold ('le')."""
     vals = _as_values(v)
+    if threshold != threshold:  # NaN; -inf is a valid threshold
+        raise InvalidInput("threshold must not be NaN")
     if direction == "ge":
         return int(np.count_nonzero(vals >= threshold))
     if direction == "le":

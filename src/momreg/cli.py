@@ -169,9 +169,6 @@ def _defaults(path: str) -> dict:
     return out
 
 
-DEFAULT_CONFIG = _defaults("")
-
-
 def _merge(path: str, doc: dict) -> dict:
     """doc merged over the defaults of the object at a dotted path."""
     out = _defaults(path)
@@ -248,8 +245,8 @@ def _check_config(cfg: dict) -> None:
 
 
 def resolve_config(raw: dict | None, overrides: dict | None = None) -> dict:
-    """Merge a config document and CLI overrides over DEFAULT_CONFIG and
-    check every value against _CONFIG; bad values raise ConfigError."""
+    """Merge a config document and CLI overrides over the defaults of
+    _CONFIG and check every value against it; bad values raise ConfigError."""
     cfg = _merge("", raw or {})
     for key, val in (overrides or {}).items():
         if val is None:

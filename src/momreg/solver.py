@@ -3,8 +3,8 @@
 ``mom_minimax_fit`` chains five stages: ``_setup`` (covered rows, block
 statistics, least-squares fit and step, shared with ``phi_lambda_hat``),
 ``_fit_starts``, ``_descent_ascent``, ``_select`` and ``_pattern_refine``.
-Its ``default_rng(cfg.seed)`` draws one ``standard_normal(d)`` per restart
-after the second, for the starts, then _AUDIT_EXTRA_WITNESSES for the pool.
+Its seed draws only the starts after the second, one ``standard_normal(d)``
+each, so at the default two restarts a fit draws nothing.
 The descent-ascent scheme has no monotonicity guarantee, so the returned
 coefficient vector is not the last iterate: every iterate of every restart
 is audited with a witness-pool surrogate of the regularized minimax value
@@ -40,7 +40,6 @@ from .objective import (
     psi_batch,
 )
 
-_AUDIT_EXTRA_WITNESSES = 3
 _AUDIT_TOURNAMENT_SIZE = 64
 # _tournament bounds each candidate's value by its terms against the
 # _AUDIT_BOUND_MEMBERS pool members of largest term at the last candidate
@@ -81,7 +80,8 @@ class SolverConfig:
     blockwise Lipschitz estimate when None.  With decay=True both steps
     stay constant for the first third of the iterations (so a bad start,
     e.g. the least-squares fit on corrupted data, can be walked back) and
-    then shrink like 1/sqrt(t).
+    then shrink like 1/sqrt(t).  seed draws only the starts of the
+    restarts after the second, so at restarts <= 2 it changes nothing.
     """
 
     step_f: float | None = None
@@ -186,16 +186,18 @@ def lasso_fit(
 
 def _audit_losses(X, y, S, b, thetas, p):
     """Block losses of a (k, d) stack of thetas for the audits, which take
-    only their differences: where d <= m, from S and b less each block's
-    constant y_j^T y_j / m, one ``row_slices`` slice at a time; where
-    d > m, from the residuals, which cost less there."""
+    only their differences.  Where d <= m, they come from S and b less each
+    block's constant y_j^T y_j / m: theta^T S_j theta - 2 b_j^T theta, the
+    increment of theta against the zero predictor, one ``row_slices`` slice
+    at a time.  Where d > m, they come from the residuals, which cost less
+    there."""
     thetas = np.ascontiguousarray(thetas, dtype=np.float64)
     k, d = thetas.shape
     if d > p.m:
         return _kernels.block_losses(X, y, thetas, p.n, p.m)
     out = np.empty((k, p.n))
     for rows in row_slices(k, p.n * d):
-        out[rows] = _kernels.stats_block_losses(S, b, thetas[rows])
+        out[rows] = _kernels.block_increments(S, b, thetas[rows], 0.0)
     return out
 
 
@@ -518,37 +520,36 @@ def _setup(data, p):
     return X, y, S, b, erm_fit(data).theta, gram_step_size(X, p.m)
 
 
-def _fit_starts(cfg, X, y, ols, step, rng):
-    """step_f, step_g, the iterations at constant steps, the perturbation
-    scale and the (restarts, d) starts: the least-squares fit, zero, then
-    perturbations of zero and of the least-squares fit in turn, one
-    ``standard_normal(d)`` draw each."""
+def _fit_starts(cfg, X, y, ols, step):
+    """step_f, step_g, the iterations at constant steps and the (restarts,
+    d) starts: the least-squares fit, zero, then perturbations of zero and
+    of the least-squares fit in turn, one ``standard_normal(d)`` draw each
+    from ``default_rng(cfg.seed)``."""
     step_f = cfg.step_f if cfg.step_f is not None else step
     step_g = cfg.step_g if cfg.step_g is not None else step
-    # Robust perturbation scale: corrupted responses can make the plain RMS
-    # residual astronomically large, so take the smaller of the two medians.
-    resid2 = np.square(y - X @ ols)
-    scale = math.sqrt(min(float(np.median(resid2)), float(np.median(np.square(y)))))
     warm = cfg.iterations // 3 if cfg.decay else cfg.iterations
     d = ols.shape[0]
-    starts = np.empty((cfg.restarts, d))
-    for k in range(cfg.restarts):
-        if k == 0:
-            starts[k] = ols
-        elif k == 1:
-            starts[k] = 0.0
-        else:
-            base = ols if k % 2 else np.zeros(d)
+    starts = np.zeros((cfg.restarts, d))
+    starts[0] = ols
+    if cfg.restarts > 2:
+        # Robust perturbation scale: corrupted responses can make the plain
+        # RMS residual astronomically large, so take the smaller of the two
+        # medians.
+        resid2 = np.square(y - X @ ols)
+        scale = math.sqrt(min(float(np.median(resid2)), float(np.median(np.square(y)))))
+        rng = np.random.default_rng(cfg.seed)
+        for k in range(2, cfg.restarts):
+            base = ols if k % 2 else 0.0
             starts[k] = base + scale * rng.standard_normal(d) / math.sqrt(d)
-    return step_f, step_g, warm, scale, starts
+    return step_f, step_g, warm, starts
 
 
-def _select(X, y, S, b, p, obj, iterates, ols, scale, rng):
+def _select(X, y, S, b, p, obj, iterates, ols):
     """Audit the candidates of a run: every iterate of f and the mean of
     the second half of the run, restart by restart.  The pool holds the
-    least-squares fit, the last f and g of every restart and perturbations
-    of the least-squares fit; the best prelim candidates then join it and
-    are re-audited, as pairwise matches cancel shared block noise.
+    least-squares fit and the last f and g of every restart; the best
+    prelim candidates then join it and are re-audited, as pairwise matches
+    cancel shared block noise.
     ``_tournament`` computes those two audits' seats and values bit for
     bit, from a bounded prelim audit and a match table that plays each
     pair of seats once.  The block losses of pool and candidates come from
@@ -564,11 +565,7 @@ def _select(X, y, S, b, p, obj, iterates, ols, scale, rng):
     cands[:, T + 1] = F[:, T // 2 + 1 :].mean(axis=1)
     cands = cands.reshape(-1, d)
 
-    extra = [
-        ols + scale * rng.standard_normal(d) / math.sqrt(d)
-        for _ in range(_AUDIT_EXTRA_WITNESSES)
-    ]
-    pool = np.vstack([ols, F[:, T], G[:, T], *extra])
+    pool = np.vstack([ols, F[:, T], G[:, T]])
     thetas = np.concatenate([pool, cands])
     losses = _audit_losses(X, y, S, b, thetas, p)
     psis = psi_batch(obj.regularizer, thetas)
@@ -598,17 +595,17 @@ def mom_minimax_fit(
     perturbations of either (``_fit_starts``) and advance in lockstep
     (``_descent_ascent``); every iterate is audited against a witness pool
     (``_select``) and the audited minimizer refined (``_pattern_refine``).
-    The seed draws a start per restart after the second, then the witnesses.
+    The seed draws only the starts after the second, so at restarts <= 2
+    it does not change the fit.
     """
     X, y, S, b, ols, step = _setup(data, p)
-    rng = np.random.default_rng(cfg.seed)
-    step_f, step_g, warm, scale, starts = _fit_starts(cfg, X, y, ols, step, rng)
+    step_f, step_g, warm, starts = _fit_starts(cfg, X, y, ols, step)
     iterates, median_block, med_increment = _descent_ascent(
         S, b, starts, obj.regularizer, obj.lam, step_f, step_g, cfg.iterations, warm
     )
     step_norms = np.linalg.norm(np.diff(iterates, axis=2), axis=3)
     trace = Trace(median_block, med_increment, step_norms[0], step_norms[1])
-    audit, best, theta, losses, value = _select(X, y, S, b, p, obj, iterates, ols, scale, rng)
+    audit, best, theta, losses, value = _select(X, y, S, b, p, obj, iterates, ols)
     size = max(1.0, float(np.max(np.abs(theta))))
     theta_hat, best_value = _pattern_refine(
         audit, obj.regularizer, S, b, theta, losses, value,

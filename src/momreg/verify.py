@@ -330,6 +330,8 @@ def support_recovery_error(theta_hat, theta_star, atol: float = 0.1) -> int:
     _check_number("atol", atol, strict=False)
     th = _theta_of(theta_hat)
     ts = _theta_of(theta_star)
+    if th.shape != ts.shape:
+        raise DimensionError(f"shape mismatch {th.shape} vs {ts.shape}")
     return int(np.count_nonzero((np.abs(th) > atol) != (ts != 0.0)))
 
 

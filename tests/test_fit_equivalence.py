@@ -375,7 +375,8 @@ def test_block_increments_rows_are_the_per_row_kernel(instance):
 def _loss_stacks(draw):
     """A design and responses at scales 1e-3 to 1e3, with up to three
     responses and up to three design rows set to 1e6, their block
-    statistics, and a (k, d) stack of thetas at scales 1e-3 to 1e3."""
+    statistics, and a (k, d) stack of thetas at scales 1e-3 to 1e3, up to
+    three of its rows zero with a -0.0 in each."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     d = draw(st.integers(1, 8))
     n = 2 * draw(st.integers(0, 25)) + 1
@@ -387,7 +388,22 @@ def _loss_stacks(draw):
     X[rng.choice(n * m, draw(st.integers(0, min(3, n * m))), replace=False)] = 1e6
     S, b = _kernels.block_stats(X, y, n, m)
     thetas = rng.standard_normal((k, d)) * 10.0 ** rng.integers(-3, 4, (k, 1))
+    zero = rng.choice(k, draw(st.integers(0, min(3, k))), replace=False)
+    thetas[zero] = np.where(rng.random((zero.size, d)) < 0.5, -0.0, 0.0)
+    thetas[zero, 0] = -0.0
     return X, y, S, b, thetas
+
+
+def _stats_block_losses_ref(S, b, thetas):
+    """theta^T S_j theta - 2 b_j^T theta formed from theta itself: the
+    increments against zero must match it bit for bit, although their
+    theta + 0.0 turns a -0.0 entry into +0.0."""
+    k, d = thetas.shape
+    col = thetas[:, :, None]
+    s_theta = np.matmul(S.reshape(-1, d), col).reshape(k, *b.shape)
+    loss = np.matmul(s_theta, col)
+    loss -= 2.0 * np.matmul(b, col)
+    return loss[:, :, 0]
 
 
 # Bound on |statistics loss - (residual loss - mean y^2)| relative to the
@@ -398,10 +414,10 @@ _LOSS_RTOL = 1e-11
 
 @given(_loss_stacks())
 @settings(max_examples=200, deadline=None)
-def test_stats_block_losses_are_the_residual_losses_less_the_response_norm(instance):
+def test_increments_against_zero_are_the_residual_losses_less_the_response_norm(instance):
     X, y, S, b, thetas = instance
     n, m = b.shape[0], X.shape[0] // b.shape[0]
-    got = _kernels.stats_block_losses(S, b, thetas)
+    got = _kernels.block_increments(S, b, thetas, 0.0)
     y2 = _kernels.block_means(y * y, n, m)
     want = _kernels.block_losses(X, y, thetas, n, m) - y2
     scale = _kernels.block_means(np.square(np.abs(thetas) @ np.abs(X).T), n, m) + y2
@@ -411,14 +427,17 @@ def test_stats_block_losses_are_the_residual_losses_less_the_response_norm(insta
 
 @given(_loss_stacks(), st.lists(st.integers(1, 40), max_size=4))
 @settings(max_examples=200, deadline=None)
-def test_stats_block_losses_rows_are_the_single_theta_call(instance, cuts):
+def test_increments_against_zero_rows_are_the_single_theta_call(instance, cuts):
     _, _, S, b, thetas = instance
-    got = _kernels.stats_block_losses(S, b, thetas)
+    got = _kernels.block_increments(S, b, thetas, 0.0)
+    _assert_same_bytes(got, _stats_block_losses_ref(S, b, thetas))  # zero rows' signs too
     for theta, row in zip(thetas, got):
-        _assert_same_bytes(_kernels.stats_block_losses(S, b, theta[None])[0], row)
+        _assert_same_bytes(_kernels.block_increments(S, b, theta[None], 0.0)[0], row)
     # cut into slices of any sizes, the batch has the same bytes
     edges = [0, *sorted(c % thetas.shape[0] for c in cuts), thetas.shape[0]]
-    pieces = [_kernels.stats_block_losses(S, b, thetas[lo:hi]) for lo, hi in zip(edges, edges[1:])]
+    pieces = [
+        _kernels.block_increments(S, b, thetas[lo:hi], 0.0) for lo, hi in zip(edges, edges[1:])
+    ]
     _assert_same_bytes(np.concatenate(pieces), got)
 
 
@@ -437,7 +456,7 @@ def test_audit_losses_take_the_statistics_where_d_is_at_most_m(d, m, monkeypatch
     if d > m:
         _assert_same_bytes(got, _kernels.block_losses(X, y, thetas, n, m))
     else:
-        _assert_same_bytes(got, _kernels.stats_block_losses(S, b, thetas))
+        _assert_same_bytes(got, _kernels.block_increments(S, b, thetas, 0.0))
         # one theta per slice of the temporary budget gives the same bytes
         monkeypatch.setattr(blocks, "TEMP_ENTRIES", 1)
         _assert_same_bytes(solver._audit_losses(X, y, S, b, thetas, p), got)

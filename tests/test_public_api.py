@@ -253,6 +253,10 @@ _INPUT_CHECKS = [
      DimensionError),
     ("excess_risk-shape", lambda: excess_risk(np.zeros(2), np.zeros(3), _DESIGN), DimensionError),
     ("excess_risk-design", lambda: excess_risk(np.zeros(1), np.zeros(1), _DESIGN), DimensionError),
+    ("support_recovery_error-shape",
+     lambda: support_recovery_error(np.zeros(2), np.zeros(3)), DimensionError),
+    ("support_recovery_error-broadcast",
+     lambda: support_recovery_error(np.ones(1), np.zeros(3)), DimensionError),
     ("check_condition_one-design",
      lambda: check_condition_one(_TINY, BlockPartition(3, 1), _ORIGIN, [[2.0, 0.0]], 0.5, 1.0,
                                  DesignSpec.identity(3)),
@@ -274,6 +278,8 @@ _INPUT_CHECKS = [
     ("median-nan", lambda: median([1.0, math.nan, 3.0]), InvalidInput),
     ("count_blocks_satisfying-nan",
      lambda: count_blocks_satisfying([1.0, math.nan, 3.0], 2.0), InvalidInput),
+    ("count_blocks_satisfying-nan-threshold",
+     lambda: count_blocks_satisfying([1.0, 2.0, 3.0], math.nan), InvalidInput),
 ]
 
 

@@ -236,16 +236,19 @@ class TestStatisticsPath:
     residual path."""
 
     def test_criterion4_seed0_theta_hat_pinned(self):
-        # Values of the exact residual implementation, on which every
-        # iteration read all rows of X.
+        # The huge_response row holds the values of the exact residual
+        # implementation, on which every iteration read all rows of X; the
+        # adversarial_leverage row those of the statistics path, whose
+        # witness pool is the least-squares fit and each restart's last f
+        # and g.
         expected = {
             "huge_response": [
                 0.9460979358118425, 1.0628472759374035, 1.0504581914341553,
                 1.0455710040419608, 1.011095615574794,
             ],
             "adversarial_leverage": [
-                0.8280000049672565, 1.102230269647885, 1.1225912875086823,
-                1.1943821885047474, 1.2451198861076263,
+                0.7470000049672564, 1.337230269647885, 0.9275912875086822,
+                1.3343821885047478, 1.3771198861076261,
             ],
         }
         design = DesignSpec.identity(5)
@@ -255,6 +258,21 @@ class TestStatisticsPath:
             bad, _ = corrupt(data, CorruptionSpec(count=10, mode=mode, magnitude=1e6), 9999)
             fit = mom_minimax_fit(bad, p, ObjectiveConfig(), SolverConfig(seed=0))
             np.testing.assert_allclose(fit.theta_hat, theta, rtol=0.0, atol=1e-12)
+
+    def test_seed_draws_nothing_at_two_restarts(self):
+        # The seed draws only the starts after the second, so at restarts
+        # <= 2 two seeds give the same fit, bit for bit.
+        data = generate(1000, 5, np.ones(5), DesignSpec.identity(5), NoiseSpec("gaussian", 1.0), 0)
+        spec = CorruptionSpec(count=10, mode="adversarial_leverage", magnitude=1e6)
+        bad, _ = corrupt(data, spec, 9999)
+        p = make_partition(1000, 51)
+        for restarts in (1, 2):
+            a, b = (
+                mom_minimax_fit(bad, p, ObjectiveConfig(), SolverConfig(restarts=restarts, seed=s))
+                for s in (0, 1)
+            )
+            assert a.theta_hat.tobytes() == b.theta_hat.tobytes()
+            assert np.float64(a.best_surrogate).tobytes() == np.float64(b.best_surrogate).tobytes()
 
     def test_step_size_computed_once_per_fit(self, monkeypatch):
         calls = []
@@ -587,7 +605,8 @@ class TestTournament:
         """On the criterion-4 seed-0 huge-response fit, the round takes one
         median per pair a <= b of seats and one more per pair whose mirror
         is not exact, and fewer than all 604 candidates are audited against
-        the whole 8-member pool."""
+        the whole 5-member pool (the least-squares fit and the last f and g
+        of the 2 restarts)."""
         data = generate(1000, 5, np.ones(5), DesignSpec.identity(5), NoiseSpec("gaussian", 1.0), 0)
         bad, _ = corrupt(data, CorruptionSpec(count=10, magnitude=1e6), 9999)
         real_table, real_middle = solver._match_table, solver.middle
@@ -609,7 +628,7 @@ class TestTournament:
                 inside.clear()
 
         def value(audit, losses, psis):
-            if audit.pool_psi.size == 8:
+            if audit.pool_psi.size == 5:
                 full.append(losses.shape[0])
             return real_value(audit, losses, psis)
 
