@@ -44,7 +44,8 @@ import numpy as np
 
 from ._kernels import block_means
 from .errors import DimensionError, InvalidInput, OddLengthRequired
-from .model import BlockPartition, Dataset, LinearPredictor, _frozen_array, covered_rows
+from .model import (BlockPartition, Dataset, LinearPredictor, _float_array, _frozen_array,
+                    _is_real, covered_rows)
 
 
 @dataclass(frozen=True)
@@ -54,7 +55,7 @@ class BlockVector:
     values: np.ndarray
 
     def __post_init__(self):
-        v = _frozen_array(self.values)
+        v = _frozen_array(self.values, "block statistics")
         if v.ndim != 1:
             raise DimensionError("block vector must be 1-d")
         if not np.all(np.isfinite(v)):
@@ -124,7 +125,7 @@ def _block_statistics(thetas, h: LinearPredictor, data: Dataset, p: BlockPartiti
     """Block increments against h, or multiplier components, of each row of
     a (k, d) stack of thetas, one ``_residual_sums`` call (with h's row) per
     ``row_slices`` slice: shape (k, n)."""
-    thetas = np.ascontiguousarray(thetas, dtype=np.float64)
+    thetas = _float_array(thetas, "thetas")
     if thetas.ndim != 2:
         raise DimensionError("thetas must be a (k, d) stack of coefficient vectors")
     X, y = _used_arrays(thetas.shape[1], h, data, p)
@@ -188,8 +189,8 @@ def median(v) -> float:
 def count_blocks_satisfying(v, threshold: float, direction: str = "ge") -> int:
     """Number of entries with value >= threshold ('ge') or <= threshold ('le')."""
     vals = _as_values(v)
-    if threshold != threshold:  # NaN; -inf is a valid threshold
-        raise InvalidInput("threshold must not be NaN")
+    if not _is_real(threshold) or threshold != threshold:  # -inf is a valid threshold
+        raise InvalidInput(f"threshold must be a number, not NaN, got {threshold!r}")
     if direction == "ge":
         return int(np.count_nonzero(vals >= threshold))
     if direction == "le":

@@ -477,7 +477,8 @@ def _embed_config(cfg: dict) -> dict:
 
 
 def _map_trials(worker, cfg: dict) -> list[dict]:
-    payloads = [(json.dumps(cfg, sort_keys=True), t) for t in range(cfg["trials"])]
+    text = json.dumps(cfg, sort_keys=True)
+    payloads = [(text, t) for t in range(cfg["trials"])]
     if cfg["workers"] > 1:
         from concurrent.futures import ProcessPoolExecutor  # ~20 ms to import
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .model import Dataset, DesignSpec, _check_count, _check_number
+from .model import Dataset, DesignSpec, _check_count, _check_number, _float_array
 
 NOISE_KINDS = ("gaussian", "student_t")
 CORRUPTION_MODES = ("huge_response", "sign_flip", "adversarial_leverage")
@@ -72,7 +72,7 @@ def generate(
     standard normal for gaussian noise and student_t otherwise."""
     _check_count("N", N, 1)
     _check_count("d", d, 1)
-    theta_star = np.asarray(theta_star, dtype=np.float64)
+    theta_star = _float_array(theta_star, "theta_star", ConfigError)
     if theta_star.shape != (d,):
         raise ConfigError(f"theta_star must have shape ({d},)")
     if design.dim != d:

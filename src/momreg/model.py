@@ -35,15 +35,28 @@ def _check_count(name, value, lo=0, error=ConfigError) -> None:
         raise error(f"{name} must be an integer >= {lo}, got {value!r}")
 
 
+def _is_real(value) -> bool:
+    """Whether value is a real number: an int, float or numpy one, not a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 def _check_number(name, value, lo=0.0, strict=True, error=ConfigError) -> None:
     """Raise error unless value is a finite non-bool number > lo (>= lo when not strict)."""
-    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-    if not (real and abs(value) < math.inf and (value > lo if strict else value >= lo)):
+    if not (_is_real(value) and abs(value) < math.inf and (value > lo if strict else value >= lo)):
         raise error(f"{name} must be finite and {'>' if strict else '>='} {lo}, got {value!r}")
 
 
-def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    arr = np.array(values, dtype=dtype, order="C", copy=True)
+def _float_array(values, name, error=InvalidInput, copy=None) -> np.ndarray:
+    """values as a C-ordered float array, a copy when copy; a ragged or
+    non-numeric sequence raises error instead of numpy's ValueError."""
+    try:
+        return np.array(values, dtype=np.float64, order="C", copy=copy)
+    except (TypeError, ValueError):
+        raise error(f"{name} must be a rectangular array of numbers") from None
+
+
+def _frozen_array(values, name, error=InvalidInput) -> np.ndarray:
+    arr = _float_array(values, name, error, copy=True)
     arr.flags.writeable = False
     return arr
 
@@ -65,8 +78,8 @@ class Dataset:
     responses: np.ndarray
 
     def __post_init__(self):
-        X = _frozen_array(self.features)
-        y = _frozen_array(self.responses)
+        X = _frozen_array(self.features, "features")
+        y = _frozen_array(self.responses, "responses")
         if X.ndim != 2:
             raise DimensionError("features must be a 2-d array")
         if y.ndim != 1:
@@ -98,7 +111,7 @@ class LinearPredictor:
     theta: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", _check_theta(_frozen_array(self.theta)))
+        object.__setattr__(self, "theta", _check_theta(_frozen_array(self.theta, "theta")))
 
     @property
     def dim(self) -> int:
@@ -162,7 +175,7 @@ class DesignSpec:
     covariance: np.ndarray
 
     def __post_init__(self):
-        cov = _frozen_array(self.covariance)
+        cov = _frozen_array(self.covariance, "covariance")
         if cov.ndim != 2 or cov.shape[0] != cov.shape[1] or cov.size == 0:
             raise DimensionError("covariance must be a non-empty square matrix")
         scale = float(np.max(np.abs(cov)))

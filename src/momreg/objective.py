@@ -16,9 +16,9 @@ import numpy as np
 
 from . import _kernels
 from .blocks import block_increment, median, middle
-from .errors import ConfigError, DimensionError, EmptyLambdaWindow
+from .errors import ConfigError, DimensionError, EmptyLambdaWindow, InvalidInput
 from .model import (BlockPartition, Dataset, LinearPredictor, _check_count, _check_number,
-                    _check_theta, _frozen_array)
+                    _check_theta, _float_array, _frozen_array)
 
 
 # ---------------------------------------------------------------------------
@@ -44,7 +44,7 @@ class Regularizer:
         if self.kind == "slope":
             if self.weights is None:
                 raise ConfigError("slope regularizer needs weights")
-            w = _frozen_array(self.weights)
+            w = _frozen_array(self.weights, "slope weights", ConfigError)
             if w.ndim != 1 or w.shape[0] < 1:
                 raise ConfigError("slope weights must be a nonempty vector")
             _check_number("least slope weight", float(w.min()))
@@ -69,7 +69,7 @@ class Regularizer:
             if d is None:
                 raise ConfigError("slope needs explicit weights or a dimension")
             weights = default_slope_weights(d)
-        return cls("slope", np.asarray(weights, dtype=np.float64))
+        return cls("slope", weights)
 
 
 def _theta_of(f) -> np.ndarray:
@@ -77,7 +77,7 @@ def _theta_of(f) -> np.ndarray:
     ``LinearPredictor``'s rule without its copy."""
     if isinstance(f, LinearPredictor):
         return f.theta
-    return _check_theta(np.asarray(f, dtype=np.float64))
+    return _check_theta(_float_array(f, "coefficients"))
 
 
 def slope_weights_for(reg: Regularizer, d: int) -> np.ndarray:
@@ -133,8 +133,11 @@ def _pava_nonincreasing(z: np.ndarray) -> np.ndarray:
 def prox_psi(reg: Regularizer, theta: np.ndarray, t: float) -> np.ndarray:
     """Proximal map of t * psi: soft-thresholding for l1, sorted prox for slope.
 
-    theta is one coefficient vector or a (k, d) matrix mapped row-wise.
+    theta is one coefficient vector or a (k, d) matrix mapped row-wise;
+    t must be finite and >= 0.
     """
+    if not 0.0 <= t < math.inf:
+        raise InvalidInput(f"prox step t must be finite and >= 0, got {t!r}")
     if reg.kind == "none" or t == 0.0:
         return np.asarray(theta, dtype=np.float64).copy()
     theta = np.asarray(theta, dtype=np.float64)

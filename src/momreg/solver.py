@@ -9,12 +9,10 @@ The descent-ascent scheme has no monotonicity guarantee, so the returned
 coefficient vector is not the last iterate: every iterate of every restart
 is audited with a witness-pool surrogate of the regularized minimax value
 and the minimizer of the audited value is returned.  ``_select`` runs that
-audit as a small tournament (``_tournament``) that plays only the matches
-that can change its pick: a bound on each candidate's value against two
-pool members rules most candidates out of the full audit, and the seats'
-round-robin plays each pair once, the reverse match being its mirror.
-One screen rule picks the members a bound is taken against, in the
-tournament and in ``_pattern_refine``: those of largest term at one theta.
+audit as a small tournament (``_tournament``): every candidate is audited
+against the pool, and the best then join it and are audited again.
+``_pattern_refine`` screens its moves against the pool members of largest
+term at the current theta before auditing them against the whole pool.
 """
 from __future__ import annotations
 
@@ -41,11 +39,6 @@ from .objective import (
 )
 
 _AUDIT_TOURNAMENT_SIZE = 64
-# _tournament bounds each candidate's value by its terms against the
-# _AUDIT_BOUND_MEMBERS pool members of largest term at the last candidate
-# (``_WitnessPoolAudit.screen``).  With 4 the median tournament took 1.38
-# against 1.32 ms per fit at d=5 and 1.35 against 1.20 ms at d=50.
-_AUDIT_BOUND_MEMBERS = 2
 _REFINE_SCALES = (0.05, 0.02, 0.01, 0.005, 0.002)
 _REFINE_EVAL_CAP = 60
 # Moves of a refine sweep audited in one batch.  Moves after the first
@@ -207,14 +200,12 @@ class _WitnessPoolAudit:
 
     Pool members share the same blocks, so comparing two nearby candidates
     against the pool cancels the common block noise; extending the pool
-    with the best candidates themselves sharpens the selection further.
-    There the seats play a round-robin of MOM matches, in which
-    ``_tournament`` plays each pair once (``_match_table``).  The pool is
-    held as its block losses and norms; candidates are audited from
-    theirs, against every member by value_from_losses, against the few
-    members of largest term at one theta (``screen``) first to bound their
-    values in ``_tournament`` and to screen moves in _pattern_refine, or by
-    two-level branch and bound by grid_values.
+    with the best candidates themselves sharpens the selection further:
+    there the seats play a round-robin of MOM matches.  The pool is held
+    as its block losses and norms; candidates are audited from theirs,
+    against every member by value_from_losses, against the few members of
+    largest term at one theta (``screen``) first to screen moves in
+    _pattern_refine, or by two-level branch and bound by grid_values.
     """
 
     def __init__(self, pool_losses, pool_psi, lam):
@@ -308,78 +299,16 @@ class _WitnessPoolAudit:
         return best
 
 
-def _match_terms(losses, psis, lam, a, b):
-    """The terms of the matches of thetas a against thetas b, index arrays
-    into the rows of losses (k, n) and psis (k,), as ``terms`` takes them."""
-    meds = middle(losses[a] - losses[b])
-    return meds + lam * (psis[a] - psis[b]) if lam else meds
-
-
-def _match_table(losses, psis, lam):
-    """The (k, k) terms of the matches among k thetas, row a holding a's
-    terms, from one match per pair a <= b: the bits of
-    ``_WitnessPoolAudit(losses, psis, lam).terms(losses, psis)`` wherever a
-    term is a number, and NaN exactly where it is NaN (NaN + NaN keeps
-    either operand's sign, so no layout promises that sign; the round reads
-    only that a final is NaN, and audits it again).  term(b, a) is 0.0 -
-    term(a, b): x - y is -(y - x) bit for bit, so the differences, their
-    middle and the norm gap all change sign.  That fails where a difference
-    is NaN, which sorts last either way, and where term(a, b) is zero,
-    whose sign need not change, so the pairs with a non-finite loss or a
-    zero term are also played as (b, a).  Each slice of pairs holds its
-    two gathered loss rows and their difference within ``TEMP_ENTRIES``."""
-    k, n = losses.shape
-    finite = np.isfinite(losses).all(axis=1)
-    table = np.empty((k, k))
-    a, b = np.triu_indices(k)
-    for rows in row_slices(a.size, 3 * n):
-        i, j = a[rows], b[rows]
-        terms = _match_terms(losses, psis, lam, i, j)
-        table[j, i] = 0.0 - terms
-        table[i, j] = terms  # the diagonal keeps its own term
-        odd = np.flatnonzero((i != j) & ((terms == 0.0) | ~(finite[i] & finite[j])))
-        table[j[odd], i[odd]] = _match_terms(losses, psis, lam, j[odd], i[odd])
-    return table
-
-
 def _tournament(audit, losses, psis):
     """The fit's tournament among candidates with block losses losses (k, n)
-    and norms psis: the _AUDIT_TOURNAMENT_SIZE of least audited value take
-    seats, in stable order, and join the pool, and a seat's final value is
-    its audited value against the extended pool.  Returns the seats and
-    their final values, bit for bit those of ``value_from_losses`` on every
-    candidate and then on the seats, from only the matches that can change
-    them:
-
-    - Every candidate is first audited against the _AUDIT_BOUND_MEMBERS
-      members of largest term at the last candidate (``screen``), a lower
-      bound on its value.  As many candidates as there are seats, those of
-      least bound, have exact values at most their maximum M, so a
-      candidate whose bound is above M takes no seat (a NaN bound or M
-      keeps it), and only the others are audited against the whole pool.
-      Any members give such a bound, so they change no seat and no value.
-    - A seat's final value is the larger of its audited value and its row
-      of the seats' ``_match_table``.  Where that is zero or NaN, whose bits
-      depend on the order of the maximum, the seat is audited again.
-    """
-    size = _AUDIT_TOURNAMENT_SIZE
-    k = losses.shape[0]
-    near = audit.screen(audit.terms(losses[-1], psis[-1]), _AUDIT_BOUND_MEMBERS)
-    bound = near.value_from_losses(losses, psis)
-    first = np.argpartition(bound, min(size, k) - 1)[:size]
-    value = np.empty(k)
-    value[first] = audit.value_from_losses(losses[first], psis[first])
-    live = ~(bound > value[first].max())
-    cands = np.flatnonzero(live)
-    live[first] = False
-    more = np.flatnonzero(live)
-    value[more] = audit.value_from_losses(losses[more], psis[more])
-    top = cands[np.argsort(value[cands], kind="stable")[:size]]
+    and norms psis, as two witness-pool audits: the _AUDIT_TOURNAMENT_SIZE
+    of least audited value take seats, in stable order, and join the pool,
+    and a seat's final value is its audited value against the extended
+    pool.  Returns the seats and their final values."""
+    prelim = audit.value_from_losses(losses, psis)
+    top = np.argsort(prelim, kind="stable")[:_AUDIT_TOURNAMENT_SIZE]
     audit.extend(losses[top], psis[top])
-    final = np.maximum(value[top], _match_table(losses[top], psis[top], audit.lam).max(axis=1))
-    redo = np.flatnonzero(np.isnan(final) | (final == 0.0))
-    final[redo] = audit.value_from_losses(losses[top[redo]], psis[top[redo]])
-    return top, final
+    return top, audit.value_from_losses(losses[top], psis[top])
 
 
 def _pattern_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap):
@@ -549,14 +478,11 @@ def _select(X, y, S, b, p, obj, iterates, ols):
     the second half of the run, restart by restart.  The pool holds the
     least-squares fit and the last f and g of every restart; the best
     prelim candidates then join it and are re-audited, as pairwise matches
-    cancel shared block noise.
-    ``_tournament`` computes those two audits' seats and values bit for
-    bit, from a bounded prelim audit and a match table that plays each
-    pair of seats once.  The block losses of pool and candidates come from
-    one ``_audit_losses`` call, from S and b where d <= m (less each
-    block's y_j^T y_j / m, which cancels in every term), from X and y where
-    d > m.  Returns the audit and the winner's candidate index, theta,
-    losses and value.
+    cancel shared block noise (``_tournament``).  The block losses of pool
+    and candidates come from one ``_audit_losses`` call, from S and b where
+    d <= m (less each block's y_j^T y_j / m, which cancels in every term),
+    from X and y where d > m.  Returns the audit and the winner's candidate
+    index, theta, losses and value.
     """
     F, G = iterates
     R, T, d = F.shape[0], F.shape[1] - 1, F.shape[2]

@@ -753,7 +753,7 @@ _PROBES = _frozen_array([
     [[0, 0, 2, 2, 2, -1, -1, -1, -1], [0, 0, 1, 2, 2, 2, 2, 2, 2]],
     [[1, 1, 2, 4, 8, 1, 1, 1, 1], [1, 1, 1, 2, 4, 8, 2, 4, 8]],
     np.zeros((2, 9)),
-])
+], "probe table")
 
 
 # DesignSpec and Regularizer are immutable, so one per dimension (8 to 24)

@@ -29,6 +29,7 @@ from momreg import (
     OddBlockCountRequired,
     Regularizer,
     SolverConfig,
+    block_increments,
     check_condition_one,
     check_condition_two,
     count_blocks_satisfying,
@@ -40,8 +41,10 @@ from momreg import (
     lemma_sweep,
     make_partition,
     median,
+    multiplier_components,
     oracle_grid_fit,
     population_l2_distance,
+    prox_psi,
     quad_component,
     sample_sphere_probes,
     support_recovery_error,
@@ -225,6 +228,7 @@ def test_every_record_with_a_numeric_field_has_a_row():
 # ---------------------------------------------------------------------------
 
 _LINE = LinearPredictor(np.zeros(1))
+_RAGGED = [[1.0, 2.0], [1.0]]
 _INPUT_CHECKS = [
     ("Dataset-1d-features", lambda: Dataset(np.ones(3), np.ones(3)), DimensionError),
     ("Dataset-2d-responses", lambda: Dataset(np.ones((3, 1)), np.ones((3, 1))), DimensionError),
@@ -280,6 +284,28 @@ _INPUT_CHECKS = [
      lambda: count_blocks_satisfying([1.0, math.nan, 3.0], 2.0), InvalidInput),
     ("count_blocks_satisfying-nan-threshold",
      lambda: count_blocks_satisfying([1.0, 2.0, 3.0], math.nan), InvalidInput),
+    ("count_blocks_satisfying-str-threshold",
+     lambda: count_blocks_satisfying([1.0, 2.0, 3.0], "2"), InvalidInput),
+    ("count_blocks_satisfying-none-threshold",
+     lambda: count_blocks_satisfying([1.0, 2.0, 3.0], None), InvalidInput),
+    ("prox_psi-negative-t", lambda: prox_psi(Regularizer.l1(), np.ones(1), -1.0), InvalidInput),
+    ("prox_psi-nan-t", lambda: prox_psi(Regularizer.l1(), np.ones(1), math.nan), InvalidInput),
+    ("prox_psi-inf-t", lambda: prox_psi(Regularizer.none(), np.ones(1), math.inf), InvalidInput),
+    # ragged or non-numeric arrays, which numpy rejects with a raw ValueError
+    ("LinearPredictor-ragged", lambda: LinearPredictor(_RAGGED), InvalidInput),
+    ("LinearPredictor-text", lambda: LinearPredictor(["one"]), InvalidInput),
+    ("Dataset-ragged", lambda: Dataset(_RAGGED, np.ones(2)), InvalidInput),
+    ("DesignSpec-ragged", lambda: DesignSpec(_RAGGED), InvalidInput),
+    ("BlockVector-ragged", lambda: BlockVector(_RAGGED), InvalidInput),
+    ("median-ragged", lambda: median(_RAGGED), InvalidInput),
+    ("Regularizer-slope-ragged", lambda: Regularizer.slope(weights=_RAGGED), ConfigError),
+    ("generate-ragged-theta-star",
+     lambda: generate(10, 2, _RAGGED, _DESIGN, NoiseSpec(), 0), ConfigError),
+    ("excess_risk-ragged", lambda: excess_risk(_RAGGED, np.zeros(2), _DESIGN), InvalidInput),
+    ("block_increments-ragged",
+     lambda: block_increments(_RAGGED, _ORIGIN, _TINY, BlockPartition(3, 1)), InvalidInput),
+    ("multiplier_components-ragged",
+     lambda: multiplier_components(_RAGGED, _ORIGIN, _TINY, BlockPartition(3, 1)), InvalidInput),
 ]
 
 
