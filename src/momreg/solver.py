@@ -41,7 +41,7 @@ from .objective import (
 _AUDIT_TOURNAMENT_SIZE = 64
 _REFINE_SCALES = (0.05, 0.02, 0.01, 0.005, 0.002)
 _REFINE_EVAL_CAP = 60
-# Moves of a refine sweep audited in one batch.  Moves after the first
+# Moves of a refine scan audited in one batch.  Moves after the first
 # improving one are wasted, but every batch pays the same fixed numpy calls
 # (the losses, the screen, the candidate norms when lam > 0); the moves
 # taken and ``evals`` do not depend on the batch.  Going from 8 to 16 took
@@ -272,11 +272,9 @@ class _WitnessPoolAudit:
             out = np.empty(rows.size)
             for k in np.unique(leaves):
                 at = np.flatnonzero(leaves == k)
+                own = rows[at]
                 span = slice(k * _GRID_CLUSTER, (k + 1) * _GRID_CLUSTER)
-                sub = self.members(span)
-                for part in row_slices(at.size, _GRID_CLUSTER * losses.shape[1]):
-                    own = rows[at[part]]
-                    out[at[part]] = sub.terms(losses[own], psis[own]).max(axis=1)
+                out[at] = self.members(span).value_from_losses(losses[own], psis[own])
             return out
 
         cands = np.arange(losses.shape[0])
@@ -312,22 +310,22 @@ def _tournament(audit, losses, psis):
 
 
 def _pattern_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap):
-    """Coordinate sweeps on the audited value, one step scale at a time.
+    """A cyclic coordinate scan on the audited value, one step scale at a time.
 
-    Move 2i of a sweep is theta + scale e_i and move 2i + 1 is
-    theta - scale e_i.  A sweep takes the first move that lowers the value
-    and goes on from the moved point at coordinate i + 1.  The block losses
-    of theta + s e_i are loss_j + 2 s (S_j theta - b_j)_i + s^2 (S_j)_ii,
-    and the sweep's next _REFINE_BATCH moves are audited together: first by
+    Move 2i is theta + scale e_i and move 2i + 1 is theta - scale e_i.  A
+    scale scans the 2d moves cyclically from move 0, takes each move that
+    lowers the value and goes on from the moved point at coordinate i + 1.
+    The block losses of theta + s e_i are
+    loss_j + 2 s (S_j theta - b_j)_i + s^2 (S_j)_ii, and the scan's next
+    _REFINE_BATCH moves, up to move 2d - 1, are audited together: first by
     the ``terms`` of a sub-audit of the _REFINE_SCREEN witnesses of largest
     term at the current theta, then, for the moves it puts below the current
     value, by those of the full pool, slice by slice up to an improving move.
     Both take the same terms, so the screen rejects only moves the full
-    audit would reject: the moves and ``evals`` are the unscreened sweep's.
+    audit would reject: the moves and ``evals`` are the unscreened scan's.
     The next screen comes from the accepted move's own full-pool terms.
-    The moves of a sweep after its last accepted one were all rejected at
-    the point it ends at, so a next sweep that takes no move before them
-    ends the scale there without auditing them again.
+    A scale ends after 2d consecutive rejected moves, or when the scan
+    wraps to move 0 with at least eval_cap * d moves audited.
     With lam = 0 the terms never read the norms and no candidate stack is built.
     """
     theta, losses, value = theta0.copy(), losses0, value0
@@ -342,42 +340,35 @@ def _pattern_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap)
         steps = signs * scale
         quad = steps * steps * curv
         lin = 2.0 * steps * grad
-        evals = 0
-        improved = True
-        stop = 2 * d
-        while improved and evals < eval_cap * d:
-            improved = False
-            lo, end = 0, stop
-            while lo < end:
-                hi = min(lo + _REFINE_BATCH, end)
-                cand_losses = losses + lin[lo:hi] + quad[lo:hi]
-                if audit.lam:
-                    cands = np.repeat(theta[None, :], hi - lo, axis=0)
-                    cands[np.arange(hi - lo), coords[lo:hi]] += steps[lo:hi, 0]
-                    psis = psi_batch(reg, cands)
-                live = np.flatnonzero(near.terms(cand_losses, psis).max(axis=1) < value)
-                for rows in row_slices(live.size, audit.pool_losses.size):
-                    at = live[rows]
-                    meds = audit.terms(cand_losses[at], psis[at])
-                    values = meds.max(axis=1)
-                    better = np.flatnonzero(values < value)
-                    if better.size:
-                        break
-                else:
-                    evals += hi - lo
-                    lo = hi
-                    continue
-                j, k = int(better[0]), int(at[better[0]])
-                evals += k + 1
-                theta[coords[lo + k]] += steps[lo + k, 0]
-                losses = cand_losses[k]
-                value = float(values[j])
-                grad = (S @ theta - b).T[coords]
-                lin = 2.0 * steps * grad
-                near = audit.screen(meds[j], _REFINE_SCREEN)
-                improved = True
-                lo = stop = 2 * (int(coords[lo + k]) + 1)
-                end = 2 * d
+        evals, lo, left = 0, 0, 2 * d  # left: moves to reject before the scale ends
+        while left and (lo or evals < eval_cap * d):
+            hi = min(lo + _REFINE_BATCH, 2 * d, lo + left)
+            cand_losses = losses + lin[lo:hi] + quad[lo:hi]
+            if audit.lam:
+                cands = np.repeat(theta[None, :], hi - lo, axis=0)
+                cands[np.arange(hi - lo), coords[lo:hi]] += steps[lo:hi, 0]
+                psis = psi_batch(reg, cands)
+            live = np.flatnonzero(near.terms(cand_losses, psis).max(axis=1) < value)
+            for rows in row_slices(live.size, audit.pool_losses.size):
+                at = live[rows]
+                meds = audit.terms(cand_losses[at], psis[at])
+                values = meds.max(axis=1)
+                better = np.flatnonzero(values < value)
+                if better.size:
+                    j, k = int(better[0]), int(at[better[0]])
+                    evals += k + 1
+                    theta[coords[lo + k]] += steps[lo + k, 0]
+                    losses = cand_losses[k]
+                    value = float(values[j])
+                    grad = (S @ theta - b).T[coords]
+                    lin = 2.0 * steps * grad
+                    near = audit.screen(meds[j], _REFINE_SCREEN)
+                    lo, left = 2 * (int(coords[lo + k]) + 1) % (2 * d), 2 * d
+                    break
+            else:
+                evals += hi - lo
+                left -= hi - lo
+                lo = hi % (2 * d)
     return theta, value
 
 
@@ -526,6 +517,8 @@ def mom_minimax_fit(
     """
     X, y, S, b, ols, step = _setup(data, p)
     step_f, step_g, warm, starts = _fit_starts(cfg, X, y, ols, step)
+    if not math.isfinite(max(step_f, step_g) * obj.lam):
+        raise ConfigError(f"step_f/step_g {max(step_f, step_g)!r} * lambda {obj.lam!r} overflows")
     iterates, median_block, med_increment = _descent_ascent(
         S, b, starts, obj.regularizer, obj.lam, step_f, step_g, cfg.iterations, warm
     )

@@ -84,6 +84,8 @@ def sample_sphere_probes(
     """
     _check_number("distance", distance, strict=False)
     _check_count("count", count)
+    if f_star.dim != design.dim:
+        raise DimensionError(f"predictor dim {f_star.dim} vs design dim {design.dim}")
     V = rng.standard_normal((count, design.dim))
     W = np.linalg.solve(design.cholesky.T[None], V[:, :, None])[:, :, 0]
     return f_star.theta + distance * W / np.sqrt(np.vecdot(V, V))[:, None]
@@ -119,8 +121,7 @@ class ConditionReport(_Record):
 
 
 def _probe_geometry(probes, f_star: LinearPredictor, design: DesignSpec):
-    """The (k, d) stack of the probe thetas, their offsets from f_star and
-    their exact L2(mu) distances to it.
+    """The (k, d) stack of the probe thetas and their exact L2(mu) distances to f_star.
 
     Each distance is bitwise ``population_l2_distance``.
     """
@@ -135,9 +136,8 @@ def _probe_geometry(probes, f_star: LinearPredictor, design: DesignSpec):
         raise DimensionError(f"probes must be a (k, {d}) stack of thetas, got {thetas.shape}")
     if not np.isfinite(thetas).all():
         raise InvalidInput("coefficients must be finite")
-    deltas = thetas - f_star.theta
-    q = population_sq_norms(deltas, design)
-    return thetas, deltas, np.sqrt(np.where(q < 0.0, 0.0, q))
+    q = population_sq_norms(thetas - f_star.theta, design)
+    return thetas, np.sqrt(np.where(q < 0.0, 0.0, q))
 
 
 def _condition_report(condition, dists, stats, hits, fraction_threshold) -> ConditionReport:
@@ -175,7 +175,9 @@ def check_condition_one(
     _check_number("gamma1", gamma1)
     _check_number("r", r)
     _check_number("fraction_threshold", fraction_threshold, strict=False)
-    thetas, _, dists = _probe_geometry(probes, f_star, design)
+    if fraction_threshold > 1:  # no fraction is above 1, so no probe could pass
+        raise ConfigError(f"fraction_threshold must be in [0, 1], got {fraction_threshold!r}")
+    thetas, dists = _probe_geometry(probes, f_star, design)
     # roundoff allowance for exact-sphere probes
     inside = np.flatnonzero(dists < r * (1.0 - 1e-9))
     if inside.size:
@@ -207,7 +209,9 @@ def check_condition_two(
     _check_number("gamma2", gamma2)
     _check_number("r", r)
     _check_number("fraction_threshold", fraction_threshold, strict=False)
-    thetas, _, dists = _probe_geometry(probes, f_star, design)
+    if fraction_threshold > 1:  # no fraction is above 1, so no probe could pass
+        raise ConfigError(f"fraction_threshold must be in [0, 1], got {fraction_threshold!r}")
+    thetas, dists = _probe_geometry(probes, f_star, design)
     # roundoff allowance, mirror of condition one
     outside = np.flatnonzero(dists >= r * (1.0 + 1e-9))
     if outside.size:

@@ -153,12 +153,12 @@ _SITES = [
      lambda gamma1=0.5, r=1.0, fraction_threshold=0.9: check_condition_one(
          _TINY, BlockPartition(3, 1), _ORIGIN, [[2.0, 0.0]], gamma1, r, _DESIGN,
          fraction_threshold),
-     {"gamma1": _NOT_NUMBERS, "r": _NOT_NUMBERS, "fraction_threshold": (*_NOT_NUMBERS, -1.0)}),
+     {"gamma1": _NOT_NUMBERS, "r": _NOT_NUMBERS, "fraction_threshold": (*_NOT_NUMBERS, -1.0, 1.5)}),
     ("check_condition_two",
      lambda gamma2=0.2, r=1.0, fraction_threshold=0.9: check_condition_two(
          _TINY, BlockPartition(3, 1), _ORIGIN, [[0.5, 0.0]], gamma2, r, _DESIGN,
          fraction_threshold),
-     {"gamma2": _NOT_NUMBERS, "r": _NOT_NUMBERS, "fraction_threshold": (*_NOT_NUMBERS, -1.0)}),
+     {"gamma2": _NOT_NUMBERS, "r": _NOT_NUMBERS, "fraction_threshold": (*_NOT_NUMBERS, -1.0, 1.5)}),
     ("NoiseSpec", lambda scale=1.0, dof=3.0: NoiseSpec("student_t", scale, dof),
      dict.fromkeys(["scale", "dof"], _NOT_NUMBERS)),
     ("ConditionParams",
@@ -264,6 +264,13 @@ _INPUT_CHECKS = [
     ("check_condition_one-design",
      lambda: check_condition_one(_TINY, BlockPartition(3, 1), _ORIGIN, [[2.0, 0.0]], 0.5, 1.0,
                                  DesignSpec.identity(3)),
+     DimensionError),
+    ("sample_sphere_probes-short-predictor",
+     lambda: sample_sphere_probes(_LINE, DesignSpec.identity(3), 1.0, 2, np.random.default_rng(0)),
+     DimensionError),
+    ("sample_sphere_probes-long-predictor",
+     lambda: sample_sphere_probes(LinearPredictor(np.ones(3)), _DESIGN, 1.0, 2,
+                                  np.random.default_rng(0)),
      DimensionError),
     ("LemmaProbe-regime", lambda: LemmaProbe(np.zeros(2), "sideways"), ConfigError),
     # the 1e-10 ridge vanishes beside a Gram of about 1e40

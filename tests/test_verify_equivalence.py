@@ -859,8 +859,8 @@ def test_probe_statistics_reject_probes_of_the_wrong_shape():
             verify._probe_geometry(thetas, f_star, design)
         assert str(excinfo.value) == message
     for empty in ([], np.zeros((0, 3))):
-        thetas, deltas, dists = verify._probe_geometry(empty, f_star, design)
-        assert thetas.shape == deltas.shape == (0, 3) and dists.shape == (0,)
+        thetas, dists = verify._probe_geometry(empty, f_star, design)
+        assert thetas.shape == (0, 3) and dists.shape == (0,)
     with pytest.raises(InvalidInput):
         verify._probe_geometry([[0.0, np.nan, 0.0]], f_star, design)
 
