@@ -3,7 +3,8 @@
 Each case runs one ``momreg`` mode in process, through ``cli.main``, on a
 small d=3 config (one verify case runs at the benchmark's verify scale,
 where the lemma sweep spans several chunks and the condition checks
-several residual slices), and records its exit code,
+several residual slices, and two l1 cases at d=30, above the 19 rows of a
+block), and records its exit code,
 its stderr, its trials CSV and its report without the wall-clock ``meta``
 field.  One more entry records
 the theta_hat of a fixed subset of the frozen acceptance trials (criteria
@@ -96,6 +97,15 @@ CONFIGS = {
         objective={"regularizer": "l1", "lambda": 0.17},
         conditions=_L1_CONDITIONS,
     ),
+    # d=30 above m=19 rows per block, with 5 responses at 1e6: the fit's
+    # descent-ascent and audit at d > m
+    "l1_wide": _config(
+        data={"generate": {"n_samples": 400, "dim": 30,
+                           "theta_star": {"sparse": {"support": 3, "value": 1.5}}}},
+        objective={"regularizer": "l1", "lambda": 0.17},
+        conditions=_L1_CONDITIONS,
+        corruption={"count": 5},
+    ),
     "slope": _config(
         objective={"regularizer": "slope", "lambda": 0.17, "slope_weights": [1.5, 1.2, 1.0]},
         conditions=_L1_CONDITIONS,
@@ -151,6 +161,8 @@ CASES = [
     Case("l1_fit", "l1", "fit"),
     Case("l1_simulate", "l1", "simulate"),
     Case("l1_verify", "l1", "verify"),
+    Case("l1_wide_fit", "l1_wide", "fit"),
+    Case("l1_wide_simulate", "l1_wide", "simulate"),
     Case("slope_simulate", "slope", "simulate"),
     Case("slope_verify", "slope", "verify"),
     Case("leverage_permute_fit", "leverage_permute", "fit"),
