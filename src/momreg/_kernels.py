@@ -1,28 +1,37 @@
 """Per-block kernels of the squared loss over n contiguous blocks of m rows.
 
-Two ways to evaluate block losses live here.  ``block_stats`` reduces the
-partitioned design once to the per-block sufficient statistics
+Three ways to evaluate block increments and losses live here.
+``block_stats`` reduces the partitioned design once to the per-block
+sufficient statistics
 
     S_j = X_j^T X_j / m        b_j = X_j^T y_j / m
 
 after which ``block_increment`` compares two coefficient vectors in
 O(n d^2), without reading X or y again, and ``block_increments`` does so
 for a stack of pairs in one call, each row bitwise the single-pair kernel.
-The adversary ascent of ``objective.phi_lambda_hat`` takes the stacked
-call once per iteration; the descent-ascent loop of the fit goes row by
-row through ``block_increment`` (``solver._descent_ascent`` says why),
-writing each row, bitwise, into that loop's (R, n) buffer through ``out=``.
+``product_increments`` compares them from their design products X f and
+X h, O(N) given the products, which cost N d = n m d each to form.
 ``block_losses`` is the exact residual path: it reads X and y, O(n m d)
-per theta, and is the reference the statistics path is tested against.
+per theta, and is the reference the other paths are tested against.  None
+of the increment kernels forms a squared response, so none loses the
+increment to cancellation against a large y.
 
-The witness-pool audit of ``solver.mom_minimax_fit`` and the grid oracle
-``solver.oracle_grid_fit`` score hundreds of thetas by differences of
-block losses, in which the per-block constant cancels.  Both take their
-losses from ``solver._audit_losses``, which picks the cheaper form: the
-statistics where d <= m, the residuals where d > m, as n d^2 against
-n m d operations per theta says.  From the statistics, the block losses of
-theta less each block's y_j^T y_j / m are its ``block_increments`` against
-the zero predictor, theta^T S_j theta - 2 b_j^T theta.
+Which loop takes which form, by the operation count n d^2 against n m d:
+- the descent-ascent of ``solver.mom_minimax_fit`` moves one player per
+  half step, so a product is formed once per half step and row.  It takes
+  ``block_increment`` row by row where d <= m (``solver._descent_ascent``
+  says why not the stacked call) and ``product_increments`` on cached
+  products where d > m; its gradients come from S and b either way;
+- the adversary ascent of ``objective.phi_lambda_hat`` takes the stacked
+  ``block_increments`` once per iteration at every d: products would move
+  its certificate values at d > m by roundoff;
+- the witness-pool audit of the fit and the grid oracle
+  ``solver.oracle_grid_fit`` score hundreds of thetas by differences of
+  block losses, in which the per-block constant cancels.  Both take their
+  losses from ``solver._audit_losses``: where d <= m, the block losses of
+  theta less each block's y_j^T y_j / m, its ``block_increments`` against
+  the zero predictor, theta^T S_j theta - 2 b_j^T theta; where d > m, the
+  residual ``block_losses``.
 """
 from __future__ import annotations
 
@@ -78,10 +87,26 @@ def block_increments(S, b, theta_f, thetas_h):
     return inc[:, :, 0]
 
 
-def block_means(v, n, m):
+def block_means(v, n, m, out=None):
     """Means of the n consecutive blocks of m entries along the last axis of
-    v, bitwise ``ndarray.mean`` without its Python wrapper (see ``blocks``)."""
-    return np.add.reduce(v.reshape(*v.shape[:-1], n, m), axis=-1) / m
+    v, bitwise ``ndarray.mean`` without its Python wrapper (see ``blocks``),
+    written into out when given."""
+    return np.divide(np.add.reduce(v.reshape(*v.shape[:-1], n, m), axis=-1), m, out=out)
+
+
+def product_increments(P_f, P_h, y2, n, m, out=None):
+    """Per-block squared-loss difference of f and h from their design
+    products P_f = X f and P_h = X h, (..., N) arrays, and y2 = 2 y: the
+    block means of (P_f - P_h)(P_f + P_h - 2 y), written into out when given.
+
+    Like ``block_increment`` it forms no squared response, so nothing
+    cancels against a large y, and P_f == P_h gives exactly 0.
+    """
+    inc = P_f - P_h
+    total = P_f + P_h
+    total -= y2
+    inc *= total
+    return block_means(inc, n, m, out)
 
 
 def block_losses(X, y, thetas, n, m):

@@ -267,6 +267,13 @@ def prox_gradient_step(reg, S, b, thetas, j, step: float, lam: float, out=None) 
     return new
 
 
+def _check_step_lambda(name: str, step: float, lam: float) -> None:
+    """Raise ConfigError when step * lam, the largest prox step t of a
+    median-block descent or ascent with the given step, overflows."""
+    if not math.isfinite(step * lam):
+        raise ConfigError(f"{name} {step!r} * lambda {lam!r} overflows")
+
+
 def gram_step_size(X: np.ndarray, m: int) -> float:
     """Safe gradient step for blockwise squared losses (0.7 / Lipschitz bound)."""
     N, d = X.shape
@@ -358,6 +365,7 @@ def phi_lambda_hat(
         raise DimensionError(f"predictor dim {d} vs data dim {data.dim}")
     X, y, S, b, ols, step = _setup(data, p)
     lam = cfg.lam
+    _check_step_lambda("Gram step", step, lam)
     reg = cfg.regularizer
     psi_f = psi(reg, theta_f) if lam else 0.0
     rng = np.random.default_rng(seed)

@@ -5,6 +5,10 @@ statistics, least-squares fit and step, shared with ``phi_lambda_hat``),
 ``_fit_starts``, ``_descent_ascent``, ``_select`` and ``_pattern_refine``.
 Its seed draws only the starts after the second, one ``standard_normal(d)``
 each, so at the default two restarts a fit draws nothing.
+Where d <= m the descent-ascent takes its increments from the block
+statistics; where d > m, the rule ``_audit_losses`` shares, from design
+products X theta that it caches per restart (``_ProductIncrements``),
+which cost N d per moved row against the statistics' n d^2 per increment.
 The descent-ascent scheme has no monotonicity guarantee, so the returned
 coefficient vector is not the last iterate: every iterate of every restart
 is audited with a witness-pool surrogate of the regularized minimax value
@@ -30,6 +34,7 @@ from .model import (BlockPartition, Dataset, LinearPredictor, _check_count, _che
 from .objective import (
     ObjectiveConfig,
     Regularizer,
+    _check_step_lambda,
     gram_step_size,
     median_block_index,
     prox_gradient_step,
@@ -102,7 +107,9 @@ class Trace:
 
     median_block and med_increment are the adversary's median block and
     the median increment it was chosen at; step_norm_f / step_norm_g are
-    the Euclidean lengths of the learner and adversary steps.
+    the Euclidean lengths of the learner and adversary steps.  At d > m
+    the increments come from design products, so med_increment agrees with
+    the statistics form to roundoff, not bit for bit.
     """
 
     median_block: np.ndarray
@@ -376,25 +383,76 @@ def _pattern_refine(audit, reg, S, b, theta0, losses0, value0, scales, eval_cap)
 # median-block descent-ascent
 # ---------------------------------------------------------------------------
 
+class _StatisticsIncrements:
+    """The descent-ascent's increments from the block statistics S and b:
+    one ``_kernels.block_increment`` call per restart, on row views listed
+    once per buffer, each written into its row of the increments."""
+
+    operand = list
+
+    def __init__(self, S, b):
+        self.S, self.b = S, b
+
+    def __call__(self, f_rows, g_rows, fresh, out):
+        S, b = self.S, self.b
+        for f_row, g_row, row in zip(f_rows, g_rows, out):
+            _kernels.block_increment(S, b, f_row, g_row, out=row)
+
+
+class _ProductIncrements:
+    """The descent-ascent's increments from design products, for d > m: per
+    restart P_f = X f and P_g = X g over the covered rows X, cached, and
+    ``_kernels.product_increments`` of the two.  A call first recomputes
+    the products of the players in fresh (0 for f, 1 for g) by one
+    stacked ``np.matmul(X, thetas[:, :, None])``, each row bitwise
+    ``X @ theta``, so a restart does not depend on how many run beside it.
+    A product costs N d operations per row, once per half step, where the
+    statistics kernel costs n d^2 = N d^2 / m per row and increment."""
+
+    def __init__(self, X, y, n, m):
+        self.X, self.y2, self.n, self.m = X, 2.0 * y, n, m
+        self.products = [None, None]
+
+    @staticmethod
+    def operand(thetas):
+        return thetas
+
+    def __call__(self, f, g, fresh, out):
+        for player in fresh:
+            thetas = (f, g)[player]
+            self.products[player] = np.matmul(self.X, thetas[:, :, None])[:, :, 0]
+        _kernels.product_increments(*self.products, self.y2, self.n, self.m, out)
+
+
 # Overflow is expected here and caught: a non-finite increment or iterate
 # raises DivergenceError.
 @np.errstate(over="ignore", invalid="ignore")
-def _descent_ascent(S, b, starts, reg, lam, step_f, step_g, iterations, warm):
+def _descent_ascent(S, b, starts, reg, lam, step_f, step_g, iterations, warm, increments=None):
     """Run every restart (a row of starts) for the given iterations, in
     lockstep.  Returns the (2, restarts, iterations + 1, d) iterates, f
     first and g second with the starts at iteration 0, and the adversary's
     (restarts, iterations) median blocks and median increments.
 
+    The increments come from a source, ``_StatisticsIncrements(S, b)``
+    unless one is given; ``mom_minimax_fit`` gives ``_ProductIncrements``
+    where d > m, the rule of ``_audit_losses``.  The gradients always come
+    from S and b, so the two sources give the same iterates wherever they
+    pick the same median blocks, and their increments agree to roundoff.
+    Each half step moves one player, whose iterates the source is told are
+    fresh.
+
     Each half step writes into buffers allocated once: the increments into
     one (restarts, n) array, f and g into one of two (2, restarts, d)
-    arrays that swap after each iteration, whose rows are listed once.
-    The increments take one ``_kernels.block_increment`` call per row,
-    although ``_kernels.block_increments`` gives the same bits in one call:
-    the benchmark's trace test pins one kernel call per row and half step,
-    and one row through the stacked call is slower (16.0 against 11.1 us at
-    d=5, 40.0 against 36.5 us at d=50; n=51, best of 7 x 2000 calls, one
-    BLAS thread on a 2-vCPU VM).
+    arrays that swap after each iteration, listed once as the source's
+    operands.  The statistics source makes one ``_kernels.block_increment``
+    call per row, although ``_kernels.block_increments`` gives the same
+    bits in one call: the benchmark's trace test pins one kernel call per
+    row and half step, and one row through the stacked call is slower (16.0
+    against 11.1 us at d=5, 40.0 against 36.5 us at d=50; n=51, best of 7 x
+    2000 calls, one BLAS thread on a 2-vCPU VM).
     """
+    if increments is None:
+        increments = _StatisticsIncrements(S, b)
     R, d = starts.shape
     iterates = np.empty((2, R, iterations + 1, d))
     iterates[:, :, 0] = starts
@@ -402,13 +460,16 @@ def _descent_ascent(S, b, starts, reg, lam, step_f, step_g, iterations, warm):
     med_increment = np.empty((R, iterations))
     inc = np.empty((R, b.shape[0]))
     scratch = np.empty_like(inc)
-    # Per buffer: the (2, R, d) pair, f, g, and the row lists of f and g.
-    states = [(pair, *pair, *map(list, pair)) for pair in np.array([[starts, starts]] * 2)]
+    # Per buffer: the (2, R, d) pair, f, g, and f and g as the source reads them.
+    states = [
+        (pair, *pair, *map(increments.operand, pair))
+        for pair in np.array([[starts, starts]] * 2)
+    ]
+    fresh = (0, 1)  # the players whose iterates are new: both at the starts
     for t in range(1, iterations + 1):
         damp = 1.0 if t <= warm else math.sqrt(t - warm)
-        (_, f, g, f_rows, g_rows), (new, f_next, g_next, _, g_next_rows) = states
-        for f_row, g_row, row in zip(f_rows, g_rows, inc):
-            _kernels.block_increment(S, b, f_row, g_row, out=row)
+        (_, f, g, f_in, g_in), (new, f_next, g_next, _, g_next_in) = states
+        increments(f_in, g_in, fresh, inc)
         # Finite entries have a finite sum, unless it overflows.
         if not math.isfinite(inc.sum()) and not np.isfinite(inc).all():
             raise DivergenceError(
@@ -418,8 +479,8 @@ def _descent_ascent(S, b, starts, reg, lam, step_f, step_g, iterations, warm):
         median_block[:, t - 1] = j_adv
         med_increment[:, t - 1] = med  # before the learner's call rewrites scratch
         prox_gradient_step(reg, S, b, g, j_adv, step_g / damp, lam, g_next)
-        for f_row, g_row, row in zip(f_rows, g_next_rows, inc):
-            _kernels.block_increment(S, b, f_row, g_row, out=row)
+        increments(f_in, g_next_in, (1,), inc)
+        fresh = (0,)
         j_lrn, _ = median_block_index(inc, scratch)
         prox_gradient_step(reg, S, b, f, j_lrn, step_f / damp, lam, f_next)
         if not math.isfinite(new.sum()) and not np.isfinite(new).all():
@@ -510,17 +571,23 @@ def mom_minimax_fit(
     proximal shrinkage of the regularizer to both when lambda > 0.
     Restarts begin at the least-squares fit, at zero, and at seeded
     perturbations of either (``_fit_starts``) and advance in lockstep
-    (``_descent_ascent``); every iterate is audited against a witness pool
-    (``_select``) and the audited minimizer refined (``_pattern_refine``).
+    (``_descent_ascent``, on increments from the block statistics where
+    d <= m and from cached design products where d > m); every iterate is
+    audited against a witness pool (``_select``) and the audited minimizer
+    refined (``_pattern_refine``).
     The seed draws only the starts after the second, so at restarts <= 2
     it does not change the fit.
     """
     X, y, S, b, ols, step = _setup(data, p)
     step_f, step_g, warm, starts = _fit_starts(cfg, X, y, ols, step)
-    if not math.isfinite(max(step_f, step_g) * obj.lam):
-        raise ConfigError(f"step_f/step_g {max(step_f, step_g)!r} * lambda {obj.lam!r} overflows")
+    _check_step_lambda("step_f/step_g", max(step_f, step_g), obj.lam)
+    # The rule of _audit_losses: at d > m a design product is the cheaper.
+    if X.shape[1] > p.m:
+        increments = _ProductIncrements(X, y, p.n, p.m)
+    else:
+        increments = _StatisticsIncrements(S, b)
     iterates, median_block, med_increment = _descent_ascent(
-        S, b, starts, obj.regularizer, obj.lam, step_f, step_g, cfg.iterations, warm
+        S, b, starts, obj.regularizer, obj.lam, step_f, step_g, cfg.iterations, warm, increments
     )
     step_norms = np.linalg.norm(np.diff(iterates, axis=2), axis=3)
     trace = Trace(median_block, med_increment, step_norms[0], step_norms[1])

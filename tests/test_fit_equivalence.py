@@ -30,6 +30,7 @@ from momreg import (
     Dataset,
     DesignSpec,
     DivergenceError,
+    LinearPredictor,
     NoiseSpec,
     ObjectiveConfig,
     Regularizer,
@@ -662,3 +663,174 @@ def test_median_block_index_and_step_match_reference():
             objective.prox_gradient_step(obj.regularizer, S, b, thetas, j, 0.03, obj.lam),
             _prox_gradient_step_ref(obj.regularizer, S, b, thetas, j, 0.03, obj.lam),
         )
+
+
+# ---------------------------------------------------------------------------
+# the product source of the descent-ascent's increments, at d > m
+# ---------------------------------------------------------------------------
+
+_DIVERGENCE_MESSAGES = (
+    "block increments became non-finite; reduce step_f/step_g",
+    "iterate became non-finite; reduce step_f/step_g",
+)
+
+
+@st.composite
+def _wide_descents(draw):
+    """``_descents`` at d > m: a design of d = m + 1 to m + 8 columns and
+    its responses at scales 1e-3 to 1e5, up to three responses at 1e6, and
+    1 to 3 starts with the steps and length of a descent-ascent run of 1 to
+    20 iterations.  Some starts carry an entry of 1e148 to 1e156 or of 1e305
+    to 8e307.  Also a second (R, d) stack at the starts' scales, the g of
+    each start in the increments check."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(1, 6))
+    d = m + draw(st.integers(1, 8))
+    R = draw(st.integers(1, 3))
+    n = 2 * draw(st.integers(1, 10)) + 1
+    X = rng.standard_normal((n * m, d)) * 10.0 ** draw(st.integers(-3, 5))
+    y = rng.standard_normal(n * m) * 10.0 ** draw(st.integers(-3, 5))
+    y[rng.choice(n * m, draw(st.integers(0, 3)), replace=False)] = 1e6
+    scales = 10.0 ** rng.integers(-3, 6, (R, 1))
+    starts = rng.standard_normal((R, d)) * scales
+    others = rng.standard_normal((R, d)) * scales
+    for k in np.flatnonzero(rng.random(R) < draw(st.sampled_from([0.0, 0.3]))):
+        lo, hi = ((148.0, 156.0), (305.0, 307.9))[rng.integers(2)]
+        starts[k, rng.integers(d)] = rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(lo, hi)
+    step_f, step_g = 10.0 ** rng.uniform(-3.0, 2.0, 2) * gram_step_size(X, m)
+    iterations = draw(st.integers(1, 20))
+    return X, y, n, m, starts, others, step_f, step_g, iterations, draw(st.integers(0, iterations))
+
+
+def _wide_run(instance, kind, products, starts=None):
+    """The descent-ascent of a ``_wide_descents`` instance from the product
+    or the statistics source, or the exception it raised; and the median
+    blocks and increments of both half steps in call order, shapes
+    (2 * iterations, R) and (2 * iterations, R, n)."""
+    X, y, n, m, own_starts, _, step_f, step_g, iterations, warm = instance
+    starts = own_starts if starts is None else starts
+    obj = _objective(kind, X.shape[1])
+    S, b = _kernels.block_stats(X, y, n, m)
+    source = solver._ProductIncrements(X, y, n, m) if products else solver._StatisticsIncrements(S, b)
+    blocks_seen, incs_seen = [], []
+
+    def recorded(inc, scratch=None):
+        j, med = objective.median_block_index(inc, scratch)
+        blocks_seen.append(j.copy())
+        incs_seen.append(inc.copy())
+        return j, med
+
+    args = (S, b, starts, obj.regularizer, obj.lam, step_f, step_g, iterations, warm, source)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "median_block_index", recorded)
+        out = _outcome(solver._descent_ascent, args)
+    R = starts.shape[0]
+    return out, np.array(blocks_seen).reshape(-1, R), np.array(incs_seen).reshape(-1, R, n)
+
+
+def _assert_divergence(out):
+    if isinstance(out, Exception):
+        assert type(out) is DivergenceError and str(out) in _DIVERGENCE_MESSAGES
+
+
+@given(_wide_descents())
+@settings(max_examples=200, deadline=None)
+def test_product_increments_match_the_residual_increments(instance):
+    X, y, n, m, starts, others, *_ = instance
+    source = solver._ProductIncrements(X, y, n, m)
+    got = np.full((starts.shape[0], n), math.nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        source(starts, others, (0, 1), got)
+        lf = _kernels.block_losses(X, y, starts, n, m)
+        lh = _kernels.block_losses(X, y, others, n, m)
+        # moving one player recomputes only its products
+        same = np.full_like(got, math.nan)
+        source(starts, starts, (1,), same)
+    c = _kernels.block_means(y * y, n, m)
+    data, p = Dataset(X, y), make_partition(n * m, n)
+    for k in np.flatnonzero(np.all(lf + lh + c < 1e300, axis=1)):
+        want = blocks.block_increments(starts[k][None], LinearPredictor(others[k]), data, p)[0]
+        assert np.all(np.abs(got[k] - want) <= 1e-11 * (lf[k] + lh[k] + c))
+        assert np.all(same[k] == 0.0)
+
+
+@given(_wide_descents(), st.sampled_from(_KINDS))
+@settings(max_examples=200, deadline=None)
+def test_product_loop_is_the_statistics_loop_where_the_median_blocks_agree(instance, kind):
+    X, y, n, m = instance[:4]
+    got, got_blocks, got_incs = _wide_run(instance, kind, products=True)
+    want, want_blocks, _ = _wide_run(instance, kind, products=False)
+    _assert_divergence(got)
+    _assert_divergence(want)
+    if isinstance(got, Exception) or isinstance(want, Exception):
+        return
+    c = _kernels.block_means(y * y, n, m)
+    for k in range(got_blocks.shape[1]):
+        # half step h of iteration h // 2 + 1; the first whose block differs
+        differ = np.flatnonzero(got_blocks[:, k] != want_blocks[:, k])
+        end = differ[0] + 1 if differ.size else got_blocks.shape[0]
+        t = (end - 1) // 2 + 1
+        _assert_same_bytes(got[0][:, k, :t], want[0][:, k, :t])
+        _assert_same_bytes(got[1][k, : t - 1], want[1][k, : t - 1])
+        # Up to that half step both loops compared the same f and g, and the
+        # product increments are the residual ones to roundoff.
+        h = np.arange(end)
+        f, g = want[0][0, k, h // 2], want[0][1, k, h // 2 + h % 2]
+        with np.errstate(over="ignore", invalid="ignore"):
+            lf, lg = _kernels.block_losses(X, y, f, n, m), _kernels.block_losses(X, y, g, n, m)
+            scale = lf + lg + c
+            ok = np.all(scale < 1e300, axis=1)
+            assert np.all(np.abs(got_incs[h, k] - (lf - lg))[ok] <= 1e-11 * scale[ok])
+    if np.array_equal(got_blocks, want_blocks):
+        _assert_same(got[:2], want[:2])
+
+
+@given(_wide_descents(), st.sampled_from(_KINDS))
+@settings(max_examples=200, deadline=None)
+def test_product_loop_restarts_are_their_solo_runs(instance, kind):
+    starts = instance[4]
+    got = _wide_run(instance, kind, products=True)[0]
+    solos = [_wide_run(instance, kind, True, starts[k : k + 1])[0] for k in range(len(starts))]
+    _assert_divergence(got)
+    if isinstance(got, Exception):
+        assert any(type(s) is type(got) and str(s) == str(got) for s in solos)
+        return
+    for k, solo in enumerate(solos):
+        assert not isinstance(solo, Exception)
+        _assert_same_bytes(got[0][:, k], solo[0][:, 0])
+        _assert_same_bytes(got[1][k], solo[1][0])
+        _assert_same_bytes(got[2][k], solo[2][0])
+
+
+@pytest.mark.parametrize("start,step", [(1e150, 1.0), (1.0, 1e10), (1.0, 1e307)])
+@pytest.mark.parametrize("kind", _KINDS)
+def test_product_loop_diverges_with_a_loop_message(kind, start, step):
+    X, y, S, b, p = _statistics(32, N=315, n=15, d=30)
+    obj = _objective(kind, 30)
+    starts = np.full((2, 30), start)
+    starts[1, 0] = -start
+    source = solver._ProductIncrements(X, y, p.n, p.m)
+    with pytest.raises(DivergenceError) as raised:
+        solver._descent_ascent(S, b, starts, obj.regularizer, obj.lam, step, step, 40, 40, source)
+    assert str(raised.value) in _DIVERGENCE_MESSAGES
+
+
+@pytest.mark.parametrize("d, n, kernel_calls, product_calls", [(5, 15, 2 * 3 * 12, 0),
+                                                               (30, 15, 0, 2 * 12)])
+def test_fit_takes_products_exactly_where_d_exceeds_m(d, n, kernel_calls, product_calls):
+    # N=315 in 15 blocks: m=21, so d=5 takes the statistics and d=30 the products.
+    X, y, S, b, p = _statistics(44, N=315, n=n, d=d)
+    calls = {"block_increment": 0, "product_increments": 0}
+
+    def counted(name):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return kernel(*args, **kwargs)
+        kernel = getattr(_kernels, name)
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in calls:
+            patch.setattr(_kernels, name, counted(name))
+        mom_minimax_fit(Dataset(X, y), p, _objective("l1", d), SolverConfig(iterations=12, restarts=3))
+    assert calls == {"block_increment": kernel_calls, "product_increments": product_calls}

@@ -188,6 +188,19 @@ class TestMomMinimaxFit:
         with pytest.raises(ConfigError, match=r"step_f/step_g 1e\+300 \* lambda 10000000000\.0"):
             mom_minimax_fit(data, make_partition(100, 5), obj, cfg)
 
+    def test_fit_and_certificate_raise_config_error_when_the_gram_step_overflows(self):
+        # Features at 1e-3 make the Gram step about 1.9e5, which lambda 1e305
+        # takes past the largest float: both the fit's default steps and the
+        # certificate's ascent step.
+        data = generate(100, 2, np.ones(2), DesignSpec.identity(2), NoiseSpec("gaussian", 1.0), 0)
+        data = Dataset(data.features * 1e-3, data.responses)
+        p = make_partition(100, 5)
+        obj = ObjectiveConfig(1e305, Regularizer.l1())
+        with pytest.raises(ConfigError, match=r"^step_f/step_g .* \* lambda 1e\+305 overflows$"):
+            mom_minimax_fit(data, p, obj)
+        with pytest.raises(ConfigError, match=r"^Gram step .* \* lambda 1e\+305 overflows$"):
+            phi_lambda_hat(LinearPredictor(np.zeros(2)), data, p, obj)
+
     def test_matches_grid_oracle_d1(self):
         hits = 0
         for seed in range(6):
@@ -612,9 +625,12 @@ class TestTournament:
         np.testing.assert_array_equal(audit.pool_psi, np.concatenate([pool_psi, psis[top]]))
 
 
-def _sequential_descent_ascent(S, b, starts, reg, lam, step_f, step_g, iterations, warm):
+def _sequential_descent_ascent(S, b, starts, reg, lam, step_f, step_g, iterations, warm,
+                               increments=None):
     """Restart after restart, one 1-d vector per iterate: the reference the
-    lockstep loop must reproduce."""
+    lockstep loop must reproduce from the block statistics, the increments
+    source of every fit at d <= m."""
+    assert increments is None or isinstance(increments, solver._StatisticsIncrements)
     R, d = starts.shape
     iterates = np.empty((2, R, iterations + 1, d))
     median_block = np.empty((R, iterations), dtype=np.intp)
