@@ -189,6 +189,8 @@ def median(v) -> float:
 def count_blocks_satisfying(v, threshold: float, direction: str = "ge") -> int:
     """Number of entries with value >= threshold ('ge') or <= threshold ('le')."""
     vals = _as_values(v)
+    if isinstance(threshold, bool):
+        raise InvalidInput(f"threshold must be a number, not a bool, got {threshold!r}")
     if not _is_real(threshold) or threshold != threshold:  # -inf is a valid threshold
         raise InvalidInput(f"threshold must be a number, not NaN, got {threshold!r}")
     if direction == "ge":

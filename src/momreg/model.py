@@ -199,6 +199,7 @@ class DesignSpec:
         return np.linalg.cholesky(self.covariance)
 
 
+@np.errstate(over="ignore")  # an overflowing difference reads +inf
 def population_l2_distance(
     f: LinearPredictor, h: LinearPredictor, design: DesignSpec
 ) -> float:
@@ -211,15 +212,21 @@ def population_l2_distance(
     return math.sqrt(max(q, 0.0))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def population_sq_norms(deltas: np.ndarray, design: DesignSpec) -> np.ndarray:
     """Squared L2(mu) norms delta' Sigma delta of the rows of a (k, d) stack.
 
     A stack of vector-matrix products and row-wise dot products, so each
-    entry is bitwise the one-vector ``delta @ Sigma @ delta`` of
-    ``population_l2_distance``; one (k, d) matrix product rounds
-    differently.
+    entry is bitwise the one-vector ``delta @ Sigma @ delta``; one (k, d)
+    matrix product rounds differently.  A row that is not finite, such as
+    a difference of finite vectors that overflowed, reads +inf, and so
+    does a norm that overflows.
     """
-    return np.vecdot(np.matmul(deltas[:, None, :], design.covariance)[:, 0], deltas)
+    q = np.vecdot(np.matmul(deltas[:, None, :], design.covariance)[:, 0], deltas)
+    # A row that is not finite has a norm of +inf or NaN (inf * 0): with a
+    # positive diagonal, its infinite entry's own term is +inf or NaN.
+    # fmin reads NaN as +inf and keeps every other value.
+    return np.fmin(q, math.inf)
 
 
 def row_permutation(n_samples: int, seed) -> np.ndarray:

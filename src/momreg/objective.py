@@ -134,13 +134,15 @@ def prox_psi(reg: Regularizer, theta: np.ndarray, t: float) -> np.ndarray:
     """Proximal map of t * psi: soft-thresholding for l1, sorted prox for slope.
 
     theta is one coefficient vector or a (k, d) matrix mapped row-wise;
-    t must be finite and >= 0.
+    any other shape raises DimensionError.  t must be finite and >= 0.
     """
     if not 0.0 <= t < math.inf:
         raise InvalidInput(f"prox step t must be finite and >= 0, got {t!r}")
-    if reg.kind == "none" or t == 0.0:
-        return np.asarray(theta, dtype=np.float64).copy()
     theta = np.asarray(theta, dtype=np.float64)
+    if theta.ndim not in (1, 2):
+        raise DimensionError(f"theta must be a vector or a (k, d) stack, got shape {theta.shape}")
+    if reg.kind == "none" or t == 0.0:
+        return theta.copy()
     if reg.kind == "l1":
         return np.sign(theta) * np.maximum(np.abs(theta) - t, 0.0)
     weights = slope_weights_for(reg, theta.shape[-1])
@@ -231,14 +233,11 @@ class PhiResult:
     explored: tuple[np.ndarray, ...] | None = None
 
 
-def median_block_index(inc: np.ndarray, scratch=None) -> tuple[np.ndarray, np.ndarray]:
+def median_block_index(inc: np.ndarray, scratch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise median block of an (R, n) increment matrix: the index of the
     block attaining each row's median (lowest index on ties) and the median,
-    a view of the partitioned copy of inc: a new one, or the buffer scratch."""
-    if scratch is None:
-        scratch = inc.copy()
-    else:
-        scratch[...] = inc
+    a view of the caller's (R, n) buffer scratch, where inc is partitioned."""
+    scratch[...] = inc
     med = middle(scratch)
     return (inc == med[:, None]).argmax(axis=1), med
 
@@ -252,19 +251,17 @@ def block_loss_gradient(S, b, thetas, j) -> np.ndarray:
     return grad
 
 
-def prox_gradient_step(reg, S, b, thetas, j, step: float, lam: float, out=None) -> np.ndarray:
+def prox_gradient_step(reg, S, b, thetas, j, step: float, lam: float, out) -> np.ndarray:
     """One median-block prox-gradient step, row-wise: row k moves against
     the gradient of block j[k]'s loss, then through the prox of
-    step * lam * psi.  The learner and the adversary both take it.  Given
-    out, an array of the shape of thetas, the new iterates go there too."""
+    step * lam * psi.  The learner and the adversary both take it.  The new
+    iterates go into out, the caller's buffer of the shape of thetas."""
     grad = block_loss_gradient(S, b, thetas, j)
     grad *= step
     if not lam:
-        return np.subtract(thetas, grad, out=grad if out is None else out)
-    new = prox_psi(reg, np.subtract(thetas, grad, out=grad), step * lam)
-    if out is not None:
-        out[...] = new
-    return new
+        return np.subtract(thetas, grad, out=out)
+    out[...] = prox_psi(reg, np.subtract(thetas, grad, out=grad), step * lam)
+    return out
 
 
 def _check_step_lambda(name: str, step: float, lam: float) -> None:
@@ -300,6 +297,9 @@ def _ascend_adversary(S, b, theta_f, starts, lam, reg, psi_f, step, iterations):
     The loop only records: each iteration's values go into an
     (iterations + 1, R) table and each next iterate into the (R,
     iterations + 1, d) array of iterates, whose column 0 holds the starts.
+    The caller owns the buffers, here and in ``solver._descent_ascent``:
+    g swaps between two (R, d) arrays and the increments are partitioned
+    in one (R, n) scratch, all allocated once.
     After the loop a start's values from its stop on read -inf, and one
     argmax per start picks its best iterate: the first maximum, the one a
     running best replaced only by a strictly larger value would keep.  A
@@ -313,7 +313,8 @@ def _ascend_adversary(S, b, theta_f, starts, lam, reg, psi_f, step, iterations):
     explored = np.empty((R, iterations + 1, d))
     explored[:, 0] = starts
     evaluated = np.full(R, iterations + 1, dtype=np.intp)
-    g = starts
+    g, g_next = np.array([starts, starts])
+    scratch = np.empty((R, b.shape[0]))
     for t in range(iterations + 1):
         inc = _kernels.block_increments(S, b, theta_f, g)
         # A finite sum means finite entries; only an infinite or NaN sum
@@ -322,13 +323,13 @@ def _ascend_adversary(S, b, theta_f, starts, lam, reg, psi_f, step, iterations):
             evaluated[~np.isfinite(inc).all(axis=1) & (evaluated > t)] = t
             if (evaluated <= t).all():
                 break
-        j_star, med = median_block_index(inc)
+        j_star, med = median_block_index(inc, scratch)
         values[t] = med + lam * (psi_f - psi_batch(reg, g)) if lam else med
         if t == iterations:
             break
         s = step / math.sqrt(t + 1.0)
-        g = prox_gradient_step(reg, S, b, g, j_star, s, lam)
-        explored[:, t + 1] = g
+        explored[:, t + 1] = prox_gradient_step(reg, S, b, g, j_star, s, lam, g_next)
+        g, g_next = g_next, g
     values[np.arange(iterations + 1)[:, None] >= evaluated] = -math.inf
     np.fmax(values, -math.inf, out=values)
     best = values.argmax(axis=0)

@@ -427,32 +427,31 @@ class _ProductIncrements:
 # Overflow is expected here and caught: a non-finite increment or iterate
 # raises DivergenceError.
 @np.errstate(over="ignore", invalid="ignore")
-def _descent_ascent(S, b, starts, reg, lam, step_f, step_g, iterations, warm, increments=None):
+def _descent_ascent(S, b, starts, reg, lam, step_f, step_g, iterations, warm, increments):
     """Run every restart (a row of starts) for the given iterations, in
     lockstep.  Returns the (2, restarts, iterations + 1, d) iterates, f
     first and g second with the starts at iteration 0, and the adversary's
     (restarts, iterations) median blocks and median increments.
 
-    The increments come from a source, ``_StatisticsIncrements(S, b)``
-    unless one is given; ``mom_minimax_fit`` gives ``_ProductIncrements``
+    The increments come from the source ``mom_minimax_fit`` picks:
+    ``_StatisticsIncrements(S, b)`` where d <= m, ``_ProductIncrements``
     where d > m, the rule of ``_audit_losses``.  The gradients always come
     from S and b, so the two sources give the same iterates wherever they
     pick the same median blocks, and their increments agree to roundoff.
     Each half step moves one player, whose iterates the source is told are
     fresh.
 
-    Each half step writes into buffers allocated once: the increments into
-    one (restarts, n) array, f and g into one of two (2, restarts, d)
-    arrays that swap after each iteration, listed once as the source's
-    operands.  The statistics source makes one ``_kernels.block_increment``
-    call per row, although ``_kernels.block_increments`` gives the same
-    bits in one call: the benchmark's trace test pins one kernel call per
-    row and half step, and one row through the stacked call is slower (16.0
-    against 11.1 us at d=5, 40.0 against 36.5 us at d=50; n=51, best of 7 x
-    2000 calls, one BLAS thread on a 2-vCPU VM).
+    The caller owns the buffers, here and in the adversary ascent: the
+    increments and their partitioned copy go into two (restarts, n)
+    arrays, f and g into one of two (2, restarts, d) arrays that swap
+    after each iteration, listed once as the source's operands.  The
+    statistics source makes one ``_kernels.block_increment`` call per row,
+    although ``_kernels.block_increments`` gives the same bits in one
+    call: the benchmark's trace test pins one kernel call per row and half
+    step, and one row through the stacked call is slower (16.0 against
+    11.1 us at d=5, 40.0 against 36.5 us at d=50; n=51, best of 7 x 2000
+    calls, one BLAS thread on a 2-vCPU VM).
     """
-    if increments is None:
-        increments = _StatisticsIncrements(S, b)
     R, d = starts.shape
     iterates = np.empty((2, R, iterations + 1, d))
     iterates[:, :, 0] = starts

@@ -56,6 +56,7 @@ _FLOAT_SLACK = 1e-9
 _SPHERE_RTOL = 1e-6
 
 
+@np.errstate(over="ignore")  # an overflowing difference reads +inf
 def excess_risk(theta_hat, theta_star, design: DesignSpec) -> float:
     """Sigma-weighted squared parameter error; equals the excess prediction
     risk in the well-specified synthetic model."""
@@ -65,8 +66,7 @@ def excess_risk(theta_hat, theta_star, design: DesignSpec) -> float:
         raise DimensionError(f"shape mismatch {th.shape} vs {ts.shape}")
     if th.shape[0] != design.dim:
         raise DimensionError("design dimension mismatch")
-    delta = th - ts
-    return max(float(delta @ design.covariance @ delta), 0.0)
+    return max(float(population_sq_norms((th - ts)[None], design)[0]), 0.0)
 
 
 def sample_sphere_probes(
@@ -286,6 +286,7 @@ class Theorem2Diagnostic(_Record):
     passed: bool
 
 
+@np.errstate(over="ignore")  # an overflowing difference or psi reads +inf
 def theorem2_check(
     theta_hat,
     theta_star,
@@ -305,7 +306,7 @@ def theorem2_check(
         _check_number(name, c, strict=False)
     th = _theta_of(theta_hat)
     ts = _theta_of(theta_star)
-    psi_error = float(psi_batch(reg, (th - ts)[None, :])[0])  # th - ts may overflow
+    psi_error = float(psi_batch(reg, (th - ts)[None, :])[0])
     excess = excess_risk(th, ts, design)
     dist = math.sqrt(excess)
     psi_bound = c1 * params.rho
@@ -587,9 +588,12 @@ def norming_functional(reg: Regularizer, v: np.ndarray, direction=None) -> np.nd
     v and direction broadcast against each other over their leading axes;
     the last axis holds the coordinates, and each vector of the result is
     the functional of one (v, direction) pair.  One-dimensional v and
-    direction give one functional.
+    direction give one functional; a v without a coordinate axis raises
+    DimensionError.
     """
     v = np.asarray(v, dtype=np.float64)
+    if v.ndim == 0:
+        raise DimensionError("v must be a vector or a stack of vectors, got a scalar")
     if direction is None:
         direction = np.zeros_like(v)
     direction = np.asarray(direction, dtype=np.float64)

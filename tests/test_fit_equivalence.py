@@ -94,6 +94,12 @@ def _descent_ascent_ref(S, b, starts, reg, lam, step_f, step_g, iterations, warm
     return iterates, median_block, med_increment
 
 
+def _statistics_descent_ascent(S, b, *args):
+    """``solver._descent_ascent`` on the increments source of every fit at
+    d <= m, the block statistics: the loop its reference reproduces."""
+    return solver._descent_ascent(S, b, *args, solver._StatisticsIncrements(S, b))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _ascend_adversary_ref(
     S, b, theta_f, starts, lam, reg, psi_f, step, iterations, collect
@@ -174,7 +180,7 @@ def test_descent_ascent_matches_reference(kind, restarts):
         starts = np.random.default_rng(seed).standard_normal((restarts, 4))
         step = gram_step_size(X, p.m)
         args = (S, b, starts, obj.regularizer, obj.lam, step, 0.8 * step, 60, 20)
-        _assert_same(solver._descent_ascent(*args), _descent_ascent_ref(*args))
+        _assert_same(_statistics_descent_ascent(*args), _descent_ascent_ref(*args))
 
 
 @pytest.mark.parametrize(
@@ -198,7 +204,7 @@ def test_descent_ascent_diverges_with_the_reference_message(kind, start, step, m
     with pytest.raises(DivergenceError) as want:
         _descent_ascent_ref(*args)
     with pytest.raises(DivergenceError) as got:
-        solver._descent_ascent(*args)
+        _statistics_descent_ascent(*args)
     assert str(got.value) == str(want.value) == message
 
 
@@ -240,7 +246,7 @@ def test_descent_ascent_matches_reference_property(instance, kind):
     S, b, starts, step_f, step_g, iterations, warm = instance
     obj = _objective(kind, starts.shape[1])
     args = (S, b, starts, obj.regularizer, obj.lam, step_f, step_g, iterations, warm)
-    got, want = _outcome(solver._descent_ascent, args), _outcome(_descent_ascent_ref, args)
+    got, want = _outcome(_statistics_descent_ascent, args), _outcome(_descent_ascent_ref, args)
     if isinstance(want, Exception) or isinstance(got, Exception):
         assert type(got) is type(want) and str(got) == str(want)
     else:
@@ -262,7 +268,7 @@ def test_descent_ascent_runs_on_when_a_finite_sum_overflows():
     with np.errstate(over="ignore"):
         inc = _row_increments_ref(S, b, iterates[0, :, 1], iterates[1, :, 1])
         assert np.isfinite(inc).all() and not np.isfinite(inc.sum())
-    _assert_same(solver._descent_ascent(*args), _descent_ascent_ref(*args))
+    _assert_same(_statistics_descent_ascent(*args), _descent_ascent_ref(*args))
     # Iterates near 9e307 at every iteration, each finite, whose sum
     # overflows; f == g keeps every increment exactly 0.
     S, b = _unit_statistics(5, 1.0, 0.0)
@@ -271,7 +277,7 @@ def test_descent_ascent_runs_on_when_a_finite_sum_overflows():
     with np.errstate(over="ignore"):
         assert np.isfinite(iterates).all() and not np.isfinite(iterates[:, :, 5].sum())
     assert np.all(med_increment == 0.0)
-    _assert_same(solver._descent_ascent(*args), _descent_ascent_ref(*args))
+    _assert_same(_statistics_descent_ascent(*args), _descent_ascent_ref(*args))
 
 
 @pytest.mark.parametrize(
@@ -297,7 +303,7 @@ def test_descent_ascent_raises_at_the_reference_iteration(
     s_value, b_values, start, step_f, step_g, iteration, message
 ):
     S, b = _unit_statistics(15, s_value, b_values)
-    for loop in (solver._descent_ascent, _descent_ascent_ref):
+    for loop in (_statistics_descent_ascent, _descent_ascent_ref):
         args = (S, b, np.full((1, 1), start), Regularizer.none(), 0.0, step_f, step_g)
         loop(*args, iteration - 1, iteration - 1)
         with pytest.raises(DivergenceError) as raised:
@@ -602,8 +608,8 @@ def test_ascend_adversary_keeps_the_reference_sign_of_zero(kind, psi_f, monkeypa
     # +0.0; with it, -0.0 + lam * (psi_f - psi(0)) stays -0.0 when psi_f is
     # -0.0.
     def negative_zero(median):
-        def patched(inc):
-            j, med = median(inc)
+        def patched(inc, *scratch):
+            j, med = median(inc, *scratch)
             return j, np.full_like(med, -0.0)
         return patched
 
@@ -655,12 +661,14 @@ def test_median_block_index_and_step_match_reference():
     inc[1] = 0.0  # every block ties
     inc[2, ::3] = inc[2, p.n // 2]  # the median value sits in several blocks
     inc[3] = -0.0
-    _assert_same(objective.median_block_index(inc), _median_block_index_ref(inc))
+    scratch = np.empty_like(inc)
+    _assert_same(objective.median_block_index(inc, scratch), _median_block_index_ref(inc))
     thetas = rng.standard_normal((6, 4))
     j = rng.integers(0, p.n, 6)
     for obj in map(_objective, _KINDS):
+        out = np.empty_like(thetas)
         np.testing.assert_array_equal(
-            objective.prox_gradient_step(obj.regularizer, S, b, thetas, j, 0.03, obj.lam),
+            objective.prox_gradient_step(obj.regularizer, S, b, thetas, j, 0.03, obj.lam, out),
             _prox_gradient_step_ref(obj.regularizer, S, b, thetas, j, 0.03, obj.lam),
         )
 

@@ -42,6 +42,7 @@ from momreg import (
     make_partition,
     median,
     multiplier_components,
+    norming_functional,
     oracle_grid_fit,
     population_l2_distance,
     prox_psi,
@@ -298,6 +299,13 @@ _INPUT_CHECKS = [
     ("prox_psi-negative-t", lambda: prox_psi(Regularizer.l1(), np.ones(1), -1.0), InvalidInput),
     ("prox_psi-nan-t", lambda: prox_psi(Regularizer.l1(), np.ones(1), math.nan), InvalidInput),
     ("prox_psi-inf-t", lambda: prox_psi(Regularizer.none(), np.ones(1), math.inf), InvalidInput),
+    # neither a vector nor a (k, d) stack, which numpy rejects with a raw error
+    ("prox_psi-3d", lambda: prox_psi(Regularizer.slope(d=2), np.ones((2, 2, 2)), 0.1),
+     DimensionError),
+    ("prox_psi-scalar", lambda: prox_psi(Regularizer.slope(d=1), np.float64(1.0), 0.1),
+     DimensionError),
+    ("norming_functional-scalar",
+     lambda: norming_functional(Regularizer.slope(d=1), np.float64(1.0)), DimensionError),
     # ragged or non-numeric arrays, which numpy rejects with a raw ValueError
     ("LinearPredictor-ragged", lambda: LinearPredictor(_RAGGED), InvalidInput),
     ("LinearPredictor-text", lambda: LinearPredictor(["one"]), InvalidInput),
@@ -321,3 +329,39 @@ _INPUT_CHECKS = [
 def test_every_input_check_raises_its_error(call, error):
     with pytest.raises(error):
         call()
+
+
+_MESSAGE_CHECKS = [
+    ("count_blocks_satisfying-bool-threshold",
+     lambda: count_blocks_satisfying([1.0], True), InvalidInput, "not a bool, got True"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [row[1:] for row in _MESSAGE_CHECKS],
+                         ids=[row[0] for row in _MESSAGE_CHECKS])
+def test_every_input_check_names_what_it_rejects(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+# The difference of 1e308 and -1e308 overflows to inf, and inf * 0 inside
+# delta' Sigma delta would give NaN; each distance reads +inf, warning-free.
+_FAR = np.r_[1e308, 0.0, 0.0]
+_OVERFLOWING_DISTANCES = [
+    ("excess_risk", lambda: excess_risk(np.full(3, 1e308), -np.full(3, 1e308),
+                                        DesignSpec.identity(3))),
+    ("population_l2_distance",
+     lambda: population_l2_distance(LinearPredictor(_FAR), LinearPredictor(-_FAR),
+                                    DesignSpec.identity(3))),
+    ("theorem1_check",
+     lambda: theorem1_check(_FAR, -_FAR, DesignSpec.identity(3), _PARAMS).distance),
+    ("theorem2_check",
+     lambda: theorem2_check(_FAR, -_FAR, DesignSpec.identity(3), _PARAMS,
+                            Regularizer.l1()).distance),
+]
+
+
+@pytest.mark.parametrize("call", [row[1] for row in _OVERFLOWING_DISTANCES],
+                         ids=[row[0] for row in _OVERFLOWING_DISTANCES])
+def test_every_overflowing_distance_reads_inf(call):
+    assert call() == math.inf

@@ -626,11 +626,11 @@ class TestTournament:
 
 
 def _sequential_descent_ascent(S, b, starts, reg, lam, step_f, step_g, iterations, warm,
-                               increments=None):
+                               increments):
     """Restart after restart, one 1-d vector per iterate: the reference the
     lockstep loop must reproduce from the block statistics, the increments
     source of every fit at d <= m."""
-    assert increments is None or isinstance(increments, solver._StatisticsIncrements)
+    assert isinstance(increments, solver._StatisticsIncrements)
     R, d = starts.shape
     iterates = np.empty((2, R, iterations + 1, d))
     median_block = np.empty((R, iterations), dtype=np.intp)
@@ -693,7 +693,8 @@ class TestLockstepRestarts:
         rng = np.random.default_rng(5)
         starts = rng.standard_normal((restarts, 4))
         step = gram_step_size(X, p.m)
-        args = (S, b, starts, obj.regularizer, obj.lam, step, 0.8 * step, 60, 20)
+        args = (S, b, starts, obj.regularizer, obj.lam, step, 0.8 * step, 60, 20,
+                solver._StatisticsIncrements(S, b))
         got = solver._descent_ascent(*args)
         want = _sequential_descent_ascent(*args)
         np.testing.assert_allclose(got[0], want[0], rtol=0.0, atol=1e-12)

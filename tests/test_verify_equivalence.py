@@ -162,7 +162,10 @@ def _estimate_delta_ref(reg, f_star, rho, r, design, budget, seed, n_centers, n_
             if unit is None:
                 continue
             delta = rho * unit
-            if math.sqrt(max(float(delta @ cov @ delta), 0.0)) > r * (1 + 1e-12):
+            # a step that is not finite lies at distance +inf (population_sq_norms)
+            if not np.isfinite(delta).all() or (
+                math.sqrt(max(float(delta @ cov @ delta), 0.0)) > r * (1 + 1e-12)
+            ):
                 continue
             n_feasible += 1
             sup = -math.inf
@@ -502,14 +505,15 @@ def test_estimate_delta_center_on_the_norming_ball_edge():
 
 @pytest.mark.parametrize("kind", ["l1", "slope"])
 def test_estimate_delta_keeps_nan_out_of_the_sup(kind):
-    # An infinite rho makes every step's z(delta) nan or infinite; the sup
-    # skips nan, as the loop's max does, so no nan reaches the estimate.
+    # An infinite rho makes every step infinite, or nan where inf * 0, so
+    # every step lies at distance +inf and none is feasible: no nan reaches
+    # the estimate.
     args = (_reg(kind, 3), LinearPredictor([1.0, -0.5, 2.0]), math.inf, 2.0, DesignSpec.identity(3))
     kw = dict(budget=12, seed=0, n_centers=3, n_norming=4)
     with np.errstate(invalid="ignore", over="ignore"):
         got = estimate_delta(*args, **kw)
         assert got == _estimate_delta_ref(*args, **kw)
-    assert got.value == -math.inf
+    assert got.value is None and not got.feasible
 
 
 def test_estimate_delta_without_feasible_steps_matches_loop():
