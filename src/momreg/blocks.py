@@ -35,6 +35,10 @@ at once: ``np.matmul(X, thetas[:, :, None])`` runs one matrix-vector
 product per theta, so every row is bitwise the single-theta ``X @ theta``
 and every (k, n) row equals the one-theta statistic.  ``block_increment``
 and ``multiplier_component`` are their one-row cases.
+
+The statistics are computed under ``np.errstate``: one that overflows, or
+is otherwise not finite, raises ``InvalidInput``, and no RuntimeWarning
+comes first.
 """
 from __future__ import annotations
 
@@ -96,6 +100,7 @@ def _used_arrays(f_dim: int, h: LinearPredictor, data: Dataset, p: BlockPartitio
     return covered_rows(data, p)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def quad_component(
     f: LinearPredictor, h: LinearPredictor, data: Dataset, p: BlockPartition
 ) -> BlockVector:
@@ -120,6 +125,7 @@ def _residual_sums(X, y, stack, k: int, out, noisy: bool = False) -> None:
     np.add.reduce(z.reshape(z.shape[0], out.shape[-1], -1), axis=-1, out=out)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _block_statistics(thetas, h: LinearPredictor, data: Dataset, p: BlockPartition,
                       multipliers: bool) -> np.ndarray:
     """Block increments against h, or multiplier components, of each row of

@@ -199,7 +199,6 @@ class DesignSpec:
         return np.linalg.cholesky(self.covariance)
 
 
-@np.errstate(over="ignore")  # an overflowing difference reads +inf
 def population_l2_distance(
     f: LinearPredictor, h: LinearPredictor, design: DesignSpec
 ) -> float:
@@ -208,25 +207,28 @@ def population_l2_distance(
         raise DimensionError(f"predictor dims differ: {f.dim} vs {h.dim}")
     if f.dim != design.dim:
         raise DimensionError(f"predictor dim {f.dim} vs design dim {design.dim}")
-    q = float(population_sq_norms((f.theta - h.theta)[None], design)[0])
-    return math.sqrt(max(q, 0.0))
+    return math.sqrt(population_sq_distances(f.theta[None], h.theta, design)[0])
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def population_sq_norms(deltas: np.ndarray, design: DesignSpec) -> np.ndarray:
-    """Squared L2(mu) norms delta' Sigma delta of the rows of a (k, d) stack.
+def population_sq_distances(thetas: np.ndarray, center, design: DesignSpec) -> np.ndarray:
+    """Squared L2(mu) distances delta' Sigma delta, delta = theta - center,
+    of the rows of a (k, d) stack from center (a vector, or 0.0 for a stack
+    of offsets).
 
-    A stack of vector-matrix products and row-wise dot products, so each
-    entry is bitwise the one-vector ``delta @ Sigma @ delta``; one (k, d)
-    matrix product rounds differently.  A row that is not finite, such as
-    a difference of finite vectors that overflowed, reads +inf, and so
-    does a norm that overflows.
+    This is the one non-finite rule of the package's population norms: a
+    row whose difference or norm overflows, or that is not finite, reads
+    +inf, and a norm that roundoff makes negative reads 0 (a -0.0 keeps its
+    sign), all without a warning.  A stack of vector-matrix products and
+    row-wise dot products, so each entry is bitwise the one-vector ``delta @
+    Sigma @ delta``; one (k, d) matrix product rounds differently.
     """
+    deltas = thetas - center
     q = np.vecdot(np.matmul(deltas[:, None, :], design.covariance)[:, 0], deltas)
-    # A row that is not finite has a norm of +inf or NaN (inf * 0): with a
-    # positive diagonal, its infinite entry's own term is +inf or NaN.
-    # fmin reads NaN as +inf and keeps every other value.
-    return np.fmin(q, math.inf)
+    # Sigma is positive definite: a norm of -inf or NaN overflowed, as +inf did.
+    if not q.min(initial=math.inf) >= 0.0:  # a norm below 0, or NaN
+        q = np.where(np.isfinite(q), np.where(q < 0.0, 0.0, q), math.inf)
+    return q
 
 
 def row_permutation(n_samples: int, seed) -> np.ndarray:

@@ -15,6 +15,14 @@ states the draws that ``momreg verify`` reports depend on.
 slots per instance, before the next one is drawn; ``lemma_reg_check`` is
 its one-instance case.  ``estimate_delta``'s docstring states the draws of
 the Delta estimate, which that report also depends on.
+
+Every L2(mu) distance here comes from ``model.population_sq_distances``,
+which owns the one non-finite rule of population norms: a difference or a
+norm that overflows reads +inf, and a norm that roundoff makes negative
+reads 0, without a warning.  The probes and the block statistics are taken
+under ``np.errstate`` as well, so one that is not finite raises its
+``MomregError`` (``InvalidInput``, or ``ProbeOutOfRegime`` for a probe at
+distance +inf), and no RuntimeWarning comes first.
 """
 from __future__ import annotations
 
@@ -36,7 +44,7 @@ from .errors import (
     ProbeOutOfRegime,
 )
 from .model import (BlockPartition, Dataset, DesignSpec, LinearPredictor, _check_count,
-                    _check_number, _frozen_array, population_sq_norms)
+                    _check_number, _frozen_array, population_sq_distances)
 from .objective import (
     ConditionParams,
     Regularizer,
@@ -56,7 +64,6 @@ _FLOAT_SLACK = 1e-9
 _SPHERE_RTOL = 1e-6
 
 
-@np.errstate(over="ignore")  # an overflowing difference reads +inf
 def excess_risk(theta_hat, theta_star, design: DesignSpec) -> float:
     """Sigma-weighted squared parameter error; equals the excess prediction
     risk in the well-specified synthetic model."""
@@ -66,7 +73,7 @@ def excess_risk(theta_hat, theta_star, design: DesignSpec) -> float:
         raise DimensionError(f"shape mismatch {th.shape} vs {ts.shape}")
     if th.shape[0] != design.dim:
         raise DimensionError("design dimension mismatch")
-    return max(float(population_sq_norms((th - ts)[None], design)[0]), 0.0)
+    return float(population_sq_distances(th[None], ts, design)[0])
 
 
 def sample_sphere_probes(
@@ -81,6 +88,7 @@ def sample_sphere_probes(
 
     Row i is bitwise the probe solved and normed alone from the i-th of
     count draws of ``rng.standard_normal(d)``, and rng ends in that state.
+    A probe that overflows raises InvalidInput.
     """
     _check_number("distance", distance, strict=False)
     _check_count("count", count)
@@ -88,7 +96,11 @@ def sample_sphere_probes(
         raise DimensionError(f"predictor dim {f_star.dim} vs design dim {design.dim}")
     V = rng.standard_normal((count, design.dim))
     W = np.linalg.solve(design.cholesky.T[None], V[:, :, None])[:, :, 0]
-    return f_star.theta + distance * W / np.sqrt(np.vecdot(V, V))[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        probes = f_star.theta + distance * W / np.sqrt(np.vecdot(V, V))[:, None]
+    if not np.isfinite(probes).all():
+        raise InvalidInput(f"probes at distance {distance!r} are not finite")
+    return probes
 
 
 class _Record:
@@ -136,8 +148,7 @@ def _probe_geometry(probes, f_star: LinearPredictor, design: DesignSpec):
         raise DimensionError(f"probes must be a (k, {d}) stack of thetas, got {thetas.shape}")
     if not np.isfinite(thetas).all():
         raise InvalidInput("coefficients must be finite")
-    q = population_sq_norms(thetas - f_star.theta, design)
-    return thetas, np.sqrt(np.where(q < 0.0, 0.0, q))
+    return thetas, np.sqrt(population_sq_distances(thetas, f_star.theta, design))
 
 
 def _condition_report(condition, dists, stats, hits, fraction_threshold) -> ConditionReport:
@@ -286,7 +297,7 @@ class Theorem2Diagnostic(_Record):
     passed: bool
 
 
-@np.errstate(over="ignore")  # an overflowing difference or psi reads +inf
+@np.errstate(over="ignore")  # an overflowing th - ts or psi reads +inf
 def theorem2_check(
     theta_hat,
     theta_star,
@@ -425,6 +436,7 @@ _LemmaChunk = collections.namedtuple("_LemmaChunk", "f_star thetas probes regs d
                                      "n m d X y noisy")
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _check_chunk(report, first: int, chunk: _LemmaChunk) -> None:
     """Add to report the check of every probe of a chunk, its instances
     numbered from first.
@@ -452,8 +464,7 @@ def _check_chunk(report, first: int, chunk: _LemmaChunk) -> None:
     f_star = chunk.f_star[:, None]
     deltas = chunk.thetas - f_star
     each = np.arange(c)[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        fs = f_star + f_alpha[:, :, None] * deltas[each, f_rows]
+    fs = f_star + f_alpha[:, :, None] * deltas[each, f_rows]
     H = u + f_count  # h's slot; the offsets follow it
     slots = np.concatenate([chunk.thetas, fs, f_star, deltas], axis=1)
     norms, q = np.empty(slots.shape[:2]), np.empty((c, u))
@@ -464,7 +475,8 @@ def _check_chunk(report, first: int, chunk: _LemmaChunk) -> None:
         d, design = int(chunk.d[idx[0]]), chunk.designs[idx[0]]
         part = slots[idx, :, :d]
         norms[idx] = psi_batch(chunk.regs[idx[0]], part.reshape(-1, d)).reshape(len(idx), -1)
-        q[idx] = population_sq_norms(part[:, H + 1 :].reshape(-1, d), design).reshape(len(idx), u)
+        offsets = part[:, H + 1 :].reshape(-1, d)
+        q[idx] = population_sq_distances(offsets, 0.0, design).reshape(len(idx), u)
 
     rho_c = chunk.params[3, :, None]  # per instance; per probe below
     on_sphere = np.abs(norms[:, H + 1 :] - rho_c) <= _SPHERE_RTOL * rho_c  # per stacked theta
@@ -495,7 +507,7 @@ def _check_chunk(report, first: int, chunk: _LemmaChunk) -> None:
 
     g1, g2, r, rho, lam = chunk.params[:, inst]
     n, q = chunk.n[inst], q[inst, row]
-    dist = np.sqrt(np.where(q < 0.0, 0.0, q))
+    dist = np.sqrt(q)
     psi_star, psi_h, psi_delta = norms[inst, H], norms[inst, row], norms[inst, H + 1 + row]
     on_sphere = on_sphere[inst, row]
     at_f = scaled & on_sphere
@@ -687,7 +699,7 @@ def estimate_delta(
     _check_count("budget", budget)
     _check_count("n_centers", n_centers, 1)
     _check_count("n_norming", n_norming)
-    if rho != math.inf:  # the overflowing case, whose sup is kept free of nan below
+    if rho != math.inf:  # an infinite rho is taken: no step is finite, so none is feasible
         _check_number("rho", rho, -math.inf)
     _check_number("r", r, -math.inf)
     d = design.dim
@@ -716,8 +728,10 @@ def estimate_delta(
     u = rng.standard_normal((n_norming, d))
     offsets = _psi_rows(reg, u, rho / 20.0 * rng.uniform(0.0, 1.0, n_norming))
 
-    q = population_sq_norms(steps, design)
-    steps = steps[~(np.sqrt(np.maximum(q, 0.0)) > r * (1 + 1e-12))]
+    # A step that is not finite is never feasible, also where r (1 + 1e-12)
+    # overflows and its distance, +inf, would pass.
+    dist = np.sqrt(population_sq_distances(steps, 0.0, design))
+    steps = steps[~(dist > r * (1 + 1e-12)) & np.isfinite(steps).all(axis=1)]
     if len(steps) == 0:
         return DeltaEstimate(
             None, False, len(centers), 0, n_candidates, rho, r
@@ -731,10 +745,8 @@ def estimate_delta(
     for rows in blocks.row_slices(len(steps), vs.size):
         step = steps[rows]
         # vecdot, not einsum: it rounds like z @ delta, triple by triple.
-        # fmax, folded over the v's in order, lets no NaN (from overflowing
-        # inputs) into the sup.
         vals = np.vecdot(norming_functional(reg, vs[:, :, None], step), step)
-        best = min(best, float(np.fmax.reduce(vals, axis=1, initial=-math.inf).min()))
+        best = min(best, float(vals.max(axis=1).min()))
     return DeltaEstimate(
         best, True, len(centers), len(centers) * len(steps), n_candidates, rho, r
     )

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from momreg import (
     Dataset,
@@ -14,7 +16,7 @@ from momreg import (
     population_l2_distance,
     save_dataset,
 )
-from momreg.model import MAX_MAGNITUDE, row_permutation
+from momreg.model import MAX_MAGNITUDE, population_sq_distances, row_permutation
 
 
 class TestDataset:
@@ -100,6 +102,46 @@ class TestPopulationDistance:
             dhg = population_l2_distance(h, g, design)
             assert abs(dfg - dgf) < 1e-10
             assert dfg <= dfh + dhg + 1e-10
+
+
+@st.composite
+def _distance_stacks(draw):
+    """A (k, d) stack, a center and a design: identity or a random SPD
+    covariance, rows scaled up to 1e154 (their squares near the largest
+    float), rows equal to the center, and, with overflow, rows whose
+    difference from a center of +-1e308 entries overflows."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    d = draw(st.integers(1, 8))
+    k = draw(st.integers(1, 10))
+    rng = np.random.default_rng(seed)
+    cov = np.eye(d)
+    if draw(st.booleans()):
+        A = rng.standard_normal((d, d))
+        cov = A @ A.T + rng.uniform(1e-3, 1.0) * np.eye(d)
+    thetas = rng.standard_normal((k, d)) * 10.0 ** rng.integers(-3, 155, (k, 1))
+    center = rng.standard_normal(d) * 10.0 ** rng.integers(-3, 155)
+    thetas[rng.random(k) < 0.2] = center
+    if draw(st.booleans()):
+        center = np.where(rng.random(d) < 0.5, -1e308, 1e308)
+        thetas[rng.random(k) < 0.5, 0] = -center[0]
+    return thetas, center, DesignSpec(cov)
+
+
+@given(_distance_stacks())
+@settings(max_examples=200, deadline=None)
+def test_sq_distances_are_the_clamped_one_vector_norms(instance):
+    # Each finite row is max(delta @ Sigma @ delta, 0.0), bit for bit and
+    # with the sign of a zero; a row whose difference or norm overflows,
+    # or whose norm is nan (inf * 0), reads +inf.  Offsets with center 0.0
+    # give the same bits.
+    thetas, center, design = instance
+    got = population_sq_distances(thetas, center, design)
+    with np.errstate(over="ignore", invalid="ignore"):
+        deltas = thetas - center
+        want = [float(delta @ design.covariance @ delta) for delta in deltas]
+    want = np.array([max(q, 0.0) if np.isfinite(q) else np.inf for q in want])
+    assert got.tobytes() == want.tobytes()
+    assert got.tobytes() == population_sq_distances(deltas, 0.0, design).tobytes()
 
 
 class TestDesignSpec:

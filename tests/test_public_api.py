@@ -2,6 +2,7 @@ import ast
 import dataclasses
 import math
 import re
+import warnings
 from collections import Counter
 from pathlib import Path
 
@@ -27,6 +28,7 @@ from momreg import (
     NoiseSpec,
     ObjectiveConfig,
     OddBlockCountRequired,
+    ProbeOutOfRegime,
     Regularizer,
     SolverConfig,
     block_increments,
@@ -37,9 +39,12 @@ from momreg import (
     estimate_delta,
     excess_risk,
     generate,
+    lambda_window,
     lasso_fit,
+    lemma_reg_check,
     lemma_sweep,
     make_partition,
+    med_increment,
     median,
     multiplier_components,
     norming_functional,
@@ -347,12 +352,20 @@ def test_every_input_check_names_what_it_rejects(call, error, message):
 # The difference of 1e308 and -1e308 overflows to inf, and inf * 0 inside
 # delta' Sigma delta would give NaN; each distance reads +inf, warning-free.
 _FAR = np.r_[1e308, 0.0, 0.0]
+_BOTH_SIGNS = DesignSpec(np.array([[0.28738689, -0.45391999], [-0.45391999, 1.45825953]]))
 _OVERFLOWING_DISTANCES = [
     ("excess_risk", lambda: excess_risk(np.full(3, 1e308), -np.full(3, 1e308),
                                         DesignSpec.identity(3))),
     ("population_l2_distance",
      lambda: population_l2_distance(LinearPredictor(_FAR), LinearPredictor(-_FAR),
                                     DesignSpec.identity(3))),
+    # A finite difference whose norm's terms overflow with both signs, which
+    # the one-vector product sums to -inf (or NaN), never to a norm near 0.
+    ("excess_risk-terms-of-both-signs",
+     lambda: excess_risk([1e308, 1e308], [0.0, 0.0], _BOTH_SIGNS)),
+    ("population_l2_distance-terms-of-both-signs",
+     lambda: population_l2_distance(LinearPredictor([1e308, 1e308]), LinearPredictor([0.0, 0.0]),
+                                    _BOTH_SIGNS)),
     ("theorem1_check",
      lambda: theorem1_check(_FAR, -_FAR, DesignSpec.identity(3), _PARAMS).distance),
     ("theorem2_check",
@@ -365,3 +378,50 @@ _OVERFLOWING_DISTANCES = [
                          ids=[row[0] for row in _OVERFLOWING_DISTANCES])
 def test_every_overflowing_distance_reads_inf(call):
     assert call() == math.inf
+
+
+# f* and a probe whose difference overflows: every check takes its
+# statistics under numpy's errstate, so it raises its MomregError and no
+# RuntimeWarning comes first.
+_HUGE_X = np.random.default_rng(0).standard_normal((45, 3))
+_HUGE_DATA = Dataset(_HUGE_X, _HUGE_X @ np.ones(3))
+_HUGE_P = make_partition(45, 3)
+_HUGE_STAR = LinearPredictor([-1e308, 0.0, 0.0])
+_HUGE_PROBE = np.array([1e308, 0.0, 0.0])
+_HUGE_PARAMS = ConditionParams(0.5, 0.05, 1.0, 1.0)
+_OVERFLOWING_CHECKS = [
+    ("check_condition_one",
+     lambda: check_condition_one(_HUGE_DATA, _HUGE_P, _HUGE_STAR, [_HUGE_PROBE], 0.5, 1.0,
+                                 DesignSpec.identity(3)), InvalidInput),
+    ("check_condition_two",
+     lambda: check_condition_two(_HUGE_DATA, _HUGE_P, _HUGE_STAR, [_HUGE_PROBE], 0.05, 1.0,
+                                 DesignSpec.identity(3)), ProbeOutOfRegime),
+    ("block_increments",
+     lambda: block_increments([[1e308, 1e308, 0.0]], LinearPredictor(np.zeros(3)), _HUGE_DATA,
+                              _HUGE_P), InvalidInput),
+    ("multiplier_components",
+     lambda: multiplier_components([[1e308, 1e308, 0.0]], LinearPredictor(np.zeros(3)),
+                                   _HUGE_DATA, _HUGE_P), InvalidInput),
+    ("quad_component",
+     lambda: quad_component(LinearPredictor(_HUGE_PROBE), _HUGE_STAR, _HUGE_DATA, _HUGE_P),
+     InvalidInput),
+    ("med_increment",
+     lambda: med_increment(LinearPredictor(_HUGE_PROBE), _HUGE_STAR, _HUGE_DATA, _HUGE_P),
+     InvalidInput),
+    ("lemma_reg_check",
+     lambda: lemma_reg_check([LemmaProbe(_HUGE_PROBE, "far")], _HUGE_STAR, _HUGE_DATA, _HUGE_P,
+                             _HUGE_PARAMS, sum(lambda_window(_HUGE_PARAMS)) / 2.0,
+                             Regularizer.l1(), DesignSpec.identity(3)), InvalidInput),
+    ("sample_sphere_probes",
+     lambda: sample_sphere_probes(LinearPredictor([1.7e308, 0.0, 0.0]), DesignSpec.identity(3),
+                                  1.7e308, 4, np.random.default_rng(0)), InvalidInput),
+]
+
+
+@pytest.mark.parametrize("call, error", [row[1:] for row in _OVERFLOWING_CHECKS],
+                         ids=[row[0] for row in _OVERFLOWING_CHECKS])
+def test_every_overflowing_check_raises_without_a_warning(call, error):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call()

@@ -162,7 +162,7 @@ def _estimate_delta_ref(reg, f_star, rho, r, design, budget, seed, n_centers, n_
             if unit is None:
                 continue
             delta = rho * unit
-            # a step that is not finite lies at distance +inf (population_sq_norms)
+            # a step that is not finite lies at distance +inf (population_sq_distances)
             if not np.isfinite(delta).all() or (
                 math.sqrt(max(float(delta @ cov @ delta), 0.0)) > r * (1 + 1e-12)
             ):
@@ -387,13 +387,13 @@ def test_delta_directions_match_loop(monkeypatch, d, budget):
     reg = Regularizer.l1()
     args = (reg, LinearPredictor(np.zeros(d)), 1.0, 0.8, DesignSpec.identity(d))
     seen = []
-    sq_norms = verify.population_sq_norms
+    sq_distances = verify.population_sq_distances
 
-    def catch(steps, design):
+    def catch(steps, center, design):
         seen.append(steps.copy())
-        return sq_norms(steps, design)
+        return sq_distances(steps, center, design)
 
-    monkeypatch.setattr(verify, "population_sq_norms", catch)
+    monkeypatch.setattr(verify, "population_sq_distances", catch)
     for seed in range(3):
         seen.clear()
         got_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -514,6 +514,22 @@ def test_estimate_delta_keeps_nan_out_of_the_sup(kind):
         got = estimate_delta(*args, **kw)
         assert got == _estimate_delta_ref(*args, **kw)
     assert got.value is None and not got.feasible
+
+
+@pytest.mark.parametrize("kind", ["l1", "slope"])
+@pytest.mark.parametrize("rho", [math.inf, 1e308])
+def test_estimate_delta_where_the_feasibility_bound_overflows(kind, rho):
+    # At the largest r, r (1 + 1e-12) overflows to +inf.  A step that is not
+    # finite (rho = inf) is still infeasible, as in the reference, so no inf
+    # or nan reaches the estimate; a finite step whose squared norm
+    # overflows (rho = 1e308) is still feasible.
+    args = (_reg(kind, 3), LinearPredictor([1.0, -0.5, 2.0]), rho, np.finfo(np.float64).max,
+            DesignSpec.identity(3))
+    kw = dict(budget=12, seed=0, n_centers=3, n_norming=4)
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = estimate_delta(*args, **kw)
+        assert got == _estimate_delta_ref(*args, **kw)
+    assert got.feasible == (rho < math.inf)
 
 
 def test_estimate_delta_without_feasible_steps_matches_loop():
