@@ -105,29 +105,18 @@ def psi(reg: Regularizer, f) -> float:
     return float(psi_batch(reg, _theta_of(f)[None, :])[0])
 
 
-def _pava_nonincreasing(z: np.ndarray) -> np.ndarray:
-    # Pool-adjacent-violators projection onto nonincreasing sequences.
-    size = z.shape[0]
-    means = np.empty(size)
-    counts = np.empty(size, dtype=np.int64)
-    k = 0
-    for val in z:
-        means[k] = val
-        counts[k] = 1
-        k += 1
-        while k > 1 and means[k - 2] < means[k - 1]:
-            merged = counts[k - 2] + counts[k - 1]
-            means[k - 2] = (
-                means[k - 2] * counts[k - 2] + means[k - 1] * counts[k - 1]
-            ) / merged
-            counts[k - 2] = merged
-            k -= 1
-    out = np.empty(size)
-    pos = 0
-    for i in range(k):
-        out[pos : pos + counts[i]] = means[i]
-        pos += counts[i]
-    return out
+def _pava_nonincreasing(z: list) -> list:
+    # Pool-adjacent-violators projection onto nonincreasing sequences.  Python
+    # floats are IEEE doubles, so pooling blocks (m1, c1) and (m2, c2) to
+    # (m1 c1 + m2 c2) / (c1 + c2), in that order, keeps float64's bits.
+    blocks = []
+    for mean in z:
+        count = 1
+        while blocks and blocks[-1][0] < mean:
+            m, c = blocks.pop()
+            mean, count = (m * c + mean * count) / (c + count), c + count
+        blocks.append((mean, count))
+    return [mean for mean, count in blocks for _ in range(count)]
 
 
 def prox_psi(reg: Regularizer, theta: np.ndarray, t: float) -> np.ndarray:
@@ -135,6 +124,8 @@ def prox_psi(reg: Regularizer, theta: np.ndarray, t: float) -> np.ndarray:
 
     theta is one coefficient vector or a (k, d) matrix mapped row-wise;
     any other shape raises DimensionError.  t must be finite and >= 0.
+    Slope takes one path for both, FastProxSL1 (Bogdan et al. 2015): a stable
+    sort by |theta|, pool-adjacent-violators per row, and one scatter back.
     """
     if not 0.0 <= t < math.inf:
         raise InvalidInput(f"prox step t must be finite and >= 0, got {t!r}")
@@ -146,13 +137,11 @@ def prox_psi(reg: Regularizer, theta: np.ndarray, t: float) -> np.ndarray:
     if reg.kind == "l1":
         return np.sign(theta) * np.maximum(np.abs(theta) - t, 0.0)
     weights = slope_weights_for(reg, theta.shape[-1])
-    if theta.ndim == 2:
-        return np.stack([prox_psi(reg, row, t) for row in theta])
-    a = np.abs(theta)
-    order = np.argsort(-a, kind="stable")
-    x = np.maximum(_pava_nonincreasing(a[order] - t * weights), 0.0)
-    mag = np.empty_like(a)
-    mag[order] = x
+    mag = np.abs(theta)
+    order = np.argsort(-mag, axis=-1, kind="stable")
+    z = np.take_along_axis(mag, order, axis=-1) - t * weights
+    pooled = [_pava_nonincreasing(row) for row in np.atleast_2d(z).tolist()]
+    np.put_along_axis(mag, order, np.maximum(np.reshape(pooled, z.shape), 0.0), axis=-1)
     return np.sign(theta) * mag
 
 
@@ -356,7 +345,8 @@ def phi_lambda_hat(
     through the shared median-block prox-gradient step.  Every iterate of
     every restart is evaluated and the best value (with its witness g)
     returned; ties go to the earliest restart.  ``explored`` lists the
-    evaluated iterates restart by restart.
+    evaluated iterates restart by restart.  Raises InvalidInput when no
+    restart scores above -inf.
     """
     from .solver import _setup  # local import to avoid a cycle
 
@@ -380,9 +370,11 @@ def phi_lambda_hat(
     values, gs, (explored, counts) = _ascend_adversary(
         S, b, theta_f, starts, lam, reg, psi_f, step, budget.iterations
     )
-    # The start at f always scores (its increments are exactly 0), so the
-    # best start is finite.
+    # The start at f scores (its increments are exactly 0) unless they
+    # overflow, as f + f does near 1e308; then no start may score.
     k = int(np.argmax(values))
+    if values[k] == -math.inf:
+        raise InvalidInput("no adversary start scores above -inf: the increments overflow")
     return PhiResult(
         value=float(values[k]),
         witness=LinearPredictor(gs[k]),

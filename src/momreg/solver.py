@@ -656,6 +656,9 @@ class OracleFit:
         return LinearPredictor(self.theta_hat)
 
 
+# Overflow is expected here and caught: an objective that is not finite
+# raises InvalidInput.
+@np.errstate(over="ignore", invalid="ignore")
 def oracle_grid_fit(
     data: Dataset,
     p: BlockPartition,
@@ -693,6 +696,8 @@ def oracle_grid_fit(
     losses_g = losses_f if same else _audit_losses(X, y, S, b, pts_g, p)
     psi_g = psi_f if same else psi_batch(obj.regularizer, pts_g)
     objective = _WitnessPoolAudit(losses_g, psi_g, obj.lam).grid_values(losses_f, psi_f)
+    if not np.isfinite(objective).all():
+        raise InvalidInput("the grid objective overflows: it is not finite")
 
     best = int(np.argmin(objective))  # row-major order = lexicographic tie-break
     return OracleFit(theta_hat=pts_f[best].copy(), objective=objective, grid_f=pts_f)

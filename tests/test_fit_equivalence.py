@@ -741,6 +741,14 @@ def _assert_divergence(out):
         assert type(out) is DivergenceError and str(out) in _DIVERGENCE_MESSAGES
 
 
+def _product_scale(X, y, f, g, n, m):
+    """Row k, block j: the block mean of (|X| |f_k| + |X| |g_k| + 2 |y|)^2.
+    It bounds both factors of the product form (Xf - Xg)(Xf + Xg - 2y),
+    which rounds at the size of |X| |theta|, not of the residual loss."""
+    r = (np.abs(f) + np.abs(g)) @ np.abs(X).T + 2.0 * np.abs(y)
+    return _kernels.block_means(r * r, n, m)
+
+
 @given(_wide_descents())
 @settings(max_examples=200, deadline=None)
 def test_product_increments_match_the_residual_increments(instance):
@@ -749,16 +757,14 @@ def test_product_increments_match_the_residual_increments(instance):
     got = np.full((starts.shape[0], n), math.nan)
     with np.errstate(over="ignore", invalid="ignore"):
         source(starts, others, (0, 1), got)
-        lf = _kernels.block_losses(X, y, starts, n, m)
-        lh = _kernels.block_losses(X, y, others, n, m)
         # moving one player recomputes only its products
         same = np.full_like(got, math.nan)
         source(starts, starts, (1,), same)
-    c = _kernels.block_means(y * y, n, m)
+        scale = _product_scale(X, y, starts, others, n, m)
     data, p = Dataset(X, y), make_partition(n * m, n)
-    for k in np.flatnonzero(np.all(lf + lh + c < 1e300, axis=1)):
+    for k in np.flatnonzero(np.all(scale < 1e300, axis=1)):
         want = blocks.block_increments(starts[k][None], LinearPredictor(others[k]), data, p)[0]
-        assert np.all(np.abs(got[k] - want) <= 1e-11 * (lf[k] + lh[k] + c))
+        assert np.all(np.abs(got[k] - want) <= 1e-11 * scale[k])
         assert np.all(same[k] == 0.0)
 
 
@@ -772,7 +778,6 @@ def test_product_loop_is_the_statistics_loop_where_the_median_blocks_agree(insta
     _assert_divergence(want)
     if isinstance(got, Exception) or isinstance(want, Exception):
         return
-    c = _kernels.block_means(y * y, n, m)
     for k in range(got_blocks.shape[1]):
         # half step h of iteration h // 2 + 1; the first whose block differs
         differ = np.flatnonzero(got_blocks[:, k] != want_blocks[:, k])
@@ -786,7 +791,7 @@ def test_product_loop_is_the_statistics_loop_where_the_median_blocks_agree(insta
         f, g = want[0][0, k, h // 2], want[0][1, k, h // 2 + h % 2]
         with np.errstate(over="ignore", invalid="ignore"):
             lf, lg = _kernels.block_losses(X, y, f, n, m), _kernels.block_losses(X, y, g, n, m)
-            scale = lf + lg + c
+            scale = _product_scale(X, y, f, g, n, m)
             ok = np.all(scale < 1e300, axis=1)
             assert np.all(np.abs(got_incs[h, k] - (lf - lg))[ok] <= 1e-11 * scale[ok])
     if np.array_equal(got_blocks, want_blocks):

@@ -125,6 +125,23 @@ def test_wrong_number_of_slope_weights_raises(count):
             call()
 
 
+@st.composite
+def _slope_stacks(draw):
+    """A slope regularizer, a (k, d) stack at k <= 4 and d <= 60 whose
+    magnitudes tie where drawn rounded, and a step t in [1e-4, 1e2]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k, d = draw(st.integers(0, 4)), draw(st.integers(1, 60))
+    scale = 10.0 ** rng.uniform(-3.0, 3.0)
+    thetas = rng.standard_normal((k, d)) * scale
+    if draw(st.booleans()):  # tied magnitudes, zeros among them
+        thetas = np.round(2.0 * thetas / scale) * scale / 2.0
+    w = rng.uniform(0.1, 2.0, d)
+    if draw(st.booleans()):  # tied weights
+        w = rng.choice(w[:3], d)
+    t = 10.0 ** rng.uniform(-4.0, 2.0)
+    return Regularizer.slope(np.sort(w)[::-1]), thetas, t
+
+
 class TestProxPsi:
     def test_l1_soft_threshold(self):
         out = prox_psi(Regularizer.l1(), np.array([3.0, -0.5, 1.0]), 1.0)
@@ -136,19 +153,30 @@ class TestProxPsi:
 
     def test_slope_against_isotonic_oracle(self):
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            d = int(rng.integers(1, 12))
-            theta = rng.standard_normal(d) * 3.0
+        for _ in range(400):
+            d, k = int(rng.integers(1, 12)), int(rng.integers(0, 4))  # k 0: one vector
+            thetas = rng.standard_normal((k or 1, d)) * 3.0
             w = np.sort(rng.uniform(0.1, 2.0, d))[::-1]
             t = float(rng.uniform(0.01, 2.0))
-            ours = prox_psi(Regularizer.slope(w), theta, t)
-            a = np.abs(theta)
-            order = np.argsort(-a, kind="stable")
-            mags = np.maximum(isotonic_regression(a[order] - t * w, increasing=False).x, 0.0)
-            expected = np.empty(d)
-            expected[order] = mags
-            expected *= np.sign(theta)
+            expected = np.empty_like(thetas)
+            for row, theta in zip(expected, thetas):
+                a = np.abs(theta)
+                order = np.argsort(-a, kind="stable")
+                row[order] = np.maximum(isotonic_regression(a[order] - t * w, increasing=False).x, 0.0)
+            expected *= np.sign(thetas)
+            if not k:
+                thetas, expected = thetas[0], expected[0]
+            ours = prox_psi(Regularizer.slope(w), thetas, t)
             np.testing.assert_allclose(ours, expected, rtol=1e-10, atol=1e-12)
+
+    @given(_slope_stacks())
+    @settings(max_examples=300, deadline=None)
+    def test_slope_stack_rows_are_the_vector_prox_bitwise(self, case):
+        reg, thetas, t = case
+        got = prox_psi(reg, thetas, t)
+        assert got.shape == thetas.shape
+        for row, theta in zip(got, thetas):
+            assert row.tobytes() == prox_psi(reg, theta, t).tobytes()
 
     def test_prox_optimality_l1(self):
         # prox minimizes 0.5||x - theta||^2 + t*psi(x); compare against dither

@@ -49,6 +49,7 @@ from momreg import (
     multiplier_components,
     norming_functional,
     oracle_grid_fit,
+    phi_hat,
     population_l2_distance,
     prox_psi,
     quad_component,
@@ -190,6 +191,9 @@ _SITES = [
     ("support_recovery_error",
      lambda atol=0.1: support_recovery_error(np.zeros(2), np.zeros(2), atol),
      {"atol": (*_NOT_NUMBERS, -1.0)}),
+    # an empty (0, d) slope stack maps to an empty stack, as an l1 one does
+    ("prox_psi", lambda t=0.1: prox_psi(Regularizer.slope(d=2), np.empty((0, 2)), t),
+     {"t": (*_NOT_ENTRIES, -1.0)}),
 ]
 
 # Records the library builds from its own results and never takes as input.
@@ -389,6 +393,7 @@ _HUGE_P = make_partition(45, 3)
 _HUGE_STAR = LinearPredictor([-1e308, 0.0, 0.0])
 _HUGE_PROBE = np.array([1e308, 0.0, 0.0])
 _HUGE_PARAMS = ConditionParams(0.5, 0.05, 1.0, 1.0)
+_HUGE_GRID = GridSpec(((-1.0, 1.0, 0.5),) * 3)
 _OVERFLOWING_CHECKS = [
     ("check_condition_one",
      lambda: check_condition_one(_HUGE_DATA, _HUGE_P, _HUGE_STAR, [_HUGE_PROBE], 0.5, 1.0,
@@ -415,6 +420,12 @@ _OVERFLOWING_CHECKS = [
     ("sample_sphere_probes",
      lambda: sample_sphere_probes(LinearPredictor([1.7e308, 0.0, 0.0]), DesignSpec.identity(3),
                                   1.7e308, 4, np.random.default_rng(0)), InvalidInput),
+    # f + f overflows, so not even the ascent's start at f scores above -inf
+    ("phi_hat", lambda: phi_hat(LinearPredictor(_HUGE_PROBE), _HUGE_DATA, _HUGE_P), InvalidInput),
+    # every squared loss on features near 1e160 overflows
+    ("oracle_grid_fit",
+     lambda: oracle_grid_fit(Dataset(_HUGE_X * 1e160, _HUGE_X[:, 0]), _HUGE_P, ObjectiveConfig(),
+                             _HUGE_GRID, _HUGE_GRID), InvalidInput),
 ]
 
 
